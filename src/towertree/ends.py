@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import mpmath
 
@@ -24,14 +24,14 @@ from .errors import (
     UnsupportedMode,
     ValidationError,
 )
-from .towers import natural_key
+from .towers import Tower, natural_key
 from .trees import (
     ROOT,
     Branch,
     RootedTree,
-    Vertex,
     branches,
     max_geodesic_subtree,
+    tree_of_tower,
 )
 
 GRID = "grid"
@@ -65,10 +65,15 @@ def agreement(f: Branch, g: Branch) -> AgreementDepth:
     """Largest radius at which the branches still share a vertex."""
     if f.tree is not None and g.tree is not None and f.tree != g.tree:
         raise DifferentTrees("branches belong to different trees")
-    if f.vertices == g.vertices:
+    return prefix_agreement(f.vertices[1:], g.vertices[1:])
+
+
+def prefix_agreement(xs: Sequence, ys: Sequence) -> AgreementDepth:
+    """Length of the shared prefix of two sequences; None when they are equal."""
+    if xs == ys:
         return AgreementDepth(None)
     t0 = 0
-    for a, b in zip(f.vertices[1:], g.vertices[1:]):
+    for a, b in zip(xs, ys):
         if a != b:
             break
         t0 += 1
@@ -271,15 +276,13 @@ def tree_of_ultrametric(space: UltrametricSpace) -> tuple[RootedTree, dict[str, 
     if space.mode != GRID:
         raise UnsupportedMode("rational spaces go through simplicialize instead")
     height = max((v for _, _, v in space.pairs()), default=0) + 1
-    levels = [_partition(space, h) for h in range(1, height + 1)]
-    parent: dict[Vertex, Vertex] = {}
-    for h, part in enumerate(levels, start=1):
-        for cls in sorted(set(part.values()), key=natural_key):
-            parent[(h, cls)] = ROOT if h == 1 else (h - 1, levels[h - 2][cls])
-    tree = RootedTree(parent)
+    parts = [_partition(space, h) for h in range(1, height + 1)]
+    classes = [dict.fromkeys(part.values()) for part in parts]
+    bonds = [{cls: coarse[cls] for cls in fine} for coarse, fine in zip(parts, classes[1:])]
+    tree = tree_of_tower(Tower(classes, bonds))
     ends = {}
     for x in space.points:
-        chain = (ROOT,) + tuple((h, levels[h - 1][x]) for h in range(1, height + 1))
+        chain = (ROOT,) + tuple((h, parts[h - 1][x]) for h in range(1, height + 1))
         ends[x] = Branch(vertices=chain, complete=True, tree=tree)
     return tree, ends
 

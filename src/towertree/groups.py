@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from typing import Mapping, Sequence
 
-from .ends import AgreementDepth
+from .ends import AgreementDepth, prefix_agreement
 from .errors import (
     DifferentTowers,
     ElementNotInLevel,
@@ -30,7 +30,6 @@ from .towers import (
     SolenoidOracle,
     Tower,
     TowerMorphism,
-    compose_bonding,
     ml_verdict,
     natural_key,
 )
@@ -293,6 +292,13 @@ def _minimal_period(factors: tuple[int, ...]) -> tuple[int, ...]:
     return factors
 
 
+def _is_scaling_tower(g: GroupTower) -> bool:
+    """Windowed integer levels joined by scalings z -> k z."""
+    return all(isinstance(grp, WindowedZ) for grp in g.levels) and all(
+        isinstance(b, ScaleHom) for b in g.bonds
+    )
+
+
 def underlying_tower(g: GroupTower) -> Tower:
     """Forget the group structure; windowed scaling towers keep their
     divisibility oracle so ML verdicts stay exact.
@@ -306,9 +312,7 @@ def underlying_tower(g: GroupTower) -> Tower:
         bond = g.bond(n)
         bonds.append({x: bond.apply(x) for x in g.level(n + 1).elements})
     oracle = None
-    if all(isinstance(grp, WindowedZ) for grp in g.levels) and all(
-        isinstance(b, ScaleHom) for b in g.bonds
-    ):
+    if _is_scaling_tower(g):
         factors = _minimal_period(tuple(b.k for b in g.bonds) or (1,))
         candidate = SolenoidOracle(primes=factors, window=g.level(1).bound)
         if all(g.level(n).bound == candidate.level_bound(n) for n in range(1, g.depth + 1)):
@@ -337,9 +341,7 @@ def limit_threads(g: GroupTower) -> tuple[Thread, ...]:
     """All threads.  A table thread is determined by its deepest entry; a
     windowed scaling tower consults its oracle instead, because only
     forever-divisible entries survive the untruncated tower."""
-    if all(isinstance(grp, WindowedZ) for grp in g.levels) and all(
-        isinstance(b, ScaleHom) for b in g.bonds
-    ):
+    if _is_scaling_tower(g):
         factors = [b.k for b in g.bonds]
         if any(k > 1 for k in factors):
             zero = Thread(entries=tuple("0" for _ in range(g.depth)), tower=g)
@@ -358,14 +360,7 @@ def limit_threads(g: GroupTower) -> tuple[Thread, ...]:
 def thread_distance(a: Thread, b: Thread) -> AgreementDepth:
     if a.tower is not None and b.tower is not None and a.tower != b.tower:
         raise DifferentTowers("threads belong to different towers")
-    if a.entries == b.entries:
-        return AgreementDepth(None)
-    t0 = 0
-    for x, y in zip(a.entries, b.entries):
-        if x != y:
-            break
-        t0 += 1
-    return AgreementDepth(t0)
+    return prefix_agreement(a.entries, b.entries)
 
 
 def thread_product(g: GroupTower, a: Thread, b: Thread) -> Thread:

@@ -412,11 +412,8 @@ def retraction_map(tree: RootedTree) -> Retraction:
         raise EmptyCore("no complete branch to retract onto")
     in_core = set(core.parent) | {ROOT}
     images: dict[Vertex, TreePoint] = {}
-    for v in tree.vertices:
-        w = v
-        while w not in in_core:
-            w = tree.parent_of(w)
-        images[v] = point_of(w)
+    for v in tree.vertices:  # level order: a parent's image is always ready
+        images[v] = point_of(v) if v in in_core else images[tree.parent[v]]
     rmap = TreeMap(tree, core, images)
     rep = properness_witness(rmap)
     if tree.fringe_unbounded:

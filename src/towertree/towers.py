@@ -328,20 +328,22 @@ def ml_verdict(tower: Tower) -> MLReport:
 def surjective_core(tower: Tower) -> Tower:
     """Replace each level by the eventual image p_{n D}(X_D), restrict bonds.
 
-    All bonds of the result are surjective; the operation is idempotent.
+    One downward pass: E_D = X_D and E_n = p_n(E_{n+1}).  All bonds of the
+    result are surjective; the operation is idempotent.
     """
     if tower.oracle is not None:
         raise UnsupportedMode("surjective_core works on extensional towers")
-    depth = tower.depth
-    new_levels = []
-    for n in range(1, depth + 1):
-        image = set(compose_bonding(tower, n, depth).mapping.values())
-        new_levels.append(sorted(image, key=natural_key))
-    new_bonds = []
-    for n in range(1, depth):
-        bond = tower.bond(n)
-        new_bonds.append({x: bond[x] for x in new_levels[n]})
-    return Tower(new_levels, new_bonds)
+    kept = tower.levels[-1]
+    levels = [kept]
+    bonds = []
+    for n in range(tower.depth - 1, 0, -1):
+        step = tower.bond(n)
+        bond = {x: step[x] for x in kept}
+        image = set(bond.values())
+        kept = tuple(x for x in tower.level(n) if x in image)
+        levels.append(kept)
+        bonds.append(bond)
+    return Tower(levels[::-1], bonds[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -446,11 +448,18 @@ def _coherence_witness(
 ) -> int | None:
     """Least m with f_n . p_{Phi(n) m} == q_n . f_{n+1} . p_{Phi(n+1) m}, or None."""
     qn = target.bond(n)
-    lo = max(phi[n - 1], phi[n])
-    for m in range(lo, source.depth + 1):
-        down_n = compose_bonding(source, phi[n - 1], m).mapping
-        down_n1 = compose_bonding(source, phi[n], m).mapping
-        if all(comps[n - 1][down_n[x]] == qn[comps[n][down_n1[x]]] for x in source.level(m)):
+    after = {x: qn[y] for x, y in comps[n].items()}
+    return _agreement_level(source, phi[n - 1], comps[n - 1], phi[n], after)
+
+
+def _agreement_level(
+    source: Tower, a: int, fa: Mapping[str, str], b: int, gb: Mapping[str, str]
+) -> int | None:
+    """Least m >= max(a, b) within depth with fa . p_{a m} == gb . p_{b m} on X_m, or None."""
+    for m in range(max(a, b), source.depth + 1):
+        down_a = compose_bonding(source, a, m).mapping
+        down_b = compose_bonding(source, b, m).mapping
+        if all(fa[down_a[x]] == gb[down_b[x]] for x in source.level(m)):
             return m
     return None
 
@@ -505,20 +514,11 @@ def morphisms_equivalent(f: TowerMorphism, g: TowerMorphism) -> EquivalenceVerdi
     """Search, per level, for m with f_n . p_{Phi(n) m} == g_n . p_{Psi(n) m}."""
     if f.source != g.source or f.target != g.target:
         raise SourceTargetMismatch("morphisms do not share source and target")
-    source = f.source
     horizon = min(f.defined_upto, g.defined_upto)
-    witnesses: list[int | None] = []
-    for n in range(1, horizon + 1):
-        lo = max(f.phi_at(n), g.phi_at(n))
-        found = None
-        for m in range(lo, source.depth + 1):
-            down_f = compose_bonding(source, f.phi_at(n), m).mapping
-            down_g = compose_bonding(source, g.phi_at(n), m).mapping
-            fn, gn = f.component(n), g.component(n)
-            if all(fn[down_f[x]] == gn[down_g[x]] for x in source.level(m)):
-                found = m
-                break
-        witnesses.append(found)
+    witnesses = [
+        _agreement_level(f.source, f.phi_at(n), f.component(n), g.phi_at(n), g.component(n))
+        for n in range(1, horizon + 1)
+    ]
     failing = tuple(n for n, w in enumerate(witnesses, start=1) if w is None)
     if not failing:
         return EquivalenceVerdict(EQUIVALENT, witnesses=tuple(witnesses))

@@ -17,27 +17,25 @@ from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import EmptyCore, IndexOutOfRange, ValidationError, VertexNotFound
-from .towers import Tower, natural_key
+from .errors import IndexOutOfRange, ValidationError, VertexNotFound
+from .towers import Tower, surjective_core
 
 Vertex = tuple[int, str]
 
 ROOT: Vertex = (0, "root")
 
 
-def _vertex_sort_key(v: Vertex):
-    return (v[0], natural_key(v[1]))
-
-
 class RootedTree:
-    """A finite rooted tree given by its parent map.
+    """A finite rooted tree: the levels and bonds of a tower plus a root.
 
-    parent maps every non-root vertex to a vertex one level up; the root
-    (0, "root") is implicit.  Instances are immutable; equality compares
-    the parent map and the oracle annotations.
+    tower is the tower the tree indexes (None for the bare root).  parent
+    maps every non-root vertex (n, x) to (n - 1, p_{n-1}(x)), or to the
+    implicit root (0, "root") at level 1; levels and children follow the
+    tower's order.  Instances are immutable; equality compares the parent
+    map and the oracle annotations.
     """
 
-    __slots__ = ("parent", "children", "levels", "depth", "core_hint", "fringe_unbounded")
+    __slots__ = ("tower", "parent", "children", "levels", "depth", "core_hint", "fringe_unbounded")
 
     def __init__(
         self,
@@ -45,34 +43,47 @@ class RootedTree:
         core_hint: frozenset[Vertex] | None = None,
         fringe_unbounded: bool = False,
     ):
-        children: dict[Vertex, list[Vertex]] = {ROOT: []}
-        levels: dict[int, list[Vertex]] = {0: [ROOT]}
-        for v, p in parent.items():
-            lv, _ = v
+        """Read levels and bonds off a parent map; Tower checks and orders them."""
+        depth = max((v[0] for v in parent), default=0)
+        ids: list[list[str]] = [[] for _ in range(depth)]
+        bonds: list[dict[str, str]] = [{} for _ in range(depth - 1)]
+        for (lv, x), p in parent.items():
             if lv < 1:
-                raise ValidationError(f"vertex {v} below level 1 cannot have a parent entry")
-            if p != ROOT and p not in parent:
-                raise ValidationError(f"parent {p} of {v} is not a vertex")
-            if p[0] != lv - 1:
-                raise ValidationError(f"parent of {v} must sit at level {lv - 1}, got {p}")
-            levels.setdefault(lv, []).append(v)
-            children.setdefault(v, [])
-            children.setdefault(p, []).append(v)
-        for lv, vs in levels.items():
-            ids = [x for _, x in vs]
-            if len(set(ids)) != len(ids):
-                raise ValidationError(f"duplicate vertex ids at level {lv}")
-        depth = max(levels)
-        if set(levels) != set(range(depth + 1)):
-            raise ValidationError("levels must be contiguous from the root down")
+                raise ValidationError(f"vertex {(lv, x)} below level 1 cannot have a parent entry")
+            if p[0] != lv - 1 or (lv == 1 and p != ROOT):
+                raise ValidationError(f"parent of {(lv, x)} must sit at level {lv - 1}, got {p}")
+            ids[lv - 1].append(x)
+            if lv > 1:
+                bonds[lv - 2][x] = p[1]
         if core_hint is not None:
-            stray = set(core_hint) - set(parent)
+            stray = set(core_hint) - parent.keys()
             if stray:
-                raise ValidationError(f"core hint names unknown vertices: {sorted(stray)}")
-        self.parent = dict(parent)
-        self.children = {v: tuple(sorted(cs, key=_vertex_sort_key)) for v, cs in children.items()}
-        self.levels = {lv: tuple(sorted(vs, key=_vertex_sort_key)) for lv, vs in levels.items()}
-        self.depth = depth
+                raise ValidationError(f"core hint names unknown vertices: {stray}")
+        self._index(Tower(ids, bonds) if depth else None, core_hint, fringe_unbounded)
+
+    def _index(
+        self, tower: Tower | None, core_hint: frozenset[Vertex] | None, fringe_unbounded: bool
+    ) -> None:
+        """Vertices, parents and children of the tower's levels and bonds, in its order."""
+        parent: dict[Vertex, Vertex] = {}
+        children: dict[Vertex, list[Vertex]] = {ROOT: []}
+        levels: dict[int, tuple[Vertex, ...]] = {0: (ROOT,)}
+        above: dict[str, Vertex] = {}
+        for n, ids in enumerate(tower.levels if tower is not None else (), start=1):
+            here = {x: (n, x) for x in ids}
+            bond = tower.bonds[n - 2] if n > 1 else None
+            for x, v in here.items():
+                p = above[bond[x]] if bond is not None else ROOT
+                parent[v] = p
+                children[p].append(v)
+                children[v] = []
+            levels[n] = tuple(here.values())
+            above = here
+        self.tower = tower
+        self.parent = parent
+        self.children = {v: tuple(cs) for v, cs in children.items()}
+        self.levels = levels
+        self.depth = len(levels) - 1
         self.core_hint = core_hint
         self.fringe_unbounded = fringe_unbounded
 
@@ -118,7 +129,7 @@ class RootedTree:
         )
 
     def __hash__(self):
-        return hash((tuple(sorted(self.parent.items())), self.core_hint, self.fringe_unbounded))
+        return hash((frozenset(self.parent.items()), self.core_hint, self.fringe_unbounded))
 
     def __repr__(self) -> str:
         return f"RootedTree(depth={self.depth}, vertices={len(self.parent) + 1})"
@@ -180,13 +191,6 @@ class Branch:
 
 def tree_of_tower(tower: Tower) -> RootedTree:
     """Vertices (n, x) for x in X_n; parents follow the bonds; root below X_1."""
-    parent: dict[Vertex, Vertex] = {}
-    for x in tower.level(1):
-        parent[(1, x)] = ROOT
-    for n in range(1, tower.depth):
-        bond = tower.bond(n)
-        for x in tower.level(n + 1):
-            parent[(n + 1, x)] = (n, bond[x])
     core_hint = None
     fringe = False
     if tower.oracle is not None:
@@ -197,18 +201,20 @@ def tree_of_tower(tower: Tower) -> RootedTree:
             if tower.oracle.is_forever_extendable(int(x))
         )
         fringe = not tower.oracle.ml_holds()
-    return RootedTree(parent, core_hint=core_hint, fringe_unbounded=fringe)
+    tree = RootedTree.__new__(RootedTree)
+    tree._index(tower, core_hint, fringe)
+    return tree
 
 
 def tower_of_tree(tree: RootedTree) -> Tower:
-    """Levels are the spheres, bonds the parent map; inverse of tree_of_tower."""
+    """The tower the tree indexes; inverse of tree_of_tower.
+
+    A generator tower comes back without its oracle.
+    """
     if tree.depth < 1:
         raise ValidationError("a tower needs at least one level of vertices")
-    levels = [[x for _, x in tree.levels[n]] for n in range(1, tree.depth + 1)]
-    bonds = []
-    for n in range(1, tree.depth):
-        bonds.append({x: tree.parent[(n + 1, x)][1] for _, x in tree.levels[n + 1]})
-    return Tower(levels, bonds)
+    tower = tree.tower
+    return tower if tower.oracle is None else Tower(tower.levels, tower.bonds)
 
 
 def sphere(tree: RootedTree, n: int) -> tuple[Vertex, ...]:
@@ -230,27 +236,18 @@ def subtree_at(tree: RootedTree, c: Vertex) -> frozenset[Vertex]:
     return frozenset(out)
 
 
-def _complete_vertices(tree: RootedTree) -> set[Vertex]:
-    if tree.core_hint is not None:
-        return set(tree.core_hint)
-    complete: set[Vertex] = set(tree.levels.get(tree.depth, ()))
-    complete.discard(ROOT)
-    for lv in range(tree.depth - 1, 0, -1):
-        for v in tree.levels[lv]:
-            if any(c in complete for c in tree.children_of(v)):
-                complete.add(v)
-    return complete
-
-
 def max_geodesic_subtree(tree: RootedTree) -> RootedTree:
-    """The maximal subtree in which every vertex extends to full depth.
+    """The maximal subtree in which every vertex extends to full depth: the
+    tree of the surjective core.
 
     With an oracle hint the genuine forever-extendable core is used instead
     of the depth-D proxy.
     """
-    keep = _complete_vertices(tree)
-    parent = {v: p for v, p in tree.parent.items() if v in keep}
-    return RootedTree(parent)
+    if tree.core_hint is not None:
+        return RootedTree({v: p for v, p in tree.parent.items() if v in tree.core_hint})
+    if tree.tower is None:
+        return tree
+    return tree_of_tower(surjective_core(tree.tower))
 
 
 def is_geodesically_complete(tree: RootedTree) -> bool:
@@ -264,11 +261,11 @@ def is_geodesically_complete(tree: RootedTree) -> bool:
 
 def branches(tree: RootedTree) -> tuple[Branch, ...]:
     """All maximal root-based paths, deterministically ordered by leaf."""
-    out = []
-    leaves = [v for v in tree.vertices if not tree.children_of(v)]
-    for leaf in sorted(leaves, key=_vertex_sort_key):
-        out.append(Branch(vertices=tree.chain(leaf), complete=leaf[0] == tree.depth, tree=tree))
-    return tuple(out)
+    return tuple(
+        Branch(vertices=tree.chain(leaf), complete=leaf[0] == tree.depth, tree=tree)
+        for leaf in tree.vertices
+        if not tree.children_of(leaf)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from towertree import (
     retraction_map,
     sphere,
     subtree_at,
+    surjective_core,
     tower_of_tree,
     tree_of_tower,
     windowed_solenoid_tower,
@@ -220,3 +221,37 @@ def test_dot_export_one_point_tower():
     dot = dot_of_tree(tree_of_tower(Tower([["a"]], [])))
     assert dot.count("->") == 1
     assert '"1:a"' in dot
+
+
+def test_tree_indexes_its_tower(two_branch_tower, solenoid_p2):
+    assert tower_of_tree(tree_of_tower(two_branch_tower)) is two_branch_tower
+    for seed in range(20):
+        t = gen_random_tower(seed, depth=1 + seed % 6, max_level_size=4)
+        assert tower_of_tree(tree_of_tower(t)) is t
+    # a generator tower comes back as its plain table, without the oracle
+    back = tower_of_tree(tree_of_tower(solenoid_p2))
+    assert back.oracle is None
+    assert back == Tower(solenoid_p2.levels, solenoid_p2.bonds)
+
+
+def test_core_is_tree_of_surjective_core():
+    for seed in range(40):
+        t = gen_random_tower(
+            seed, depth=1 + seed % 7, max_level_size=5, surjectivity_bias=(seed % 5) / 4
+        )
+        assert max_geodesic_subtree(tree_of_tower(t)) == tree_of_tower(surjective_core(t))
+
+
+@pytest.mark.parametrize(
+    "parent, core_hint",
+    [
+        ({(1, "a"): (0, "x")}, None),  # level-1 vertex whose parent is not the root
+        ({(1, "a"): ROOT, (2, "b"): (1, "a"), (3, "c"): (1, "a")}, None),  # two levels up
+        ({(1, "a"): ROOT, (3, "c"): (2, "b")}, None),  # level 2 skipped
+        ({(1, "a"): ROOT, (2, "b"): (1, "z")}, None),  # parent is not a vertex
+        ({(1, "a"): ROOT}, frozenset({(1, "zz")})),  # hint names an unknown vertex
+    ],
+)
+def test_parent_map_rejections(parent, core_hint):
+    with pytest.raises(ValidationError):
+        RootedTree(parent, core_hint=core_hint)
