@@ -80,24 +80,23 @@ def prefix_agreement(xs: Sequence, ys: Sequence) -> AgreementDepth:
     return AgreementDepth(t0)
 
 
-def _pair_key(x: str, y: str) -> tuple[str, str]:
-    return (x, y) if natural_key(x) <= natural_key(y) else (y, x)
-
-
 class UltrametricSpace:
     """A finite point set with exact pairwise distances.
 
     Grid mode stores integer exponents k (distance e^{-k}); rational mode
-    stores Fractions in (0, 1].  Construction checks types, symmetry, and
-    range; the strong triangle inequality is a separate verdict so that
-    deliberately broken inputs can be examined.
+    stores Fractions in (0, 1].  Points are sorted once, and index maps each
+    to its position; table holds each pair once, as (x, y) with x first in
+    point order.  Construction checks types, symmetry, and range; the strong
+    triangle inequality is a separate verdict so that deliberately broken
+    inputs can be examined.
     """
 
-    __slots__ = ("points", "mode", "table")
+    __slots__ = ("points", "index", "mode", "table")
 
     def __init__(self, points, entries: Mapping[tuple[str, str], int | Fraction], mode: str):
         pts = tuple(sorted(points, key=natural_key))
-        if len(set(pts)) != len(pts):
+        index = {x: i for i, x in enumerate(pts)}
+        if len(index) != len(pts):
             raise ValidationError("duplicate point ids")
         if not pts:
             raise ValidationError("an ultrametric space needs at least one point")
@@ -105,13 +104,14 @@ class UltrametricSpace:
             raise UnsupportedMode(f"unknown mode {mode!r}")
         table: dict[tuple[str, str], int | Fraction] = {}
         for (x, y), value in entries.items():
-            if x not in pts or y not in pts:
+            i, j = index.get(x), index.get(y)
+            if i is None or j is None:
                 raise ValidationError(f"entry ({x}, {y}) names an unknown point")
-            if x == y:
+            if i == j:
                 if value != 0:
                     raise ValidationError(f"self-distance of {x} must be 0")
                 continue
-            key = _pair_key(x, y)
+            key = (x, y) if i < j else (y, x)
             if mode == GRID:
                 if not isinstance(value, int) or value < 0:
                     raise ValidationError(f"grid exponent for {key} must be an integer >= 0")
@@ -122,22 +122,25 @@ class UltrametricSpace:
             if key in table and table[key] != value:
                 raise ValidationError(f"asymmetric entries for pair {key}")
             table[key] = value
-        need = {(x, y) for i, x in enumerate(pts) for y in pts[i + 1 :]}
-        missing = need - set(table)
-        if missing:
-            raise ValidationError(f"missing distances for pairs: {sorted(missing)[:3]}...")
+        if len(table) != len(pts) * (len(pts) - 1) // 2:
+            missing = sorted(
+                (x, y) for i, x in enumerate(pts) for y in pts[i + 1 :] if (x, y) not in table
+            )
+            raise ValidationError(f"missing distances for pairs: {missing[:3]}...")
         self.points = pts
+        self.index = index
         self.mode = mode
         self.table = table
 
     def _entry(self, x: str, y: str):
-        if x not in self.points:
+        i, j = self.index.get(x), self.index.get(y)
+        if i is None:
             raise ElementNotInLevel(f"{x!r} is not a point of this space")
-        if y not in self.points:
+        if j is None:
             raise ElementNotInLevel(f"{y!r} is not a point of this space")
-        if x == y:
+        if i == j:
             return None
-        return self.table[_pair_key(x, y)]
+        return self.table[(x, y) if i < j else (y, x)]
 
     def exponent(self, x: str, y: str) -> int | None:
         """Agreement exponent; None on the diagonal.  Grid mode only."""
@@ -201,25 +204,58 @@ class UltrametricVerdict:
         return self.valid
 
 
+def _single_linkage(space: UltrametricSpace):
+    """The single-linkage merge pass: pairs from closest to farthest
+    (descending exponent in grid mode, ascending distance in rational mode)
+    join clusters in a union-find over point positions.
+
+    Yields (v, a, b, A, B) each time the pair (a, b) at value v first joins
+    two clusters, A holding a and B holding b, before they merge.  A cluster
+    is a list of positions led by its least one, its representative, and A
+    has the lesser representative.  Pairs inside one cluster are skipped, so
+    malformed spaces still merge into connected components.
+    """
+    index = space.index
+    by_value = {}
+    for (x, y), v in space.table.items():
+        by_value.setdefault(v, []).append((index[x], index[y]))
+    cluster = [[i] for i in range(len(space.points))]
+    for v in sorted(by_value, reverse=space.mode == GRID):
+        for a, b in by_value[v]:
+            A, B = cluster[a], cluster[b]
+            if A is B:
+                continue
+            if B[0] < A[0]:
+                a, b, A, B = b, a, B, A
+            yield v, a, b, A, B
+            A += B
+            for y in B:
+                cluster[y] = A
+
+
 def verify_ultrametric(space: UltrametricSpace) -> UltrametricVerdict:
-    """Exhaustive strong-triangle check; first violating triple, scanned in
-    point order, is reported."""
-    pts = space.points
-    for i, x in enumerate(pts):
-        for y in pts[i + 1 :]:
-            for z in pts:
-                if z == x or z == y:
-                    continue
-                if space.mode == GRID:
-                    bad = space.table[_pair_key(x, y)] < min(
-                        space.table[_pair_key(x, z)], space.table[_pair_key(z, y)]
+    """Strong-triangle check from the single-linkage dendrogram.
+
+    A finite space is ultrametric iff each pair's distance is the height at
+    which single linkage first joins it (Carlsson and Memoli, JMLR 11,
+    2010): when clusters A and B merge at v, every pair of A x B must sit
+    at exactly v.  Each pair is compared once, so the check is O(n^2 log n).
+    The first pair (x, y) that does not yields a genuine violating triple,
+    because A and B were consistent before the merge.
+    """
+    pts, table = space.points, space.table
+
+    def d(i: int, j: int):
+        return table[(pts[i], pts[j]) if i < j else (pts[j], pts[i])]
+
+    for v, a, b, A, B in _single_linkage(space):
+        for x in A:
+            for y in B:
+                if d(x, y) != v:
+                    triple = (x, b, a) if d(x, b) != v else (x, y, b)
+                    return UltrametricVerdict(
+                        valid=False, violation=tuple(pts[i] for i in triple)
                     )
-                else:
-                    bad = space.table[_pair_key(x, y)] > max(
-                        space.table[_pair_key(x, z)], space.table[_pair_key(z, y)]
-                    )
-                if bad:
-                    return UltrametricVerdict(valid=False, violation=(x, y, z))
     return UltrametricVerdict(valid=True)
 
 
@@ -233,12 +269,12 @@ def end_space_of(tree: RootedTree) -> UltrametricSpace:
     core = max_geodesic_subtree(tree)
     if core.depth == 0:
         raise EmptyCore("the tree has no complete branch")
-    ends = branches(core)
-    points = [b.leaf[1] for b in ends]
+    chains = [b.vertices[1:] for b in branches(core)]
+    points = [chain[-1][1] for chain in chains]
     exponents = {}
-    for i, f in enumerate(ends):
-        for g in ends[i + 1 :]:
-            exponents[(points[i], g.leaf[1])] = agreement(f, g).exponent()
+    for i, f in enumerate(chains):
+        for j in range(i + 1, len(chains)):
+            exponents[(points[i], points[j])] = prefix_agreement(f, chains[j]).exponent()
     return grid_space(points, exponents)
 
 
@@ -246,43 +282,39 @@ def end_space_of(tree: RootedTree) -> UltrametricSpace:
 # Ultrametric -> tree (the dendrogram)
 
 
-def _partition(space: UltrametricSpace, h: int) -> dict[str, str]:
-    """Map each point to the least id of its class under exponent >= h,
-    closed transitively so malformed inputs still give a partition."""
-    rep = {x: x for x in space.points}
-
-    def find(x: str) -> str:
-        while rep[x] != x:
-            rep[x] = rep[rep[x]]
-            x = rep[x]
-        return x
-
-    for x, y, k in space.pairs():
-        if k >= h:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                lo, hi = (rx, ry) if natural_key(rx) <= natural_key(ry) else (ry, rx)
-                rep[hi] = lo
-    return {x: find(x) for x in space.points}
-
-
 def tree_of_ultrametric(space: UltrametricSpace) -> tuple[RootedTree, dict[str, Branch]]:
     """The quotient dendrogram: one vertex per class at each integer height
     up to max exponent + 1, where all classes are singletons.
 
     Embedded points become complete branches whose pairwise agreement
-    depths equal the original exponents exactly.
+    depths equal the original exponents exactly.  The class of a point at
+    height h is its single-linkage cluster once every pair >= h has merged,
+    named by its least point; a malformed space gets connected components.
     """
     if space.mode != GRID:
         raise UnsupportedMode("rational spaces go through simplicialize instead")
-    height = max((v for _, _, v in space.pairs()), default=0) + 1
-    parts = [_partition(space, h) for h in range(1, height + 1)]
-    classes = [dict.fromkeys(part.values()) for part in parts]
-    bonds = [{cls: coarse[cls] for cls in fine} for coarse, fine in zip(parts, classes[1:])]
+    pts = space.points
+    height = max(space.table.values(), default=0) + 1
+    owner = list(range(len(pts)))  # position -> representative position
+    # parts[h - 1] is owner once every pair >= h has merged; heights at or
+    # below the last merge keep the final owner itself
+    parts = [owner] * height
+    h = height
+    for v, _, _, A, B in _single_linkage(space):
+        while h > v:
+            parts[h - 1] = owner[:]
+            h -= 1
+        for y in B:
+            owner[y] = A[0]
+    classes = [dict.fromkeys(pts[r] for r in part) for part in parts]
+    bonds = [
+        {pts[r]: pts[coarse[r]] for r in dict.fromkeys(fine)}
+        for coarse, fine in zip(parts, parts[1:])
+    ]
     tree = tree_of_tower(Tower(classes, bonds))
     ends = {}
-    for x in space.points:
-        chain = (ROOT,) + tuple((h, parts[h - 1][x]) for h in range(1, height + 1))
+    for i, x in enumerate(pts):
+        chain = (ROOT,) + tuple((h, pts[part[i]]) for h, part in enumerate(parts, start=1))
         ends[x] = Branch(vertices=chain, complete=True, tree=tree)
     return tree, ends
 
@@ -394,9 +426,11 @@ class EndCorrespondence:
 def simplicialize(space: UltrametricSpace) -> tuple[RootedTree, EndCorrespondence]:
     """Discretize distances onto the integer-exponent grid and build the
     dendrogram.  Each pair's exponent k is certified to satisfy
-    e^{-(k+1)} < d <= e^{-k}, which pins the distortion into (1/e, 1]."""
+    e^{-(k+1)} < d <= e^{-k}, which pins the distortion into (1/e, 1].
+    Each distinct distance is certified once."""
     rows = []
     exponents = {}
+    floors: dict[Fraction, int] = {}
     for x, y, v in space.pairs():
         if space.mode == GRID:
             k = v
@@ -406,7 +440,9 @@ def simplicialize(space: UltrametricSpace) -> tuple[RootedTree, EndCorrespondenc
                 )
             )
         else:
-            k = certified_neg_log_floor(v)
+            if v not in floors:
+                floors[v] = certified_neg_log_floor(v)
+            k = floors[v]
             rows.append(
                 CorrespondenceRow(
                     x=x, y=y, original=v, original_exponent=None, new_exponent=k, certified=True

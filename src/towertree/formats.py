@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .ends import GRID, RATIONAL, UltrametricSpace, _pair_key, grid_space, rational_space
+from .ends import GRID, RATIONAL, UltrametricSpace, grid_space, rational_space
 from .errors import ParseError, TowerTreeError
 from .groups import GroupTower, ScaleHom, TableGroup, TableHom, WindowedZ
 from .towers import Tower, TowerMorphism, windowed_solenoid_tower
@@ -140,15 +140,11 @@ def emit_distance_matrix(space: UltrametricSpace) -> str:
     for p in space.points:
         if any(ch.isspace() for ch in p):
             raise ParseError(f"point id {p!r} cannot carry whitespace in matrix form")
-    lines = [" ".join(space.points)]
-    for x in space.points:
-        row = []
-        for y in space.points:
-            if x == y:
-                row.append("0")
-            else:
-                row.append(_emit_entry(space.table[_pair_key(x, y)], space.mode))
-        lines.append(" ".join(row))
+    rows = [["0"] * len(space.points) for _ in space.points]
+    for x, y, value in space.pairs():
+        i, j = space.index[x], space.index[y]
+        rows[i][j] = rows[j][i] = _emit_entry(value, space.mode)
+    lines = [" ".join(space.points)] + [" ".join(row) for row in rows]
     return "\n".join(lines) + "\n"
 
 

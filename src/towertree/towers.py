@@ -44,17 +44,21 @@ def natural_key(s: str):
     """Sort key that orders integer-looking ids numerically, others naturally.
 
     Signed integer ids (windowed levels) sort by value; mixed ids sort by
-    alternating text and digit runs, so p2 comes before p10.
+    alternating text and digit runs, so p2 comes before p10.  Ids that read
+    the same ("1" and "01", "p2" and "p02") fall back to length, then to the
+    raw string, so the order is total and never depends on input order.  The
+    tie-break is one last part that sorts below every run, so an id still
+    comes before the ids it is a prefix of.
     """
     try:
-        return ((0, int(s), ""),)
+        parts = ((0, int(s), ""),)
     except ValueError:
-        pass
-    return tuple(
-        (0, int(part), "") if part.isdigit() else (1, 0, part)
-        for part in re.split(r"(\d+)", s)
-        if part
-    )
+        parts = tuple(
+            (0, int(part), "") if part.isdigit() else (1, 0, part)
+            for part in re.split(r"(\d+)", s)
+            if part
+        )
+    return parts + ((-1, len(s), s),)
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,64 @@ def brute_ultrametric_ok(space):
     return True
 
 
+def is_violation(space, x, y, z):
+    """True when (x, y, z) breaks the strong triangle inequality at (x, y)."""
+    if len({x, y, z}) < 3:
+        return False
+    if space.mode == GRID:
+        return space.exponent(x, y) < min(space.exponent(x, z), space.exponent(z, y))
+    return space.rational(x, y) > max(space.rational(x, z), space.rational(z, y))
+
+
+def brute_components(space, h):
+    """Connected components of the graph joining pairs with exponent >= h,
+    by a depth-first walk over the exponent lookups."""
+    seen, parts = set(), set()
+    for start in space.points:
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            x = stack.pop()
+            for y in space.points:
+                if y not in comp and space.exponent(x, y) >= h:
+                    comp.add(y)
+                    stack.append(y)
+        seen |= comp
+        parts.add(frozenset(comp))
+    return parts
+
+
+def exp_minus(m, q):
+    """Sign of e^m - q for integer m >= 0 and rational q, exact.
+
+    Brackets e^m between rational Taylor partial sums: the terms from j = N
+    on add up to at most m^N/N! * (N+1)/(N+1-m) once N + 1 > m.  For m >= 1
+    e^m is irrational, so it never equals q and the loop ends.
+    """
+    q = Fraction(q)
+    if m == 0:
+        return (1 > q) - (1 < q)
+    terms = 2 * m + 2
+    while True:
+        lo, term = Fraction(0), Fraction(1)
+        for j in range(terms):
+            lo += term
+            term = term * m / (j + 1)
+        hi = lo + term * Fraction(terms + 1, terms + 1 - m)
+        if lo > q:
+            return 1
+        if hi < q:
+            return -1
+        terms *= 2
+
+
+def in_neg_log_band(d, k):
+    """Exactly e^-(k+1) < d <= e^-k, for rational d > 0 and integer k >= 0."""
+    inv = 1 / Fraction(d)
+    return exp_minus(k, inv) <= 0 and exp_minus(k + 1, inv) > 0
+
+
 def float_min_exponent(k):
     """Minimal integer n with e^{-n} < (2^{-(k+1)} / k)^k, via mpmath.
 

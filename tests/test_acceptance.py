@@ -50,7 +50,12 @@ from towertree.cli import run_roundtrip_corpus
 from towertree.towers import EQUIVALENT
 
 from conftest import constant_tower
-from oracles import brute_ultrametric_ok, float_least_violation, float_min_exponent
+from oracles import (
+    brute_ultrametric_ok,
+    float_least_violation,
+    float_min_exponent,
+    in_neg_log_band,
+)
 
 
 def test_criterion_1_solenoid_desk_scale_analysis():
@@ -174,9 +179,7 @@ def test_criterion_6_simplicialization_distortion_band():
         for row in corr.rows:
             assert row.certified
             # exact band: e^{-(k+1)} < d <= e^{-k}
-            d = float(row.original)
-            k = row.new_exponent
-            assert math.exp(-(k + 1)) < d <= math.exp(-k) + 1e-15
+            assert in_neg_log_band(row.original, row.new_exponent)
             checked_pairs += 1
         if corr.rows:
             lo, hi = bilipschitz_bounds(corr)

@@ -1,19 +1,21 @@
 """End spaces, the dendrogram roundtrip, simplicialization, certified logs."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ahu_canon, brute_ultrametric_ok
+from oracles import ahu_canon, brute_components, brute_ultrametric_ok, is_violation
 
 from towertree import (
     GRID,
     RATIONAL,
     DifferentTrees,
     Tower,
+    UltrametricSpace,
     UnsupportedMode,
     ValidationError,
     agreement,
@@ -116,6 +118,85 @@ def test_verify_matches_brute_force_on_random_spaces():
         rp = gen_random_rational_space(seed, max_points=12)
         assert verify_ultrametric(rp).valid
         assert brute_ultrametric_ok(rp)
+
+
+def perturbed(space, seed):
+    """A copy of space with one to three entries moved, often no longer
+    ultrametric."""
+    rng = random.Random(f"perturb:{seed}")
+    entries = {(x, y): v for x, y, v in space.pairs()}
+    for _ in range(rng.randint(1, 3)):
+        if not entries:
+            break
+        pair = rng.choice(sorted(entries))
+        if space.mode == GRID:
+            entries[pair] = max(0, entries[pair] + rng.choice([-2, -1, 1, 2]))
+        else:
+            entries[pair] = min(Fraction(1), entries[pair] * Fraction(rng.randint(1, 15), 8))
+    return UltrametricSpace(space.points, entries, space.mode)
+
+
+def test_verify_matches_brute_force_on_perturbed_spaces():
+    rejected = 0
+    for seed in range(60):
+        for space in (
+            perturbed(gen_random_grid_space(seed, max_points=14), seed),
+            perturbed(gen_random_rational_space(seed, max_points=12), seed),
+        ):
+            verdict = verify_ultrametric(space)
+            assert verdict.valid == brute_ultrametric_ok(space)
+            if not verdict.valid:
+                assert is_violation(space, *verdict.violation)
+                rejected += 1
+    assert rejected >= 30
+
+
+def test_verify_large_end_space_and_a_broken_copy():
+    t = gen_random_tower(0, 6, 360, surjectivity_bias=1.0)
+    space = end_space_of(tree_of_tower(t))
+    assert len(space.points) >= 300
+    assert verify_ultrametric(space).valid
+    # y, z: a closest pair, merged at b; x joins them at a < b.  Moving
+    # d(x, y) to a + 1 leaves d(x, z) = a below both other sides.
+    y, z, b = max(space.pairs(), key=lambda p: p[2])
+    x = next(p for p in space.points if p not in (y, z) and space.exponent(p, y) < b)
+    a = space.exponent(x, y)
+    entries = {(p, q): v for p, q, v in space.pairs()}
+    entries[(x, y) if (x, y) in entries else (y, x)] = a + 1
+    broken = grid_space(space.points, entries)
+    assert is_violation(broken, x, z, y)
+    verdict = verify_ultrametric(broken)
+    assert not verdict.valid
+    assert is_violation(broken, *verdict.violation)
+
+
+def test_tree_of_ultrametric_on_broken_spaces_is_connected_components():
+    broken = 0
+    for seed in range(40):
+        space = perturbed(gen_random_grid_space(seed, max_points=12), seed)
+        broken += not brute_ultrametric_ok(space)
+        tree, ends = tree_of_ultrametric(space)
+        for h in range(1, tree.depth + 1):
+            classes = {}
+            for x, branch in ends.items():
+                classes.setdefault(branch.vertices[h], set()).add(x)
+            assert {frozenset(c) for c in classes.values()} == brute_components(space, h)
+            # each class is named by its first point in point order
+            for (_, name), c in classes.items():
+                assert name == min(c, key=space.points.index)
+    assert broken >= 10
+
+
+def test_point_ids_that_read_the_same_in_either_order():
+    # "1" and "01" share a numeric value; neither argument order may matter
+    a = grid_space(["1", "01"], {("01", "1"): 2})
+    b = grid_space(["01", "1"], {("1", "01"): 2})
+    assert a == b and hash(a) == hash(b)
+    assert a.points == b.points == ("1", "01")
+    assert a.exponent("1", "01") == a.exponent("01", "1") == 2
+    r1 = rational_space(["p02", "p2"], {("p2", "p02"): Fraction(1, 3)})
+    r2 = rational_space(["p2", "p02"], {("p02", "p2"): Fraction(1, 3)})
+    assert r1 == r2 and r1.points == ("p2", "p02")
 
 
 def test_small_spaces_trivially_valid():

@@ -39,6 +39,13 @@ def test_natural_key_orders_numeric_suffixes():
     assert sorted(ids, key=natural_key) == ["p1", "p2", "p02", "p10", "q"]
 
 
+def test_ids_that_read_the_same_order_the_same_in_any_input_order():
+    assert Tower([["1", "01"]], []) == Tower([["01", "1"]], [])
+    a = Tower([["r"], ["p02", "p2"]], [{"p2": "r", "p02": "r"}])
+    b = Tower([["r"], ["p2", "p02"]], [{"p02": "r", "p2": "r"}])
+    assert a == b and a.levels[1] == ("p2", "p02")
+
+
 def test_rejects_degenerate_towers():
     with pytest.raises(ValidationError):
         Tower([], [])
