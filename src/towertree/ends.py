@@ -63,7 +63,7 @@ class AgreementDepth:
 
 def agreement(f: Branch, g: Branch) -> AgreementDepth:
     """Largest radius at which the branches still share a vertex."""
-    if f.tree is not None and g.tree is not None and f.tree != g.tree:
+    if f.tree is not g.tree and f.tree is not None and g.tree is not None and f.tree != g.tree:
         raise DifferentTrees("branches belong to different trees")
     return prefix_agreement(f.vertices[1:], g.vertices[1:])
 

@@ -358,7 +358,12 @@ def limit_threads(g: GroupTower) -> tuple[Thread, ...]:
 
 
 def thread_distance(a: Thread, b: Thread) -> AgreementDepth:
-    if a.tower is not None and b.tower is not None and a.tower != b.tower:
+    if (
+        a.tower is not b.tower
+        and a.tower is not None
+        and b.tower is not None
+        and a.tower != b.tower
+    ):
         raise DifferentTowers("threads belong to different towers")
     return prefix_agreement(a.entries, b.entries)
 

@@ -33,17 +33,17 @@ from .trees import (
     RootedTree,
     TreePoint,
     Vertex,
+    _meet_radius,
     ancestor_point_at,
     distance,
     geodesic_point,
     max_geodesic_subtree,
-    meet_point,
     point_of,
     tower_of_tree,
     tree_of_tower,
 )
 
-_FAR = Fraction(1 << 62)  # larger than any radius we can meet
+_FAR = 1 << 62  # larger than any radius we can meet
 
 
 @dataclass(frozen=True)
@@ -201,15 +201,11 @@ def check_nonexpansive(f: TreeMap) -> NonexpansiveVerdict:
     return NonexpansiveVerdict(valid=True)
 
 
-def _meet_radius(tree: RootedTree, a: TreePoint, b: TreePoint) -> Fraction:
-    return meet_point(tree, a, b).radius
-
-
 def _witness_table(
     source: RootedTree,
     target_depth: int,
-    vertex_quantity: Mapping[Vertex, Fraction],
-    edge_quantity: Mapping[Vertex, Fraction],
+    vertex_quantity: Mapping[Vertex, int | Fraction],
+    edge_quantity: Mapping[Vertex, int | Fraction],
 ) -> tuple[tuple[int, ...], int | None]:
     """Minimal m(n) with min over {vertices at radius >= m, edges with
     parent radius >= m} of the given quantities >= n; None entry stops the
@@ -241,13 +237,9 @@ def _witness_table(
 
 def properness_witness(f: TreeMap) -> PropernessReport:
     """Minimal metric-properness witness, closed-world at truncation."""
-    vq = {v: f.vertex_images[v].radius for v in f.source.vertices}
-    eq = {}
-    for v in f.source.vertices:
-        if v == ROOT:
-            continue
-        p = f.source.parent_of(v)
-        eq[v] = _meet_radius(f.target, f.vertex_images[p], f.vertex_images[v])
+    images = f.vertex_images
+    vq = {v: img.radius for v, img in images.items()}
+    eq = {v: _meet_radius(f.target, images[p], images[v]) for v, p in f.source.parent.items()}
     table, failure = _witness_table(f.source, f.target.depth, vq, eq)
     return PropernessReport(
         table=table,
@@ -266,21 +258,17 @@ def homotopy_properness(f: TreeMap, g: TreeMap) -> HomotopyReport:
     """
     if f.source != g.source or f.target != g.target:
         raise SourceTargetMismatch("homotopy needs maps with shared source and target")
-    track = {
-        v: _meet_radius(f.target, f.vertex_images[v], g.vertex_images[v])
-        for v in f.source.vertices
-    }
-    eq = {}
-    for v in f.source.vertices:
-        if v == ROOT:
-            continue
-        p = f.source.parent_of(v)
-        eq[v] = min(
+    fi, gi = f.vertex_images, g.vertex_images
+    track = {v: _meet_radius(f.target, fi[v], gi[v]) for v in fi}
+    eq = {
+        v: min(
             track[p],
             track[v],
-            _meet_radius(f.target, f.vertex_images[p], f.vertex_images[v]),
-            _meet_radius(g.target, g.vertex_images[p], g.vertex_images[v]),
+            _meet_radius(f.target, fi[p], fi[v]),
+            _meet_radius(g.target, gi[p], gi[v]),
         )
+        for v, p in f.source.parent.items()
+    }
     table, failure = _witness_table(f.source, f.target.depth, track, eq)
     horizon = min(properness_witness(f).total_upto, properness_witness(g).total_upto)
     return HomotopyReport(
@@ -344,15 +332,13 @@ def induce_tree_map(m: TowerMorphism) -> TreeMap:
         k = max(i + 1 for i in range(seg_count) if t[i] <= r)
         hi = t[k] if k < seg_count else sched.virtual_top
         rho = Fraction(k - 1) + Fraction(r - t[k - 1], hi - t[k - 1])
-        chain = src_tree.chain(v)
         j = int(rho) if rho == int(rho) else int(rho) + 1
         if j == 0:
             images[v] = point_of(ROOT)
             continue
-        anc_id = chain[m.phi_at(j)][1]
+        anc_id = src_tree.ancestor(v, m.phi_at(j))[1]
         y_j: Vertex = (j, m.component(j)[anc_id])
-        offset = rho - (j - 1)
-        images[v] = point_of(y_j) if offset == 1 else TreePoint(y_j, offset)
+        images[v] = TreePoint(y_j, rho - (j - 1))
     return TreeMap(src_tree, tgt_tree, images, schedule=sched)
 
 

@@ -188,7 +188,7 @@ class Tower:
             stray = set(bond.values()) - dst
             if stray:
                 raise ValidationError(f"bond {n} leaves level {n}: {sorted(stray)}")
-            norm_bonds.append({x: bond[x] for x in sorted(bond, key=natural_key)})
+            norm_bonds.append({x: bond[x] for x in norm_levels[n]})
         self.levels = tuple(norm_levels)
         self.bonds = tuple(norm_bonds)
         self.oracle = oracle

@@ -1,8 +1,9 @@
 """Rooted simplicial trees with unit edges, built from towers and back.
 
-Vertices are (level, id) pairs with the root at level 0.  Points interior
-to edges carry an exact rational offset, so every distance, meet, and
-geodesic computed here is an exact Fraction.
+Vertices are (level, id) pairs with the root at level 0.  A vertex sits at
+its integer level; points interior to edges carry an exact rational
+offset, so every distance, meet, and geodesic computed here is exact: an
+int between vertices, a Fraction once a point inside an edge is involved.
 
 Geodesic completeness at truncation means "extendable to the deepest
 level".  Trees built from generator towers additionally carry the oracle's
@@ -13,6 +14,7 @@ finite branches (which no finite window can show).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -111,6 +113,17 @@ class RootedTree:
         except KeyError:
             raise VertexNotFound(f"{v} is not a vertex of this tree") from None
 
+    def ancestor(self, v: Vertex, n: int) -> Vertex:
+        """The vertex at level n on the root path of v; needs 0 <= n <= level of v."""
+        if not self.has_vertex(v):
+            raise VertexNotFound(f"{v} is not a vertex of this tree")
+        if not 0 <= n <= v[0]:
+            raise IndexOutOfRange(f"level {n} not in 0..{v[0]}")
+        parent = self.parent
+        while v[0] > n:
+            v = parent[v]
+        return v
+
     def chain(self, v: Vertex) -> tuple[Vertex, ...]:
         """Root-to-v vertex path; chain(v)[i] sits at level i."""
         if not self.has_vertex(v):
@@ -139,24 +152,28 @@ class RootedTree:
 class TreePoint:
     """A point of the geometric tree: offset in (0,1] down the edge into base.
 
-    Offset 1 is the vertex base itself; the root is (ROOT, 1).  Points
-    interior to an edge keep base = the deeper endpoint, so every point has
-    exactly one representation.
+    Offset 1 is the vertex base itself, stored as the int 1, so a vertex's
+    radius is its level as an int; the root is (ROOT, 1).  Points interior
+    to an edge keep base = the deeper endpoint and a Fraction offset, so
+    every point has exactly one representation.
     """
 
     base: Vertex
-    offset: Fraction
+    offset: int | Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "offset", Fraction(self.offset))
-        if not 0 < self.offset <= 1:
-            raise ValidationError(f"offset must lie in (0, 1], got {self.offset}")
-        if self.base == ROOT and self.offset != 1:
+        offset = self.offset if self.offset == 1 else Fraction(self.offset)
+        if not 0 < offset <= 1:
+            raise ValidationError(f"offset must lie in (0, 1], got {offset}")
+        if offset == 1:
+            offset = 1
+        elif self.base == ROOT:
             raise ValidationError("the root carries no edge below it")
+        object.__setattr__(self, "offset", offset)
 
     @property
-    def radius(self) -> Fraction:
-        return Fraction(self.base[0] - 1) + self.offset
+    def radius(self) -> int | Fraction:
+        return self.base[0] - 1 + self.offset
 
     @property
     def is_vertex(self) -> bool:
@@ -164,7 +181,7 @@ class TreePoint:
 
 
 def point_of(v: Vertex) -> TreePoint:
-    return TreePoint(v, Fraction(1))
+    return TreePoint(v, 1)
 
 
 @dataclass(frozen=True)
@@ -278,35 +295,51 @@ def _checked_point(tree: RootedTree, p: TreePoint) -> TreePoint:
     return p
 
 
+def _meet(tree: RootedTree, x: TreePoint, y: TreePoint) -> TreePoint | Vertex:
+    """The meet of [root, x] and [root, y]: x or y when one segment holds
+    the other, else the fork vertex.  Climbs from the deeper base to the
+    shallower level, then from both at once: O(distance) parent steps."""
+    a, b = x.base, y.base
+    if a == b:
+        # same base edge: the shallower offset wins
+        return x if x.offset <= y.offset else y
+    parent = tree.parent
+    while a[0] > b[0]:
+        a = parent[a]
+    while b[0] > a[0]:
+        b = parent[b]
+    if a == b:
+        # the shallower base lies on the other's root path, so its point is the meet
+        return x if x.base[0] < y.base[0] else y
+    while a != b:
+        a, b = parent[a], parent[b]
+    return a
+
+
 def meet_point(tree: RootedTree, x: TreePoint, y: TreePoint) -> TreePoint:
     """Deepest common point of the root segments [root, x] and [root, y]."""
     _checked_point(tree, x)
     _checked_point(tree, y)
-    cx, cy = tree.chain(x.base), tree.chain(y.base)
-    shared = 0
-    for a, b in zip(cx, cy):
-        if a != b:
-            break
-        shared += 1
-    if shared == len(cx) and shared == len(cy):
-        # same base edge: the shallower offset wins
-        return x if x.offset <= y.offset else y
-    if shared == len(cx):
-        # x's base lies on y's root path, so x itself is the meet
-        return x
-    if shared == len(cy):
-        return y
-    return point_of(cx[shared - 1])
+    m = _meet(tree, x, y)
+    return m if isinstance(m, TreePoint) else point_of(m)
 
 
-def geodesic_data(tree: RootedTree, x: TreePoint, y: TreePoint) -> tuple[TreePoint, Fraction]:
+def _meet_radius(tree: RootedTree, x: TreePoint, y: TreePoint) -> int | Fraction:
+    """radius(meet_point(tree, x, y)) for points already known to lie in tree."""
+    m = _meet(tree, x, y)
+    return m.radius if isinstance(m, TreePoint) else m[0]
+
+
+def geodesic_data(
+    tree: RootedTree, x: TreePoint, y: TreePoint
+) -> tuple[TreePoint, int | Fraction]:
     """(meet, distance); distance = radius(x) + radius(y) - 2 radius(meet)."""
     meet = meet_point(tree, x, y)
     dist = x.radius + y.radius - 2 * meet.radius
     return meet, dist
 
 
-def distance(tree: RootedTree, x: TreePoint, y: TreePoint) -> Fraction:
+def distance(tree: RootedTree, x: TreePoint, y: TreePoint) -> int | Fraction:
     return geodesic_data(tree, x, y)[1]
 
 
@@ -315,14 +348,8 @@ def ancestor_point_at(tree: RootedTree, x: TreePoint, r: Fraction) -> TreePoint:
     r = Fraction(r)
     if not 0 <= r <= x.radius:
         raise IndexOutOfRange(f"radius {r} outside [0, {x.radius}]")
-    if r == 0:
-        return point_of(ROOT)
-    chain = tree.chain(x.base)
-    whole, part = divmod(r, 1)
-    whole = int(whole)
-    if part == 0:
-        return point_of(chain[whole])
-    return TreePoint(chain[whole + 1], part)
+    level = math.ceil(r)
+    return TreePoint(tree.ancestor(x.base, level), r - (level - 1))
 
 
 def geodesic_point(tree: RootedTree, x: TreePoint, y: TreePoint, s: Fraction) -> TreePoint:

@@ -8,7 +8,7 @@ itself.
 
 from fractions import Fraction
 
-from towertree import ROOT, GRID
+from towertree import ROOT, GRID, TreePoint, point_of
 
 
 def brute_composite(tower, n, m):
@@ -55,6 +55,94 @@ def brute_vertex_distance(tree, u, w):
             break
         common += 1
     return (len(cu) - common) + (len(cw) - common)
+
+
+def brute_radius(p):
+    return Fraction(p.base[0] - 1) + Fraction(p.offset)
+
+
+def brute_meet(tree, x, y):
+    """Meet of [root, x] and [root, y] from the shared prefix of root chains."""
+    cx, cy = root_chain(tree, x.base), root_chain(tree, y.base)
+    shared = 0
+    for a, b in zip(cx, cy):
+        if a != b:
+            break
+        shared += 1
+    if shared == len(cx) and shared == len(cy):
+        return x if x.offset <= y.offset else y
+    if shared == len(cx):
+        return x
+    if shared == len(cy):
+        return y
+    return point_of(cx[shared - 1])
+
+
+def brute_distance(tree, x, y):
+    return brute_radius(x) + brute_radius(y) - 2 * brute_radius(brute_meet(tree, x, y))
+
+
+def brute_ancestor_point(tree, x, r):
+    """The point at radius r on [root, x], indexed off the root chain."""
+    chain = root_chain(tree, x.base)
+    whole, part = divmod(Fraction(r), 1)
+    if part == 0:
+        return point_of(chain[int(whole)])
+    return TreePoint(chain[int(whole) + 1], part)
+
+
+def brute_geodesic_point(tree, x, y, s):
+    """The point at arc length s from x: down to the meet, then up to y."""
+    meet_r = brute_radius(brute_meet(tree, x, y))
+    down = brute_radius(x) - meet_r
+    if s <= down:
+        return brute_ancestor_point(tree, x, brute_radius(x) - s)
+    return brute_ancestor_point(tree, y, meet_r + (s - down))
+
+
+def brute_witness_table(source, target_depth, vertex_q, edge_q):
+    """Least m(n) for n = 1, 2, ..., trying every m: all vertices at radius
+    >= m and all edges whose parent sits at radius >= m have quantity >= n.
+    Returns (table, first n without a witness, or None)."""
+    table = []
+    for n in range(1, target_depth + 1):
+        for m in range(source.depth + 1):
+            if all(q >= n for v, q in vertex_q.items() if v[0] >= m) and all(
+                q >= n for v, q in edge_q.items() if v[0] - 1 >= m
+            ):
+                table.append(m)
+                break
+        else:
+            return tuple(table), n
+    return tuple(table), None
+
+
+def _edges(tree):
+    return [(tree.parent_of(v), v) for v in tree.vertices if v != ROOT]
+
+
+def brute_properness(f):
+    """properness_witness's (table, failure_level) from brute_meet radii."""
+    img = f.vertex_images
+    vertex_q = {v: brute_radius(img[v]) for v in f.source.vertices}
+    edge_q = {v: brute_radius(brute_meet(f.target, img[p], img[v])) for p, v in _edges(f.source)}
+    return brute_witness_table(f.source, f.target.depth, vertex_q, edge_q)
+
+
+def brute_homotopy(f, g):
+    """homotopy_properness's (table, failure_level) from brute_meet radii."""
+    fi, gi, t = f.vertex_images, g.vertex_images, f.target
+    track = {v: brute_radius(brute_meet(t, fi[v], gi[v])) for v in f.source.vertices}
+    edge_q = {
+        v: min(
+            track[p],
+            track[v],
+            brute_radius(brute_meet(t, fi[p], fi[v])),
+            brute_radius(brute_meet(t, gi[p], gi[v])),
+        )
+        for p, v in _edges(f.source)
+    }
+    return brute_witness_table(f.source, t.depth, track, edge_q)
 
 
 def is_ancestor(tree, u, w):

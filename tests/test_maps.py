@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import constant_tower
+from oracles import brute_homotopy, brute_properness
 
 from towertree import (
     EQUIVALENT,
     ROOT,
     DepthExhausted,
+    EmptyCore,
     NotLevelMorphism,
     NotProper,
     Tower,
@@ -255,3 +257,35 @@ def test_composition_law_up_to_homotopy():
         assert hp.failure_level is None or hp.failure_level > hp.horizon
         checked += 1
     assert checked >= 10
+
+
+def test_witness_tables_match_brute_meets():
+    inside = retractions = homotopies = 0
+    for seed in range(24):
+        x = gen_random_tower(seed, depth=3 + seed % 5, max_level_size=4)
+        y = gen_random_tower(seed + 40, depth=3 + (seed + 2) % 5, max_level_size=4)
+        z = gen_random_tower(seed + 80, depth=3 + (seed + 4) % 5, max_level_size=4)
+        mf, mh = random_morphism(seed, x, y), random_morphism(seed + 1, y, z)
+        f, h = induce_tree_map(mf), induce_tree_map(mh)
+        hf = compose_tree_maps(h, f)
+        maps = [f, h, hf]
+        try:
+            maps.append(retraction_map(tree_of_tower(x)).map)
+            retractions += 1
+        except EmptyCore:
+            pass
+        for g in maps:
+            rep = properness_witness(g)
+            assert (rep.table, rep.failure_level) == brute_properness(g)
+            inside += sum(not p.is_vertex for p in g.vertex_images.values())
+        other = induce_tree_map(random_morphism(seed + 500, x, y))
+        pairs = [(f, f), (f, other), (h, h)]
+        try:
+            pairs.append((induce_tree_map(compose_morphisms(mh, mf)), hf))
+        except DepthExhausted:
+            pass
+        for a, b in pairs:
+            hp = homotopy_properness(a, b)
+            assert (hp.table, hp.failure_level) == brute_homotopy(a, b)
+            homotopies += 1
+    assert inside >= 50 and retractions >= 10 and homotopies >= 85

@@ -1,5 +1,7 @@
 """Tower construction, bonding composites, ML verdicts, and morphisms."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,6 +46,22 @@ def test_ids_that_read_the_same_order_the_same_in_any_input_order():
     a = Tower([["r"], ["p02", "p2"]], [{"p2": "r", "p02": "r"}])
     b = Tower([["r"], ["p2", "p02"]], [{"p02": "r", "p2": "r"}])
     assert a == b and a.levels[1] == ("p2", "p02")
+
+
+def test_bonds_come_out_in_natural_key_order_from_any_dict_order():
+    ids = ["p10", "p2", "01", "1", "q", "p02"]
+    want = ["1", "01", "p2", "p02", "p10", "q"]
+    assert sorted(ids, key=natural_key) == want
+    rng = random.Random(7)
+    for _ in range(10):
+        rng.shuffle(ids)
+        lower = {x: "r" for x in ids}
+        rng.shuffle(ids)
+        upper = {x: rng.choice(want) for x in ids}
+        t = Tower([["r"], list(reversed(ids)), ids], [lower, upper])
+        assert list(t.levels[1]) == list(t.levels[2]) == want
+        assert list(t.bond(1)) == list(t.bond(2)) == want
+        assert t.bond(2) == upper
 
 
 def test_rejects_degenerate_towers():

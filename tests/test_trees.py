@@ -1,11 +1,22 @@
 """Tree construction, roundtrips, metric geometry, core, and retraction."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import constant_tower
-from oracles import ahu_canon, brute_vertex_distance, is_ancestor, root_chain
+from oracles import (
+    ahu_canon,
+    brute_ancestor_point,
+    brute_distance,
+    brute_geodesic_point,
+    brute_meet,
+    brute_radius,
+    brute_vertex_distance,
+    is_ancestor,
+    root_chain,
+)
 
 from towertree import (
     ROOT,
@@ -119,6 +130,62 @@ def test_vertex_distances_match_chain_walk():
                 assert d >= abs(ru - rw)
                 ancestral = is_ancestor(t, u, w) or is_ancestor(t, w, u)
                 assert (d == abs(ru - rw)) == ancestral
+
+
+def _metric_pairs(tree, rng, count):
+    """Point pairs on a same base, on a strict ancestor in both orders, and
+    on two random vertices (mostly forks); about half the points lie inside
+    an edge."""
+
+    def point(v):
+        if v == ROOT or rng.random() < 0.5:
+            return point_of(v)
+        return TreePoint(v, Fraction(rng.randint(1, 7), 8))
+
+    below_root = tree.vertices[1:]
+    pairs = []
+    for _ in range(count):
+        x = point(rng.choice(below_root))
+        a = point(rng.choice(root_chain(tree, x.base)[:-1]))
+        pairs += [(x, point(x.base)), (x, a), (a, x), (x, point(rng.choice(tree.vertices)))]
+    return pairs
+
+
+def test_metric_matches_chain_prefix_oracle():
+    rng = random.Random(2024)
+    cases = {"same base": 0, "ancestor": 0, "fork": 0}
+    for seed in range(12):
+        tower = gen_random_tower(seed, depth=2 + seed % 6, max_level_size=4)
+        t = tree_of_tower(tower)
+        for x, y in _metric_pairs(t, rng, 25):
+            if x.base == y.base:
+                cases["same base"] += 1
+            elif is_ancestor(t, x.base, y.base) or is_ancestor(t, y.base, x.base):
+                cases["ancestor"] += 1
+            else:
+                cases["fork"] += 1
+            assert meet_point(t, x, y) == brute_meet(t, x, y)
+            d = distance(t, x, y)
+            assert d == brute_distance(t, x, y)
+            r = Fraction(rng.randint(0, int(8 * brute_radius(x))), 8)
+            assert ancestor_point_at(t, x, r) == brute_ancestor_point(t, x, r)
+            s = Fraction(rng.randint(0, int(8 * d)), 8)
+            assert geodesic_point(t, x, y, s) == brute_geodesic_point(t, x, y, s)
+    assert min(cases.values()) >= 100, cases
+
+
+def test_vertex_radii_are_ints_and_edge_points_fractions():
+    t = tree_of_tower(gen_random_tower(5, depth=5, max_level_size=4))
+    for v in t.vertices:
+        assert type(point_of(v).radius) is int and point_of(v).radius == v[0]
+        if v != ROOT:
+            assert type(TreePoint(v, Fraction(1)).offset) is int
+            inside = TreePoint(v, Fraction(1, 3))
+            assert type(inside.radius) is Fraction and inside.radius == v[0] - Fraction(2, 3)
+    u, w = t.levels[t.depth][0], t.levels[1][-1]
+    assert type(distance(t, point_of(u), point_of(w))) is int
+    assert type(meet_point(t, point_of(u), point_of(w)).radius) is int
+    assert type(ancestor_point_at(t, point_of(u), Fraction(2)).offset) is int
 
 
 def test_subtree_at_frozen(two_branch_tree):
