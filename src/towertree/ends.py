@@ -70,14 +70,19 @@ def agreement(f: Branch, g: Branch) -> AgreementDepth:
 
 def prefix_agreement(xs: Sequence, ys: Sequence) -> AgreementDepth:
     """Length of the shared prefix of two sequences; None when they are equal."""
+    return AgreementDepth(_shared_prefix(xs, ys))
+
+
+def _shared_prefix(xs: Sequence, ys: Sequence) -> int | None:
+    """prefix_agreement's value as a plain int | None, for callers comparing many pairs."""
     if xs == ys:
-        return AgreementDepth(None)
+        return None
     t0 = 0
     for a, b in zip(xs, ys):
         if a != b:
             break
         t0 += 1
-    return AgreementDepth(t0)
+    return t0
 
 
 class UltrametricSpace:

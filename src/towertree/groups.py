@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from typing import Mapping, Sequence
 
-from .ends import AgreementDepth, prefix_agreement
+from .ends import AgreementDepth, _shared_prefix, prefix_agreement
 from .errors import (
     DifferentTowers,
     ElementNotInLevel,
@@ -42,32 +42,38 @@ class TableGroup:
 
     def __init__(self, elements: Sequence[str], op_table: Mapping[tuple[str, str], str]):
         elems = tuple(sorted(elements, key=natural_key))
-        if not elems or len(set(elems)) != len(elems):
+        position = {x: i for i, x in enumerate(elems)}
+        if not elems or len(position) != len(elems):
             raise ValidationError("group elements must be a nonempty set of distinct ids")
-        eset = set(elems)
+        # rows[i][j] is the position of elems[i] * elems[j]
+        rows: list[list[int]] = []
         for a in elems:
+            row = []
             for b in elems:
-                c = op_table.get((a, b))
-                if c not in eset:
+                c = position.get(op_table.get((a, b)))
+                if c is None:
                     raise ValidationError(f"table not closed at ({a}, {b})")
-        for a in elems:
-            for b in elems:
-                for c in elems:
-                    if op_table[(op_table[(a, b)], c)] != op_table[(a, op_table[(b, c)])]:
-                        raise ValidationError(f"associativity fails at ({a}, {b}, {c})")
-        unit = None
-        for e in elems:
-            if all(op_table[(e, a)] == a and op_table[(a, e)] == a for a in elems):
-                unit = e
-                break
-        if unit is None:
+                row.append(c)
+            rows.append(row)
+        for i, row in enumerate(rows):
+            for j, ij in enumerate(row):
+                left, right = rows[ij], [row[x] for x in rows[j]]
+                if left != right:
+                    k = next(k for k, (u, v) in enumerate(zip(left, right)) if u != v)
+                    raise ValidationError(
+                        f"associativity fails at ({elems[i]}, {elems[j]}, {elems[k]})"
+                    )
+        places = range(len(elems))
+        e = next((e for e in places if all(rows[e][i] == i == rows[i][e] for i in places)), None)
+        if e is None:
             raise ValidationError("no two-sided unit")
+        unit = elems[e]
         inverse = {}
-        for a in elems:
-            inv = [b for b in elems if op_table[(a, b)] == unit and op_table[(b, a)] == unit]
-            if not inv:
-                raise ValidationError(f"{a} has no inverse")
-            inverse[a] = inv[0]
+        for i, row in enumerate(rows):
+            j = next((j for j in places if row[j] == e == rows[j][i]), None)
+            if j is None:
+                raise ValidationError(f"{elems[i]} has no inverse")
+            inverse[elems[i]] = elems[j]
         self.elements = elems
         self.op_table = {k: op_table[k] for k in sorted(op_table)}
         self.unit = unit
@@ -369,12 +375,19 @@ def thread_distance(a: Thread, b: Thread) -> AgreementDepth:
 
 
 def thread_product(g: GroupTower, a: Thread, b: Thread) -> Thread:
-    entries = tuple(g.level(n).op(a.at(n), b.at(n)) for n in range(1, g.depth + 1))
-    return Thread(entries=entries, tower=g)
+    entries = tuple(grp.op(x, y) for grp, x, y in zip(g.levels, a.entries, b.entries))
+    return _full_thread(g, entries)
 
 
 def thread_inverse(g: GroupTower, a: Thread) -> Thread:
-    entries = tuple(g.level(n).inv(a.at(n)) for n in range(1, g.depth + 1))
+    entries = tuple(grp.inv(x) for grp, x in zip(g.levels, a.entries))
+    return _full_thread(g, entries)
+
+
+def _full_thread(g: GroupTower, entries: tuple[str, ...]) -> Thread:
+    """A thread of g, once every level has an entry (zip stops at a short thread)."""
+    if len(entries) < g.depth:
+        raise IndexOutOfRange(f"thread has no entry at level {len(entries) + 1}")
     return Thread(entries=entries, tower=g)
 
 
@@ -389,19 +402,45 @@ class IsometryVerdict:
 
 
 def check_translation_isometry(g: GroupTower) -> IsometryVerdict:
-    """d(ka, kb) = d(a, b) and d(a^-1, b^-1) = d(a, b), exhaustively."""
+    """d(ka, kb) = d(a, b) and d(a^-1, b^-1) = d(a, b), exhaustively.
+
+    Each product k.a is built once, into a T x T table over thread
+    positions, and every triple (k, a, b) is compared.  On a windowed
+    tower a product that leaves the window does not exist at this
+    truncation (as in _check_bond), so triples whose k.a or k.b is
+    undefined are skipped; checked counts the triples compared.
+    """
     threads = limit_threads(g)
-    inverses = {t.entries: thread_inverse(g, t) for t in threads}
+    entries = [t.entries for t in threads]
+    inverses = [thread_inverse(g, t).entries for t in threads]
+    products: list[list[tuple[str, ...] | None]] = []
+    for k in threads:
+        row = []
+        for a in threads:
+            try:
+                row.append(thread_product(g, k, a).entries)
+            except WindowOverflow:
+                row.append(None)
+        products.append(row)
     checked = 0
-    for a in threads:
-        for b in threads:
-            base = thread_distance(a, b)
-            if thread_distance(inverses[a.entries], inverses[b.entries]) != base:
-                return IsometryVerdict(valid=False, violation=(a, a, b), checked=checked)
-            for k in threads:
+    for ia, a in enumerate(entries):
+        for ib, b in enumerate(entries):
+            base = _shared_prefix(a, b)
+            if _shared_prefix(inverses[ia], inverses[ib]) != base:
+                return IsometryVerdict(
+                    valid=False, violation=(threads[ia], threads[ia], threads[ib]), checked=checked
+                )
+            for ik, row in enumerate(products):
+                ka, kb = row[ia], row[ib]
+                if ka is None or kb is None:
+                    continue
                 checked += 1
-                if thread_distance(thread_product(g, k, a), thread_product(g, k, b)) != base:
-                    return IsometryVerdict(valid=False, violation=(k, a, b), checked=checked)
+                if _shared_prefix(ka, kb) != base:
+                    return IsometryVerdict(
+                        valid=False,
+                        violation=(threads[ik], threads[ia], threads[ib]),
+                        checked=checked,
+                    )
     return IsometryVerdict(valid=True, checked=checked)
 
 

@@ -321,24 +321,25 @@ def induce_tree_map(m: TowerMorphism) -> TreeMap:
     sched = xi_schedule(m)
     t = sched.breakpoints
     seg_count = len(t)
-    images: dict[Vertex, TreePoint] = {ROOT: point_of(ROOT)}
-    for v in src_tree.vertices:
-        if v == ROOT:
-            continue
-        r = v[0]
+    root = point_of(ROOT)
+    images: dict[Vertex, TreePoint] = {ROOT: root}
+    # the vertices of one level share r, so k, rho and j are found once per level
+    for r in range(1, src_tree.depth + 1):
+        level = src_tree.levels[r]
         if r <= t[0]:
-            images[v] = point_of(ROOT)
+            images.update((v, root) for v in level)
             continue
         k = max(i + 1 for i in range(seg_count) if t[i] <= r)
         hi = t[k] if k < seg_count else sched.virtual_top
         rho = Fraction(k - 1) + Fraction(r - t[k - 1], hi - t[k - 1])
         j = int(rho) if rho == int(rho) else int(rho) + 1
         if j == 0:
-            images[v] = point_of(ROOT)
+            images.update((v, root) for v in level)
             continue
-        anc_id = src_tree.ancestor(v, m.phi_at(j))[1]
-        y_j: Vertex = (j, m.component(j)[anc_id])
-        images[v] = TreePoint(y_j, rho - (j - 1))
+        phi_j, comp_j, offset = m.phi_at(j), m.component(j), rho - (j - 1)
+        for v in level:
+            anc_id = src_tree.ancestor(v, phi_j)[1]
+            images[v] = TreePoint((j, comp_j[anc_id]), offset)
     return TreeMap(src_tree, tgt_tree, images, schedule=sched)
 
 

@@ -97,11 +97,12 @@ class SolenoidOracle:
         """Does some beta at level n1 map onto alpha (divisibility test)?"""
         return alpha % self.step_product(n0, n1) == 0
 
-    def is_forever_extendable(self, alpha: int) -> bool:
-        """True when alpha extends to every level of the infinite tower."""
-        if all(p == 1 for p in self.primes):
-            return True
-        return alpha == 0
+    def forever_extendable(self, ids: Iterable[str]) -> list[str]:
+        """The ids that extend to every level of the infinite tower: all of
+        them when every multiplier is 1, otherwise only 0."""
+        if self.ml_holds():
+            return list(ids)
+        return [x for x in ids if int(x) == 0]
 
     def ml_holds(self) -> bool:
         """ML for the infinite tower: fails as soon as one multiplier exceeds 1."""

@@ -214,8 +214,7 @@ def tree_of_tower(tower: Tower) -> RootedTree:
         core_hint = frozenset(
             (n, x)
             for n in range(1, tower.depth + 1)
-            for x in tower.level(n)
-            if tower.oracle.is_forever_extendable(int(x))
+            for x in tower.oracle.forever_extendable(tower.level(n))
         )
         fringe = not tower.oracle.ml_holds()
     tree = RootedTree.__new__(RootedTree)

@@ -8,7 +8,17 @@ itself.
 
 from fractions import Fraction
 
-from towertree import ROOT, GRID, TreePoint, point_of
+from towertree import (
+    ROOT,
+    GRID,
+    TreePoint,
+    WindowOverflow,
+    limit_threads,
+    natural_key,
+    point_of,
+    thread_inverse,
+    thread_product,
+)
 
 
 def brute_composite(tower, n, m):
@@ -252,4 +262,79 @@ def float_least_violation(c, l, k_max):
             rhs = mpmath.mpf(2) ** (-(k + 1))
             if lhs < rhs:
                 return k
+    return None
+
+
+def brute_induced_images(m, src_tree, breakpoints, virtual_top):
+    """Vertex images of the induced map, one vertex at a time: a linear
+    breakpoint scan, rho = k - 1 + (r - t_k) / (t_{k+1} - t_k), and the
+    level-phi(j) entry of the vertex's root chain."""
+    t = breakpoints
+    images = {ROOT: point_of(ROOT)}
+    for v in src_tree.vertices:
+        if v == ROOT:
+            continue
+        r = v[0]
+        if r <= t[0]:
+            images[v] = point_of(ROOT)
+            continue
+        k = max(i + 1 for i in range(len(t)) if t[i] <= r)
+        hi = t[k] if k < len(t) else virtual_top
+        rho = Fraction(k - 1) + Fraction(r - t[k - 1], hi - t[k - 1])
+        j = -((-rho.numerator) // rho.denominator)  # ceil
+        if j == 0:
+            images[v] = point_of(ROOT)
+            continue
+        anc = root_chain(src_tree, v)[m.phi[j - 1]]
+        images[v] = TreePoint((j, m.components[j - 1][anc[1]]), rho - (j - 1))
+    return images
+
+
+def _prefix(xs, ys):
+    if xs == ys:
+        return None
+    n = 0
+    while xs[n] == ys[n]:
+        n += 1
+    return n
+
+
+def brute_isometry(g):
+    """The translation-isometry scan with two fresh products per triple.
+
+    Returns (valid, violation entries or None, checked); a product that
+    leaves a window skips its triple.
+    """
+    threads = limit_threads(g)
+    checked = 0
+    for a in threads:
+        for b in threads:
+            base = _prefix(a.entries, b.entries)
+            ia, ib = thread_inverse(g, a), thread_inverse(g, b)
+            if _prefix(ia.entries, ib.entries) != base:
+                return False, (a.entries, a.entries, b.entries), checked
+            for k in threads:
+                try:
+                    ka, kb = thread_product(g, k, a), thread_product(g, k, b)
+                except WindowOverflow:
+                    continue
+                checked += 1
+                if _prefix(ka.entries, kb.entries) != base:
+                    return False, (k.entries, a.entries, b.entries), checked
+    return True, None, checked
+
+
+def brute_table_rejection(elements, table):
+    """The first closure or associativity failure of a table over string
+    ids, scanning in natural_key order; None when both hold."""
+    elems = sorted(elements, key=natural_key)
+    for a in elems:
+        for b in elems:
+            if table.get((a, b)) not in elems:
+                return f"table not closed at ({a}, {b})"
+    for a in elems:
+        for b in elems:
+            for c in elems:
+                if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
+                    return f"associativity fails at ({a}, {b}, {c})"
     return None

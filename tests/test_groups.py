@@ -2,7 +2,9 @@
 
 import pytest
 
-from oracles import brute_ultrametric_ok
+import random
+
+from oracles import brute_isometry, brute_table_rejection, brute_ultrametric_ok
 
 from towertree import (
     EQUIVALENT,
@@ -300,3 +302,90 @@ def test_as_tower_morphism_shape():
     m = as_tower_morphism(identity_group_morphism(z8_tower()))
     assert m.phi == (1, 2, 3)
     assert m.components[2] == {str(i): str(i) for i in range(8)}
+
+
+def test_table_rejections_match_brute_scan():
+    # one entry of a cyclic table moved to another element (non-associative)
+    # or to a stranger or away (not closed); the first failure is reported
+    rng = random.Random("table-rejections")
+    kinds = {"associativity": 0, "closed": 0}
+    for _ in range(60):
+        order = rng.randint(2, 7)
+        elems = [str(i) for i in range(order)]
+        rng.shuffle(elems)
+        table = dict(TableGroup.cyclic(order).op_table)
+        for _ in range(rng.randint(1, 2)):
+            key = (rng.choice(elems), rng.choice(elems))
+            roll = rng.random()
+            if roll < 0.7:
+                table[key] = str((int(table[key]) + rng.randint(1, order - 1)) % order)
+            elif roll < 0.85:
+                table[key] = "x"
+            else:
+                del table[key]
+        expected = brute_table_rejection(elems, table)
+        if expected is None:
+            # closed and associative: only the unit or inverse check may object
+            try:
+                TableGroup(elems, table)
+            except ValidationError as err:
+                assert "unit" in str(err) or "inverse" in str(err)
+            continue
+        with pytest.raises(ValidationError) as err:
+            TableGroup(elems, table)
+        assert str(err.value) == expected
+        kinds["associativity" if expected.startswith("assoc") else "closed"] += 1
+    assert kinds["associativity"] >= 20 and kinds["closed"] >= 10
+
+
+def test_table_unit_and_inverse_checks():
+    left_zero = {(a, b): a for a in "ab" for b in "ab"}
+    with pytest.raises(ValidationError, match="no two-sided unit"):
+        TableGroup(["a", "b"], left_zero)
+    times = {(a, b): str(int(a) * int(b)) for a in "01" for b in "01"}
+    with pytest.raises(ValidationError, match="0 has no inverse"):
+        TableGroup(["0", "1"], times)
+    g = TableGroup.cyclic(12)
+    assert g.elements == tuple(str(i) for i in range(12))
+    assert g.unit == "0"
+    assert list(g.op_table) == sorted(g.op_table)
+    assert g.inverse_table == {str(i): str(-i % 12) for i in range(12)}
+
+
+def test_isometry_skips_products_outside_the_window():
+    g = GroupTower([WindowedZ(2), WindowedZ(2)], [ScaleHom(1)])
+    verdict = check_translation_isometry(g)
+    assert (verdict.valid, verdict.checked) == (True, 75)
+    assert brute_isometry(g) == (True, None, 75)
+    zero = GroupTower([WindowedZ(0)] * 3, [ScaleHom(1)] * 2)
+    assert check_translation_isometry(zero).checked == 1
+
+
+def test_isometry_matches_brute_oracle_on_altered_tables():
+    rng = random.Random("altered-isometry")
+    kinds = {"valid": 0, "invalid": 0}
+    for seed in range(40):
+        g = gen_random_group_tower(seed, depth=3, max_order=12)
+        top = g.levels[-1]
+        elems = top.elements
+        if len(elems) < 2:
+            continue
+        a, b = rng.choice(elems), rng.choice(elems)
+        if seed % 3 == 0:
+            top.inverse_table[a] = rng.choice(elems)
+        else:
+            top.op_table[(a, b)] = rng.choice(elems)
+        verdict = check_translation_isometry(g)
+        valid, violation, checked = brute_isometry(g)
+        got = None if verdict.violation is None else tuple(t.entries for t in verdict.violation)
+        assert (verdict.valid, got, verdict.checked) == (valid, violation, checked)
+        kinds["valid" if valid else "invalid"] += 1
+    assert kinds["invalid"] >= 12 and kinds["valid"] >= 4
+
+
+def test_isometry_exhaustive_on_random_towers():
+    for seed in range(60):
+        g = gen_random_group_tower(seed, depth=4)
+        verdict = check_translation_isometry(g)
+        assert verdict.valid
+        assert verdict.checked == len(limit_threads(g)) ** 3

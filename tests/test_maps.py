@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import constant_tower
-from oracles import brute_homotopy, brute_properness
+from oracles import brute_homotopy, brute_induced_images, brute_properness
 
 from towertree import (
     EQUIVALENT,
@@ -289,3 +289,17 @@ def test_witness_tables_match_brute_meets():
             assert (hp.table, hp.failure_level) == brute_homotopy(a, b)
             homotopies += 1
     assert inside >= 50 and retractions >= 10 and homotopies >= 85
+
+
+def test_induced_images_match_per_vertex_oracle():
+    inside = 0
+    for seed in range(30):
+        src = gen_random_tower(seed, depth=2 + seed % 7, max_level_size=5)
+        tgt = gen_random_tower(seed + 1300, depth=2 + (seed + 4) % 7, max_level_size=5)
+        m = random_morphism(seed, src, tgt)
+        f = induce_tree_map(m)
+        sched = xi_schedule(m)
+        expected = brute_induced_images(m, f.source, sched.breakpoints, sched.virtual_top)
+        assert list(f.vertex_images.items()) == list(expected.items())
+        inside += sum(not p.is_vertex for p in expected.values())
+    assert inside >= 50

@@ -322,3 +322,14 @@ def test_core_is_tree_of_surjective_core():
 def test_parent_map_rejections(parent, core_hint):
     with pytest.raises(ValidationError):
         RootedTree(parent, core_hint=core_hint)
+
+
+def test_generator_core_hint_comes_from_the_oracle():
+    # some multiplier > 1: only 0 extends forever; all multipliers 1: everything
+    for primes in ([2], [1, 3]):
+        tree = tree_of_tower(windowed_solenoid_tower(primes, 64, 4))
+        assert tree.core_hint == {(n, "0") for n in range(1, 5)}
+        assert tree.fringe_unbounded
+    tree = tree_of_tower(windowed_solenoid_tower([1], 8, 3))
+    assert tree.core_hint == frozenset(tree.parent)
+    assert not tree.fringe_unbounded
