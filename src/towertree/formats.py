@@ -13,7 +13,12 @@ from fractions import Fraction
 from .ends import GRID, RATIONAL, UltrametricSpace, grid_space, rational_space
 from .errors import ParseError, TowerTreeError
 from .groups import GroupTower, ScaleHom, TableGroup, TableHom, WindowedZ
-from .towers import Tower, TowerMorphism, windowed_solenoid_tower
+from .towers import SolenoidOracle, Tower, TowerMorphism, windowed_solenoid_tower
+
+# A generator tower may hold at most this many ids over all its levels,
+# counted before any level is built.  The doubling solenoid fits up to
+# window 2^17 at full depth 18 (524,304 ids).
+MAX_GENERATOR_IDS = 1 << 20
 
 
 def _load_json(text: str):
@@ -26,6 +31,11 @@ def _load_json(text: str):
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ParseError(message)
+
+
+def _is_int(value) -> bool:
+    """A JSON integer; true and false are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -41,15 +51,22 @@ def parse_tower(text: str) -> Tower:
         _require(data["generator"] == "solenoid", f"unknown generator {data['generator']!r}")
         for key in ("primes", "window", "depth"):
             _require(key in data, f"solenoid generator needs {key!r}")
-        primes = data["primes"]
+        primes, window, depth = data["primes"], data["window"], data["depth"]
         _require(
-            isinstance(primes, list) and primes and all(isinstance(p, int) for p in primes),
+            isinstance(primes, list) and primes and all(_is_int(p) for p in primes),
             "primes must be a nonempty list of integers",
         )
-        _require(isinstance(data["window"], int), "window must be an integer")
-        _require(isinstance(data["depth"], int), "depth must be an integer")
+        _require(_is_int(window), "window must be an integer")
+        _require(_is_int(depth), "depth must be an integer")
         try:
-            return windowed_solenoid_tower(primes, data["window"], data["depth"])
+            total = 0
+            for b in SolenoidOracle(tuple(primes), window).level_bounds(depth):
+                total += 2 * b + 1
+                _require(
+                    total <= MAX_GENERATOR_IDS,
+                    f"generator tower holds more than {MAX_GENERATOR_IDS} ids",
+                )
+            return windowed_solenoid_tower(primes, window, depth)
         except TowerTreeError as e:
             raise ParseError(str(e)) from None
     for key in ("depth", "levels", "bonds"):
@@ -57,6 +74,7 @@ def parse_tower(text: str) -> Tower:
     levels, bonds = data["levels"], data["bonds"]
     _require(isinstance(levels, list), "levels must be a list of lists")
     _require(isinstance(bonds, list), "bonds must be a list of objects")
+    _require(_is_int(data["depth"]), "depth must be an integer")
     _require(data["depth"] == len(levels), "depth does not match the level count")
     _require(len(bonds) == max(len(levels) - 1, 0), "bond count must be depth - 1")
     for i, level in enumerate(levels, start=1):
@@ -104,7 +122,7 @@ def parse_morphism(text: str, source: Tower, target: Tower) -> TowerMorphism:
         _require(key in data, f"morphism object needs {key!r}")
     phi, comps = data["phi"], data["components"]
     _require(
-        isinstance(phi, list) and all(isinstance(n, int) for n in phi),
+        isinstance(phi, list) and all(_is_int(n) for n in phi),
         "phi must be a list of integers",
     )
     _require(

@@ -20,7 +20,8 @@ from .towers import (
     SolenoidOracle,
     Tower,
     TowerMorphism,
-    compose_bonding,
+    _images_below,
+    _pull_back,
     natural_key,
     windowed_solenoid_tower,
 )
@@ -42,7 +43,7 @@ def gen_solenoid(primes: Sequence[int], window: int, depth: int) -> tuple[GroupT
     if depth < 1:
         raise InvalidParameter("depth must be >= 1")
     oracle = SolenoidOracle(primes, window)
-    levels = [WindowedZ(oracle.level_bound(n)) for n in range(1, depth + 1)]
+    levels = [WindowedZ(b) for b in oracle.level_bounds(depth)]
     bonds = [ScaleHom(oracle.multiplier(n)) for n in range(1, depth)]
     return GroupTower(levels, bonds), windowed_solenoid_tower(primes, window, depth)
 
@@ -231,7 +232,8 @@ def random_morphism(seed: int, source: Tower, target: Tower) -> TowerMorphism:
         for _ in range(1, length):
             step = rng.randint(0, 1) if rng.random() < 0.7 else rng.randint(0, source.depth)
             phi.append(min(phi[-1] + step, source.depth))
-    deep = sorted(set(compose_bonding(target, 1, target.depth).mapping.values()), key=natural_key)
+    level1 = target.level(1)
+    deep = [level1[i] for i in sorted(_images_below(target, target.depth)[0])]
     f1 = {}
     for x in source.level(phi[0]):
         if rng.random() < 0.8:
@@ -240,13 +242,12 @@ def random_morphism(seed: int, source: Tower, target: Tower) -> TowerMorphism:
             f1[x] = rng.choice(list(target.level(1)))
     components = [f1]
     for n in range(1, length):
-        step = compose_bonding(source, phi[n - 1], phi[n]).mapping
-        q = target.bond(n)
         prev = components[-1]
+        needs = _pull_back(source, [prev[x] for x in source.level(phi[n - 1])], phi[n - 1], phi[n])
+        q = target.bond(n)
         comp = {}
-        for y in source.level(phi[n]):
-            need = prev[step[y]]
-            candidates = sorted((z for z in target.level(n + 1) if q[z] == need), key=natural_key)
+        for y, need in zip(source.level(phi[n]), needs):
+            candidates = [z for z in target.level(n + 1) if q[z] == need]
             if not candidates:
                 comp = None
                 break

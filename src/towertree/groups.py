@@ -321,7 +321,7 @@ def underlying_tower(g: GroupTower) -> Tower:
     if _is_scaling_tower(g):
         factors = _minimal_period(tuple(b.k for b in g.bonds) or (1,))
         candidate = SolenoidOracle(primes=factors, window=g.level(1).bound)
-        if all(g.level(n).bound == candidate.level_bound(n) for n in range(1, g.depth + 1)):
+        if [grp.bound for grp in g.levels] == list(candidate.level_bounds(g.depth)):
             oracle = candidate
     return Tower(levels, bonds, oracle=oracle)
 
@@ -577,10 +577,20 @@ def is_group_tower_iso(m: GroupLevelMorphism) -> IsoVerdict:
 def ml_projection_check(g: GroupTower) -> tuple[tuple[int, int], ...]:
     """For each n the least m with p_{nm}(G_m) = pi_n(lim G), requiring an
     ML verdict of Holds first."""
+    _require_ml(g)
+    return _projection_witnesses(g, limit_threads(g))
+
+
+def _require_ml(g: GroupTower) -> None:
     report = ml_verdict(underlying_tower(g))
     if report.verdict != HOLDS:
         raise NotML(f"ml verdict is {report.verdict}, projection lemma needs holds")
-    threads = limit_threads(g)
+
+
+def _projection_witnesses(
+    g: GroupTower, threads: tuple[Thread, ...]
+) -> tuple[tuple[int, int], ...]:
+    """ml_projection_check's table, from the limit threads of g."""
     out = []
     for n in range(1, g.depth + 1):
         pi_n = frozenset(t.at(n) for t in threads)
@@ -607,8 +617,9 @@ class CoreIso:
 
 
 def core_iso_construction(g: GroupTower) -> CoreIso:
-    projections = ml_projection_check(g)
+    _require_ml(g)
     threads = limit_threads(g)
+    projections = _projection_witnesses(g, threads)
     core_levels: list[Group] = []
     for n in range(1, g.depth + 1):
         pi_n = sorted({t.at(n) for t in threads}, key=natural_key)

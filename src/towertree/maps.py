@@ -142,6 +142,20 @@ class TreeMap:
         self.vertex_images = dict(vertex_images)
         self.schedule = schedule
 
+    @classmethod
+    def _built(
+        cls,
+        source: RootedTree,
+        target: RootedTree,
+        vertex_images: dict[Vertex, TreePoint],
+        schedule: XiSchedule | None = None,
+    ) -> TreeMap:
+        """A map whose images were built level by level over source's
+        vertices, root to root and based at target vertices by construction."""
+        f = cls.__new__(cls)
+        f.source, f.target, f.vertex_images, f.schedule = source, target, vertex_images, schedule
+        return f
+
     def image_of_vertex(self, v: Vertex) -> TreePoint:
         return self.vertex_images[v]
 
@@ -201,29 +215,16 @@ def check_nonexpansive(f: TreeMap) -> NonexpansiveVerdict:
     return NonexpansiveVerdict(valid=True)
 
 
-def _witness_table(
-    source: RootedTree,
-    target_depth: int,
-    vertex_quantity: Mapping[Vertex, int | Fraction],
-    edge_quantity: Mapping[Vertex, int | Fraction],
-) -> tuple[tuple[int, ...], int | None]:
-    """Minimal m(n) with min over {vertices at radius >= m, edges with
-    parent radius >= m} of the given quantities >= n; None entry stops the
-    table at the first failing n."""
-    depth = source.depth
+def _witness_table(lows: list[int | Fraction], target_depth: int) -> tuple[tuple[int, ...], int | None]:
+    """Minimal m(n) with min(lows[m:]) >= n, where lows[lv] is the least
+    quantity at radius lv: over the vertices at lv and the edges whose parent
+    sits at lv.  The table stops at the first n with no such m (None when
+    it is total)."""
+    depth = len(lows) - 1
     # suffix minima per level; suffix[m] covers everything at radius >= m
     suffix = [_FAR] * (depth + 2)
     for lv in range(depth, -1, -1):
-        lo = suffix[lv + 1]
-        for v in source.levels[lv]:
-            q = vertex_quantity[v]
-            if q < lo:
-                lo = q
-        for v in source.levels.get(lv + 1, ()):
-            q = edge_quantity[v]  # edge keyed by its child; parent sits at lv
-            if q < lo:
-                lo = q
-        suffix[lv] = lo
+        suffix[lv] = min(suffix[lv + 1], lows[lv])
     table: list[int] = []
     m = 0
     for n in range(1, target_depth + 1):
@@ -236,17 +237,32 @@ def _witness_table(
 
 
 def properness_witness(f: TreeMap) -> PropernessReport:
-    """Minimal metric-properness witness, closed-world at truncation."""
-    images = f.vertex_images
-    vq = {v: img.radius for v, img in images.items()}
-    eq = {v: _meet_radius(f.target, images[p], images[v]) for v, p in f.source.parent.items()}
-    table, failure = _witness_table(f.source, f.target.depth, vq, eq)
+    """Minimal metric-properness witness, closed-world at truncation.
+
+    One pass per source level: its vertices' image radii and the meet
+    radii of the edges that reach it from the level above.  Images are
+    often shared (a retraction sends whole subtrees to one point), so each
+    distinct image object is measured once, and an edge whose endpoints
+    have the same image is skipped: its meet radius is the parent's image
+    radius, already counted one level up."""
+    src, tgt, images = f.source, f.target, f.vertex_images
+    above = [images[ROOT]]
+    lows = [above[0].radius]
+    for n in range(1, src.depth + 1):
+        here = [images[v] for v in src.levels[n]]
+        lows.append(min(p.radius for p in {id(p): p for p in here}.values()))
+        parents = map(above.__getitem__, src.parent_positions(n))
+        moved = [(a, b) for a, b in zip(parents, here) if a is not b]
+        if moved:
+            lows[n - 1] = min(lows[n - 1], min(_meet_radius(tgt, a, b) for a, b in moved))
+        above = here
+    table, failure = _witness_table(lows, tgt.depth)
     return PropernessReport(
         table=table,
         total_upto=len(table),
         failure_level=failure,
-        source_depth=f.source.depth,
-        target_depth=f.target.depth,
+        source_depth=src.depth,
+        target_depth=tgt.depth,
     )
 
 
@@ -258,18 +274,27 @@ def homotopy_properness(f: TreeMap, g: TreeMap) -> HomotopyReport:
     """
     if f.source != g.source or f.target != g.target:
         raise SourceTargetMismatch("homotopy needs maps with shared source and target")
+    src, ft, gt = f.source, f.target, g.target
     fi, gi = f.vertex_images, g.vertex_images
-    track = {v: _meet_radius(f.target, fi[v], gi[v]) for v in fi}
-    eq = {
-        v: min(
-            track[p],
-            track[v],
-            _meet_radius(f.target, fi[p], fi[v]),
-            _meet_radius(g.target, gi[p], gi[v]),
-        )
-        for v, p in f.source.parent.items()
-    }
-    table, failure = _witness_table(f.source, f.target.depth, track, eq)
+    lows: list[int | Fraction] = []
+    for n in range(src.depth + 1):
+        f_here = [fi[v] for v in src.levels[n]]
+        g_here = [gi[v] for v in src.levels[n]]
+        track = [_meet_radius(ft, a, b) for a, b in zip(f_here, g_here)]
+        lows.append(min(track))
+        if n:
+            edges = min(
+                min(
+                    track_above[j],
+                    track[i],
+                    _meet_radius(ft, f_above[j], f_here[i]),
+                    _meet_radius(gt, g_above[j], g_here[i]),
+                )
+                for i, j in enumerate(src.parent_positions(n))
+            )
+            lows[n - 1] = min(lows[n - 1], edges)
+        f_above, g_above, track_above = f_here, g_here, track
+    table, failure = _witness_table(lows, ft.depth)
     horizon = min(properness_witness(f).total_upto, properness_witness(g).total_upto)
     return HomotopyReport(
         table=table,
@@ -340,7 +365,7 @@ def induce_tree_map(m: TowerMorphism) -> TreeMap:
         for v in level:
             anc_id = src_tree.ancestor(v, phi_j)[1]
             images[v] = TreePoint((j, comp_j[anc_id]), offset)
-    return TreeMap(src_tree, tgt_tree, images, schedule=sched)
+    return TreeMap._built(src_tree, tgt_tree, images, schedule=sched)
 
 
 # ---------------------------------------------------------------------------
@@ -392,16 +417,23 @@ def simplicial_of_level(m: TowerMorphism) -> TreeMap:
 
 def retraction_map(tree: RootedTree) -> Retraction:
     """Nearest-point retraction: each vertex drops to its deepest complete
-    ancestor.  Trees whose oracle grows unbounded finite branches get the
-    failure the window cannot exhibit."""
+    ancestor, found one level at a time from the images of the level above.
+    Trees whose oracle grows unbounded finite branches get the failure the
+    window cannot exhibit."""
     core = max_geodesic_subtree(tree)
     if core.depth == 0:
         raise EmptyCore("no complete branch to retract onto")
-    in_core = set(core.parent) | {ROOT}
-    images: dict[Vertex, TreePoint] = {}
-    for v in tree.vertices:  # level order: a parent's image is always ready
-        images[v] = point_of(v) if v in in_core else images[tree.parent[v]]
-    rmap = TreeMap(tree, core, images)
+    above = [point_of(ROOT)]
+    images: dict[Vertex, TreePoint] = {ROOT: above[0]}
+    for n in range(1, tree.depth + 1):
+        in_core = set(core.levels.get(n, ()))
+        here = [
+            point_of(v) if v in in_core else above[j]
+            for v, j in zip(tree.levels[n], tree.parent_positions(n))
+        ]
+        images.update(zip(tree.levels[n], here))
+        above = here
+    rmap = TreeMap._built(tree, core, images)
     rep = properness_witness(rmap)
     if tree.fringe_unbounded:
         rep = PropernessReport(

@@ -11,7 +11,15 @@ from dataclasses import dataclass
 
 from .errors import EmptyCore, InvalidParameter, ParseError
 from .maps import retraction_map
-from .towers import FAILS, HOLDS, INCONCLUSIVE, MLReport, Tower, ml_verdict
+from .towers import (
+    FAILS,
+    HOLDS,
+    INCONCLUSIVE,
+    MLReport,
+    Tower,
+    ml_verdict,
+    windowed_solenoid_tower,
+)
 from .trees import branches, max_geodesic_subtree, tree_of_tower
 from .ends import end_space_of
 from .formats import _load_json
@@ -31,14 +39,12 @@ def _truncate(tower: Tower, horizon: int) -> Tower:
     if horizon < 1:
         raise InvalidParameter("depth horizon must be >= 1")
     if tower.oracle is not None:
-        from .towers import windowed_solenoid_tower
-
         return windowed_solenoid_tower(tower.oracle.primes, tower.oracle.window, horizon)
     if horizon > tower.depth:
         raise InvalidParameter(
             f"horizon {horizon} exceeds the stored depth {tower.depth} of an extensional tower"
         )
-    return Tower(tower.levels[:horizon], tower.bonds[: horizon - 1])
+    return Tower._ordered(tower.levels[:horizon], tower.up[: horizon - 1])
 
 
 def _ml_dict(report: MLReport) -> dict:

@@ -16,8 +16,9 @@ else is inconclusive at this depth.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     DepthExhausted,
@@ -54,7 +55,7 @@ def natural_key(s: str):
         parts = ((0, int(s), ""),)
     except ValueError:
         parts = tuple(
-            (0, int(part), "") if part.isdigit() else (1, 0, part)
+            (0, int(part), "") if part.isdecimal() else (1, 0, part)
             for part in re.split(r"(\d+)", s)
             if part
         )
@@ -89,20 +90,26 @@ class SolenoidOracle:
             prod *= self.multiplier(n)
         return prod
 
-    def level_bound(self, n: int) -> int:
-        """Window bound of level n: integers z with |z| <= level_bound(n)."""
-        return self.window // self.step_product(1, n)
+    def level_bounds(self, depth: int) -> Iterator[int]:
+        """Window bounds of levels n = 1..depth: level n holds the integers z
+        with |z| <= window // step_product(1, n), one multiplication per level."""
+        prod = 1
+        for n in range(1, depth + 1):
+            yield self.window // prod
+            if prod <= self.window:  # beyond the window every bound stays 0
+                prod *= self.multiplier(n)
 
     def is_extendable(self, n0: int, alpha: int, n1: int) -> bool:
         """Does some beta at level n1 map onto alpha (divisibility test)?"""
         return alpha % self.step_product(n0, n1) == 0
 
-    def forever_extendable(self, ids: Iterable[str]) -> list[str]:
-        """The ids that extend to every level of the infinite tower: all of
-        them when every multiplier is 1, otherwise only 0."""
+    def forever_extendable(self, ids: Sequence[str]) -> range:
+        """Positions of the ids that extend to every level of the infinite
+        tower: all of them when every multiplier is 1, otherwise the ids of
+        value 0.  ids is a windowed level: integers in increasing order."""
         if self.ml_holds():
-            return list(ids)
-        return [x for x in ids if int(x) == 0]
+            return range(len(ids))
+        return range(bisect_left(ids, 0, key=int), bisect_right(ids, 0, key=int))
 
     def ml_holds(self) -> bool:
         """ML for the infinite tower: fails as soon as one multiplier exceeds 1."""
@@ -154,12 +161,14 @@ class MLReport:
 class Tower:
     """A truncated inverse sequence of finite sets.
 
-    levels[n-1] is X_n (sorted tuple of ids); bonds[n-1] maps X_{n+1} into
-    X_n.  Instances are treated as immutable; equality is structural and
-    includes the oracle for generator towers.
+    levels[n-1] is X_n, a tuple of ids in natural_key order.  The bonds are
+    stored once, as parent positions: up[n-1][i] is the position in X_n of
+    p_n(X_{n+1}[i]).  bonds[n-1] is the same bond as an id -> id dict, built
+    on first use.  Instances are treated as immutable; equality is
+    structural and includes the oracle for generator towers.
     """
 
-    __slots__ = ("levels", "bonds", "oracle")
+    __slots__ = ("levels", "up", "oracle", "_bonds")
 
     def __init__(
         self,
@@ -167,6 +176,7 @@ class Tower:
         bonds: Sequence[Mapping[str, str]],
         oracle: SolenoidOracle | None = None,
     ):
+        """Sort and validate levels and bonds from outside the package."""
         if not levels:
             raise ValidationError("a tower needs at least one level")
         norm_levels = []
@@ -181,18 +191,36 @@ class Tower:
             raise ValidationError(
                 f"need {max(len(norm_levels) - 1, 0)} bonds for {len(norm_levels)} levels, got {len(bonds)}"
             )
-        norm_bonds = []
+        up = []
         for n, bond in enumerate(bonds, start=1):
-            src, dst = set(norm_levels[n]), set(norm_levels[n - 1])
-            if set(bond) != src:
+            src = norm_levels[n]
+            where = {x: i for i, x in enumerate(norm_levels[n - 1])}
+            if set(bond) != set(src):
                 raise ValidationError(f"bond {n} is not total on level {n + 1}")
-            stray = set(bond.values()) - dst
+            stray = set(bond.values()) - where.keys()
             if stray:
                 raise ValidationError(f"bond {n} leaves level {n}: {sorted(stray)}")
-            norm_bonds.append({x: bond[x] for x in norm_levels[n]})
-        self.levels = tuple(norm_levels)
-        self.bonds = tuple(norm_bonds)
+            up.append(tuple([where[bond[x]] for x in src]))
+        self._set(norm_levels, up, oracle)
+
+    @classmethod
+    def _ordered(
+        cls,
+        levels: Sequence[Sequence[str]],
+        up: Sequence[Sequence[int]],
+        oracle: SolenoidOracle | None = None,
+    ) -> Tower:
+        """A tower from levels already in natural_key order and their parent
+        positions, for builders whose order holds by construction."""
+        tower = cls.__new__(cls)
+        tower._set(levels, up, oracle)
+        return tower
+
+    def _set(self, levels, up, oracle) -> None:
+        self.levels = tuple(tuple(level) for level in levels)
+        self.up = tuple(tuple(u) for u in up)
         self.oracle = oracle
+        self._bonds = None
 
     @property
     def depth(self) -> int:
@@ -201,6 +229,16 @@ class Tower:
     @property
     def flavor(self) -> str:
         return GENERATOR if self.oracle is not None else EXTENSIONAL
+
+    @property
+    def bonds(self) -> tuple[dict[str, str], ...]:
+        """bonds[n-1] maps X_{n+1} into X_n, keys in level order."""
+        if self._bonds is None:
+            self._bonds = tuple(
+                dict(zip(src, map(dst.__getitem__, u)))
+                for dst, src, u in zip(self.levels, self.levels[1:], self.up)
+            )
+        return self._bonds
 
     def level(self, n: int) -> tuple[str, ...]:
         if not 1 <= n <= self.depth:
@@ -217,12 +255,12 @@ class Tower:
         return (
             isinstance(other, Tower)
             and self.levels == other.levels
-            and self.bonds == other.bonds
+            and self.up == other.up
             and self.oracle == other.oracle
         )
 
     def __hash__(self):
-        return hash((self.levels, tuple(tuple(b.items()) for b in self.bonds), self.oracle))
+        return hash((self.levels, self.up, self.oracle))
 
     def __repr__(self) -> str:
         sizes = "x".join(str(len(lv)) for lv in self.levels)
@@ -243,31 +281,46 @@ def windowed_solenoid_tower(primes: Sequence[int], window: int, depth: int) -> T
 
     Level n holds the integers whose composite image at level 1 stays in
     [-window, window]; that shrinking window is exactly what keeps every
-    bond total into its target level.
+    bond total into its target level.  Level n lists -b..b in order, so z
+    sits at position z + b and its image p_n * z at p_n * z + b_n.
     """
     if depth < 1:
         raise ValidationError("depth must be >= 1")
     oracle = SolenoidOracle(tuple(int(p) for p in primes), int(window))
-    levels = []
-    for n in range(1, depth + 1):
-        b = oracle.level_bound(n)
-        levels.append([str(z) for z in range(-b, b + 1)])
-    bonds = []
-    for n in range(1, depth):
-        p = oracle.multiplier(n)
-        bonds.append({z: str(int(z) * p) for z in levels[n]})
-    return Tower(levels, bonds, oracle=oracle)
+    bounds = list(oracle.level_bounds(depth))
+    levels = [tuple(map(str, range(-b, b + 1))) for b in bounds]
+    up = [
+        range(b - p * c, b + p * c + 1, p)
+        for b, c, p in zip(bounds, bounds[1:], map(oracle.multiplier, range(1, depth)))
+    ]
+    return Tower._ordered(levels, up, oracle=oracle)
+
+
+def _pull_back(tower: Tower, values: Sequence, n: int, m: int) -> Sequence:
+    """values, indexed by the positions of X_n, read on X_m through p_{n m}:
+    entry j is values[position of p_{n m}(X_m[j])].  Needs n <= m."""
+    for u in tower.up[n - 1 : m - 1]:
+        values = [values[i] for i in u]
+    return values
+
+
+def _images_below(tower: Tower, m: int, n: int = 1) -> list[set[int]]:
+    """One downward pass from X_m: entry k - n is p_{k m}(X_m) as positions
+    in X_k, for k = n..m."""
+    image = set(range(len(tower.levels[m - 1])))
+    out = [image]
+    for u in reversed(tower.up[n - 1 : m - 1]):
+        image = {u[i] for i in image}
+        out.append(image)
+    return out[::-1]
 
 
 def compose_bonding(tower: Tower, n: int, m: int) -> BondComposite:
     """p_{n m} : X_m -> X_n, the identity when n == m."""
     if not 1 <= n <= m <= tower.depth:
         raise IndexOutOfRange(f"need 1 <= n <= m <= depth, got n={n}, m={m}, depth={tower.depth}")
-    mapping = {x: x for x in tower.level(m)}
-    for k in range(m - 1, n - 1, -1):
-        bond = tower.bond(k)
-        mapping = {x: bond[y] for x, y in mapping.items()}
-    return BondComposite(from_level=m, to_level=n, mapping=mapping)
+    images = _pull_back(tower, tower.levels[n - 1], n, m)
+    return BondComposite(from_level=m, to_level=n, mapping=dict(zip(tower.levels[m - 1], images)))
 
 
 def is_extendable(tower: Tower, n0: int, alpha: str, n1: int) -> bool:
@@ -286,15 +339,7 @@ def is_extendable(tower: Tower, n0: int, alpha: str, n1: int) -> bool:
         return tower.oracle.is_extendable(n0, int(alpha), n1)
     if n1 > tower.depth:
         raise IndexOutOfRange(f"level {n1} beyond depth {tower.depth} needs a generator oracle")
-    return alpha in set(compose_bonding(tower, n0, n1).mapping.values())
-
-
-def _image_chain(tower: Tower, n0: int) -> list[set[str]]:
-    """Images p_{n0 m}(X_m) for m = n0..depth."""
-    return [
-        set(compose_bonding(tower, n0, m).mapping.values())
-        for m in range(n0, tower.depth + 1)
-    ]
+    return tower.levels[n0 - 1].index(alpha) in _images_below(tower, n1, n0)[0]
 
 
 def ml_verdict(tower: Tower) -> MLReport:
@@ -306,12 +351,19 @@ def ml_verdict(tower: Tower) -> MLReport:
     certificate from a generator tower.
     """
     depth = tower.depth
+    eventual = _images_below(tower, depth)
+    # stabilization[n0 - 1] = least m >= n0 with p_{n0 m}(X_m) == p_{n0 D}(X_D),
+    # found by one downward pass from each top level m in turn
+    stabilization: list[int | None] = [None] * depth
+    for m in range(1, depth + 1):
+        images = _images_below(tower, m) if m < depth else eventual
+        for n0, image in enumerate(images, start=1):
+            if stabilization[n0 - 1] is None and image == eventual[n0 - 1]:
+                stabilization[n0 - 1] = m
     per_level = []
     all_margins_ok = True
     for n0 in range(1, depth):
-        chain = _image_chain(tower, n0)
-        eventual = chain[-1]
-        s = n0 + min(i for i, img in enumerate(chain) if img == eventual)
+        s = stabilization[n0 - 1]
         margin = depth - s
         per_level.append(LevelStabilization(level=n0, stabilization=s, margin=margin))
         if margin < 1:
@@ -338,17 +390,27 @@ def surjective_core(tower: Tower) -> Tower:
     """
     if tower.oracle is not None:
         raise UnsupportedMode("surjective_core works on extensional towers")
-    kept = tower.levels[-1]
-    levels = [kept]
-    bonds = []
-    for n in range(tower.depth - 1, 0, -1):
-        step = tower.bond(n)
-        bond = {x: step[x] for x in kept}
-        image = set(bond.values())
-        kept = tuple(x for x in tower.level(n) if x in image)
-        levels.append(kept)
-        bonds.append(bond)
-    return Tower(levels[::-1], bonds[::-1])
+    return _sub_tower(tower, [sorted(image) for image in _images_below(tower, tower.depth)])
+
+
+def _sub_tower(tower: Tower, kept: Sequence[Sequence[int]]) -> Tower:
+    """The tower on the ascending positions kept[n-1] of X_n, n = 1..len(kept);
+    every kept vertex's parent must be kept as well."""
+    levels, up = [], []
+    where: dict[int, int] = {}
+    for n, positions in enumerate(kept, start=1):
+        if not positions:
+            raise ValidationError(f"level {n} is empty")
+        if n > 1:
+            u = tower.up[n - 2]
+            parents = [where.get(u[i]) for i in positions]
+            if None in parents:
+                raise ValidationError(f"bond {n - 1} leaves level {n - 1}")
+            up.append(parents)
+        ids = tower.levels[n - 1]
+        levels.append([ids[i] for i in positions])
+        where = {i: j for j, i in enumerate(positions)}
+    return Tower._ordered(levels, up)
 
 
 # ---------------------------------------------------------------------------
@@ -386,17 +448,14 @@ class TowerMorphism:
             if not 1 <= p <= source.depth:
                 raise ValidationError(f"phi({i + 1}) = {p} outside 1..{source.depth}")
             q = max(p, norm_phi[-1]) if norm_phi else p
-            lifted = dict(comp)
-            if set(lifted) != set(source.level(p)):
+            if set(comp) != set(source.level(p)):
                 raise ValidationError(f"component {i + 1} is not total on source level {p}")
-            stray = set(lifted.values()) - set(target.level(i + 1))
+            stray = set(comp.values()) - set(target.level(i + 1))
             if stray:
                 raise ValidationError(f"component {i + 1} leaves target level {i + 1}: {sorted(stray)}")
-            if q != p:
-                step = compose_bonding(source, p, q).mapping
-                lifted = {x: lifted[step[x]] for x in source.level(q)}
+            values = _pull_back(source, [comp[x] for x in source.level(p)], p, q)
             norm_phi.append(q)
-            norm_comps.append({x: lifted[x] for x in sorted(lifted, key=natural_key)})
+            norm_comps.append(dict(zip(source.level(q), values)))
 
         witnesses = []
         keep = len(norm_comps)
@@ -460,13 +519,21 @@ def _coherence_witness(
 def _agreement_level(
     source: Tower, a: int, fa: Mapping[str, str], b: int, gb: Mapping[str, str]
 ) -> int | None:
-    """Least m >= max(a, b) within depth with fa . p_{a m} == gb . p_{b m} on X_m, or None."""
-    for m in range(max(a, b), source.depth + 1):
-        down_a = compose_bonding(source, a, m).mapping
-        down_b = compose_bonding(source, b, m).mapping
-        if all(fa[down_a[x]] == gb[down_b[x]] for x in source.level(m)):
-            return m
-    return None
+    """Least m >= max(a, b) within depth with fa . p_{a m} == gb . p_{b m} on X_m, or None.
+
+    Both sides are value lists over the positions of X_m, carried up one
+    level at a time."""
+    m = max(a, b)
+    va = _pull_back(source, [fa[x] for x in source.levels[a - 1]], a, m)
+    vb = _pull_back(source, [gb[x] for x in source.levels[b - 1]], b, m)
+    while va != vb:
+        if m == source.depth:
+            return None
+        u = source.up[m - 1]
+        va = [va[i] for i in u]
+        vb = [vb[i] for i in u]
+        m += 1
+    return m
 
 
 def identity_morphism(tower: Tower) -> TowerMorphism:
@@ -560,14 +627,17 @@ def levelize_morphism(f: TowerMorphism) -> Levelization:
         indices.append(nxt)
     k_max = len(indices)
     new_levels = [source.level(n) for n in indices]
-    new_bonds = [compose_bonding(source, indices[k], indices[k + 1]).mapping for k in range(k_max - 1)]
-    reindexed = Tower(new_levels, new_bonds)
+    new_up = [
+        _pull_back(source, range(len(source.level(n))), n, n_next)
+        for n, n_next in zip(indices, indices[1:])
+    ]
+    reindexed = Tower._ordered(new_levels, new_up)
 
     level_comps = []
     for k in range(1, k_max + 1):
-        down = compose_bonding(source, f.phi_at(k), indices[k - 1]).mapping
-        fk = f.component(k)
-        level_comps.append({x: fk[down[x]] for x in reindexed.level(k)})
+        p, fk = f.phi_at(k), f.component(k)
+        values = _pull_back(source, [fk[x] for x in source.level(p)], p, indices[k - 1])
+        level_comps.append(dict(zip(reindexed.level(k), values)))
     level = TowerMorphism(reindexed, target, list(range(1, k_max + 1)), level_comps)
 
     iso_in = TowerMorphism(

@@ -17,10 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import IndexOutOfRange, ValidationError, VertexNotFound
-from .towers import Tower, surjective_core
+from .towers import Tower, _sub_tower, surjective_core
 
 Vertex = tuple[int, str]
 
@@ -30,14 +30,17 @@ ROOT: Vertex = (0, "root")
 class RootedTree:
     """A finite rooted tree: the levels and bonds of a tower plus a root.
 
-    tower is the tower the tree indexes (None for the bare root).  parent
-    maps every non-root vertex (n, x) to (n - 1, p_{n-1}(x)), or to the
-    implicit root (0, "root") at level 1; levels and children follow the
-    tower's order.  Instances are immutable; equality compares the parent
-    map and the oracle annotations.
+    tower is the tower the tree indexes (None for the bare root), and the
+    tree reads its parent positions: levels[n] lists the vertices (n, x)
+    for x in X_n in the tower's order, and parent maps each of them to
+    (n - 1, p_{n-1}(x)), or to the implicit root (0, "root") at level 1.
+    children is built on first use.  Instances are immutable; equality
+    compares the parent map and the oracle annotations.
     """
 
-    __slots__ = ("tower", "parent", "children", "levels", "depth", "core_hint", "fringe_unbounded")
+    __slots__ = (
+        "tower", "parent", "levels", "depth", "core_hint", "fringe_unbounded", "_hint", "_children"
+    )
 
     def __init__(
         self,
@@ -57,37 +60,68 @@ class RootedTree:
             ids[lv - 1].append(x)
             if lv > 1:
                 bonds[lv - 2][x] = p[1]
+        tower = Tower(ids, bonds) if depth else None
+        hint = None
         if core_hint is not None:
             stray = set(core_hint) - parent.keys()
             if stray:
                 raise ValidationError(f"core hint names unknown vertices: {stray}")
-        self._index(Tower(ids, bonds) if depth else None, core_hint, fringe_unbounded)
+            top = max((v[0] for v in core_hint), default=0)
+            hint = [
+                [i for i, x in enumerate(tower.levels[n - 1]) if (n, x) in core_hint]
+                for n in range(1, top + 1)
+            ]
+        self._index(tower, core_hint, hint, fringe_unbounded)
 
     def _index(
-        self, tower: Tower | None, core_hint: frozenset[Vertex] | None, fringe_unbounded: bool
+        self,
+        tower: Tower | None,
+        core_hint: frozenset[Vertex] | None,
+        hint: list[list[int]] | None,
+        fringe_unbounded: bool,
     ) -> None:
-        """Vertices, parents and children of the tower's levels and bonds, in its order."""
+        """Vertices and parents of the tower's levels, read off its parent positions.
+
+        hint[n-1] lists the positions in X_n of core_hint's level-n vertices."""
         parent: dict[Vertex, Vertex] = {}
-        children: dict[Vertex, list[Vertex]] = {ROOT: []}
         levels: dict[int, tuple[Vertex, ...]] = {0: (ROOT,)}
-        above: dict[str, Vertex] = {}
+        above: tuple[Vertex, ...] = (ROOT,)
         for n, ids in enumerate(tower.levels if tower is not None else (), start=1):
-            here = {x: (n, x) for x in ids}
-            bond = tower.bonds[n - 2] if n > 1 else None
-            for x, v in here.items():
-                p = above[bond[x]] if bond is not None else ROOT
-                parent[v] = p
-                children[p].append(v)
-                children[v] = []
-            levels[n] = tuple(here.values())
+            here = tuple([(n, x) for x in ids])
+            if n == 1:
+                parent.update(dict.fromkeys(here, ROOT))
+            else:
+                parent.update(zip(here, map(above.__getitem__, tower.up[n - 2])))
+            levels[n] = here
             above = here
         self.tower = tower
         self.parent = parent
-        self.children = {v: tuple(cs) for v, cs in children.items()}
         self.levels = levels
         self.depth = len(levels) - 1
         self.core_hint = core_hint
         self.fringe_unbounded = fringe_unbounded
+        self._hint = hint
+        self._children = None
+
+    def parent_positions(self, n: int) -> Sequence[int]:
+        """For each vertex of levels[n], n >= 1, the position of its parent in levels[n - 1]."""
+        if n == 1:
+            return (0,) * len(self.levels[1])
+        return self.tower.up[n - 2]
+
+    @property
+    def children(self) -> dict[Vertex, tuple[Vertex, ...]]:
+        """Each vertex's children, in level order."""
+        if self._children is None:
+            children: dict[Vertex, tuple[Vertex, ...]] = {}
+            for n in range(self.depth + 1):
+                kids: list[list[Vertex]] = [[] for _ in self.levels[n]]
+                if n < self.depth:
+                    for v, j in zip(self.levels[n + 1], self.parent_positions(n + 1)):
+                        kids[j].append(v)
+                children.update(zip(self.levels[n], map(tuple, kids)))
+            self._children = children
+        return self._children
 
     @property
     def vertices(self) -> tuple[Vertex, ...]:
@@ -133,16 +167,21 @@ class RootedTree:
             out.append(self.parent[out[-1]])
         return tuple(reversed(out))
 
+    def _shape(self) -> tuple:
+        """Sorted levels and parent positions: equal exactly when the parent maps are."""
+        t = self.tower
+        return (t.levels, t.up) if t is not None else ((), ())
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, RootedTree)
-            and self.parent == other.parent
+            and self._shape() == other._shape()
             and self.core_hint == other.core_hint
             and self.fringe_unbounded == other.fringe_unbounded
         )
 
     def __hash__(self):
-        return hash((frozenset(self.parent.items()), self.core_hint, self.fringe_unbounded))
+        return hash((self._shape(), self.core_hint, self.fringe_unbounded))
 
     def __repr__(self) -> str:
         return f"RootedTree(depth={self.depth}, vertices={len(self.parent) + 1})"
@@ -208,17 +247,16 @@ class Branch:
 
 def tree_of_tower(tower: Tower) -> RootedTree:
     """Vertices (n, x) for x in X_n; parents follow the bonds; root below X_1."""
-    core_hint = None
+    core_hint = hint = None
     fringe = False
     if tower.oracle is not None:
+        hint = [tower.oracle.forever_extendable(ids) for ids in tower.levels]
         core_hint = frozenset(
-            (n, x)
-            for n in range(1, tower.depth + 1)
-            for x in tower.oracle.forever_extendable(tower.level(n))
+            (n, ids[i]) for n, (ids, kept) in enumerate(zip(tower.levels, hint), start=1) for i in kept
         )
         fringe = not tower.oracle.ml_holds()
     tree = RootedTree.__new__(RootedTree)
-    tree._index(tower, core_hint, fringe)
+    tree._index(tower, core_hint, hint, fringe)
     return tree
 
 
@@ -230,7 +268,7 @@ def tower_of_tree(tree: RootedTree) -> Tower:
     if tree.depth < 1:
         raise ValidationError("a tower needs at least one level of vertices")
     tower = tree.tower
-    return tower if tower.oracle is None else Tower(tower.levels, tower.bonds)
+    return tower if tower.oracle is None else Tower._ordered(tower.levels, tower.up)
 
 
 def sphere(tree: RootedTree, n: int) -> tuple[Vertex, ...]:
@@ -259,8 +297,11 @@ def max_geodesic_subtree(tree: RootedTree) -> RootedTree:
     With an oracle hint the genuine forever-extendable core is used instead
     of the depth-D proxy.
     """
-    if tree.core_hint is not None:
-        return RootedTree({v: p for v, p in tree.parent.items() if v in tree.core_hint})
+    if tree._hint is not None:
+        hint = tree._hint
+        while hint and not hint[-1]:
+            hint = hint[:-1]
+        return tree_of_tower(_sub_tower(tree.tower, hint)) if hint else RootedTree({})
     if tree.tower is None:
         return tree
     return tree_of_tower(surjective_core(tree.tower))

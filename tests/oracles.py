@@ -43,6 +43,56 @@ def brute_stabilization(tower, n):
     raise AssertionError("unreachable: the last level is its own image")
 
 
+def brute_agreement_level(tower, a, fa, b, gb):
+    """Least m >= max(a, b) with fa . p_{a m} == gb . p_{b m} on X_m, or
+    None: both composites walked afresh from the bond dicts at every m."""
+    for m in range(max(a, b), tower.depth + 1):
+        down_a, down_b = brute_composite(tower, a, m), brute_composite(tower, b, m)
+        if all(fa[down_a[x]] == gb[down_b[x]] for x in tower.level(m)):
+            return m
+    return None
+
+
+def brute_coherence_witnesses(f):
+    """Least m per consecutive pair with f_n . p_{Phi(n) m} == q_n . f_{n+1} . p_{Phi(n+1) m}."""
+    out = []
+    for n in range(1, f.defined_upto):
+        q = f.target.bond(n)
+        after = {x: q[y] for x, y in f.component(n + 1).items()}
+        out.append(brute_agreement_level(f.source, f.phi_at(n), f.component(n), f.phi_at(n + 1), after))
+    return tuple(out)
+
+
+def brute_equivalence_witnesses(f, g):
+    """Per-level agreement levels of f and g up to the shorter of the two."""
+    return tuple(
+        brute_agreement_level(f.source, f.phi_at(n), f.component(n), g.phi_at(n), g.component(n))
+        for n in range(1, min(f.defined_upto, g.defined_upto) + 1)
+    )
+
+
+def brute_lift(tower, comp, p, q):
+    """A component on X_p precomposed with p_{p q}, as a dict on X_q."""
+    return {x: comp[y] for x, y in brute_composite(tower, p, q).items()}
+
+
+def brute_levelization(f):
+    """levelize_morphism's data: the reindexing levels, the reindexed
+    source's bonds and the level components, all from composed bond dicts."""
+    source = f.source
+    indices = [f.phi_at(1)]
+    for k in range(1, f.defined_upto):
+        nxt = max(indices[-1] + 1, f.witnesses[k - 1])
+        if nxt > source.depth:
+            break
+        indices.append(nxt)
+    bonds = [brute_composite(source, n, m) for n, m in zip(indices, indices[1:])]
+    comps = [
+        brute_lift(source, f.component(k), f.phi_at(k), n) for k, n in enumerate(indices, start=1)
+    ]
+    return indices, bonds, comps
+
+
 def ahu_canon(tree, v=ROOT):
     """Canonical form of the rooted tree below v; equal iff isomorphic."""
     return tuple(sorted(ahu_canon(tree, c) for c in tree.children_of(v)))

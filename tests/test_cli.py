@@ -151,3 +151,18 @@ def test_gen_rejects_bad_parameters():
     assert "error:" in err
     code, _, err = run(["gen", "nonretract", "--count", "0"])
     assert code == 2
+
+
+def test_analyze_rejects_booleans_and_oversized_generators(tmp_path):
+    specs = [
+        {"generator": "solenoid", "primes": [True], "window": 3, "depth": True},
+        {"generator": "solenoid", "primes": [2], "window": 10**9, "depth": 3},
+        {"generator": "solenoid", "primes": [1], "window": 3, "depth": 10**9},
+    ]
+    for i, spec in enumerate(specs):
+        path = tmp_path / f"gen{i}.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        code, out, err = run(["analyze", str(path)])
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith("error:")

@@ -1,9 +1,12 @@
 """Text formats: towers, morphisms, distance matrices, group towers."""
 
+import copy
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from towertree import (
     GRID,
@@ -32,6 +35,7 @@ from towertree import (
     rational_space,
     windowed_solenoid_tower,
 )
+from towertree.formats import MAX_GENERATOR_IDS
 
 
 def test_tower_roundtrip_extensional(two_branch_tower):
@@ -89,6 +93,111 @@ def test_parse_morphism_rejects_mismatched_tables(two_branch_tower):
     text = json.dumps({"phi": [1], "components": [{"zzz": "a"}]})
     with pytest.raises(ParseError):
         parse_morphism(text, t, t)
+
+
+def test_parsers_reject_booleans_for_integers(two_branch_tower):
+    good = {"generator": "solenoid", "primes": [2], "window": 3, "depth": 2}
+    assert parse_tower(json.dumps(good)).depth == 2
+    for key, bad in (("primes", [True]), ("primes", [2, False]), ("window", True), ("depth", True)):
+        with pytest.raises(ParseError, match="integer"):
+            parse_tower(json.dumps({**good, key: bad}))
+    with pytest.raises(ParseError, match="integer"):
+        parse_tower(json.dumps({**good, "primes": [True], "depth": True}))
+    with pytest.raises(ParseError, match="integer"):
+        parse_tower(json.dumps({"depth": True, "levels": [["a"]], "bonds": []}))
+    t = two_branch_tower
+    for phi in ([True, 3], [1, 3.0]):
+        text = json.dumps({"phi": phi, "components": [{"a": "a"}, {"c1": "b1"}]})
+        with pytest.raises(ParseError, match="integers"):
+            parse_morphism(text, t, t)
+
+
+def test_generator_size_is_bounded_before_building():
+    # each of these would materialize at least 10^9 ids if it were built
+    for spec in (
+        {"primes": [2], "window": 10**9, "depth": 3},
+        {"primes": [1], "window": 3, "depth": 10**9},
+        {"primes": [1], "window": 2**18, "depth": 2},  # 2 levels of 2^19 + 1 ids
+    ):
+        with pytest.raises(ParseError, match=f"more than {MAX_GENERATOR_IDS} ids"):
+            parse_tower(json.dumps({"generator": "solenoid", **spec}))
+    big = {"generator": "solenoid", "primes": [2], "window": 2**16, "depth": 17}
+    assert sum(len(level) for level in parse_tower(json.dumps(big)).levels) == 262_159
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-3, max_value=12) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=10,
+)
+
+_FUZZ_BASES = [
+    {"depth": 3, "levels": [["a"], ["b1", "b2"], ["c1"]], "bonds": [{"b1": "a", "b2": "a"}, {"c1": "b1"}]},
+    json.loads(emit_tower(gen_random_tower(3, depth=4, max_level_size=3))),
+    {"generator": "solenoid", "primes": [2, 3], "window": 9, "depth": 3},
+]
+
+
+def _nodes(doc, path=()):
+    """Paths to every node of a JSON document, the root first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in items:
+        yield from _nodes(child, path + (key,))
+
+
+def _mutate(doc, data):
+    """Reverse, replace, drop or duplicate one node of doc."""
+    path = data.draw(st.sampled_from(list(_nodes(doc))))
+    if not path:
+        return data.draw(_JSON)
+    *head, key = path
+    parent = doc
+    for k in head:
+        parent = parent[k]
+    action = data.draw(st.sampled_from(["reverse", "retype", "replace", "drop", "duplicate"]))
+    node = parent[key]
+    if action == "reverse":
+        # a level or bond in another order is the same tower; leaves stay
+        if isinstance(node, (list, dict)):
+            parent[key] = node[::-1] if isinstance(node, list) else dict(reversed(node.items()))
+    elif action == "retype":  # a new value of the same JSON type keeps most files well-formed
+        like = {str: st.text(max_size=3), int: st.integers(min_value=-3, max_value=12)}
+        parent[key] = data.draw(like.get(type(node), _JSON))
+    elif action == "replace":
+        parent[key] = data.draw(_JSON)
+    elif action == "drop":
+        del parent[key]
+    elif isinstance(parent, list):
+        parent.append(copy.deepcopy(parent[key]))
+    else:
+        parent[data.draw(st.text(max_size=3))] = copy.deepcopy(parent[key])
+    return doc
+
+
+def _parses_back_or_rejects(doc) -> bool:
+    """parse_tower either raises ParseError or returns t with parse(emit(t)) == t."""
+    try:
+        t = parse_tower(json.dumps(doc))
+    except ParseError:
+        return False
+    assert parse_tower(emit_tower(t)) == t
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON)
+def test_parse_tower_fuzz_json_values(doc):
+    _parses_back_or_rejects(doc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_FUZZ_BASES), st.data())
+def test_parse_tower_fuzz_mutated_files(base, data):
+    doc = copy.deepcopy(base)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        doc = _mutate(doc, data)
+    _parses_back_or_rejects(doc)
 
 
 def test_matrix_roundtrip_grid():

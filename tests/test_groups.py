@@ -389,3 +389,28 @@ def test_isometry_exhaustive_on_random_towers():
         verdict = check_translation_isometry(g)
         assert verdict.valid
         assert verdict.checked == len(limit_threads(g)) ** 3
+
+
+def test_core_iso_builds_the_limit_threads_once(monkeypatch):
+    import towertree.groups as groups
+
+    calls = []
+    real = groups.limit_threads
+    monkeypatch.setattr(groups, "limit_threads", lambda g: calls.append(g) or real(g))
+    built = 0
+    for seed in range(40):
+        g = gen_random_group_tower(seed, depth=4)
+        calls.clear()
+        try:
+            projections = ml_projection_check(g)
+        except NotML:
+            with pytest.raises(NotML):
+                core_iso_construction(g)
+            continue
+        calls.clear()
+        ci = core_iso_construction(g)
+        assert calls == [g]
+        phi = [m for _, m in projections]
+        assert ci.inverse.phi == tuple(max(phi[: n + 1]) for n in range(len(phi)))
+        built += 1
+    assert built >= 10

@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import constant_tower
-from oracles import brute_composite, brute_image, brute_stabilization
+from oracles import (
+    brute_coherence_witnesses,
+    brute_composite,
+    brute_equivalence_witnesses,
+    brute_image,
+    brute_levelization,
+    brute_lift,
+    brute_stabilization,
+)
 
 from towertree import (
     EQUIV_INCONCLUSIVE,
@@ -30,10 +38,15 @@ from towertree import (
     levelize_morphism,
     ml_verdict,
     morphisms_equivalent,
+    max_geodesic_subtree,
     natural_key,
+    random_morphism,
     surjective_core,
+    tower_of_tree,
+    tree_of_tower,
     windowed_solenoid_tower,
 )
+from towertree.report import _truncate
 
 
 def test_natural_key_orders_numeric_suffixes():
@@ -313,3 +326,135 @@ def test_tower_equality_includes_generator(solenoid_p2):
     plain = Tower(solenoid_p2.levels, solenoid_p2.bonds)
     assert plain != solenoid_p2
     assert windowed_solenoid_tower([2], 1024, 11) == solenoid_p2
+
+
+def test_natural_key_reads_only_decimal_runs_as_numbers():
+    # "²" is a digit to str.isdigit but not a decimal, so it stays text
+    assert natural_key("²") == ((1, 0, "²"), (-1, 1, "²"))
+    assert sorted(["x²", "x2", "²"], key=natural_key) == ["x2", "x²", "²"]
+
+
+# ---------------------------------------------------------------------------
+# The stored parent positions and the in-order builders
+
+SMALL_SOLENOIDS = [([2], 64, 6), ([3], 100, 4), ([2, 3], 200, 5), ([1], 4, 4), ([3, 1], 50, 6)]
+
+
+def _random_towers(count=40):
+    return [
+        gen_random_tower(
+            seed, depth=1 + seed % 7, max_level_size=5, surjectivity_bias=(seed % 5) / 4
+        )
+        for seed in range(count)
+    ]
+
+
+def _assert_matches_sorting_path(t):
+    """t equals the public constructor's tower built from reversed input."""
+    ref = Tower(
+        [level[::-1] for level in t.levels],
+        [dict(reversed(bond.items())) for bond in t.bonds],
+        oracle=t.oracle,
+    )
+    assert t == ref
+    assert (t.levels, t.up) == (ref.levels, ref.up)
+    assert [list(b.items()) for b in t.bonds] == [list(b.items()) for b in ref.bonds]
+    assert all(type(x) is str for level in t.levels for x in level)
+    assert all(type(i) is int for u in t.up for i in u)
+
+
+def test_up_holds_the_parent_positions(two_branch_tower):
+    assert two_branch_tower.up == ((0, 0), (0,))
+    t = windowed_solenoid_tower([2], 4, 3)  # -4..4 <- -2..2 <- -1..1
+    assert t.up == ((0, 2, 4, 6, 8), (0, 2, 4))
+    for n in range(1, t.depth):
+        lower, upper = t.level(n), t.level(n + 1)
+        assert t.bond(n) == {upper[i]: lower[j] for i, j in enumerate(t.up[n - 1])}
+
+
+def test_in_order_builders_match_the_sorting_path():
+    for primes in ([2], [3], [2, 3], [1], [5, 1, 2]):
+        for window in (0, 1, 9, 100):
+            for depth in (1, 3, 6):
+                t = windowed_solenoid_tower(primes, window, depth)
+                _assert_matches_sorting_path(t)
+                _assert_matches_sorting_path(_truncate(t, 2))
+                tree = tree_of_tower(t)
+                _assert_matches_sorting_path(tower_of_tree(tree))
+                _assert_matches_sorting_path(max_geodesic_subtree(tree).tower)
+    for seed, t in enumerate(_random_towers()):
+        _assert_matches_sorting_path(surjective_core(t))
+        _assert_matches_sorting_path(max_geodesic_subtree(tree_of_tower(t)).tower)
+        for h in range(1, t.depth + 1):
+            _assert_matches_sorting_path(_truncate(t, h))
+        lz = levelize_morphism(random_morphism(seed, t, t))
+        _assert_matches_sorting_path(lz.source_reindexed)
+
+
+def _chain_towers():
+    return _random_towers() + [windowed_solenoid_tower(*spec) for spec in SMALL_SOLENOIDS]
+
+
+def test_image_chains_match_brute_dict_walk():
+    for t in _chain_towers():
+        rows = [(r.level, r.stabilization, r.margin) for r in ml_verdict(t).per_level]
+        brute = [brute_stabilization(t, n) for n in range(1, t.depth)]
+        assert rows == [(n, s, t.depth - s) for n, s in enumerate(brute, start=1)]
+        for n1 in range(1, t.depth + 1):
+            for n0 in range(1, n1 + 1):
+                image = brute_image(t, n0, n1)
+                for alpha in t.level(n0):
+                    assert is_extendable(t, n0, alpha, n1) == (alpha in image)
+
+
+def _morphism_pairs():
+    """(f, g) with a shared source and target: seeded random pairs, and on
+    each small solenoid its identity against the shift n -> n + 1."""
+    for seed, x in enumerate(_random_towers()):
+        y = gen_random_tower(seed + 500, depth=1 + seed % 5, max_level_size=4)
+        yield random_morphism(seed, x, y), random_morphism(seed + 1, x, y)
+    for spec in SMALL_SOLENOIDS:
+        t = windowed_solenoid_tower(*spec)
+        shift = TowerMorphism(
+            t, t, list(range(2, t.depth + 1)), [t.bond(n) for n in range(1, t.depth)]
+        )
+        yield identity_morphism(t), shift
+        yield shift, random_morphism(7, t, t)
+
+
+def test_morphism_witnesses_match_brute_dict_walk():
+    decided = 0
+    for f, g in _morphism_pairs():
+        for m in (f, g):
+            assert m.witnesses == brute_coherence_witnesses(m)
+            lz = levelize_morphism(m)
+            indices, bonds, comps = brute_levelization(m)
+            assert lz.iso_in.phi == tuple(indices)
+            assert lz.source_reindexed.levels == tuple(m.source.level(n) for n in indices)
+            assert lz.source_reindexed.bonds == tuple(bonds)
+            assert lz.level.components == tuple(comps)
+        verdict = morphisms_equivalent(f, g)
+        brute = brute_equivalence_witnesses(f, g)
+        if verdict.verdict == EQUIVALENT:
+            assert verdict.witnesses == brute
+            decided += 1
+        else:
+            assert verdict.failing_levels == tuple(
+                n for n, w in enumerate(brute, start=1) if w is None
+            )
+    assert decided >= 5
+
+
+def test_phi_normalization_matches_brute_lift():
+    for seed, t in enumerate(_random_towers()):
+        rng = random.Random(seed)
+        # component n is p_{n, phi(n)}, coherent for any phi(n) >= n
+        phi = [rng.randint(n, t.depth) for n in range(1, t.depth + 1)]
+        comps = [brute_composite(t, n, p) for n, p in enumerate(phi, start=1)]
+        f = TowerMorphism(t, t, phi, comps)
+        q = 1
+        for n, p in enumerate(phi, start=1):
+            q = max(q, p)
+            assert f.phi_at(n) == q
+            assert f.component(n) == brute_lift(t, comps[n - 1], p, q)
+            assert list(f.component(n)) == list(t.level(q))

@@ -333,3 +333,12 @@ def test_generator_core_hint_comes_from_the_oracle():
     tree = tree_of_tower(windowed_solenoid_tower([1], 8, 3))
     assert tree.core_hint == frozenset(tree.parent)
     assert not tree.fringe_unbounded
+
+
+def test_children_follow_level_order():
+    for seed in range(20):
+        tree = tree_of_tower(gen_random_tower(seed, depth=2 + seed % 5, max_level_size=5))
+        for n in range(tree.depth + 1):
+            below = tree.levels.get(n + 1, ())
+            for v in tree.levels[n]:
+                assert tree.children_of(v) == tuple(w for w in below if tree.parent[w] == v)
