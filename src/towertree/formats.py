@@ -8,6 +8,7 @@ round-trips: parse(emit(x)) == x.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from .ends import GRID, RATIONAL, UltrametricSpace, grid_space, rational_space
@@ -26,6 +27,10 @@ def _load_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.msg, line=e.lineno, column=e.colno) from None
+    except ValueError as e:  # an integer literal past Python's int/str digit limit
+        raise ParseError(f"number too long: {e}") from None
+    except RecursionError:
+        raise ParseError("JSON nests too deeply") from None
 
 
 def _require(cond: bool, message: str) -> None:
@@ -40,6 +45,33 @@ def _is_int(value) -> bool:
 
 # ---------------------------------------------------------------------------
 # Towers
+
+
+def _check_generator(oracle: SolenoidOracle, depth: int) -> None:
+    """Refuse a generator tower before it is built: its levels may hold at
+    most MAX_GENERATOR_IDS ids, and every number of its ML failure
+    certificate must print within Python's int/str digit limit.  The
+    largest is the last chain entry, alpha = step_product(1, s) with s the
+    first level >= depth whose multiplier exceeds 1."""
+    total = 0
+    for b in oracle.level_bounds(depth):
+        total += 2 * b + 1
+        _require(
+            total <= MAX_GENERATOR_IDS,
+            f"generator tower holds more than {MAX_GENERATOR_IDS} ids",
+        )
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits == 0 or depth < 2 or oracle.ml_holds():
+        return
+    s = depth
+    while oracle.multiplier(s) == 1:
+        s += 1
+    ceiling, alpha = 10**digits, 1
+    for n in range(1, s):
+        alpha *= oracle.multiplier(n)
+        _require(
+            alpha < ceiling, f"its ML failure certificate would hold numbers over {digits} digits"
+        )
 
 
 def parse_tower(text: str) -> Tower:
@@ -59,13 +91,7 @@ def parse_tower(text: str) -> Tower:
         _require(_is_int(window), "window must be an integer")
         _require(_is_int(depth), "depth must be an integer")
         try:
-            total = 0
-            for b in SolenoidOracle(tuple(primes), window).level_bounds(depth):
-                total += 2 * b + 1
-                _require(
-                    total <= MAX_GENERATOR_IDS,
-                    f"generator tower holds more than {MAX_GENERATOR_IDS} ids",
-                )
+            _check_generator(SolenoidOracle(tuple(primes), window), depth)
             return windowed_solenoid_tower(primes, window, depth)
         except TowerTreeError as e:
             raise ParseError(str(e)) from None

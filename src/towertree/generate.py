@@ -20,8 +20,8 @@ from .towers import (
     SolenoidOracle,
     Tower,
     TowerMorphism,
-    _images_below,
     _pull_back,
+    _reach,
     natural_key,
     windowed_solenoid_tower,
 )
@@ -233,7 +233,7 @@ def random_morphism(seed: int, source: Tower, target: Tower) -> TowerMorphism:
             step = rng.randint(0, 1) if rng.random() < 0.7 else rng.randint(0, source.depth)
             phi.append(min(phi[-1] + step, source.depth))
     level1 = target.level(1)
-    deep = [level1[i] for i in sorted(_images_below(target, target.depth)[0])]
+    deep = [x for x, r in zip(level1, _reach(target)[0]) if r == target.depth]
     f1 = {}
     for x in source.level(phi[0]):
         if rng.random() < 0.8:

@@ -30,6 +30,8 @@ from .towers import (
     SolenoidOracle,
     Tower,
     TowerMorphism,
+    _pull_back,
+    _reach,
     ml_verdict,
     natural_key,
 )
@@ -238,9 +240,12 @@ def _check_bond(src: Group, dst: Group, bond: GroupBond, position: int) -> None:
 
 
 class GroupTower:
-    """An inverse sequence of groups with homomorphism bonds."""
+    """An inverse sequence of groups with homomorphism bonds.
 
-    __slots__ = ("levels", "bonds")
+    Every set-level question (threads, images, kernels) is answered on
+    the underlying tower, built once on first use."""
+
+    __slots__ = ("levels", "bonds", "_tower")
 
     def __init__(self, levels: Sequence[Group], bonds: Sequence[GroupBond]):
         if not levels:
@@ -253,6 +258,7 @@ class GroupTower:
             _check_bond(levels[n], levels[n - 1], bond, n)
         self.levels = tuple(levels)
         self.bonds = tuple(bonds)
+        self._tower = None
 
     @property
     def depth(self) -> int:
@@ -267,14 +273,6 @@ class GroupTower:
         if not 1 <= n <= self.depth - 1:
             raise IndexOutOfRange(f"bond {n} not in 1..{self.depth - 1}")
         return self.bonds[n - 1]
-
-    def bond_down(self, n: int, m: int, x: str) -> str:
-        """Apply the composite bond from level m down to level n."""
-        if not 1 <= n <= m <= self.depth:
-            raise IndexOutOfRange(f"need 1 <= n <= m <= {self.depth}")
-        for k in range(m - 1, n - 1, -1):
-            x = self.bonds[k - 1].apply(x)
-        return x
 
     def __eq__(self, other) -> bool:
         return (
@@ -307,23 +305,26 @@ def _is_scaling_tower(g: GroupTower) -> bool:
 
 def underlying_tower(g: GroupTower) -> Tower:
     """Forget the group structure; windowed scaling towers keep their
-    divisibility oracle so ML verdicts stay exact.
+    divisibility oracle so ML verdicts stay exact.  Built on the first
+    call and kept on g; group elements are already in natural_key order.
 
     The oracle extends the observed scale factors cyclically by their
     shortest period, and is attached only when every window bound agrees
     with what that pattern dictates."""
-    levels = [grp.elements for grp in g.levels]
-    bonds = []
-    for n in range(1, g.depth):
-        bond = g.bond(n)
-        bonds.append({x: bond.apply(x) for x in g.level(n + 1).elements})
-    oracle = None
-    if _is_scaling_tower(g):
-        factors = _minimal_period(tuple(b.k for b in g.bonds) or (1,))
-        candidate = SolenoidOracle(primes=factors, window=g.level(1).bound)
-        if [grp.bound for grp in g.levels] == list(candidate.level_bounds(g.depth)):
-            oracle = candidate
-    return Tower(levels, bonds, oracle=oracle)
+    if g._tower is None:
+        oracle = None
+        if _is_scaling_tower(g):
+            factors = _minimal_period(tuple(b.k for b in g.bonds) or (1,))
+            candidate = SolenoidOracle(primes=factors, window=g.level(1).bound)
+            if [grp.bound for grp in g.levels] == list(candidate.level_bounds(g.depth)):
+                oracle = candidate
+        levels = [grp.elements for grp in g.levels]
+        up = []
+        for bond, src, dst in zip(g.bonds, levels[1:], levels):
+            where = {x: i for i, x in enumerate(dst)}
+            up.append([where[bond.apply(x)] for x in src])
+        g._tower = Tower._ordered(levels, up, oracle)
+    return g._tower
 
 
 # ---------------------------------------------------------------------------
@@ -344,22 +345,19 @@ class Thread:
 
 
 def limit_threads(g: GroupTower) -> tuple[Thread, ...]:
-    """All threads.  A table thread is determined by its deepest entry; a
-    windowed scaling tower consults its oracle instead, because only
-    forever-divisible entries survive the untruncated tower."""
-    if _is_scaling_tower(g):
-        factors = [b.k for b in g.bonds]
-        if any(k > 1 for k in factors):
-            zero = Thread(entries=tuple("0" for _ in range(g.depth)), tower=g)
-            return (zero,)
-        top = g.level(g.depth)
-        return tuple(
-            Thread(entries=tuple(z for _ in range(g.depth)), tower=g) for z in top.elements
-        )
-    threads = []
-    for x in g.level(g.depth).elements:
-        entries = tuple(g.bond_down(n, g.depth, x) for n in range(1, g.depth + 1))
-        threads.append(Thread(entries=entries, tower=g))
+    """All threads.  A thread is determined by its deepest entry; a tower
+    with a divisibility oracle keeps only the deepest entries that extend
+    to every level of the untruncated tower."""
+    tower = underlying_tower(g)
+    positions = range(len(tower.levels[-1]))
+    if tower.oracle is not None:
+        positions = tower.oracle.forever_extendable(tower.levels[-1])
+    down = [positions]
+    for u in reversed(tower.up):
+        positions = [u[i] for i in positions]
+        down.append(positions)
+    columns = [map(ids.__getitem__, p) for ids, p in zip(tower.levels, reversed(down))]
+    threads = [Thread(entries=entries, tower=g) for entries in zip(*columns)]
     return tuple(sorted(threads, key=lambda t: tuple(natural_key(e) for e in t.entries)))
 
 
@@ -485,14 +483,6 @@ def identity_group_morphism(g: GroupTower) -> GroupLevelMorphism:
     return GroupLevelMorphism(g, g, comps)
 
 
-def _kernel(src: Group, hom: GroupBond, unit: str) -> frozenset[str]:
-    return frozenset(x for x in src.elements if hom.apply(x) == unit)
-
-
-def _image(src: Group, hom: GroupBond) -> frozenset[str]:
-    return frozenset(hom.apply(x) for x in src.elements)
-
-
 @dataclass(frozen=True)
 class ConditionReport:
     """Per-level witnesses for a kernel/image containment condition.
@@ -513,41 +503,41 @@ class ConditionReport:
 
 
 def check_condition_M(m: GroupLevelMorphism) -> ConditionReport:
-    """(M): for each n some m >= n has Ker(f_m) contained in Ker(p_{nm})."""
-    horizon = m.defined_upto
+    """(M): for each n some m >= n has Ker(f_m) contained in Ker(p_{nm}).
+
+    Ker(p_{nm}) is read on the source's underlying tower: the unit flags
+    of level n, pulled back one level at a time."""
+    source = underlying_tower(m.source)
+    kernels = [
+        [f.apply(x) == m.target.level(k).unit for x in source.levels[k - 1]]
+        for k, f in enumerate(m.components, start=1)
+    ]
     witnesses = []
-    for n in range(1, horizon + 1):
-        found = None
-        for mm in range(n, horizon + 1):
-            ker_f = _kernel(m.source.level(mm), m.component(mm), m.target.level(mm).unit)
-            ker_p = frozenset(
-                x for x in m.source.level(mm).elements
-                if m.source.bond_down(n, mm, x) == m.source.level(n).unit
-            )
-            if ker_f <= ker_p:
-                found = mm
+    for n in range(1, m.defined_upto + 1):
+        unit = m.source.level(n).unit
+        ker_p = [x == unit for x in source.levels[n - 1]]
+        for mm, ker_f in enumerate(kernels[n - 1 :], start=n):
+            if all(p or not f for f, p in zip(ker_f, ker_p)):
+                witnesses.append((n, mm))
                 break
-        if found is None:
+            ker_p = _pull_back(source, ker_p, mm, mm + 1)
+        else:
             return ConditionReport(kind="M", witnesses=tuple(witnesses), violation=n)
-        witnesses.append((n, found))
     return ConditionReport(kind="M", witnesses=tuple(witnesses))
 
 
 def check_condition_E(m: GroupLevelMorphism) -> ConditionReport:
-    """(E): for each n some m >= n has Im(q_{nm}) contained in Im(f_n)."""
-    horizon = m.defined_upto
+    """(E): for each n some m >= n has Im(q_{nm}) contained in Im(f_n).
+
+    Im(q_{nm}) is {reach >= m} on the target's underlying tower, so the
+    least such m is one past the deepest reach outside Im(f_n)."""
+    target = underlying_tower(m.target)
     witnesses = []
-    for n in range(1, horizon + 1):
-        im_f = _image(m.source.level(n), m.component(n))
-        found = None
-        for mm in range(n, m.target.depth + 1):
-            im_q = frozenset(
-                m.target.bond_down(n, mm, x) for x in m.target.level(mm).elements
-            )
-            if im_q <= im_f:
-                found = mm
-                break
-        if found is None:
+    for n, (f, reach) in enumerate(zip(m.components, _reach(target)), start=1):
+        image = set(map(f.apply, m.source.level(n).elements))
+        outside = (r for x, r in zip(target.levels[n - 1], reach) if x not in image)
+        found = 1 + max(outside, default=n - 1)
+        if found > target.depth:
             return ConditionReport(kind="E", witnesses=tuple(witnesses), violation=n)
         witnesses.append((n, found))
     return ConditionReport(kind="E", witnesses=tuple(witnesses))
@@ -576,34 +566,14 @@ def is_group_tower_iso(m: GroupLevelMorphism) -> IsoVerdict:
 
 def ml_projection_check(g: GroupTower) -> tuple[tuple[int, int], ...]:
     """For each n the least m with p_{nm}(G_m) = pi_n(lim G), requiring an
-    ML verdict of Holds first."""
-    _require_ml(g)
-    return _projection_witnesses(g, limit_threads(g))
+    ML verdict of Holds first.
 
-
-def _require_ml(g: GroupTower) -> None:
+    The threads of a truncated tower project onto the eventual images
+    p_{nD}(G_D), so the table is the ML stabilization plus (D, D)."""
     report = ml_verdict(underlying_tower(g))
     if report.verdict != HOLDS:
         raise NotML(f"ml verdict is {report.verdict}, projection lemma needs holds")
-
-
-def _projection_witnesses(
-    g: GroupTower, threads: tuple[Thread, ...]
-) -> tuple[tuple[int, int], ...]:
-    """ml_projection_check's table, from the limit threads of g."""
-    out = []
-    for n in range(1, g.depth + 1):
-        pi_n = frozenset(t.at(n) for t in threads)
-        found = None
-        for m in range(n, g.depth + 1):
-            image = frozenset(g.bond_down(n, m, x) for x in g.level(m).elements)
-            if image == pi_n:
-                found = m
-                break
-        if found is None:
-            raise NotML(f"no projection witness at level {n} within depth")
-        out.append((n, found))
-    return tuple(out)
+    return tuple((r.level, r.stabilization) for r in report.per_level) + ((g.depth, g.depth),)
 
 
 @dataclass(frozen=True)
@@ -617,9 +587,8 @@ class CoreIso:
 
 
 def core_iso_construction(g: GroupTower) -> CoreIso:
-    _require_ml(g)
+    projections = ml_projection_check(g)
     threads = limit_threads(g)
-    projections = _projection_witnesses(g, threads)
     core_levels: list[Group] = []
     for n in range(1, g.depth + 1):
         pi_n = sorted({t.at(n) for t in threads}, key=natural_key)
@@ -645,10 +614,10 @@ def core_iso_construction(g: GroupTower) -> CoreIso:
     source_under = underlying_tower(g)
     core_under = underlying_tower(core)
     phi = [m for _, m in projections]
-    comps = []
-    for n in range(1, g.depth + 1):
-        m = phi[n - 1]
-        comps.append({x: g.bond_down(n, m, x) for x in g.level(m).elements})
+    comps = [
+        dict(zip(source_under.levels[m - 1], _pull_back(source_under, ids, n, m)))
+        for n, (ids, m) in enumerate(zip(source_under.levels, phi), start=1)
+    ]
     inverse = TowerMorphism(source_under, core_under, phi, comps)
     return CoreIso(core=core, inclusion=inclusion, inverse=inverse)
 

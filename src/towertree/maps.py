@@ -434,14 +434,14 @@ def retraction_map(tree: RootedTree) -> Retraction:
         images.update(zip(tree.levels[n], here))
         above = here
     rmap = TreeMap._built(tree, core, images)
-    rep = properness_witness(rmap)
-    if tree.fringe_unbounded:
-        rep = PropernessReport(
-            table=(),
-            total_upto=0,
-            failure_level=1,
-            source_depth=rep.source_depth,
-            target_depth=rep.target_depth,
-            oracle_override=True,
-        )
+    if not tree.fringe_unbounded:
+        return Retraction(map=rmap, properness=properness_witness(rmap))
+    rep = PropernessReport(
+        table=(),
+        total_upto=0,
+        failure_level=1,
+        source_depth=tree.depth,
+        target_depth=core.depth,
+        oracle_override=True,
+    )
     return Retraction(map=rmap, properness=rep)

@@ -49,16 +49,20 @@ def natural_key(s: str):
     the same ("1" and "01", "p2" and "p02") fall back to length, then to the
     raw string, so the order is total and never depends on input order.  The
     tie-break is one last part that sorts below every run, so an id still
-    comes before the ids it is a prefix of.
+    comes before the ids it is a prefix of.  An id with a decimal run longer
+    than int() reads raises ValidationError.
     """
     try:
         parts = ((0, int(s), ""),)
     except ValueError:
-        parts = tuple(
-            (0, int(part), "") if part.isdecimal() else (1, 0, part)
-            for part in re.split(r"(\d+)", s)
-            if part
-        )
+        try:
+            parts = tuple(
+                (0, int(part), "") if part.isdecimal() else (1, 0, part)
+                for part in re.split(r"(\d+)", s)
+                if part
+            )
+        except ValueError:  # a run past Python's int/str digit limit
+            raise ValidationError(f"id {s[:20]}... has a decimal run too long to read") from None
     return parts + ((-1, len(s), s),)
 
 
@@ -304,15 +308,18 @@ def _pull_back(tower: Tower, values: Sequence, n: int, m: int) -> Sequence:
     return values
 
 
-def _images_below(tower: Tower, m: int, n: int = 1) -> list[set[int]]:
-    """One downward pass from X_m: entry k - n is p_{k m}(X_m) as positions
-    in X_k, for k = n..m."""
-    image = set(range(len(tower.levels[m - 1])))
-    out = [image]
-    for u in reversed(tower.up[n - 1 : m - 1]):
-        image = {u[i] for i in image}
-        out.append(image)
-    return out[::-1]
+def _reach(tower: Tower) -> list[list[int]]:
+    """reach[n-1][i] is the deepest m with X_n[i] in p_{n m}(X_m), so
+    p_{n m}(X_m) is {reach >= m}: one pass from the deepest level to level 1."""
+    depth = tower.depth
+    reach = [[depth] * len(tower.levels[-1])]
+    for n in range(depth - 1, 0, -1):
+        here = [n] * len(tower.levels[n - 1])
+        for i, r in zip(tower.up[n - 1], reach[-1]):
+            if r > here[i]:
+                here[i] = r
+        reach.append(here)
+    return reach[::-1]
 
 
 def compose_bonding(tower: Tower, n: int, m: int) -> BondComposite:
@@ -326,7 +333,7 @@ def compose_bonding(tower: Tower, n: int, m: int) -> BondComposite:
 def is_extendable(tower: Tower, n0: int, alpha: str, n1: int) -> bool:
     """Does alpha in X_{n0} lie in the image of X_{n1}?
 
-    Extensional towers answer by exhaustive preimage search and require
+    Extensional towers answer from the reach of alpha and require
     n1 <= depth.  Generator towers answer by divisibility for any n1 >= n0.
     """
     if not 1 <= n0 <= tower.depth:
@@ -339,7 +346,7 @@ def is_extendable(tower: Tower, n0: int, alpha: str, n1: int) -> bool:
         return tower.oracle.is_extendable(n0, int(alpha), n1)
     if n1 > tower.depth:
         raise IndexOutOfRange(f"level {n1} beyond depth {tower.depth} needs a generator oracle")
-    return tower.levels[n0 - 1].index(alpha) in _images_below(tower, n1, n0)[0]
+    return _reach(tower)[n0 - 1][tower.levels[n0 - 1].index(alpha)] >= n1
 
 
 def ml_verdict(tower: Tower) -> MLReport:
@@ -351,23 +358,12 @@ def ml_verdict(tower: Tower) -> MLReport:
     certificate from a generator tower.
     """
     depth = tower.depth
-    eventual = _images_below(tower, depth)
-    # stabilization[n0 - 1] = least m >= n0 with p_{n0 m}(X_m) == p_{n0 D}(X_D),
-    # found by one downward pass from each top level m in turn
-    stabilization: list[int | None] = [None] * depth
-    for m in range(1, depth + 1):
-        images = _images_below(tower, m) if m < depth else eventual
-        for n0, image in enumerate(images, start=1):
-            if stabilization[n0 - 1] is None and image == eventual[n0 - 1]:
-                stabilization[n0 - 1] = m
     per_level = []
-    all_margins_ok = True
-    for n0 in range(1, depth):
-        s = stabilization[n0 - 1]
-        margin = depth - s
-        per_level.append(LevelStabilization(level=n0, stabilization=s, margin=margin))
-        if margin < 1:
-            all_margins_ok = False
+    for n0, reach in enumerate(_reach(tower)[:-1], start=1):
+        # p_{n0 m}(X_m) = {reach >= m} reaches its eventual value {reach = D}
+        # one level past the deepest reach short of D
+        s = 1 + max((r for r in reach if r < depth), default=n0 - 1)
+        per_level.append(LevelStabilization(level=n0, stabilization=s, margin=depth - s))
     per_level = tuple(per_level)
 
     if tower.oracle is not None and not tower.oracle.ml_holds():
@@ -377,7 +373,7 @@ def ml_verdict(tower: Tower) -> MLReport:
             chain_rows.append((n1, alpha, fails_at))
         witness = MLFailure(level=1, chain=tuple(chain_rows))
         return MLReport(verdict=FAILS, per_level=per_level, witness=witness)
-    if all_margins_ok:
+    if all(row.margin >= 1 for row in per_level):
         return MLReport(verdict=HOLDS, per_level=per_level)
     return MLReport(verdict=INCONCLUSIVE, per_level=per_level)
 
@@ -385,12 +381,15 @@ def ml_verdict(tower: Tower) -> MLReport:
 def surjective_core(tower: Tower) -> Tower:
     """Replace each level by the eventual image p_{n D}(X_D), restrict bonds.
 
-    One downward pass: E_D = X_D and E_n = p_n(E_{n+1}).  All bonds of the
-    result are surjective; the operation is idempotent.
+    The eventual image is {reach = D}.  All bonds of the result are
+    surjective; the operation is idempotent.
     """
     if tower.oracle is not None:
         raise UnsupportedMode("surjective_core works on extensional towers")
-    return _sub_tower(tower, [sorted(image) for image in _images_below(tower, tower.depth)])
+    depth = tower.depth
+    return _sub_tower(
+        tower, [[i for i, r in enumerate(reach) if r == depth] for reach in _reach(tower)]
+    )
 
 
 def _sub_tower(tower: Tower, kept: Sequence[Sequence[int]]) -> Tower:

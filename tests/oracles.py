@@ -388,3 +388,60 @@ def brute_table_rejection(elements, table):
                 if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
                     return f"associativity fails at ({a}, {b}, {c})"
     return None
+
+
+def _bond_down(g, n, m, x):
+    """x in level m of a group tower, carried down to level n by .apply."""
+    for k in range(m - 1, n - 1, -1):
+        x = g.bond(k).apply(x)
+    return x
+
+
+def brute_condition_M(m):
+    """(M) by kernel sets: (witnesses, violating level or None)."""
+    witnesses = []
+    for n in range(1, m.defined_upto + 1):
+        for mm in range(n, m.defined_upto + 1):
+            level, unit = m.source.level(mm), m.target.level(mm).unit
+            ker_f = {x for x in level.elements if m.component(mm).apply(x) == unit}
+            ker_p = {
+                x for x in level.elements
+                if _bond_down(m.source, n, mm, x) == m.source.level(n).unit
+            }
+            if ker_f <= ker_p:
+                witnesses.append((n, mm))
+                break
+        else:
+            return tuple(witnesses), n
+    return tuple(witnesses), None
+
+
+def brute_condition_E(m):
+    """(E) by image sets: (witnesses, violating level or None)."""
+    witnesses = []
+    for n in range(1, m.defined_upto + 1):
+        im_f = {m.component(n).apply(x) for x in m.source.level(n).elements}
+        for mm in range(n, m.target.depth + 1):
+            im_q = {_bond_down(m.target, n, mm, x) for x in m.target.level(mm).elements}
+            if im_q <= im_f:
+                witnesses.append((n, mm))
+                break
+        else:
+            return tuple(witnesses), n
+    return tuple(witnesses), None
+
+
+def brute_projection(g):
+    """Per level n the least m whose image p_{nm}(G_m) is the set of thread
+    entries at n, or None when some level has none within depth."""
+    threads = limit_threads(g)
+    table = []
+    for n in range(1, g.depth + 1):
+        pi_n = {t.at(n) for t in threads}
+        for m in range(n, g.depth + 1):
+            if {_bond_down(g, n, m, x) for x in g.level(m).elements} == pi_n:
+                table.append((n, m))
+                break
+        else:
+            return None
+    return tuple(table)

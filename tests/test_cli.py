@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 
+import pytest
+
 from towertree import emit_tower, parse_report, parse_tower
 from towertree.cli import EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, EXIT_PROPERTY, main
 
@@ -166,3 +168,30 @@ def test_analyze_rejects_booleans_and_oversized_generators(tmp_path):
         assert code == EXIT_PARSE
         assert out == ""
         assert err.startswith("error:")
+
+
+LONG_RUN = "1" * 5000  # past Python's default 4,300-digit int/str limit
+# The nesting case passes the interpreter's recursion limit in json.loads.
+
+
+@pytest.mark.parametrize(
+    "text, extra",
+    [
+        ('{"depth": 1, "levels": [["a"]], "bonds": [], "x": ' + LONG_RUN + "}", []),
+        (json.dumps({"depth": 1, "levels": [["a" + LONG_RUN]], "bonds": []}), []),
+        (json.dumps({"generator": "solenoid", "primes": [10**50], "window": 0, "depth": 100}), []),
+        (
+            json.dumps({"generator": "solenoid", "primes": [10**50], "window": 0, "depth": 80}),
+            ["--depth-horizon", "100"],
+        ),
+        ("[" * 100_000 + "]" * 100_000, []),
+    ],
+    ids=["json-integer", "id-digit-run", "ml-certificate", "ml-certificate-horizon", "nesting"],
+)
+def test_analyze_rejects_input_past_interpreter_limits(tmp_path, text, extra):
+    path = tmp_path / "tower.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(["analyze", str(path), *extra])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err

@@ -5,6 +5,7 @@ import pytest
 import random
 
 from oracles import brute_isometry, brute_table_rejection, brute_ultrametric_ok
+from oracles import brute_condition_E, brute_condition_M, brute_projection
 
 from towertree import (
     EQUIVALENT,
@@ -43,6 +44,7 @@ from towertree import (
     underlying_tower,
     windowed_solenoid_tower,
 )
+from towertree import Tower
 
 
 def reduction_hom(src_order, dst_order):
@@ -414,3 +416,107 @@ def test_core_iso_builds_the_limit_threads_once(monkeypatch):
         assert ci.inverse.phi == tuple(max(phi[: n + 1]) for n in range(len(phi)))
         built += 1
     assert built >= 10
+
+
+def _apply_tower(g):
+    """The underlying tower built through the public constructor from the
+    bonds' .apply, with the oracle underlying_tower chose."""
+    levels = [grp.elements for grp in g.levels]
+    bonds = [{x: b.apply(x) for x in src} for b, src in zip(g.bonds, levels[1:])]
+    return Tower(levels, bonds, oracle=underlying_tower(g).oracle)
+
+
+def _group_towers():
+    towers = [gen_random_group_tower(seed, 2 + seed % 5, 4 + seed % 20) for seed in range(200)]
+    towers += [gen_solenoid(*spec)[0] for spec in (([2], 64, 4), ([1], 5, 3), ([2, 3], 100, 4))]
+    towers.append(unpatterned_scaling_tower())
+    return towers
+
+
+def unpatterned_scaling_tower():
+    """Scalings z -> 2z, z -> z between windows that fit no solenoid."""
+    return GroupTower([WindowedZ(9), WindowedZ(2), WindowedZ(2)], [ScaleHom(2), ScaleHom(1)])
+
+
+def test_scaling_tower_without_oracle_reads_its_truncated_threads():
+    g = unpatterned_scaling_tower()
+    assert underlying_tower(g).oracle is None
+    threads = limit_threads(g)
+    assert [t.entries for t in threads] == [(str(2 * z), str(z), str(z)) for z in range(-2, 3)]
+    assert ml_projection_check(g) == ((1, 2), (2, 2), (3, 3))
+
+
+def test_underlying_tower_is_built_once_and_matches_the_apply_walk():
+    for g in _group_towers():
+        t = underlying_tower(g)
+        assert underlying_tower(g) is t
+        ref = _apply_tower(g)
+        assert t == ref
+        assert (t.levels, t.up) == (ref.levels, ref.up)
+        assert t.oracle is None or _is_solenoid(t)
+
+
+def _is_solenoid(t):
+    return t == windowed_solenoid_tower(t.oracle.primes, t.oracle.window, t.depth)
+
+
+def _scalings(g):
+    """x -> c x on every level of a cyclic tower, c = 2, 3: it commutes with
+    the scaling bonds and has nontrivial kernels and images."""
+    if not all(isinstance(level, TableGroup) for level in g.levels):
+        return []
+    return [
+        GroupLevelMorphism(g, g, [
+            TableHom({x: str(c * int(x) % len(level.elements)) for x in level.elements})
+            for level in g.levels
+        ])
+        for c in (2, 3)
+    ]
+
+
+def _crafted_violations():
+    """Level morphisms whose conditions fail first at level 2."""
+    trivial = TableGroup.cyclic(1)
+    z2 = TableGroup.cyclic(2)
+    to_unit = TableHom({"0": "0", "1": "0"})
+    ident = TableHom({"0": "0", "1": "1"})
+    unit_in = TableHom({"0": "0"})
+    # (E): Z/2 <- 1 <- 1 into constant Z/2; f_2 misses 1 at every depth
+    small = GroupTower([z2, trivial, trivial], [unit_in, unit_in])
+    const = GroupTower([z2] * 3, [ident] * 2)
+    e_fails = GroupLevelMorphism(small, const, [ident, unit_in, unit_in])
+    # (M): 1 <- Z/2 <- Z/2 onto the trivial tower; Ker(f_m) = Z/2 never
+    # lies in Ker(p_{2m}) = 0
+    wide = GroupTower([trivial, z2, z2], [to_unit, ident])
+    point = GroupTower([trivial] * 3, [unit_in] * 2)
+    m_fails = GroupLevelMorphism(wide, point, [unit_in, to_unit, to_unit])
+    return e_fails, m_fails
+
+
+def test_conditions_and_projections_match_brute_apply_walks():
+    def same(report, brute):
+        assert (report.witnesses, report.violation) == brute
+        return report
+
+    late_e = late_m = projected = 0
+    for g in _group_towers():
+        for f in [identity_group_morphism(g), *_scalings(g)]:
+            report = same(check_condition_M(f), brute_condition_M(f))
+            late_m += any(m > n for n, m in report.witnesses)
+            same(check_condition_E(f), brute_condition_E(f))
+        try:
+            table = ml_projection_check(g)
+        except NotML:
+            continue
+        assert table == brute_projection(g)
+        projected += 1
+        inclusion = core_iso_construction(g).inclusion
+        same(check_condition_M(inclusion), brute_condition_M(inclusion))
+        e = same(check_condition_E(inclusion), brute_condition_E(inclusion))
+        late_e += any(m > n for n, m in e.witnesses)
+    assert projected >= 80 and late_e >= 20 and late_m >= 20
+    e_fails, m_fails = _crafted_violations()
+    assert same(check_condition_E(e_fails), brute_condition_E(e_fails)).violation == 2
+    assert same(check_condition_M(e_fails), brute_condition_M(e_fails)).holds
+    assert same(check_condition_M(m_fails), brute_condition_M(m_fails)).violation == 2
+    assert same(check_condition_E(m_fails), brute_condition_E(m_fails)).holds

@@ -303,3 +303,19 @@ def test_induced_images_match_per_vertex_oracle():
         assert list(f.vertex_images.items()) == list(expected.items())
         inside += sum(not p.is_vertex for p in expected.values())
     assert inside >= 50
+
+
+def test_retraction_skips_the_witness_table_it_overrides(monkeypatch):
+    import towertree.maps as maps
+    from towertree import windowed_solenoid_tower
+
+    calls = []
+    real = maps.properness_witness
+    monkeypatch.setattr(maps, "properness_witness", lambda f: calls.append(f) or real(f))
+    tree = tree_of_tower(windowed_solenoid_tower([2, 3], 200, 5))
+    rep = retraction_map(tree).properness
+    assert tree.fringe_unbounded and calls == []
+    assert (rep.oracle_override, rep.failure_level, rep.table) == (True, 1, ())
+    assert (rep.source_depth, rep.target_depth) == (5, 5)
+    retraction_map(tree_of_tower(gen_random_tower(3, 4, 3, 0.5)))
+    assert len(calls) == 1
