@@ -56,12 +56,7 @@ def _read(path: str) -> str:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        tower = parse_tower(_read(args.file))
-        report = build_report(tower, depth_horizon=args.depth_horizon)
-    except (TowerTreeError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+    report = build_report(parse_tower(_read(args.file)), depth_horizon=args.depth_horizon)
     if args.format == "machine":
         sys.stdout.write(emit_report(report))
     else:
@@ -74,12 +69,7 @@ def cmd_analyze(args) -> int:
 def cmd_export_dot(args) -> int:
     from .trees import dot_of_tree, max_geodesic_subtree, tree_of_tower
 
-    try:
-        tower = parse_tower(_read(args.file))
-    except (TowerTreeError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    tree = tree_of_tower(tower)
+    tree = tree_of_tower(parse_tower(_read(args.file)))
     core = max_geodesic_subtree(tree)
     sys.stdout.write(dot_of_tree(tree, core=core.vertices))
     return EXIT_OK
@@ -119,7 +109,7 @@ def _mutated(fmap: TreeMap) -> TreeMap:
         virtual_top=sched.virtual_top,
         source_depth=sched.source_depth,
     )
-    return TreeMap(fmap.source, fmap.target, fmap.vertex_images, schedule=broken)
+    return TreeMap._built(fmap.source, fmap.target, fmap.images, schedule=broken)
 
 
 def _check_instance(summary: CorpusSummary, tag: str, x: Tower, f: TowerMorphism,
@@ -241,11 +231,7 @@ def cmd_roundtrip(args) -> int:
 
 
 def _gen_solenoid(args) -> int:
-    try:
-        group, tower = gen_solenoid(args.primes, args.window, args.depth)
-    except TowerTreeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+    group, tower = gen_solenoid(args.primes, args.window, args.depth)
     report = build_report(tower)
     threads = limit_threads(group)
     from .trees import branches, max_geodesic_subtree, tree_of_tower
@@ -275,10 +261,10 @@ def _gen_solenoid(args) -> int:
 def _gen_biholder(args) -> int:
     try:
         ls = tuple(Fraction(s) for s in args.l)
-        table = gen_biholder(args.k_max, tuple(args.c), ls)
-    except (TowerTreeError, ValueError, ZeroDivisionError) as e:
+    except (ValueError, ZeroDivisionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
+    table = gen_biholder(args.k_max, tuple(args.c), ls)
     if args.format == "machine":
         data = {
             "k_max": table.k_max,
@@ -299,11 +285,7 @@ def _gen_biholder(args) -> int:
 
 
 def _gen_nonretract(args) -> int:
-    try:
-        rep = gen_example_nonretract(args.count)
-    except TowerTreeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+    rep = gen_example_nonretract(args.count)
     if args.format == "machine":
         data = {
             "distances": [str(d) for d in rep.distances],
@@ -320,11 +302,7 @@ def _gen_nonretract(args) -> int:
 
 
 def _gen_random(args) -> int:
-    try:
-        tower = gen_random_tower(args.seed, args.depth, args.max_level_size, args.surjectivity_bias)
-    except TowerTreeError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+    tower = gen_random_tower(args.seed, args.depth, args.max_level_size, args.surjectivity_bias)
     sys.stdout.write(emit_tower(tower))
     return EXIT_OK
 
@@ -382,7 +360,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (TowerTreeError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

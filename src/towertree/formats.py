@@ -38,6 +38,17 @@ def _require(cond: bool, message: str) -> None:
         raise ParseError(message)
 
 
+def _decimal(text: str, what: str, whole: str, line: int | None = None) -> int:
+    """text as an ASCII decimal numeral within Python's int/str digit limit;
+    anything else, other scripts' digits included, is a ParseError "what 'whole'"."""
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # past the int/str digit limit
+            pass
+    raise ParseError(f"{what} {whole!r}", line=line)
+
+
 def _is_int(value) -> bool:
     """A JSON integer; true and false are not."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -194,10 +205,7 @@ def emit_distance_matrix(space: UltrametricSpace) -> str:
 
 def _parse_entry(token: str, lineno: int) -> tuple[str, int | Fraction]:
     if token.startswith("e-"):
-        tail = token[2:]
-        if not tail.isdigit():
-            raise ParseError(f"bad exponent entry {token!r}", line=lineno)
-        return GRID, int(tail)
+        return GRID, _decimal(token[2:], "bad exponent entry", token, line=lineno)
     try:
         return RATIONAL, Fraction(token)
     except (ValueError, ZeroDivisionError):
@@ -218,6 +226,7 @@ def parse_distance_matrix(text: str) -> UltrametricSpace:
         )
     entries: dict[tuple[str, str], int | Fraction] = {}
     modes = set()
+    read: dict[str, tuple[str, int | Fraction]] = {}  # each distinct token is parsed once
     for (lineno, tokens), x in zip(body, points):
         if len(tokens) != len(points):
             raise ParseError(f"row has {len(tokens)} entries, expected {len(points)}", line=lineno)
@@ -226,7 +235,7 @@ def parse_distance_matrix(text: str) -> UltrametricSpace:
                 if token != "0":
                     raise ParseError(f"diagonal entry must be 0, found {token!r}", line=lineno)
                 continue
-            mode, value = _parse_entry(token, lineno)
+            mode, value = read.get(token) or read.setdefault(token, _parse_entry(token, lineno))
             modes.add(mode)
             entries[(x, y)] = value
     if len(points) < 2:
@@ -284,25 +293,32 @@ def emit_group_tower(g: GroupTower) -> str:
 def _parse_group(item, position: int) -> TableGroup | WindowedZ:
     if isinstance(item, str):
         kind, _, arg = item.partition(":")
-        _require(arg.isdigit(), f"level {position}: bad descriptor {item!r}")
+        size = _decimal(arg, f"level {position}: bad descriptor", item)
         try:
             if kind == "cyclic":
-                return TableGroup.cyclic(int(arg))
+                return TableGroup.cyclic(size)
             if kind == "windowZ":
-                return WindowedZ(int(arg))
+                return WindowedZ(size)
         except TowerTreeError as e:
             raise ParseError(f"level {position}: {e}") from None
         raise ParseError(f"level {position}: unknown kind {kind!r}")
     _require(isinstance(item, dict), f"level {position} must be a descriptor or an object")
     for key in ("elements", "table"):
         _require(key in item, f"level {position} needs {key!r}")
+    elements, rows = item["elements"], item["table"]
+    _require(
+        isinstance(elements, list) and all(isinstance(x, str) for x in elements),
+        f"level {position}: elements must be a list of strings",
+    )
+    _require(isinstance(rows, dict), f"level {position}: table must be an object")
     table = {}
-    for a, row in item["table"].items():
+    for a, row in rows.items():
         _require(isinstance(row, dict), f"level {position}: table rows must be objects")
         for b, c in row.items():
+            _require(isinstance(c, str), f"level {position}: table entries must be strings")
             table[(a, b)] = c
     try:
-        return TableGroup(item["elements"], table)
+        return TableGroup(elements, table)
     except TowerTreeError as e:
         raise ParseError(f"level {position}: {e}") from None
 
@@ -316,15 +332,18 @@ def parse_group_tower(text: str) -> GroupTower:
     _require(isinstance(data["bonds"], list), "bonds must be a list")
     levels = [_parse_group(item, i) for i, item in enumerate(data["levels"], start=1)]
     bonds = []
-    for i, item in enumerate(data["bonds"], start=1):
-        if isinstance(item, str):
-            kind, _, arg = item.partition(":")
-            _require(kind == "scale" and arg.isdigit(), f"bond {i}: bad descriptor {item!r}")
-            bonds.append(ScaleHom(int(arg)))
-        else:
-            _require(isinstance(item, dict), f"bond {i} must be a descriptor or an object")
-            bonds.append(TableHom(item))
     try:
+        for i, item in enumerate(data["bonds"], start=1):
+            if isinstance(item, str):
+                kind, _, arg = item.partition(":")
+                _require(kind == "scale", f"bond {i}: bad descriptor {item!r}")
+                bonds.append(ScaleHom(_decimal(arg, f"bond {i}: bad descriptor", item)))
+            else:
+                _require(
+                    isinstance(item, dict) and all(isinstance(v, str) for v in item.values()),
+                    f"bond {i} must be a descriptor or an object of strings",
+                )
+                bonds.append(TableHom(item))
         return GroupTower(levels, bonds)
     except TowerTreeError as e:
         raise ParseError(str(e)) from None

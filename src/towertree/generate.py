@@ -294,41 +294,13 @@ def _split(rng: random.Random, ids: list[str]) -> list[list[str]]:
     return [sorted(b, key=natural_key) for b in blocks if b]
 
 
-def gen_random_grid_space(seed: int, max_points: int = 32) -> UltrametricSpace:
-    """A random dendrogram flattened to integer agreement exponents."""
-    if max_points < 1:
-        raise InvalidParameter("max_points must be >= 1")
-    rng = random.Random(f"gridspace:{seed}")
-    count = rng.randint(1, max_points)
-    points = [f"p{i}" for i in range(count)]
-    entries: dict[tuple[str, str], int] = {}
+def _dendrogram(rng: random.Random, points: list[str], top, below) -> dict:
+    """Entries of a random dendrogram over points: each cluster splits into
+    at least two blocks, pairs across blocks get the cluster's height, and
+    every block recurses at below(height).  top is the root height."""
+    entries = {}
 
-    def build(ids: list[str], exp: int) -> None:
-        if len(ids) < 2:
-            return
-        blocks = _split(rng, ids)
-        for i, a_block in enumerate(blocks):
-            for b_block in blocks[i + 1 :]:
-                for a in a_block:
-                    for b in b_block:
-                        entries[(a, b)] = exp
-        for block in blocks:
-            build(block, exp + rng.randint(1, 2))
-
-    build(points, rng.randint(0, 2))
-    return grid_space(points, entries)
-
-
-def gen_random_rational_space(seed: int, max_points: int = 16) -> UltrametricSpace:
-    """A random dendrogram with strictly shrinking rational merge heights."""
-    if max_points < 1:
-        raise InvalidParameter("max_points must be >= 1")
-    rng = random.Random(f"rationalspace:{seed}")
-    count = rng.randint(1, max_points)
-    points = [f"p{i}" for i in range(count)]
-    entries: dict[tuple[str, str], Fraction] = {}
-
-    def build(ids: list[str], height: Fraction) -> None:
+    def build(ids: list[str], height) -> None:
         if len(ids) < 2:
             return
         blocks = _split(rng, ids)
@@ -338,7 +310,28 @@ def gen_random_rational_space(seed: int, max_points: int = 16) -> UltrametricSpa
                     for b in b_block:
                         entries[(a, b)] = height
         for block in blocks:
-            build(block, height * Fraction(rng.randint(1, 7), 8))
+            build(block, below(height))
 
-    build(points, Fraction(rng.randint(1, 16), 16))
+    build(points, top)
+    return entries
+
+
+def gen_random_grid_space(seed: int, max_points: int = 32) -> UltrametricSpace:
+    """A random dendrogram flattened to integer agreement exponents."""
+    if max_points < 1:
+        raise InvalidParameter("max_points must be >= 1")
+    rng = random.Random(f"gridspace:{seed}")
+    points = [f"p{i}" for i in range(rng.randint(1, max_points))]
+    entries = _dendrogram(rng, points, rng.randint(0, 2), lambda exp: exp + rng.randint(1, 2))
+    return grid_space(points, entries)
+
+
+def gen_random_rational_space(seed: int, max_points: int = 16) -> UltrametricSpace:
+    """A random dendrogram with strictly shrinking rational merge heights."""
+    if max_points < 1:
+        raise InvalidParameter("max_points must be >= 1")
+    rng = random.Random(f"rationalspace:{seed}")
+    points = [f"p{i}" for i in range(rng.randint(1, max_points))]
+    top = Fraction(rng.randint(1, 16), 16)
+    entries = _dendrogram(rng, points, top, lambda h: h * Fraction(rng.randint(1, 7), 8))
     return rational_space(points, entries)

@@ -1,10 +1,11 @@
 """Rooted tree maps: the two functors between towers and trees.
 
-A TreeMap stores vertex images only; each edge maps linearly onto the
-geodesic between its endpoint images, so evaluation anywhere is exact.
-That representation covers every map constructed here (induced maps,
-simplicial level maps, retractions) because their breakpoints always land
-on vertices.
+A TreeMap stores vertex images only, one tuple per source level; each
+edge maps linearly onto the geodesic between its endpoint images, so
+evaluation anywhere is exact.  That representation covers every map
+constructed here (induced maps, simplicial level maps, retractions)
+because their breakpoints always land on vertices.  Maps are built and
+measured level by level on the source's parent positions.
 
 Properness is witnessed by a table n -> m(n), minimal with the closed
 reading: every point at radius >= m(n) has image radius >= n, checked on
@@ -17,7 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from itertools import chain
+from typing import Mapping, Sequence
 
 from .errors import (
     DepthExhausted,
@@ -27,7 +29,7 @@ from .errors import (
     SourceTargetMismatch,
     ValidationError,
 )
-from .towers import TowerMorphism, is_level_morphism
+from .towers import TowerMorphism, _pull_back, is_level_morphism
 from .trees import (
     ROOT,
     RootedTree,
@@ -119,9 +121,12 @@ class HomotopyReport:
 
 
 class TreeMap:
-    """A rooted map determined by vertex images and linear edges."""
+    """A rooted map determined by vertex images and linear edges.
 
-    __slots__ = ("source", "target", "vertex_images", "schedule")
+    images[n][i] is the image of source.levels[n][i]; vertex_images, the
+    same images keyed by vertex in level order, is built on first use."""
+
+    __slots__ = ("source", "target", "images", "schedule", "_vertex_images")
 
     def __init__(
         self,
@@ -137,24 +142,32 @@ class TreeMap:
         for v, img in vertex_images.items():
             if not target.has_vertex(img.base):
                 raise ValidationError(f"image of {v} is based at {img.base}, not a target vertex")
-        self.source = source
-        self.target = target
-        self.vertex_images = dict(vertex_images)
-        self.schedule = schedule
+        images = [map(vertex_images.get, level) for level in source.levels.values()]
+        self.source, self.target, self.schedule = source, target, schedule
+        self.images, self._vertex_images = tuple(map(tuple, images)), None
 
     @classmethod
     def _built(
         cls,
         source: RootedTree,
         target: RootedTree,
-        vertex_images: dict[Vertex, TreePoint],
+        images: Sequence[Sequence[TreePoint]],
         schedule: XiSchedule | None = None,
     ) -> TreeMap:
-        """A map whose images were built level by level over source's
-        vertices, root to root and based at target vertices by construction."""
+        """A map whose images[n] were built over source.levels[n], root to
+        root and based at target vertices by construction."""
         f = cls.__new__(cls)
-        f.source, f.target, f.vertex_images, f.schedule = source, target, vertex_images, schedule
+        f.source, f.target, f.schedule = source, target, schedule
+        f.images, f._vertex_images = tuple(map(tuple, images)), None
         return f
+
+    @property
+    def vertex_images(self) -> dict[Vertex, TreePoint]:
+        """Each source vertex's image, in level order."""
+        if self._vertex_images is None:
+            levels = chain.from_iterable(self.source.levels.values())
+            self._vertex_images = dict(zip(levels, chain.from_iterable(self.images)))
+        return self._vertex_images
 
     def image_of_vertex(self, v: Vertex) -> TreePoint:
         return self.vertex_images[v]
@@ -173,11 +186,11 @@ class TreeMap:
             isinstance(other, TreeMap)
             and self.source == other.source
             and self.target == other.target
-            and self.vertex_images == other.vertex_images
+            and self.images == other.images
         )
 
     def __hash__(self):
-        return hash((self.source, self.target, tuple(sorted(self.vertex_images.items()))))
+        return hash((self.source, self.target, self.images))
 
     def __repr__(self) -> str:
         return f"TreeMap({self.source!r} -> {self.target!r})"
@@ -201,17 +214,19 @@ class Retraction:
 
 
 def identity_tree_map(tree: RootedTree) -> TreeMap:
-    return TreeMap(tree, tree, {v: point_of(v) for v in tree.vertices})
+    return TreeMap._built(tree, tree, [map(point_of, level) for level in tree.levels.values()])
 
 
 def check_nonexpansive(f: TreeMap) -> NonexpansiveVerdict:
     """Each unit edge must map onto a geodesic of length <= 1."""
-    for child in f.source.vertices:
-        if child == ROOT:
-            continue
-        parent = f.source.parent_of(child)
-        if distance(f.target, f.vertex_images[parent], f.vertex_images[child]) > 1:
-            return NonexpansiveVerdict(valid=False, violation=(parent, child))
+    src = f.source
+    for n in range(1, src.depth + 1):
+        above, here = f.images[n - 1], f.images[n]
+        for i, j in enumerate(src.parent_positions(n)):
+            if distance(f.target, above[j], here[i]) > 1:
+                return NonexpansiveVerdict(
+                    valid=False, violation=(src.levels[n - 1][j], src.levels[n][i])
+                )
     return NonexpansiveVerdict(valid=True)
 
 
@@ -245,11 +260,11 @@ def properness_witness(f: TreeMap) -> PropernessReport:
     distinct image object is measured once, and an edge whose endpoints
     have the same image is skipped: its meet radius is the parent's image
     radius, already counted one level up."""
-    src, tgt, images = f.source, f.target, f.vertex_images
-    above = [images[ROOT]]
+    src, tgt = f.source, f.target
+    above = f.images[0]
     lows = [above[0].radius]
     for n in range(1, src.depth + 1):
-        here = [images[v] for v in src.levels[n]]
+        here = f.images[n]
         lows.append(min(p.radius for p in {id(p): p for p in here}.values()))
         parents = map(above.__getitem__, src.parent_positions(n))
         moved = [(a, b) for a, b in zip(parents, here) if a is not b]
@@ -275,11 +290,9 @@ def homotopy_properness(f: TreeMap, g: TreeMap) -> HomotopyReport:
     if f.source != g.source or f.target != g.target:
         raise SourceTargetMismatch("homotopy needs maps with shared source and target")
     src, ft, gt = f.source, f.target, g.target
-    fi, gi = f.vertex_images, g.vertex_images
     lows: list[int | Fraction] = []
     for n in range(src.depth + 1):
-        f_here = [fi[v] for v in src.levels[n]]
-        g_here = [gi[v] for v in src.levels[n]]
+        f_here, g_here = f.images[n], g.images[n]
         track = [_meet_radius(ft, a, b) for a, b in zip(f_here, g_here)]
         lows.append(min(track))
         if n:
@@ -308,8 +321,7 @@ def compose_tree_maps(g: TreeMap, f: TreeMap) -> TreeMap:
     """g after f; edges re-linearized between the composed vertex images."""
     if f.target != g.source:
         raise SourceTargetMismatch("middle trees of the composition differ")
-    images = {v: g.image_of_point(p) for v, p in f.vertex_images.items()}
-    return TreeMap(f.source, g.target, images)
+    return TreeMap._built(f.source, g.target, [map(g.image_of_point, here) for here in f.images])
 
 
 # ---------------------------------------------------------------------------
@@ -347,24 +359,22 @@ def induce_tree_map(m: TowerMorphism) -> TreeMap:
     t = sched.breakpoints
     seg_count = len(t)
     root = point_of(ROOT)
-    images: dict[Vertex, TreePoint] = {ROOT: root}
+    images = [(root,)]
     # the vertices of one level share r, so k, rho and j are found once per level
     for r in range(1, src_tree.depth + 1):
-        level = src_tree.levels[r]
         if r <= t[0]:
-            images.update((v, root) for v in level)
+            images.append((root,) * len(src_tree.levels[r]))
             continue
         k = max(i + 1 for i in range(seg_count) if t[i] <= r)
         hi = t[k] if k < seg_count else sched.virtual_top
         rho = Fraction(k - 1) + Fraction(r - t[k - 1], hi - t[k - 1])
         j = int(rho) if rho == int(rho) else int(rho) + 1
         if j == 0:
-            images.update((v, root) for v in level)
+            images.append((root,) * len(src_tree.levels[r]))
             continue
         phi_j, comp_j, offset = m.phi_at(j), m.component(j), rho - (j - 1)
-        for v in level:
-            anc_id = src_tree.ancestor(v, phi_j)[1]
-            images[v] = TreePoint((j, comp_j[anc_id]), offset)
+        at_phi = [TreePoint((j, comp_j[x]), offset) for x in m.source.levels[phi_j - 1]]
+        images.append(_pull_back(m.source, at_phi, phi_j, r))
     return TreeMap._built(src_tree, tgt_tree, images, schedule=sched)
 
 
@@ -387,9 +397,8 @@ def extract_morphism(f: TreeMap) -> TowerMorphism:
     for n in range(1, rep.total_upto + 1):
         mn = rep.table[n - 1]
         comp = {}
-        for c in f.source.levels[mn]:
-            anc = ancestor_point_at(f.target, f.vertex_images[c], Fraction(n))
-            comp[c[1]] = anc.base[1]
+        for c, p in zip(f.source.levels[mn], f.images[mn]):
+            comp[c[1]] = ancestor_point_at(f.target, p, Fraction(n)).base[1]
         comps.append(comp)
     return TowerMorphism(src_tower, tgt_tower, list(rep.table), comps)
 
@@ -404,11 +413,11 @@ def simplicial_of_level(m: TowerMorphism) -> TreeMap:
         )
     src_tree = tree_of_tower(m.source)
     tgt_tree = tree_of_tower(m.target)
-    images: dict[Vertex, TreePoint] = {ROOT: point_of(ROOT)}
-    for v in src_tree.vertices:
-        if v != ROOT:
-            images[v] = point_of((v[0], m.component(v[0])[v[1]]))
-    return TreeMap(src_tree, tgt_tree, images)
+    images = [(point_of(ROOT),)]
+    for n in range(1, src_tree.depth + 1):
+        comp = m.component(n)
+        images.append([point_of((n, comp[x])) for _, x in src_tree.levels[n]])
+    return TreeMap._built(src_tree, tgt_tree, images)
 
 
 # ---------------------------------------------------------------------------
@@ -423,16 +432,14 @@ def retraction_map(tree: RootedTree) -> Retraction:
     core = max_geodesic_subtree(tree)
     if core.depth == 0:
         raise EmptyCore("no complete branch to retract onto")
-    above = [point_of(ROOT)]
-    images: dict[Vertex, TreePoint] = {ROOT: above[0]}
+    images = [(point_of(ROOT),)]
     for n in range(1, tree.depth + 1):
         in_core = set(core.levels.get(n, ()))
-        here = [
+        above = images[-1]
+        images.append([
             point_of(v) if v in in_core else above[j]
             for v, j in zip(tree.levels[n], tree.parent_positions(n))
-        ]
-        images.update(zip(tree.levels[n], here))
-        above = here
+        ])
     rmap = TreeMap._built(tree, core, images)
     if not tree.fringe_unbounded:
         return Retraction(map=rmap, properness=properness_witness(rmap))

@@ -14,6 +14,7 @@ finite branches (which no finite window can show).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
@@ -34,12 +35,12 @@ class RootedTree:
     tree reads its parent positions: levels[n] lists the vertices (n, x)
     for x in X_n in the tower's order, and parent maps each of them to
     (n - 1, p_{n-1}(x)), or to the implicit root (0, "root") at level 1.
-    children is built on first use.  Instances are immutable; equality
-    compares the parent map and the oracle annotations.
+    parent and children are built on first use.  Instances are immutable;
+    equality compares the parent map and the oracle annotations.
     """
 
     __slots__ = (
-        "tower", "parent", "levels", "depth", "core_hint", "fringe_unbounded", "_hint", "_children"
+        "tower", "levels", "depth", "core_hint", "fringe_unbounded", "_hint", "_parent", "_children"
     )
 
     def __init__(
@@ -80,27 +81,19 @@ class RootedTree:
         hint: list[list[int]] | None,
         fringe_unbounded: bool,
     ) -> None:
-        """Vertices and parents of the tower's levels, read off its parent positions.
+        """The vertices of the tower's levels.
 
         hint[n-1] lists the positions in X_n of core_hint's level-n vertices."""
-        parent: dict[Vertex, Vertex] = {}
         levels: dict[int, tuple[Vertex, ...]] = {0: (ROOT,)}
-        above: tuple[Vertex, ...] = (ROOT,)
         for n, ids in enumerate(tower.levels if tower is not None else (), start=1):
-            here = tuple([(n, x) for x in ids])
-            if n == 1:
-                parent.update(dict.fromkeys(here, ROOT))
-            else:
-                parent.update(zip(here, map(above.__getitem__, tower.up[n - 2])))
-            levels[n] = here
-            above = here
+            levels[n] = tuple([(n, x) for x in ids])
         self.tower = tower
-        self.parent = parent
         self.levels = levels
         self.depth = len(levels) - 1
         self.core_hint = core_hint
         self.fringe_unbounded = fringe_unbounded
         self._hint = hint
+        self._parent = None
         self._children = None
 
     def parent_positions(self, n: int) -> Sequence[int]:
@@ -108,6 +101,16 @@ class RootedTree:
         if n == 1:
             return (0,) * len(self.levels[1])
         return self.tower.up[n - 2]
+
+    @property
+    def parent(self) -> dict[Vertex, Vertex]:
+        """Each vertex's parent, in level order."""
+        if self._parent is None:
+            self._parent = {}
+            for n in range(1, self.depth + 1):
+                above = self.levels[n - 1].__getitem__
+                self._parent.update(zip(self.levels[n], map(above, self.parent_positions(n))))
+        return self._parent
 
     @property
     def children(self) -> dict[Vertex, tuple[Vertex, ...]]:
@@ -125,10 +128,7 @@ class RootedTree:
 
     @property
     def vertices(self) -> tuple[Vertex, ...]:
-        out: list[Vertex] = []
-        for lv in range(self.depth + 1):
-            out.extend(self.levels[lv])
-        return tuple(out)
+        return tuple(itertools.chain.from_iterable(self.levels.values()))
 
     def has_vertex(self, v: Vertex) -> bool:
         return v == ROOT or v in self.parent
@@ -162,9 +162,9 @@ class RootedTree:
         """Root-to-v vertex path; chain(v)[i] sits at level i."""
         if not self.has_vertex(v):
             raise VertexNotFound(f"{v} is not a vertex of this tree")
-        out = [v]
+        out, parent = [v], self.parent
         while out[-1] != ROOT:
-            out.append(self.parent[out[-1]])
+            out.append(parent[out[-1]])
         return tuple(reversed(out))
 
     def _shape(self) -> tuple:
@@ -184,7 +184,7 @@ class RootedTree:
         return hash((self._shape(), self.core_hint, self.fringe_unbounded))
 
     def __repr__(self) -> str:
-        return f"RootedTree(depth={self.depth}, vertices={len(self.parent) + 1})"
+        return f"RootedTree(depth={self.depth}, vertices={sum(map(len, self.levels.values()))})"
 
 
 @dataclass(frozen=True)
@@ -414,16 +414,13 @@ def dot_of_tree(tree: RootedTree, core: Iterable[Vertex] | None = None) -> str:
     Vertices of the maximal geodesically complete subtree are the core when
     none is supplied explicitly.
     """
-    core_set = set(core) if core is not None else set(max_geodesic_subtree(tree).parent) | {ROOT}
+    core_set = set(core if core is not None else max_geodesic_subtree(tree).vertices)
     lines = ["digraph tower_tree {", "  rankdir=TB;", '  node [shape=ellipse];']
     for v in tree.vertices:
         label = f"{v[0]}:{v[1]}"
         style = "bold" if v in core_set or v == ROOT else "dashed"
         lines.append(f'  "{label}" [style={style}];')
-    for v in tree.vertices:
-        if v == ROOT:
-            continue
-        p = tree.parent[v]
+    for v, p in tree.parent.items():
         lines.append(f'  "{p[0]}:{p[1]}" -> "{v[0]}:{v[1]}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

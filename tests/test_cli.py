@@ -195,3 +195,21 @@ def test_analyze_rejects_input_past_interpreter_limits(tmp_path, text, extra):
     assert code == EXIT_PARSE
     assert out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "random", "--seed", "1", "--depth", "0", "--max-level-size", "3"],
+        ["gen", "biholder", "--c", "0"],
+        ["gen", "biholder", "--l", "1/0"],
+        ["gen", "biholder", "--l", "x"],
+        ["export-dot", "no-such-dir/tower.json"],
+    ],
+    ids=["random-depth", "biholder-c", "biholder-l-zero-division", "biholder-l-text", "dot-missing"],
+)
+def test_every_command_reports_errors_as_one_line(argv):
+    code, out, err = run(argv)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1

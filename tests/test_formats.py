@@ -298,3 +298,37 @@ def test_parse_group_tower_rejects_bad_descriptor():
         parse_group_tower(json.dumps({"levels": ["cyclic:x"], "bonds": []}))
     with pytest.raises(ParseError):
         parse_group_tower(json.dumps({"levels": ["cyclic:2", "cyclic:4"], "bonds": ["scale:2"]}))
+
+
+_WINDOWS = ["windowZ:4", "windowZ:2"]  # scale:1 and scale:2 fit
+_LONG = "1" * 5000  # past Python's 4,300-digit int/str limit
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_distance_matrix, "a b\n0 e-²\ne-² 0\n"),
+        (parse_distance_matrix, "a b\n0 e-\u0663\ne-\u0663 0\n"),  # Arabic-Indic three
+        (parse_distance_matrix, f"a b\n0 e-{_LONG}\ne-{_LONG} 0\n"),
+        (parse_group_tower, json.dumps({"levels": ["cyclic:²"], "bonds": []})),
+        (parse_group_tower, json.dumps({"levels": [f"cyclic:{_LONG}"], "bonds": []})),
+        (parse_group_tower, json.dumps({"levels": _WINDOWS, "bonds": ["scale:²"]})),
+        (parse_group_tower, json.dumps({"levels": _WINDOWS, "bonds": ["scale:0"]})),
+        (parse_group_tower, json.dumps({"levels": [{"elements": ["0"], "table": []}], "bonds": []})),
+        (parse_group_tower, json.dumps({"levels": [{"elements": 5, "table": {}}], "bonds": []})),
+        (parse_group_tower, json.dumps({"levels": [{"elements": [0], "table": {}}], "bonds": []})),
+        (
+            parse_group_tower,
+            json.dumps({"levels": [{"elements": ["0"], "table": {"0": {"0": []}}}], "bonds": []}),
+        ),
+        (parse_group_tower, json.dumps({"levels": ["cyclic:1", "cyclic:1"], "bonds": [{"0": []}]})),
+    ],
+    ids=[
+        "exponent-superscript", "exponent-arabic-indic", "exponent-digit-limit", "cyclic-superscript",
+        "cyclic-digit-limit", "scale-superscript", "scale-zero", "table-list",
+        "elements-int", "elements-int-list", "table-entry-list", "bond-entry-list",
+    ],
+)
+def test_malformed_matrix_and_group_input_ends_in_parse_error(parse, text):
+    with pytest.raises(ParseError):
+        parse(text)

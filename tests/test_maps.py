@@ -319,3 +319,57 @@ def test_retraction_skips_the_witness_table_it_overrides(monkeypatch):
     assert (rep.source_depth, rep.target_depth) == (5, 5)
     retraction_map(tree_of_tower(gen_random_tower(3, 4, 3, 0.5)))
     assert len(calls) == 1
+
+
+def test_public_constructor_rebuilds_every_produced_map():
+    """Each producer's per-level images are what the public constructor
+    reads off the same vertex dict, and that dict lists vertices in level order."""
+    kinds = dict.fromkeys(("induced", "composite", "identity", "simplicial", "retraction"), 0)
+    differ = 0
+    for seed in range(24):
+        x = gen_random_tower(seed, depth=3 + seed % 5, max_level_size=4)
+        y = gen_random_tower(seed + 40, depth=3 + (seed + 2) % 5, max_level_size=4)
+        z = gen_random_tower(seed + 80, depth=3 + (seed + 4) % 5, max_level_size=4)
+        f = induce_tree_map(random_morphism(seed, x, y))
+        h = induce_tree_map(random_morphism(seed + 1, y, z))
+        produced = [
+            ("induced", f),
+            ("induced", h),
+            ("composite", compose_tree_maps(h, f)),
+            ("identity", identity_tree_map(f.target)),
+            ("simplicial", simplicial_of_level(identity_morphism(x))),
+        ]
+        try:
+            produced.append(("retraction", retraction_map(f.source).map))
+        except EmptyCore:
+            pass
+        for kind, g in produced:
+            rebuilt = TreeMap(g.source, g.target, g.vertex_images, g.schedule)
+            assert rebuilt == g and hash(rebuilt) == hash(g)
+            assert rebuilt.images == g.images
+            assert list(g.vertex_images) == list(g.source.vertices)
+            kinds[kind] += 1
+        # maps between the same trees are equal exactly when their images are
+        other = induce_tree_map(random_morphism(seed + 500, x, y))
+        assert (other == f) == (other.vertex_images == f.vertex_images)
+        differ += other != f
+    assert min(kinds.values()) >= 10 and differ >= 10
+
+
+def test_analysis_builds_no_by_vertex_views(monkeypatch):
+    import towertree.report as report
+    from towertree import windowed_solenoid_tower
+
+    seen = {}
+    real_tree, real_retraction = report.tree_of_tower, report.retraction_map
+    monkeypatch.setattr(report, "tree_of_tower", lambda t: seen.setdefault("tree", real_tree(t)))
+    monkeypatch.setattr(
+        report, "retraction_map", lambda t: seen.setdefault("retraction", real_retraction(t))
+    )
+    report.build_report(windowed_solenoid_tower([2], 1024, 11))
+    tree, rmap = seen["tree"], seen["retraction"].map
+    assert rmap.source is tree
+    assert tree._parent is None and rmap._vertex_images is None
+    # asked for, the views are built from the per-level data
+    assert list(tree.parent) == list(tree.vertices[1:])
+    assert list(rmap.vertex_images.values()) == [p for here in rmap.images for p in here]
