@@ -57,6 +57,8 @@ class TableGroup:
                     raise ValidationError(f"table not closed at ({a}, {b})")
                 row.append(c)
             rows.append(row)
+        if len(op_table) != len(elems) ** 2:
+            raise ValidationError("table has entries outside the group")
         for i, row in enumerate(rows):
             for j, ij in enumerate(row):
                 left, right = rows[ij], [row[x] for x in rows[j]]
@@ -86,20 +88,21 @@ class TableGroup:
         if m < 1:
             raise ValidationError("cyclic order must be >= 1")
         elems = [str(i) for i in range(m)]
-        table = {(a, b): str((int(a) + int(b)) % m) for a in elems for b in elems}
+        table = {(a, elems[j]): elems[(i + j) % m] for i, a in enumerate(elems) for j in range(m)}
         return cls(elems, table)
 
     def restricted(self, subset) -> "TableGroup":
         """The subgroup on a closed subset (closure is validated)."""
-        sub = sorted(set(subset), key=natural_key)
-        stray = set(sub) - set(self.elements)
+        members = set(subset)
+        sub = sorted(members, key=natural_key)
+        stray = members - set(self.elements)
         if stray:
             raise ElementNotInLevel(f"not group elements: {sorted(stray)}")
         table = {}
         for a in sub:
             for b in sub:
                 c = self.op_table[(a, b)]
-                if c not in set(sub):
+                if c not in members:
                     raise ValidationError(f"subset not closed: {a}*{b} = {c}")
                 table[(a, b)] = c
         return TableGroup(sub, table)
@@ -229,13 +232,14 @@ def _check_bond(src: Group, dst: Group, bond: GroupBond, position: int) -> None:
         raise ValidationError(f"bond {position} leaves its target level")
     if bond.apply(src.unit) != dst.unit:
         raise ValidationError(f"bond {position} does not preserve the unit")
-    for a in elems:
-        for b in elems:
+    images = [bond.apply(x) for x in elems]
+    for a, fa in zip(elems, images):
+        for b, fb in zip(elems, images):
             try:
                 lhs = bond.apply(src.op(a, b))
             except WindowOverflow:
                 continue  # the sum does not exist at this window; nothing to check
-            if lhs != dst.op(bond.apply(a), bond.apply(b)):
+            if lhs != dst.op(fa, fb):
                 raise ValidationError(f"bond {position} is not a homomorphism at ({a}, {b})")
 
 
@@ -402,43 +406,50 @@ class IsometryVerdict:
 def check_translation_isometry(g: GroupTower) -> IsometryVerdict:
     """d(ka, kb) = d(a, b) and d(a^-1, b^-1) = d(a, b), exhaustively.
 
-    Each product k.a is built once, into a T x T table over thread
-    positions, and every triple (k, a, b) is compared.  On a windowed
+    The agreement depths of the T limit threads are computed once, into a
+    T x T table, and each inverse and product k.a is built once and stored
+    as a position, so every triple (k, a, b) is two int lookups.  A product
+    or inverse that is no limit thread (only a table altered after
+    construction makes one) is compared entry by entry.  On a windowed
     tower a product that leaves the window does not exist at this
     truncation (as in _check_bond), so triples whose k.a or k.b is
     undefined are skipped; checked counts the triples compared.
     """
     threads = limit_threads(g)
     entries = [t.entries for t in threads]
-    inverses = [thread_inverse(g, t).entries for t in threads]
-    products: list[list[tuple[str, ...] | None]] = []
-    for k in threads:
+    count = len(entries)
+    # positions: the threads first, then each product or inverse that is not one
+    where = {p: i for i, p in enumerate(entries)}
+    inverses = [
+        where.setdefault(tuple([grp.inv(x) for grp, x in zip(g.levels, a)]), len(where))
+        for a in entries
+    ]
+    products: list[list[int | None]] = []  # products[k][a], the position of k.a
+    for k in entries:
         row = []
-        for a in threads:
+        for a in entries:
             try:
-                row.append(thread_product(g, k, a).entries)
+                ka = tuple([grp.op(x, y) for grp, x, y in zip(g.levels, k, a)])
             except WindowOverflow:
-                row.append(None)
+                ka = None
+            row.append(None if ka is None else where.setdefault(ka, len(where)))
         products.append(row)
+    points = list(where)
+    agree = [[_shared_prefix(a, b) for b in entries] for a in entries]
     checked = 0
-    for ia, a in enumerate(entries):
-        for ib, b in enumerate(entries):
-            base = _shared_prefix(a, b)
-            if _shared_prefix(inverses[ia], inverses[ib]) != base:
-                return IsometryVerdict(
-                    valid=False, violation=(threads[ia], threads[ia], threads[ib]), checked=checked
-                )
-            for ik, row in enumerate(products):
-                ka, kb = row[ia], row[ib]
-                if ka is None or kb is None:
+    columns = list(zip(*products))  # columns[a][k], the position of k.a
+    for ia, column_a in enumerate(columns):
+        for ib, column_b in enumerate(columns):
+            base = agree[ia][ib]
+            x, y = inverses[ia], inverses[ib]
+            if (agree[x][y] if x < count > y else _shared_prefix(points[x], points[y])) != base:
+                return IsometryVerdict(False, (threads[ia], threads[ia], threads[ib]), checked)
+            for ik, x, y in zip(range(count), column_a, column_b):
+                if x is None or y is None:
                     continue
                 checked += 1
-                if _shared_prefix(ka, kb) != base:
-                    return IsometryVerdict(
-                        valid=False,
-                        violation=(threads[ik], threads[ia], threads[ib]),
-                        checked=checked,
-                    )
+                if (agree[x][y] if x < count > y else _shared_prefix(points[x], points[y])) != base:
+                    return IsometryVerdict(False, (threads[ik], threads[ia], threads[ib]), checked)
     return IsometryVerdict(valid=True, checked=checked)
 
 

@@ -390,6 +390,32 @@ def brute_table_rejection(elements, table):
     return None
 
 
+def brute_bond_rejection(src, dst, mapping, position):
+    """The first failure of a table bond from a cyclic or windowed level to
+    a cyclic level, on integer arithmetic rather than the groups' op;
+    None for a homomorphism.  A sum that leaves the source window skips its
+    pair."""
+    if set(mapping) != set(src.elements):
+        return f"bond {position} is not total on its source level"
+    d = len(dst.elements)
+    if any(v not in {str(z) for z in range(d)} for v in mapping.values()):
+        return f"bond {position} leaves its target level"
+    if mapping["0"] != "0":
+        return f"bond {position} does not preserve the unit"
+    window = getattr(src, "bound", None)
+    for a in src.elements:
+        for b in src.elements:
+            if window is None:
+                c = (int(a) + int(b)) % len(src.elements)
+            elif abs(int(a) + int(b)) <= window:
+                c = int(a) + int(b)
+            else:
+                continue
+            if int(mapping[str(c)]) != (int(mapping[a]) + int(mapping[b])) % d:
+                return f"bond {position} is not a homomorphism at ({a}, {b})"
+    return None
+
+
 def _bond_down(g, n, m, x):
     """x in level m of a group tower, carried down to level n by .apply."""
     for k in range(m - 1, n - 1, -1):

@@ -35,7 +35,7 @@ from towertree import (
     rational_space,
     windowed_solenoid_tower,
 )
-from towertree.formats import MAX_GENERATOR_IDS
+from towertree.formats import MAX_GENERATOR_IDS, MAX_GROUP_ORDER
 
 
 def test_tower_roundtrip_extensional(two_branch_tower):
@@ -332,3 +332,81 @@ _LONG = "1" * 5000  # past Python's 4,300-digit int/str limit
 def test_malformed_matrix_and_group_input_ends_in_parse_error(parse, text):
     with pytest.raises(ParseError):
         parse(text)
+
+
+def test_group_order_is_bounded_before_building():
+    # each of these would build a table of at least 25M entries, or a
+    # window of over 10^9 ids, if it were built
+    half = MAX_GROUP_ORDER // 2
+    for level in (
+        "cyclic:5000",
+        f"cyclic:{MAX_GROUP_ORDER + 1}",
+        f"windowZ:{half}",  # 2 * half + 1 elements
+        "windowZ:1000000000",
+        {"elements": [str(i) for i in range(5000)], "table": {}},
+    ):
+        with pytest.raises(ParseError, match=f"more than {MAX_GROUP_ORDER} elements"):
+            parse_group_tower(json.dumps({"levels": ["cyclic:1", level], "bonds": [{}]}))
+    edge = parse_group_tower(json.dumps({"levels": [f"windowZ:{half - 1}"], "bonds": []}))
+    assert len(edge.levels[0].elements) == MAX_GROUP_ORDER - 1
+
+
+def _klein_level():
+    """The Klein four-group as an explicit table level."""
+    names = ["e", "a", "b", "c"]
+    return {
+        "elements": names,
+        "table": {x: {y: names[names.index(x) ^ names.index(y)] for y in names} for x in names},
+    }
+
+
+_GROUP_FUZZ_BASES = [
+    json.loads(emit_group_tower(gen_random_group_tower(5, depth=3, max_order=8))),
+    json.loads(emit_group_tower(gen_solenoid([2], 12, 3)[0])),
+    {"levels": ["cyclic:2", _klein_level()], "bonds": [{"e": "0", "a": "1", "b": "1", "c": "0"}]},
+    {"levels": ["windowZ:3", "windowZ:3"], "bonds": [{str(z): str(z) for z in range(-3, 4)}]},
+]
+
+
+def _resize(doc, data):
+    """Give one "kind:N" descriptor of doc another number, past the budget too."""
+    paths = [p for p in _nodes(doc) if isinstance(_at(doc, p), str) and ":" in _at(doc, p)]
+    if not paths:
+        return doc
+    *head, key = data.draw(st.sampled_from(paths))
+    parent = _at(doc, head)
+    size = data.draw(st.integers(min_value=0, max_value=20).map(str) | st.sampled_from(
+        [str(MAX_GROUP_ORDER // 2), str(MAX_GROUP_ORDER + 1), "5000", _LONG]))
+    parent[key] = f"{parent[key].partition(':')[0]}:{size}"
+    return doc
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _group_parses_back_or_rejects(doc) -> bool:
+    """parse_group_tower either raises ParseError or returns g with parse(emit(g)) == g."""
+    try:
+        g = parse_group_tower(json.dumps(doc))
+    except ParseError:
+        return False
+    assert parse_group_tower(emit_group_tower(g)) == g
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON)
+def test_parse_group_tower_fuzz_json_values(doc):
+    _group_parses_back_or_rejects(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_GROUP_FUZZ_BASES), st.data())
+def test_parse_group_tower_fuzz_mutated_files(base, data):
+    doc = copy.deepcopy(base)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        doc = _resize(doc, data) if data.draw(st.booleans()) else _mutate(doc, data)
+    _group_parses_back_or_rejects(doc)

@@ -4,7 +4,7 @@ import pytest
 
 import random
 
-from oracles import brute_isometry, brute_table_rejection, brute_ultrametric_ok
+from oracles import brute_bond_rejection, brute_isometry, brute_table_rejection, brute_ultrametric_ok
 from oracles import brute_condition_E, brute_condition_M, brute_projection
 
 from towertree import (
@@ -520,3 +520,108 @@ def test_conditions_and_projections_match_brute_apply_walks():
     assert same(check_condition_M(e_fails), brute_condition_M(e_fails)).holds
     assert same(check_condition_M(m_fails), brute_condition_M(m_fails)).violation == 2
     assert same(check_condition_E(m_fails), brute_condition_E(m_fails)).holds
+
+
+def test_cyclic_tables_match_the_integer_sums():
+    for m in range(1, 65):
+        g = TableGroup.cyclic(m)
+        ids = [str(i) for i in range(m)]
+        ref = TableGroup(ids, {(a, b): str((int(a) + int(b)) % m) for a in ids for b in ids})
+        assert (g.elements, g.unit) == (ref.elements, ref.unit)
+        assert list(g.op_table.items()) == list(ref.op_table.items())
+        assert list(g.inverse_table.items()) == list(ref.inverse_table.items())
+
+
+def test_table_entries_outside_the_group_rejected():
+    table = dict(TableGroup.cyclic(2).op_table)
+    table[("0", "x")] = "0"
+    with pytest.raises(ValidationError, match="entries outside the group"):
+        TableGroup(["0", "1"], table)
+
+
+def test_bond_rejections_match_brute_scan():
+    # x -> c x from a cyclic or windowed level onto Z/d, with one entry
+    # dropped, added, sent out of Z/d or moved; the bond sits at position 2
+    # and the first failure is reported
+    rng = random.Random("bond-rejections")
+    kinds = dict.fromkeys(("total", "leaves", "unit", "homomorphism", "valid"), 0)
+    for _ in range(200):
+        d = rng.randint(2, 6)
+        if rng.random() < 0.3:
+            src = WindowedZ(rng.randint(0, 4))
+        else:
+            src = TableGroup.cyclic(d * rng.randint(1, 3))
+        dst = TableGroup.cyclic(d)
+        c = rng.randrange(d)
+        mapping = {x: str(c * int(x) % d) for x in src.elements}
+        x = rng.choice(src.elements)
+        roll = rng.random()
+        if roll < 0.1:
+            del mapping[x]
+        elif roll < 0.2:
+            mapping["stray"] = "0"
+        elif roll < 0.3:
+            mapping[x] = "out"
+        elif roll < 0.45:
+            mapping["0"] = str(rng.randrange(1, d))
+        elif roll < 0.95:
+            mapping[x] = str((int(mapping[x]) + rng.randrange(1, d)) % d)
+        expected = brute_bond_rejection(src, dst, mapping, 2)
+        to_unit = TableHom({y: "0" for y in dst.elements})
+        levels = [TableGroup.cyclic(1), dst, src]
+        if expected is None:
+            GroupTower(levels, [to_unit, TableHom(mapping)])
+            kinds["valid"] += 1
+            continue
+        with pytest.raises(ValidationError) as err:
+            GroupTower(levels, [to_unit, TableHom(mapping)])
+        assert str(err.value) == expected
+        kinds[next(k for k in kinds if k in expected)] += 1
+    floors = {"total": 20, "leaves": 15, "unit": 20, "homomorphism": 40, "valid": 5}
+    assert all(kinds[k] >= floor for k, floor in floors.items()), kinds
+
+
+def test_isometry_matches_brute_oracle_on_altered_lower_tables():
+    # one or two op or inverse entries changed at any level, the lower ones
+    # included, so that products and inverses leave the limit threads
+    rng = random.Random("altered-lower-isometry")
+    kinds = {"valid": 0, "invalid": 0, "lower": 0, "strays": 0}
+    for seed in range(60):
+        g = gen_random_group_tower(seed, depth=3, max_order=12)
+        tables = [n for n, level in enumerate(g.levels) if len(level.elements) > 1]
+        if not tables:
+            continue
+        for _ in range(rng.randint(1, 2)):
+            n = rng.choice(tables)
+            elems = g.levels[n].elements
+            if rng.random() < 0.3:
+                g.levels[n].inverse_table[rng.choice(elems)] = rng.choice(elems)
+            else:
+                g.levels[n].op_table[(rng.choice(elems), rng.choice(elems))] = rng.choice(elems)
+            kinds["lower"] += n < g.depth - 1
+        verdict = check_translation_isometry(g)
+        valid, violation, checked = brute_isometry(g)
+        got = None if verdict.violation is None else tuple(t.entries for t in verdict.violation)
+        assert (verdict.valid, got, verdict.checked) == (valid, violation, checked)
+        threads = limit_threads(g)
+        made = [thread_inverse(g, a) for a in threads]
+        made += [thread_product(g, k, a) for k in threads for a in threads]
+        kinds["strays"] += not {t.entries for t in made} <= {t.entries for t in threads}
+        kinds["valid" if valid else "invalid"] += 1
+    assert kinds["invalid"] >= 20 and kinds["valid"] >= 10
+    assert kinds["lower"] >= 20 and kinds["strays"] >= 20
+
+
+def test_isometry_compares_each_pair_of_threads_once(monkeypatch):
+    import towertree.groups as groups
+
+    calls = []
+    real = groups._shared_prefix
+    monkeypatch.setattr(groups, "_shared_prefix", lambda xs, ys: calls.append(1) or real(xs, ys))
+    towers = [gen_random_group_tower(seed, depth=4) for seed in range(30)]
+    towers += [gen_solenoid([1], 5, 3)[0], unpatterned_scaling_tower()]
+    for g in towers:
+        calls.clear()
+        assert check_translation_isometry(g).valid
+        t = len(limit_threads(g))
+        assert len(calls) <= t * t + t
