@@ -67,11 +67,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    from .trees import dot_of_tree, max_geodesic_subtree, tree_of_tower
+    from .trees import dot_of_tree, tree_of_tower
 
-    tree = tree_of_tower(parse_tower(_read(args.file)))
-    core = max_geodesic_subtree(tree)
-    sys.stdout.write(dot_of_tree(tree, core=core.vertices))
+    sys.stdout.write(dot_of_tree(tree_of_tower(parse_tower(_read(args.file)))))
     return EXIT_OK
 
 

@@ -29,7 +29,6 @@ from .trees import (
     ROOT,
     Branch,
     RootedTree,
-    branches,
     max_geodesic_subtree,
     tree_of_tower,
 )
@@ -270,16 +269,20 @@ def verify_ultrametric(space: UltrametricSpace) -> UltrametricVerdict:
 
 def end_space_of(tree: RootedTree) -> UltrametricSpace:
     """Ends of the maximal geodesically complete subtree, distances as
-    agreement exponents.  Point ids are the leaf ids (unique per level)."""
+    agreement exponents.  Each end's id chain is carried up the core
+    tower's parent positions; point ids are the deepest ids."""
     core = max_geodesic_subtree(tree)
     if core.depth == 0:
         raise EmptyCore("the tree has no complete branch")
-    chains = [b.vertices[1:] for b in branches(core)]
-    points = [chain[-1][1] for chain in chains]
+    tower = core.tower
+    chains = [(x,) for x in tower.levels[0]]
+    for ids, up in zip(tower.levels[1:], tower.up):
+        chains = [chains[i] + (x,) for x, i in zip(ids, up)]
+    points = [chain[-1] for chain in chains]
     exponents = {}
     for i, f in enumerate(chains):
         for j in range(i + 1, len(chains)):
-            exponents[(points[i], points[j])] = prefix_agreement(f, chains[j]).exponent()
+            exponents[(points[i], points[j])] = _shared_prefix(f, chains[j])
     return grid_space(points, exponents)
 
 

@@ -8,23 +8,24 @@ round-trips: parse(emit(x)) == x.
 from __future__ import annotations
 
 import json
-import sys
 from fractions import Fraction
 
 from .ends import GRID, RATIONAL, UltrametricSpace, grid_space, rational_space
 from .errors import ParseError, TowerTreeError
 from .groups import GroupTower, ScaleHom, TableGroup, TableHom, WindowedZ
-from .towers import SolenoidOracle, Tower, TowerMorphism, windowed_solenoid_tower
-
-# A generator tower may hold at most this many ids over all its levels,
-# counted before any level is built.  The doubling solenoid fits up to
-# window 2^17 at full depth 18 (524,304 ids).
-MAX_GENERATOR_IDS = 1 << 20
+from .towers import Tower, TowerMorphism, windowed_solenoid_tower
+from .towers import MAX_GENERATOR_IDS  # noqa: F401  (the generator budget lives in towers)
 
 # A group level may hold at most this many elements (a windowZ:N level holds
 # 2N + 1), counted before any table is built.  Validating a table is cubic
 # in its order: cyclic:256 takes about 0.5 s on a 2-vCPU x86_64 VM.
 MAX_GROUP_ORDER = 256
+
+# A group tower may hold at most this many elements over all its levels,
+# counted before each level's table is built, so that at most four tables
+# of MAX_GROUP_ORDER are validated: four cyclic:256 levels with identity
+# bonds take about 2.5 s on the same VM.
+MAX_GROUP_ELEMENTS = 1024
 
 
 def _load_json(text: str):
@@ -63,33 +64,6 @@ def _is_int(value) -> bool:
 # Towers
 
 
-def _check_generator(oracle: SolenoidOracle, depth: int) -> None:
-    """Refuse a generator tower before it is built: its levels may hold at
-    most MAX_GENERATOR_IDS ids, and every number of its ML failure
-    certificate must print within Python's int/str digit limit.  The
-    largest is the last chain entry, alpha = step_product(1, s) with s the
-    first level >= depth whose multiplier exceeds 1."""
-    total = 0
-    for b in oracle.level_bounds(depth):
-        total += 2 * b + 1
-        _require(
-            total <= MAX_GENERATOR_IDS,
-            f"generator tower holds more than {MAX_GENERATOR_IDS} ids",
-        )
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if digits == 0 or depth < 2 or oracle.ml_holds():
-        return
-    s = depth
-    while oracle.multiplier(s) == 1:
-        s += 1
-    ceiling, alpha = 10**digits, 1
-    for n in range(1, s):
-        alpha *= oracle.multiplier(n)
-        _require(
-            alpha < ceiling, f"its ML failure certificate would hold numbers over {digits} digits"
-        )
-
-
 def parse_tower(text: str) -> Tower:
     """Accepts the explicit form {depth, levels, bonds} and the generator
     form {generator: "solenoid", primes, window, depth}."""
@@ -107,7 +81,6 @@ def parse_tower(text: str) -> Tower:
         _require(_is_int(window), "window must be an integer")
         _require(_is_int(depth), "depth must be an integer")
         try:
-            _check_generator(SolenoidOracle(tuple(primes), window), depth)
             return windowed_solenoid_tower(primes, window, depth)
         except TowerTreeError as e:
             raise ParseError(str(e)) from None
@@ -295,20 +268,25 @@ def emit_group_tower(g: GroupTower) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _check_order(order: int, position: int) -> None:
+def _check_order(order: int, position: int, before: int) -> None:
+    """A level of order elements fits after before elements on the lower levels."""
     _require(
         order <= MAX_GROUP_ORDER,
         f"level {position}: group holds more than {MAX_GROUP_ORDER} elements",
     )
+    _require(
+        before + order <= MAX_GROUP_ELEMENTS,
+        f"level {position}: group tower holds more than {MAX_GROUP_ELEMENTS} elements",
+    )
 
 
-def _parse_group(item, position: int) -> TableGroup | WindowedZ:
+def _parse_group(item, position: int, before: int) -> TableGroup | WindowedZ:
     if isinstance(item, str):
         kind, _, arg = item.partition(":")
         size = _decimal(arg, f"level {position}: bad descriptor", item)
         orders = {"cyclic": size, "windowZ": 2 * size + 1}
         _require(kind in orders, f"level {position}: unknown kind {kind!r}")
-        _check_order(orders[kind], position)
+        _check_order(orders[kind], position, before)
         try:
             return TableGroup.cyclic(size) if kind == "cyclic" else WindowedZ(size)
         except TowerTreeError as e:
@@ -321,7 +299,7 @@ def _parse_group(item, position: int) -> TableGroup | WindowedZ:
         isinstance(elements, list) and all(isinstance(x, str) for x in elements),
         f"level {position}: elements must be a list of strings",
     )
-    _check_order(len(elements), position)
+    _check_order(len(elements), position, before)
     _require(isinstance(rows, dict), f"level {position}: table must be an object")
     table = {}
     for a, row in rows.items():
@@ -342,7 +320,10 @@ def parse_group_tower(text: str) -> GroupTower:
         _require(key in data, f"group tower object needs {key!r}")
     _require(isinstance(data["levels"], list), "levels must be a list")
     _require(isinstance(data["bonds"], list), "bonds must be a list")
-    levels = [_parse_group(item, i) for i, item in enumerate(data["levels"], start=1)]
+    levels, total = [], 0
+    for i, item in enumerate(data["levels"], start=1):
+        levels.append(_parse_group(item, i, total))
+        total += len(levels[-1].elements)
     bonds = []
     try:
         for i, item in enumerate(data["bonds"], start=1):

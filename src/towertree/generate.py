@@ -17,7 +17,6 @@ from .ends import UltrametricSpace, certified_ln_sign, grid_space, rational_spac
 from .errors import InvalidParameter
 from .groups import GroupTower, ScaleHom, TableGroup, TableHom, WindowedZ
 from .towers import (
-    SolenoidOracle,
     Tower,
     TowerMorphism,
     _pull_back,
@@ -42,10 +41,11 @@ def gen_solenoid(primes: Sequence[int], window: int, depth: int) -> tuple[GroupT
         raise InvalidParameter("window must be >= 1")
     if depth < 1:
         raise InvalidParameter("depth must be >= 1")
-    oracle = SolenoidOracle(primes, window)
+    tower = windowed_solenoid_tower(primes, window, depth)  # refuses an oversized tower first
+    oracle = tower.oracle
     levels = [WindowedZ(b) for b in oracle.level_bounds(depth)]
     bonds = [ScaleHom(oracle.multiplier(n)) for n in range(1, depth)]
-    return GroupTower(levels, bonds), windowed_solenoid_tower(primes, window, depth)
+    return GroupTower(levels, bonds), tower
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .towers import (
 )
 from .trees import branches, max_geodesic_subtree, tree_of_tower
 from .ends import end_space_of
-from .formats import _check_generator, _load_json
+from .formats import _load_json
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,6 @@ def _truncate(tower: Tower, horizon: int) -> Tower:
     if horizon < 1:
         raise InvalidParameter("depth horizon must be >= 1")
     if tower.oracle is not None:
-        _check_generator(tower.oracle, horizon)
         return windowed_solenoid_tower(tower.oracle.primes, tower.oracle.window, horizon)
     if horizon > tower.depth:
         raise InvalidParameter(

@@ -16,6 +16,7 @@ else is inconclusive at this depth.
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -118,16 +119,6 @@ class SolenoidOracle:
     def ml_holds(self) -> bool:
         """ML for the infinite tower: fails as soon as one multiplier exceeds 1."""
         return all(p == 1 for p in self.primes)
-
-    def defeat(self, n0: int, n1: int) -> tuple[int, int]:
-        """An element of X_{n0} extendable to n1 but not to the returned level.
-
-        Returns (alpha, fails_at).  Exists whenever some multiplier > 1.
-        """
-        s = n1
-        while self.multiplier(s) == 1:
-            s += 1
-        return self.step_product(n0, s), s + 1
 
 
 @dataclass(frozen=True)
@@ -280,17 +271,51 @@ class BondComposite:
     mapping: dict[str, str] = field(compare=True)
 
 
+# A generator tower may hold at most this many ids over all its levels,
+# counted before any level is built.  The doubling solenoid fits up to
+# window 2^17 at full depth 18 (524,304 ids).
+MAX_GENERATOR_IDS = 1 << 20
+
+
+def _check_generator(oracle: SolenoidOracle, depth: int) -> None:
+    """Refuse a generator tower before it is built: its levels may hold at
+    most MAX_GENERATOR_IDS ids, and every number of its ML failure
+    certificate must print within Python's int/str digit limit.  The
+    largest is the last chain entry, alpha = step_product(1, s) with s the
+    first level >= depth whose multiplier exceeds 1."""
+    total = 0
+    for b in oracle.level_bounds(depth):
+        total += 2 * b + 1
+        if total > MAX_GENERATOR_IDS:
+            raise ValidationError(f"generator tower holds more than {MAX_GENERATOR_IDS} ids")
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits == 0 or depth < 2 or oracle.ml_holds():
+        return
+    s = depth
+    while oracle.multiplier(s) == 1:
+        s += 1
+    ceiling, alpha = 10**digits, 1
+    for n in range(1, s):
+        alpha *= oracle.multiplier(n)
+        if alpha >= ceiling:
+            raise ValidationError(
+                f"its ML failure certificate would hold numbers over {digits} digits"
+            )
+
+
 def windowed_solenoid_tower(primes: Sequence[int], window: int, depth: int) -> Tower:
     """Materialize the windowed-integer tower with bonds z -> p_n * z.
 
     Level n holds the integers whose composite image at level 1 stays in
     [-window, window]; that shrinking window is exactly what keeps every
     bond total into its target level.  Level n lists -b..b in order, so z
-    sits at position z + b and its image p_n * z at p_n * z + b_n.
+    sits at position z + b and its image p_n * z at p_n * z + b_n.  A tower
+    past _check_generator's budget is refused before any level is built.
     """
+    oracle = SolenoidOracle(tuple(int(p) for p in primes), int(window))
     if depth < 1:
         raise ValidationError("depth must be >= 1")
-    oracle = SolenoidOracle(tuple(int(p) for p in primes), int(window))
+    _check_generator(oracle, depth)
     bounds = list(oracle.level_bounds(depth))
     levels = [tuple(map(str, range(-b, b + 1))) for b in bounds]
     up = [
@@ -366,11 +391,18 @@ def ml_verdict(tower: Tower) -> MLReport:
         per_level.append(LevelStabilization(level=n0, stabilization=s, margin=depth - s))
     per_level = tuple(per_level)
 
-    if tower.oracle is not None and not tower.oracle.ml_holds():
+    oracle = tower.oracle
+    if oracle is not None and not oracle.ml_holds():
+        # n1 is defeated by alpha = step_product(1, s), with s the first
+        # level >= n1 whose multiplier exceeds 1: alpha extends to n1 but not
+        # to s + 1.  s only moves forward, carrying the product with it.
         chain_rows = []
+        s, alpha = 1, 1
         for n1 in range(2, depth + 1):
-            alpha, fails_at = tower.oracle.defeat(1, n1)
-            chain_rows.append((n1, alpha, fails_at))
+            while s < n1 or oracle.multiplier(s) == 1:
+                alpha *= oracle.multiplier(s)
+                s += 1
+            chain_rows.append((n1, alpha, s + 1))
         witness = MLFailure(level=1, chain=tuple(chain_rows))
         return MLReport(verdict=FAILS, per_level=per_level, witness=witness)
     if all(row.margin >= 1 for row in per_level):

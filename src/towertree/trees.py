@@ -5,11 +5,11 @@ its integer level; points interior to edges carry an exact rational
 offset, so every distance, meet, and geodesic computed here is exact: an
 int between vertices, a Fraction once a point inside an edge is involved.
 
-Geodesic completeness at truncation means "extendable to the deepest
-level".  Trees built from generator towers additionally carry the oracle's
-verdict: core_hint lists the vertices that extend forever, and
-fringe_unbounded records that the untruncated tree grows arbitrarily long
-finite branches (which no finite window can show).
+A tree is its tower plus lazy caches.  Geodesic completeness at truncation
+means "extendable to the deepest level".  A tree of a generator tower reads
+the oracle's verdict off it: core_hint lists the vertices that extend
+forever, and fringe_unbounded records that the untruncated tree grows
+arbitrarily long finite branches (which no finite window can show).
 """
 
 from __future__ import annotations
@@ -32,23 +32,17 @@ class RootedTree:
     """A finite rooted tree: the levels and bonds of a tower plus a root.
 
     tower is the tower the tree indexes (None for the bare root), and the
-    tree reads its parent positions: levels[n] lists the vertices (n, x)
-    for x in X_n in the tower's order, and parent maps each of them to
-    (n - 1, p_{n-1}(x)), or to the implicit root (0, "root") at level 1.
-    parent and children are built on first use.  Instances are immutable;
-    equality compares the parent map and the oracle annotations.
+    tree reads everything off it: levels[n] lists the vertices (n, x) for x
+    in X_n in the tower's order, parent maps each of them to
+    (n - 1, p_{n-1}(x)), or to the implicit root (0, "root") at level 1, and
+    a generator tower's oracle gives core_hint and fringe_unbounded.
+    parent, children and the core (max_geodesic_subtree) are built on first
+    use.  Instances are immutable; equality is the tower's.
     """
 
-    __slots__ = (
-        "tower", "levels", "depth", "core_hint", "fringe_unbounded", "_hint", "_parent", "_children"
-    )
+    __slots__ = ("tower", "levels", "depth", "_parent", "_children", "_core")
 
-    def __init__(
-        self,
-        parent: Mapping[Vertex, Vertex],
-        core_hint: frozenset[Vertex] | None = None,
-        fringe_unbounded: bool = False,
-    ):
+    def __init__(self, parent: Mapping[Vertex, Vertex]):
         """Read levels and bonds off a parent map; Tower checks and orders them."""
         depth = max((v[0] for v in parent), default=0)
         ids: list[list[str]] = [[] for _ in range(depth)]
@@ -61,40 +55,36 @@ class RootedTree:
             ids[lv - 1].append(x)
             if lv > 1:
                 bonds[lv - 2][x] = p[1]
-        tower = Tower(ids, bonds) if depth else None
-        hint = None
-        if core_hint is not None:
-            stray = set(core_hint) - parent.keys()
-            if stray:
-                raise ValidationError(f"core hint names unknown vertices: {stray}")
-            top = max((v[0] for v in core_hint), default=0)
-            hint = [
-                [i for i, x in enumerate(tower.levels[n - 1]) if (n, x) in core_hint]
-                for n in range(1, top + 1)
-            ]
-        self._index(tower, core_hint, hint, fringe_unbounded)
+        self._index(Tower(ids, bonds) if depth else None)
 
-    def _index(
-        self,
-        tower: Tower | None,
-        core_hint: frozenset[Vertex] | None,
-        hint: list[list[int]] | None,
-        fringe_unbounded: bool,
-    ) -> None:
-        """The vertices of the tower's levels.
-
-        hint[n-1] lists the positions in X_n of core_hint's level-n vertices."""
+    def _index(self, tower: Tower | None) -> None:
+        """The vertices of the tower's levels."""
         levels: dict[int, tuple[Vertex, ...]] = {0: (ROOT,)}
         for n, ids in enumerate(tower.levels if tower is not None else (), start=1):
             levels[n] = tuple([(n, x) for x in ids])
         self.tower = tower
         self.levels = levels
         self.depth = len(levels) - 1
-        self.core_hint = core_hint
-        self.fringe_unbounded = fringe_unbounded
-        self._hint = hint
-        self._parent = None
-        self._children = None
+        self._parent = self._children = self._core = None
+
+    @property
+    def fringe_unbounded(self) -> bool:
+        """The oracle says the untruncated tree grows arbitrarily long finite
+        branches, which no finite window can show."""
+        oracle = self.tower.oracle if self.tower is not None else None
+        return oracle is not None and not oracle.ml_holds()
+
+    @property
+    def core_hint(self) -> frozenset[Vertex] | None:
+        """The vertices the oracle says extend forever; None without an oracle."""
+        oracle = self.tower.oracle if self.tower is not None else None
+        if oracle is None:
+            return None
+        return frozenset(
+            (n, ids[i])
+            for n, ids in enumerate(self.tower.levels, start=1)
+            for i in oracle.forever_extendable(ids)
+        )
 
     def parent_positions(self, n: int) -> Sequence[int]:
         """For each vertex of levels[n], n >= 1, the position of its parent in levels[n - 1]."""
@@ -167,21 +157,11 @@ class RootedTree:
             out.append(parent[out[-1]])
         return tuple(reversed(out))
 
-    def _shape(self) -> tuple:
-        """Sorted levels and parent positions: equal exactly when the parent maps are."""
-        t = self.tower
-        return (t.levels, t.up) if t is not None else ((), ())
-
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RootedTree)
-            and self._shape() == other._shape()
-            and self.core_hint == other.core_hint
-            and self.fringe_unbounded == other.fringe_unbounded
-        )
+        return isinstance(other, RootedTree) and self.tower == other.tower
 
     def __hash__(self):
-        return hash((self._shape(), self.core_hint, self.fringe_unbounded))
+        return hash(self.tower)
 
     def __repr__(self) -> str:
         return f"RootedTree(depth={self.depth}, vertices={sum(map(len, self.levels.values()))})"
@@ -247,16 +227,8 @@ class Branch:
 
 def tree_of_tower(tower: Tower) -> RootedTree:
     """Vertices (n, x) for x in X_n; parents follow the bonds; root below X_1."""
-    core_hint = hint = None
-    fringe = False
-    if tower.oracle is not None:
-        hint = [tower.oracle.forever_extendable(ids) for ids in tower.levels]
-        core_hint = frozenset(
-            (n, ids[i]) for n, (ids, kept) in enumerate(zip(tower.levels, hint), start=1) for i in kept
-        )
-        fringe = not tower.oracle.ml_holds()
     tree = RootedTree.__new__(RootedTree)
-    tree._index(tower, core_hint, hint, fringe)
+    tree._index(tower)
     return tree
 
 
@@ -292,19 +264,23 @@ def subtree_at(tree: RootedTree, c: Vertex) -> frozenset[Vertex]:
 
 def max_geodesic_subtree(tree: RootedTree) -> RootedTree:
     """The maximal subtree in which every vertex extends to full depth: the
-    tree of the surjective core.
+    tree of the surjective core, built on first call and kept on the tree.
 
-    With an oracle hint the genuine forever-extendable core is used instead
-    of the depth-D proxy.
+    With an oracle the genuine forever-extendable core is used instead of
+    the depth-D proxy.
     """
-    if tree._hint is not None:
-        hint = tree._hint
-        while hint and not hint[-1]:
-            hint = hint[:-1]
-        return tree_of_tower(_sub_tower(tree.tower, hint)) if hint else RootedTree({})
-    if tree.tower is None:
-        return tree
-    return tree_of_tower(surjective_core(tree.tower))
+    if tree._core is None:
+        tower = tree.tower
+        if tower is None:
+            tree._core = tree
+        elif tower.oracle is None:
+            tree._core = tree_of_tower(surjective_core(tower))
+        else:
+            kept = [tower.oracle.forever_extendable(ids) for ids in tower.levels]
+            while kept and not kept[-1]:
+                kept.pop()
+            tree._core = tree_of_tower(_sub_tower(tower, kept)) if kept else RootedTree({})
+    return tree._core
 
 
 def is_geodesically_complete(tree: RootedTree) -> bool:

@@ -107,6 +107,33 @@ def root_chain(tree, v):
     return out
 
 
+def brute_end_exponents(tree, keep=lambda x: True):
+    """{(x, y): agreement exponent} over the deepest ids x, y that keep
+    accepts, from the shared prefix of their root chains (one entry per
+    unordered pair, x before y in natural_key order)."""
+    ids = sorted((v[1] for v in tree.levels[tree.depth] if keep(v[1])), key=natural_key)
+    chains = {x: root_chain(tree, (tree.depth, x))[1:] for x in ids}
+    return {
+        (x, y): _prefix(chains[x], chains[y]) for i, x in enumerate(ids) for y in ids[i + 1 :]
+    }
+
+
+def brute_ml_chain(primes, depth):
+    """The ML failure rows (n1, alpha, fails_at) for n1 = 2..depth: s is the
+    first level >= n1 whose multiplier exceeds 1, alpha the product of the
+    multipliers of levels 1..s-1, each row walked and multiplied afresh."""
+    rows = []
+    for n1 in range(2, depth + 1):
+        s = n1
+        while primes[(s - 1) % len(primes)] == 1:
+            s += 1
+        alpha = 1
+        for n in range(1, s):
+            alpha *= primes[(n - 1) % len(primes)]
+        rows.append((n1, alpha, s + 1))
+    return rows
+
+
 def brute_vertex_distance(tree, u, w):
     cu, cw = root_chain(tree, u), root_chain(tree, w)
     common = 0

@@ -205,8 +205,16 @@ def test_analyze_rejects_input_past_interpreter_limits(tmp_path, text, extra):
         ["gen", "biholder", "--l", "1/0"],
         ["gen", "biholder", "--l", "x"],
         ["export-dot", "no-such-dir/tower.json"],
+        ["gen", "solenoid", "--primes", "2", "--window", "1000000000", "--depth", "3"],
     ],
-    ids=["random-depth", "biholder-c", "biholder-l-zero-division", "biholder-l-text", "dot-missing"],
+    ids=[
+        "random-depth",
+        "biholder-c",
+        "biholder-l-zero-division",
+        "biholder-l-text",
+        "dot-missing",
+        "solenoid-budget",
+    ],
 )
 def test_every_command_reports_errors_as_one_line(argv):
     code, out, err = run(argv)

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import ahu_canon, brute_components, brute_ultrametric_ok, is_violation
+from oracles import (
+    ahu_canon,
+    brute_components,
+    brute_end_exponents,
+    brute_ultrametric_ok,
+    is_violation,
+)
 
 from towertree import (
     GRID,
@@ -28,6 +34,8 @@ from towertree import (
     gen_random_rational_space,
     gen_random_tower,
     grid_space,
+    is_extendable,
+    max_geodesic_subtree,
     rational_space,
     simplicialize,
     sphere,
@@ -35,6 +43,7 @@ from towertree import (
     tree_of_ultrametric,
     tu_distance,
     verify_ultrametric,
+    windowed_solenoid_tower,
 )
 
 
@@ -327,3 +336,38 @@ def test_end_space_always_valid_ultrametric(seed):
     diam = sp.diameter_exponent()
     if diam is not None:
         assert diam >= 0
+
+
+def _assert_end_space_matches_root_chains(tree, keep=lambda x: True):
+    space = end_space_of(tree)
+    assert set(space.points) == {v[1] for v in tree.levels[tree.depth] if keep(v[1])}
+    assert {(x, y): v for x, y, v in space.pairs()} == brute_end_exponents(tree, keep)
+    return space
+
+
+def test_end_space_matches_root_chains_of_the_deepest_vertices():
+    """Ends are read off the core tower's parent positions; the oracle walks
+    parent_of from each deepest vertex of the full tree instead."""
+    proper = 0
+    for seed in range(240):
+        tower = gen_random_tower(
+            seed, depth=1 + seed % 7, max_level_size=2 + seed % 4, surjectivity_bias=(seed % 4) / 4
+        )
+        tree = tree_of_tower(tower)
+        _assert_end_space_matches_root_chains(tree)
+        proper += len(max_geodesic_subtree(tree).vertices) < len(tree.vertices)
+    assert proper >= 100
+
+
+def test_end_space_of_solenoids_and_dendrograms_matches_root_chains():
+    for primes, window, depth in (([2], 64, 5), ([2, 3], 200, 4), ([1], 6, 4), ([1, 1], 3, 3)):
+        tower = windowed_solenoid_tower(primes, window, depth)
+        # an end is a deepest vertex that still extends 40 levels further
+        space = _assert_end_space_matches_root_chains(
+            tree_of_tower(tower), lambda x: is_extendable(tower, depth, x, depth + 40)
+        )
+        assert len(space.points) == (1 if max(primes) > 1 else 2 * window + 1)
+    for seed in range(40):
+        original = gen_random_grid_space(seed, max_points=2 + seed % 9)
+        tree, _ = tree_of_ultrametric(original)
+        assert _assert_end_space_matches_root_chains(tree) == original

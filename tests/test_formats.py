@@ -35,7 +35,7 @@ from towertree import (
     rational_space,
     windowed_solenoid_tower,
 )
-from towertree.formats import MAX_GENERATOR_IDS, MAX_GROUP_ORDER
+from towertree.formats import MAX_GENERATOR_IDS, MAX_GROUP_ELEMENTS, MAX_GROUP_ORDER
 
 
 def test_tower_roundtrip_extensional(two_branch_tower):
@@ -349,6 +349,32 @@ def test_group_order_is_bounded_before_building():
             parse_group_tower(json.dumps({"levels": ["cyclic:1", level], "bonds": [{}]}))
     edge = parse_group_tower(json.dumps({"levels": [f"windowZ:{half - 1}"], "bonds": []}))
     assert len(edge.levels[0].elements) == MAX_GROUP_ORDER - 1
+
+
+def test_group_tower_levels_are_bounded_in_total(monkeypatch):
+    import towertree.formats as formats
+
+    built = []
+    real = formats.TableGroup.cyclic
+    monkeypatch.setattr(formats.TableGroup, "cyclic", lambda m: built.append(m) or real(m))
+    identity = {str(i): str(i) for i in range(64)}
+    text = json.dumps({"levels": ["cyclic:64"] * 1000, "bonds": [identity] * 999})
+    fit = MAX_GROUP_ELEMENTS // 64
+    with pytest.raises(ParseError, match=f"level {fit + 1}: group tower holds more than"):
+        parse_group_tower(text)
+    assert built == [64] * fit
+    # an oversized level gets the per-level message, even past the total
+    half = (MAX_GROUP_ORDER - 1) // 2
+    windows = [f"windowZ:{half}"] * 4  # 4 * 255 elements
+    for level, message in (
+        (f"cyclic:{MAX_GROUP_ORDER + 1}", f"level 5: group holds more than {MAX_GROUP_ORDER}"),
+        ("cyclic:5", f"level 5: group tower holds more than {MAX_GROUP_ELEMENTS}"),
+    ):
+        with pytest.raises(ParseError, match=message):
+            parse_group_tower(json.dumps({"levels": windows + [level], "bonds": []}))
+    bonds = [{str(z): str(z) for z in range(-half, half + 1)}] * 3 + [dict.fromkeys("0123", "0")]
+    fits = parse_group_tower(json.dumps({"levels": windows + ["cyclic:4"], "bonds": bonds}))
+    assert sum(len(g.elements) for g in fits.levels) == MAX_GROUP_ELEMENTS
 
 
 def _klein_level():

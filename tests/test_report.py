@@ -6,8 +6,13 @@ from towertree import (
     InvalidParameter,
     build_report,
     emit_report,
+    end_space_of,
+    gen_random_tower,
+    max_geodesic_subtree,
     parse_report,
     render_text,
+    retraction_map,
+    tree_of_tower,
     windowed_solenoid_tower,
 )
 from conftest import constant_tower
@@ -105,3 +110,28 @@ def test_render_text_failure_mentions_witness(solenoid_p2):
     text = render_text(build_report(solenoid_p2))
     assert "ml: fails" in text
     assert "retraction: not proper" in text
+
+
+@pytest.mark.parametrize(
+    "tower",
+    [gen_random_tower(7, 5, 4, 0.5), windowed_solenoid_tower([2, 3], 300, 6)],
+    ids=["random", "solenoid"],
+)
+def test_report_builds_the_core_once(monkeypatch, tower):
+    """T-infinity, the end space and the retraction share one core."""
+    import towertree.trees as trees
+
+    calls = []
+    for name in ("surjective_core", "_sub_tower"):
+        real = getattr(trees, name)
+        monkeypatch.setattr(
+            trees, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a)
+        )
+    build_report(tower)
+    assert calls == ["_sub_tower" if tower.oracle else "surjective_core"]
+    tree = tree_of_tower(tower)
+    core = max_geodesic_subtree(tree)
+    assert max_geodesic_subtree(tree) is core
+    assert retraction_map(tree).map.target is core
+    assert len(end_space_of(tree).points) == len(core.levels[core.depth])
+    assert len(calls) == 2

@@ -1,6 +1,7 @@
 """Tower construction, bonding composites, ML verdicts, and morphisms."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from oracles import (
     brute_image,
     brute_levelization,
     brute_lift,
+    brute_ml_chain,
     brute_stabilization,
 )
 
@@ -32,6 +34,7 @@ from towertree import (
     compose_bonding,
     compose_morphisms,
     gen_random_tower,
+    gen_solenoid,
     identity_morphism,
     is_extendable,
     is_level_morphism,
@@ -47,6 +50,7 @@ from towertree import (
     windowed_solenoid_tower,
 )
 from towertree.report import _truncate
+from towertree.towers import MAX_GENERATOR_IDS
 
 
 def test_natural_key_orders_numeric_suffixes():
@@ -190,6 +194,43 @@ def test_ml_solenoid_fails_with_divisibility_chain(solenoid_p2):
     for n1, alpha, fails_at in rep.witness.chain:
         assert is_extendable(solenoid_p2, 1, str(alpha), n1)
         assert not is_extendable(solenoid_p2, 1, str(alpha), fails_at)
+
+
+def test_ml_failure_chain_matches_brute_step_products():
+    rng = random.Random(10)
+    lists = [[2], [1, 2], [2, 1], [1, 1, 3], [3, 1, 1, 1, 5], [1] * 9 + [2]]
+    lists += [[rng.choice([1, 1, 1, 2, 3, 5]) for _ in range(rng.randint(1, 6))] for _ in range(60)]
+    checked = 0
+    for primes in lists:
+        if max(primes) == 1:
+            continue
+        for depth in (1, 2, 3, 7, 15, 31):
+            rep = ml_verdict(windowed_solenoid_tower(primes, 5, depth))
+            assert rep.verdict == FAILS
+            assert list(rep.witness.chain) == brute_ml_chain(primes, depth)
+            checked += len(rep.witness.chain)
+    assert checked >= 2000
+
+
+def test_ml_failure_chain_is_linear_in_depth():
+    primes, depth = [1] * 99 + [2], 8000
+    tower = windowed_solenoid_tower(primes, 0, depth)
+    start = time.perf_counter()
+    chain = ml_verdict(tower).witness.chain
+    elapsed = time.perf_counter() - start
+    assert elapsed < 0.2
+    rows = brute_ml_chain(primes, 260)
+    assert chain[:259] == tuple(rows) and chain[-1] == (depth, 2**79, depth + 1)
+
+
+def test_generator_budget_refuses_before_building():
+    # two billion ids if it were built; each caller gets the same refusal
+    with pytest.raises(ValidationError, match=f"more than {MAX_GENERATOR_IDS} ids"):
+        windowed_solenoid_tower([2], 10**9, 3)
+    with pytest.raises(ValidationError, match=f"more than {MAX_GENERATOR_IDS} ids"):
+        gen_solenoid([2], 10**9, 3)
+    with pytest.raises(ValidationError, match=f"more than {MAX_GENERATOR_IDS} ids"):
+        _truncate(windowed_solenoid_tower([2], 10**6, 2), 3)
 
 
 @settings(max_examples=40, deadline=None)

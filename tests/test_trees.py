@@ -310,18 +310,17 @@ def test_core_is_tree_of_surjective_core():
 
 
 @pytest.mark.parametrize(
-    "parent, core_hint",
+    "parent",
     [
-        ({(1, "a"): (0, "x")}, None),  # level-1 vertex whose parent is not the root
-        ({(1, "a"): ROOT, (2, "b"): (1, "a"), (3, "c"): (1, "a")}, None),  # two levels up
-        ({(1, "a"): ROOT, (3, "c"): (2, "b")}, None),  # level 2 skipped
-        ({(1, "a"): ROOT, (2, "b"): (1, "z")}, None),  # parent is not a vertex
-        ({(1, "a"): ROOT}, frozenset({(1, "zz")})),  # hint names an unknown vertex
+        {(1, "a"): (0, "x")},  # level-1 vertex whose parent is not the root
+        {(1, "a"): ROOT, (2, "b"): (1, "a"), (3, "c"): (1, "a")},  # two levels up
+        {(1, "a"): ROOT, (3, "c"): (2, "b")},  # level 2 skipped
+        {(1, "a"): ROOT, (2, "b"): (1, "z")},  # parent is not a vertex
     ],
 )
-def test_parent_map_rejections(parent, core_hint):
+def test_parent_map_rejections(parent):
     with pytest.raises(ValidationError):
-        RootedTree(parent, core_hint=core_hint)
+        RootedTree(parent)
 
 
 def test_generator_core_hint_comes_from_the_oracle():
@@ -333,6 +332,45 @@ def test_generator_core_hint_comes_from_the_oracle():
     tree = tree_of_tower(windowed_solenoid_tower([1], 8, 3))
     assert tree.core_hint == frozenset(tree.parent)
     assert not tree.fringe_unbounded
+
+
+def test_tree_reads_the_oracle_off_its_tower():
+    """A tree stores its tower and no copy of the oracle's verdict; equality
+    and hashing are the tower's, so a tower_of_tree copy, which drops the
+    oracle, indexes a different tree."""
+    assert set(RootedTree.__slots__) == {
+        "tower", "levels", "depth", "_parent", "_children", "_core"
+    }
+    towers = [gen_random_tower(seed, depth=1 + seed % 4, max_level_size=3) for seed in range(12)]
+    for primes in ([2], [2, 2], [1], [1, 3]):
+        towers.append(windowed_solenoid_tower(primes, 16, 3))
+    towers += [tower_of_tree(tree_of_tower(t)) for t in towers[-4:]]
+    towers.append(gen_random_tower(0, depth=1, max_level_size=3))  # an equal copy
+    unequal = 0
+    for a in towers:
+        ta = tree_of_tower(a)
+        oracle = a.oracle
+        assert ta.fringe_unbounded == (oracle is not None and not oracle.ml_holds())
+        if oracle is None:
+            assert ta.core_hint is None
+        else:
+            assert ta.core_hint == {
+                (n, x) for n, ids in enumerate(a.levels, start=1) for x in ids
+                if oracle.ml_holds() or x == "0"
+            }
+        for b in towers:
+            tb = tree_of_tower(b)
+            assert (ta == tb) == (a == b)
+            if a == b:
+                assert hash(ta) == hash(tb)
+            unequal += a != b and a.levels == b.levels and a.up == b.up
+        if a.depth:
+            assert RootedTree(ta.parent) == tree_of_tower(tower_of_tree(ta))
+    # same shape, unequal towers, each pair counted both ways: [2], [2, 2] and
+    # their plain copies (which are equal) make 5 pairs; [1] and [1, 3]
+    # against their plain copies make 2
+    assert unequal == 2 * (5 + 2)
+    assert RootedTree({}) == RootedTree({}) and hash(RootedTree({})) == hash(RootedTree({}))
 
 
 def test_children_follow_level_order():
