@@ -144,6 +144,10 @@ def parse_morphism(text: str, source: Tower, target: Tower) -> TowerMorphism:
         isinstance(comps, list) and all(isinstance(c, dict) for c in comps),
         "components must be a list of objects",
     )
+    _require(
+        all(isinstance(v, str) for c in comps for v in c.values()),
+        "component values must be strings",
+    )
     _require(len(phi) == len(comps), "phi and components must have equal length")
     try:
         return TowerMorphism(source, target, phi, comps)
@@ -185,9 +189,14 @@ def _parse_entry(token: str, lineno: int) -> tuple[str, int | Fraction]:
     if token.startswith("e-"):
         return GRID, _decimal(token[2:], "bad exponent entry", token, line=lineno)
     try:
-        return RATIONAL, Fraction(token)
+        # Fraction("1e-999999999") would compute 10**999999999 first
+        if len(token.lower().partition("e")[2].lstrip("+-")) > 4:
+            raise ValueError
+        value = Fraction(token)
+        str(value)  # both terms print within the int/str digit limit, as emit needs
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad distance entry {token!r}", line=lineno) from None
+    return RATIONAL, value
 
 
 def parse_distance_matrix(text: str) -> UltrametricSpace:
@@ -216,12 +225,10 @@ def parse_distance_matrix(text: str) -> UltrametricSpace:
             mode, value = read.get(token) or read.setdefault(token, _parse_entry(token, lineno))
             modes.add(mode)
             entries[(x, y)] = value
-    if len(points) < 2:
-        # a singleton matrix has no off-diagonal entry to reveal its mode
-        return grid_space(points, {})
-    if len(modes) != 1:
+    if len(modes) > 1:
         raise ParseError("matrix mixes exponent and rational entries")
-    mode = modes.pop()
+    # a singleton matrix has no off-diagonal entry to reveal its mode
+    mode = modes.pop() if modes else GRID
     try:
         if mode == GRID:
             return grid_space(points, entries)

@@ -78,26 +78,43 @@ class TableGroup:
             if j is None:
                 raise ValidationError(f"{elems[i]} has no inverse")
             inverse[elems[i]] = elems[j]
-        self.elements = elems
+        self._set(elems, op_table, unit, inverse)
+
+    @classmethod
+    def _trusted(cls, elements: Sequence[str], op_table, unit: str, inverse) -> TableGroup:
+        """A group from elements already in natural_key order, for builders
+        whose group law holds by construction; nothing is checked."""
+        grp = cls.__new__(cls)
+        grp._set(tuple(elements), op_table, unit, inverse)
+        return grp
+
+    def _set(self, elements, op_table, unit, inverse) -> None:
+        self.elements = elements
         self.op_table = {k: op_table[k] for k in sorted(op_table)}
         self.unit = unit
         self.inverse_table = inverse
 
     @classmethod
-    def cyclic(cls, m: int) -> "TableGroup":
+    def cyclic(cls, m: int) -> TableGroup:
+        """Z/m on the ids "0".."m-1": i * j = (i + j) mod m, unit "0", i^-1 = -i mod m."""
         if m < 1:
             raise ValidationError("cyclic order must be >= 1")
         elems = [str(i) for i in range(m)]
         table = {(a, elems[j]): elems[(i + j) % m] for i, a in enumerate(elems) for j in range(m)}
-        return cls(elems, table)
+        return cls._trusted(elems, table, "0", {a: elems[-i % m] for i, a in enumerate(elems)})
 
-    def restricted(self, subset) -> "TableGroup":
-        """The subgroup on a closed subset (closure is validated)."""
+    def restricted(self, subset) -> TableGroup:
+        """The subgroup on a nonempty subset closed under op and inverse.
+
+        Closure is validated; associativity and the unit are inherited from
+        this group, so the subgroup is built on the trusted path."""
         members = set(subset)
         sub = sorted(members, key=natural_key)
         stray = members - set(self.elements)
         if stray:
             raise ElementNotInLevel(f"not group elements: {sorted(stray)}")
+        if not sub:
+            raise ValidationError("group elements must be a nonempty set of distinct ids")
         table = {}
         for a in sub:
             for b in sub:
@@ -105,7 +122,11 @@ class TableGroup:
                 if c not in members:
                     raise ValidationError(f"subset not closed: {a}*{b} = {c}")
                 table[(a, b)] = c
-        return TableGroup(sub, table)
+        inverse = {a: self.inverse_table[a] for a in sub}
+        for a, b in inverse.items():
+            if b not in members:
+                raise ValidationError(f"subset not closed under inverse: {a}^-1 = {b}")
+        return TableGroup._trusted(sub, table, self.unit, inverse)
 
     def op(self, a: str, b: str) -> str:
         try:
@@ -260,6 +281,16 @@ class GroupTower:
             )
         for n, bond in enumerate(bonds, start=1):
             _check_bond(levels[n], levels[n - 1], bond, n)
+        self._set(levels, bonds)
+
+    @classmethod
+    def _trusted(cls, levels: Sequence[Group], bonds: Sequence[GroupBond]) -> GroupTower:
+        """A tower whose bonds are homomorphisms by construction; nothing is checked."""
+        g = cls.__new__(cls)
+        g._set(levels, bonds)
+        return g
+
+    def _set(self, levels, bonds) -> None:
         self.levels = tuple(levels)
         self.bonds = tuple(bonds)
         self._tower = None
@@ -475,6 +506,17 @@ class GroupLevelMorphism:
             for x in source.level(n + 1).elements:
                 if f_n.apply(p_n.apply(x)) != q_n.apply(f_n1.apply(x)):
                     raise NotLevelMorphism(f"square {n} does not commute at {x}")
+        self._set(source, target, components)
+
+    @classmethod
+    def _trusted(cls, source, target, components: Sequence[GroupBond]) -> GroupLevelMorphism:
+        """A level morphism whose components are homomorphisms and whose
+        squares commute by construction; nothing is checked."""
+        m = cls.__new__(cls)
+        m._set(source, target, components)
+        return m
+
+    def _set(self, source, target, components) -> None:
         self.source = source
         self.target = target
         self.components = tuple(components)
@@ -490,8 +532,8 @@ class GroupLevelMorphism:
 
 
 def identity_group_morphism(g: GroupTower) -> GroupLevelMorphism:
-    comps = [TableHom({x: x for x in g.level(n).elements}) for n in range(1, g.depth + 1)]
-    return GroupLevelMorphism(g, g, comps)
+    comps = [TableHom({x: x for x in grp.elements}) for grp in g.levels]
+    return GroupLevelMorphism._trusted(g, g, comps)
 
 
 @dataclass(frozen=True)
@@ -598,29 +640,33 @@ class CoreIso:
 
 
 def core_iso_construction(g: GroupTower) -> CoreIso:
+    """G is isomorphic to its core when ML holds (NotML otherwise).
+
+    Core level n is the subgroup pi_n(lim G) of G_n, and core bond n is bond
+    n restricted to it, a homomorphism already: only that it lands in core
+    level n is checked.  The core tower and the inclusion (identities, whose
+    squares commute because the bonds are restrictions) are trusted."""
     projections = ml_projection_check(g)
     threads = limit_threads(g)
     core_levels: list[Group] = []
-    for n in range(1, g.depth + 1):
-        pi_n = sorted({t.at(n) for t in threads}, key=natural_key)
-        grp = g.level(n)
+    for n, grp in enumerate(g.levels, start=1):
         if isinstance(grp, WindowedZ):
             # ML holds, so all factors are 1 and the projection is everything
             core_levels.append(grp)
         else:
-            core_levels.append(grp.restricted(pi_n))
+            core_levels.append(grp.restricted({t.at(n) for t in threads}))
     core_bonds: list[GroupBond] = []
-    for n in range(1, g.depth):
-        bond = g.bond(n)
+    for n, bond in enumerate(g.bonds, start=1):
         if isinstance(bond, ScaleHom):
             core_bonds.append(bond)
-        else:
-            core_bonds.append(
-                TableHom({x: bond.apply(x) for x in core_levels[n].elements})
-            )
-    core = GroupTower(core_levels, core_bonds)
-    inclusion = GroupLevelMorphism(
-        core, g, [TableHom({x: x for x in core.level(n).elements}) for n in range(1, g.depth + 1)]
+            continue
+        mapping = {x: bond.apply(x) for x in core_levels[n].elements}
+        if not set(mapping.values()) <= set(core_levels[n - 1].elements):
+            raise ValidationError(f"core bond {n} leaves core level {n}")
+        core_bonds.append(TableHom(mapping))
+    core = GroupTower._trusted(core_levels, core_bonds)
+    inclusion = GroupLevelMorphism._trusted(
+        core, g, [TableHom({x: x for x in grp.elements}) for grp in core_levels]
     )
     source_under = underlying_tower(g)
     core_under = underlying_tower(core)

@@ -185,8 +185,12 @@ LONG_RUN = "1" * 5000  # past Python's default 4,300-digit int/str limit
             ["--depth-horizon", "100"],
         ),
         ("[" * 100_000 + "]" * 100_000, []),
+        (json.dumps({"generator": "solenoid", "primes": [1], "window": 0, "depth": 2**20}), []),
     ],
-    ids=["json-integer", "id-digit-run", "ml-certificate", "ml-certificate-horizon", "nesting"],
+    ids=[
+        "json-integer", "id-digit-run", "ml-certificate", "ml-certificate-horizon", "nesting",
+        "generator-depth",
+    ],
 )
 def test_analyze_rejects_input_past_interpreter_limits(tmp_path, text, extra):
     path = tmp_path / "tower.json"

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from towertree import (
     gen_random_tower,
     gen_solenoid,
     grid_space,
+    identity_morphism,
     parse_distance_matrix,
     parse_group_tower,
     parse_morphism,
@@ -436,3 +438,149 @@ def test_parse_group_tower_fuzz_mutated_files(base, data):
     for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
         doc = _resize(doc, data) if data.draw(st.booleans()) else _mutate(doc, data)
     _group_parses_back_or_rejects(doc)
+
+
+# (source, target, morphism file) triples; the solenoid one is an identity
+# on a generator tower, whose components name windowed integers
+_MORPHISM_FUZZ_BASES = [
+    (x, y, json.loads(emit_morphism(random_morphism(seed, x, y))))
+    for seed, x, y in [
+        (1, gen_random_tower(1, 3, max_level_size=3), gen_random_tower(2, 3, max_level_size=3)),
+        (2, gen_random_tower(3, 4, max_level_size=3), gen_random_tower(4, 2, max_level_size=2)),
+    ]
+]
+_SOLENOID = windowed_solenoid_tower([2], 6, 3)
+_MORPHISM_FUZZ_BASES.append(
+    (_SOLENOID, _SOLENOID, json.loads(emit_morphism(identity_morphism(_SOLENOID))))
+)
+
+
+def _morphism_parses_back_or_rejects(doc, source, target) -> bool:
+    """parse_morphism either raises ParseError or returns m with parse(emit(m)) == m."""
+    try:
+        m = parse_morphism(json.dumps(doc), source, target)
+    except ParseError:
+        return False
+    assert parse_morphism(emit_morphism(m), source, target) == m
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON, st.sampled_from(_MORPHISM_FUZZ_BASES))
+def test_parse_morphism_fuzz_json_values(doc, base):
+    source, target, _ = base
+    _morphism_parses_back_or_rejects(doc, source, target)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_MORPHISM_FUZZ_BASES), st.data())
+def test_parse_morphism_fuzz_mutated_files(base, data):
+    source, target, doc = base
+    doc = copy.deepcopy(doc)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        doc = _mutate(doc, data)
+    _morphism_parses_back_or_rejects(doc, source, target)
+
+
+# entries of every kind the reader meets: exponents, rationals, decimals,
+# scientific notation, non-ASCII digits and numbers past the digit limit
+_MATRIX_TOKENS = st.sampled_from([
+    "0", "1", "e-0", "e-1", "e-2", "e-12", "1/2", "3/10", "2/3", "1/3", "0.5", "2", "-1/2",
+    "1/0", "0/1", "e-", "e--1", "e-x", "e-²", "nan", "inf", "1e-3", "1e-99999", "2e5", "1_0/3",
+    "١/٢", f"e-{_LONG}", f"1/{_LONG}", "a", "b", "p10",
+]) | st.text(max_size=3)
+
+
+def _matrix_text(lines) -> str:
+    return "\n".join(" ".join(tokens) for tokens in lines) + "\n"
+
+
+_MATRIX_TEXTS = st.text(max_size=40) | st.lists(
+    st.lists(_MATRIX_TOKENS, max_size=4), max_size=4
+).map(_matrix_text)
+
+
+_MATRIX_FUZZ_BASES = [
+    emit_distance_matrix(gen_random_grid_space(3, max_points=5)),
+    emit_distance_matrix(gen_random_rational_space(4, max_points=5)),
+    emit_distance_matrix(grid_space(["p1", "p2", "p10"], {
+        ("p1", "p2"): 2, ("p1", "p10"): 0, ("p2", "p10"): 0,
+    })),
+    "a b\n0 1/2\n1/2 0\n",
+    "only\n0\n",
+]
+
+
+def _matrix_parses_back_or_rejects(text) -> bool:
+    """parse_distance_matrix either raises ParseError or returns sp with parse(emit(sp)) == sp."""
+    try:
+        sp = parse_distance_matrix(text)
+    except ParseError:
+        return False
+    assert parse_distance_matrix(emit_distance_matrix(sp)) == sp
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(_MATRIX_TEXTS)
+def test_parse_distance_matrix_fuzz_text(text):
+    _matrix_parses_back_or_rejects(text)
+
+
+def _mutate_matrix(lines, data):
+    """Replace one entry or one symmetric pair, drop or duplicate one entry,
+    or drop, duplicate or move one line."""
+    i = data.draw(st.integers(min_value=0, max_value=len(lines) - 1))
+    actions = ["pair", "replace", "drop", "duplicate", "drop_line", "copy_line", "move_line"]
+    action = data.draw(st.sampled_from(actions))
+    row = lines[i]
+    if action == "pair" and 0 < i < len(lines) and i - 1 < len(row):
+        # entry (x, y) sits at lines[1 + x][y], and (y, x) at lines[1 + y][x]
+        j = data.draw(st.integers(min_value=0, max_value=len(row) - 1))
+        token = data.draw(_MATRIX_TOKENS)
+        row[j] = token
+        if j + 1 < len(lines) and i - 1 < len(lines[j + 1]):
+            lines[j + 1][i - 1] = token
+    elif action in ("replace", "drop", "duplicate") and row:
+        j = data.draw(st.integers(min_value=0, max_value=len(row) - 1))
+        if action == "replace":
+            row[j] = data.draw(_MATRIX_TOKENS)
+        elif action == "drop":
+            del row[j]
+        else:
+            row.insert(j, row[j])
+    elif action == "drop_line" and len(lines) > 1:
+        del lines[i]
+    elif action == "copy_line":
+        lines.insert(i, list(row))
+    elif action == "move_line":
+        lines.insert(data.draw(st.integers(min_value=0, max_value=len(lines) - 1)), lines.pop(i))
+    return lines
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_MATRIX_FUZZ_BASES), st.data())
+def test_parse_distance_matrix_fuzz_mutated_files(base, data):
+    lines = [line.split() for line in base.splitlines()]
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        lines = _mutate_matrix(lines, data)
+    _matrix_parses_back_or_rejects(_matrix_text(lines))
+
+
+def test_fuzz_findings_end_in_parse_error(two_branch_tower):
+    t = two_branch_tower
+    with pytest.raises(ParseError, match="component values must be strings"):
+        parse_morphism(json.dumps({"phi": [1], "components": [{"a": []}]}), t, t)
+    with pytest.raises(ParseError, match="too long"):  # a singleton id natural_key cannot read
+        parse_distance_matrix(f"a{_LONG}\n0\n")
+    # scientific notation: a huge exponent is refused before 10**exp is
+    # computed, and a value whose terms would not print is refused too
+    for token in ("1e-999999999", "1e-99999", "1e-4300"):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="bad distance entry"):
+            parse_distance_matrix(f"a b\n0 {token}\n{token} 0\n")
+        assert time.perf_counter() - start < 0.5
+    for token, value in (("1e-3", Fraction(1, 1000)), ("1e-4299", Fraction(1, 10**4299))):
+        sp = parse_distance_matrix(f"a b\n0 {token}\n{token} 0\n")
+        assert list(sp.pairs()) == [("a", "b", value)]
+        assert parse_distance_matrix(emit_distance_matrix(sp)) == sp

@@ -1,8 +1,9 @@
 """Group towers, threads, the end isometry, conditions (M)/(E), core iso."""
 
-import pytest
-
+import itertools
 import random
+
+import pytest
 
 from oracles import brute_bond_rejection, brute_isometry, brute_table_rejection, brute_ultrametric_ok
 from oracles import brute_condition_E, brute_condition_M, brute_projection
@@ -12,6 +13,7 @@ from towertree import (
     FAILS,
     HOLDS,
     DifferentTowers,
+    ElementNotInLevel,
     compose_morphisms,
     grid_space,
     identity_morphism,
@@ -38,6 +40,7 @@ from towertree import (
     ml_projection_check,
     ml_verdict,
     morphisms_equivalent,
+    natural_key,
     thread_distance,
     thread_inverse,
     thread_product,
@@ -625,3 +628,127 @@ def test_isometry_compares_each_pair_of_threads_once(monkeypatch):
         assert check_translation_isometry(g).valid
         t = len(limit_threads(g))
         assert len(calls) <= t * t + t
+
+
+def _restricted_by_validation(g, subset):
+    """The subgroup on subset through the validating constructor, with the
+    stray and closure checks restricted makes first."""
+    members = set(subset)
+    stray = members - set(g.elements)
+    if stray:
+        raise ElementNotInLevel(f"not group elements: {sorted(stray)}")
+    sub = sorted(members, key=natural_key)
+    for a in sub:
+        for b in sub:
+            if g.op(a, b) not in members:
+                raise ValidationError(f"subset not closed: {a}*{b} = {g.op(a, b)}")
+    return TableGroup(sub, {(a, b): g.op(a, b) for a in sub for b in sub})
+
+
+def _outcome(build):
+    try:
+        h = build()
+    except (ElementNotInLevel, ValidationError) as e:
+        return type(e), str(e)
+    return h.elements, h.unit, list(h.op_table.items()), list(h.inverse_table.items())
+
+
+def _s3():
+    """S3 as an explicit table on permutations of (0, 1, 2), in one-line notation."""
+    perms = list(itertools.permutations(range(3)))
+    name = {p: "".join(map(str, p)) for p in perms}
+    table = {(name[p], name[q]): name[tuple(p[q[i]] for i in range(3))] for p in perms for q in perms}
+    return TableGroup(list(name.values()), table)
+
+
+def test_restricted_matches_the_validating_constructor():
+    # every subgroup of Z/m is generated by one element, so the closures of
+    # the singletons are all the closed subsets; small groups and S3 also
+    # try every subset, and every group tries stray and non-closed ones
+    rng = random.Random("restricted")
+    groups = [TableGroup.cyclic(m) for m in range(1, 25)] + [_s3()]
+    kinds = dict.fromkeys(("closed", "not closed", "stray", "empty"), 0)
+    for g in groups:
+        elems = g.elements
+        subsets = [[]]
+        for a in elems:
+            closure, x = {a}, a
+            while (x := g.op(x, a)) not in closure:
+                closure.add(x)
+            subsets.append(closure)
+        if len(elems) <= 8:
+            subsets += [
+                [x for i, x in enumerate(elems) if bits >> i & 1] for bits in range(2 ** len(elems))
+            ]
+        subsets += [rng.sample(elems, rng.randint(1, len(elems))) for _ in range(20)]
+        subsets += [[*rng.sample(elems, rng.randint(0, len(elems))), "x"] for _ in range(3)]
+        for subset in subsets:
+            got = _outcome(lambda: g.restricted(subset))
+            assert got == _outcome(lambda: _restricted_by_validation(g, subset))
+            if got[0] is ElementNotInLevel:
+                kinds["stray"] += 1
+            elif got[0] is ValidationError:
+                kinds["not closed" if "not closed" in got[1] else "empty"] += 1
+            else:
+                kinds["closed"] += 1
+    assert kinds["closed"] >= 300 and kinds["not closed"] >= 300, kinds
+    assert kinds["stray"] >= 75 and kinds["empty"] >= 25, kinds
+
+
+def test_restricted_refuses_a_subset_not_closed_under_inverse():
+    g = TableGroup.cyclic(4)
+    g.op_table[("1", "1")] = "0"  # altered after construction: {0, 1} is closed under op
+    with pytest.raises(ValidationError, match=r"not closed under inverse: 1\^-1 = 3"):
+        g.restricted(["0", "1"])
+
+
+def test_core_iso_outputs_pass_the_validating_constructors():
+    built = 0
+    for seed in range(400):
+        g = gen_random_group_tower(seed, depth=2 + seed % 4, max_order=(8, 12, 16, 24)[seed % 4])
+        try:
+            ci = core_iso_construction(g)
+        except NotML:
+            continue
+        core, inclusion = ci.core, ci.inclusion
+        for level in core.levels:
+            checked = TableGroup(level.elements, level.op_table)
+            assert checked == level
+            assert (checked.unit, checked.inverse_table) == (level.unit, level.inverse_table)
+        assert GroupTower(core.levels, core.bonds) == core
+        public = GroupLevelMorphism(core, g, inclusion.components)
+        assert (public.source, public.target) == (inclusion.source, inclusion.target)
+        assert public.components == inclusion.components
+        ident = identity_group_morphism(g)
+        assert GroupLevelMorphism(g, g, ident.components).components == ident.components
+        built += 1
+    assert built >= 200
+
+
+def test_core_bond_must_land_in_the_core():
+    # a bond changed after the underlying tower was built no longer maps
+    # the core onto the core one level down
+    for seed in range(100):
+        g = gen_random_group_tower(seed, depth=3)
+        try:
+            core = core_iso_construction(g).core
+        except NotML:
+            continue
+        outside = sorted(set(g.levels[0].elements) - set(core.levels[0].elements))
+        if outside:
+            break
+    else:
+        pytest.fail("no ML tower with a proper core at level 1")
+    g.bonds[0].mapping[core.levels[1].elements[0]] = outside[0]
+    with pytest.raises(ValidationError, match="core bond 1 leaves core level 1"):
+        core_iso_construction(g)
+
+
+def test_cyclic_groups_share_no_table():
+    for m in (1, 2, 5, 12):
+        a, b = TableGroup.cyclic(m), TableGroup.cyclic(m)
+        assert a == b and a.op_table is not b.op_table and a.inverse_table is not b.inverse_table
+        a.op_table[("0", "0")] = "x"
+        a.inverse_table["0"] = "x"
+        assert b.op_table[("0", "0")] == "0" and b.inverse_table["0"] == "0"
+        assert TableGroup.cyclic(m).op_table == b.op_table

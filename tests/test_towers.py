@@ -50,7 +50,7 @@ from towertree import (
     windowed_solenoid_tower,
 )
 from towertree.report import _truncate
-from towertree.towers import MAX_GENERATOR_IDS
+from towertree.towers import MAX_GENERATOR_DEPTH, MAX_GENERATOR_IDS
 
 
 def test_natural_key_orders_numeric_suffixes():
@@ -231,6 +231,22 @@ def test_generator_budget_refuses_before_building():
         gen_solenoid([2], 10**9, 3)
     with pytest.raises(ValidationError, match=f"more than {MAX_GENERATOR_IDS} ids"):
         _truncate(windowed_solenoid_tower([2], 10**6, 2), 3)
+
+
+def test_generator_depth_budget():
+    # at window 0 every level holds one id, so depth 2^20 passes the id budget
+    deep = MAX_GENERATOR_DEPTH + 1
+    assert windowed_solenoid_tower([1], 0, MAX_GENERATOR_DEPTH).depth == MAX_GENERATOR_DEPTH
+    start = time.perf_counter()
+    for build in (
+        lambda: windowed_solenoid_tower([1], 0, 2**20),
+        lambda: windowed_solenoid_tower([1, 2], 0, deep),
+        lambda: gen_solenoid([1], 1, deep),
+        lambda: _truncate(windowed_solenoid_tower([1], 0, 2), deep),
+    ):
+        with pytest.raises(ValidationError, match=f"more than {MAX_GENERATOR_DEPTH} levels"):
+            build()
+    assert time.perf_counter() - start < 1.0
 
 
 @settings(max_examples=40, deadline=None)
