@@ -675,7 +675,8 @@ def core_iso_construction(g: GroupTower) -> CoreIso:
         dict(zip(source_under.levels[m - 1], _pull_back(source_under, ids, n, m)))
         for n, (ids, m) in enumerate(zip(source_under.levels, phi), start=1)
     ]
-    inverse = TowerMorphism(source_under, core_under, phi, comps)
+    # the projection witnesses are nondecreasing in n
+    inverse = TowerMorphism._trusted(source_under, core_under, phi, comps)
     return CoreIso(core=core, inclusion=inclusion, inverse=inverse)
 
 
@@ -687,4 +688,4 @@ def as_tower_morphism(m: GroupLevelMorphism) -> TowerMorphism:
         {x: m.component(n).apply(x) for x in m.source.level(n).elements}
         for n in range(1, m.defined_upto + 1)
     ]
-    return TowerMorphism(src, tgt, list(range(1, m.defined_upto + 1)), comps)
+    return TowerMorphism._trusted(src, tgt, list(range(1, m.defined_upto + 1)), comps)

@@ -9,13 +9,17 @@ measured level by level on the source's parent positions.
 
 Properness is witnessed by a table n -> m(n), minimal with the closed
 reading: every point at radius >= m(n) has image radius >= n, checked on
-vertices and on edge meets.  Verdicts at truncation are closed-world and
-say so; trees flagged fringe_unbounded get the oracle's failure instead of
-the window's optimism.
+vertices and on edge meets.  The tables are computed on floor(radius), an
+int read off a point's base level, since a radius is only ever compared
+with an integer n and x >= n exactly when floor(x) >= n.  Each map measures
+its properness once and keeps the report.  Verdicts at truncation are
+closed-world and say so; trees flagged fringe_unbounded get the oracle's
+failure instead of the window's optimism.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -35,8 +39,7 @@ from .trees import (
     RootedTree,
     TreePoint,
     Vertex,
-    _meet_radius,
-    ancestor_point_at,
+    _meet_floor,
     distance,
     geodesic_point,
     max_geodesic_subtree,
@@ -124,9 +127,10 @@ class TreeMap:
     """A rooted map determined by vertex images and linear edges.
 
     images[n][i] is the image of source.levels[n][i]; vertex_images, the
-    same images keyed by vertex in level order, is built on first use."""
+    same images keyed by vertex in level order, and the map's properness
+    report are built on first use."""
 
-    __slots__ = ("source", "target", "images", "schedule", "_vertex_images")
+    __slots__ = ("source", "target", "images", "schedule", "_vertex_images", "_properness")
 
     def __init__(
         self,
@@ -144,7 +148,8 @@ class TreeMap:
                 raise ValidationError(f"image of {v} is based at {img.base}, not a target vertex")
         images = [map(vertex_images.get, level) for level in source.levels.values()]
         self.source, self.target, self.schedule = source, target, schedule
-        self.images, self._vertex_images = tuple(map(tuple, images)), None
+        self.images = tuple(map(tuple, images))
+        self._vertex_images = self._properness = None
 
     @classmethod
     def _built(
@@ -158,7 +163,8 @@ class TreeMap:
         root and based at target vertices by construction."""
         f = cls.__new__(cls)
         f.source, f.target, f.schedule = source, target, schedule
-        f.images, f._vertex_images = tuple(map(tuple, images)), None
+        f.images = tuple(map(tuple, images))
+        f._vertex_images = f._properness = None
         return f
 
     @property
@@ -230,11 +236,11 @@ def check_nonexpansive(f: TreeMap) -> NonexpansiveVerdict:
     return NonexpansiveVerdict(valid=True)
 
 
-def _witness_table(lows: list[int | Fraction], target_depth: int) -> tuple[tuple[int, ...], int | None]:
-    """Minimal m(n) with min(lows[m:]) >= n, where lows[lv] is the least
-    quantity at radius lv: over the vertices at lv and the edges whose parent
-    sits at lv.  The table stops at the first n with no such m (None when
-    it is total)."""
+def _witness_table(lows: list[int], target_depth: int) -> tuple[tuple[int, ...], int | None]:
+    """Minimal m(n) with min(lows[m:]) >= n, where lows[lv] is the floor of
+    the least radius at lv: over the vertices at lv and the edges whose
+    parent sits at lv.  The table stops at the first n with no such m (None
+    when it is total)."""
     depth = len(lows) - 1
     # suffix minima per level; suffix[m] covers everything at radius >= m
     suffix = [_FAR] * (depth + 2)
@@ -252,33 +258,37 @@ def _witness_table(lows: list[int | Fraction], target_depth: int) -> tuple[tuple
 
 
 def properness_witness(f: TreeMap) -> PropernessReport:
-    """Minimal metric-properness witness, closed-world at truncation.
+    """Minimal metric-properness witness, closed-world at truncation;
+    measured on the first call and kept on f.
 
     One pass per source level: its vertices' image radii and the meet
-    radii of the edges that reach it from the level above.  Images are
-    often shared (a retraction sends whole subtrees to one point), so each
-    distinct image object is measured once, and an edge whose endpoints
-    have the same image is skipped: its meet radius is the parent's image
-    radius, already counted one level up."""
+    radii of the edges that reach it from the level above, both as floors.
+    Images are often shared (a retraction sends whole subtrees to one
+    point), so each distinct image object is measured once, and an edge
+    whose endpoints have the same image is skipped: its meet radius is the
+    parent's image radius, already counted one level up."""
+    if f._properness is not None:
+        return f._properness
     src, tgt = f.source, f.target
     above = f.images[0]
-    lows = [above[0].radius]
+    lows = [above[0].floor]
     for n in range(1, src.depth + 1):
         here = f.images[n]
-        lows.append(min(p.radius for p in {id(p): p for p in here}.values()))
+        lows.append(min(p.floor for p in {id(p): p for p in here}.values()))
         parents = map(above.__getitem__, src.parent_positions(n))
         moved = [(a, b) for a, b in zip(parents, here) if a is not b]
         if moved:
-            lows[n - 1] = min(lows[n - 1], min(_meet_radius(tgt, a, b) for a, b in moved))
+            lows[n - 1] = min(lows[n - 1], min(_meet_floor(tgt, a, b) for a, b in moved))
         above = here
     table, failure = _witness_table(lows, tgt.depth)
-    return PropernessReport(
+    f._properness = PropernessReport(
         table=table,
         total_upto=len(table),
         failure_level=failure,
         source_depth=src.depth,
         target_depth=tgt.depth,
     )
+    return f._properness
 
 
 def homotopy_properness(f: TreeMap, g: TreeMap) -> HomotopyReport:
@@ -286,22 +296,23 @@ def homotopy_properness(f: TreeMap, g: TreeMap) -> HomotopyReport:
 
     The track of x stays at radius >= meet(f(x), g(x)); on edge interiors
     that meet is bounded below by the meets of the four endpoint images.
+    Meets are read as floors; the horizon uses the maps' kept reports.
     """
     if f.source != g.source or f.target != g.target:
         raise SourceTargetMismatch("homotopy needs maps with shared source and target")
     src, ft, gt = f.source, f.target, g.target
-    lows: list[int | Fraction] = []
+    lows: list[int] = []
     for n in range(src.depth + 1):
         f_here, g_here = f.images[n], g.images[n]
-        track = [_meet_radius(ft, a, b) for a, b in zip(f_here, g_here)]
+        track = [_meet_floor(ft, a, b) for a, b in zip(f_here, g_here)]
         lows.append(min(track))
         if n:
             edges = min(
                 min(
                     track_above[j],
                     track[i],
-                    _meet_radius(ft, f_above[j], f_here[i]),
-                    _meet_radius(gt, g_above[j], g_here[i]),
+                    _meet_floor(ft, f_above[j], f_here[i]),
+                    _meet_floor(gt, g_above[j], g_here[i]),
                 )
                 for i, j in enumerate(src.parent_positions(n))
             )
@@ -360,20 +371,25 @@ def induce_tree_map(m: TowerMorphism) -> TreeMap:
     seg_count = len(t)
     root = point_of(ROOT)
     images = [(root,)]
-    # the vertices of one level share r, so k, rho and j are found once per level
+    # the vertices of one level share r, so the segment k, the image level j
+    # and the offset are found once per level: rho = k - 1 + num / den
     for r in range(1, src_tree.depth + 1):
-        if r <= t[0]:
+        k = bisect_right(t, r)
+        if k == 0:
             images.append((root,) * len(src_tree.levels[r]))
             continue
-        k = max(i + 1 for i in range(seg_count) if t[i] <= r)
         hi = t[k] if k < seg_count else sched.virtual_top
-        rho = Fraction(k - 1) + Fraction(r - t[k - 1], hi - t[k - 1])
-        j = int(rho) if rho == int(rho) else int(rho) + 1
+        num, den = r - t[k - 1], hi - t[k - 1]
+        if num == 0:
+            j, offset = k - 1, 1
+        else:
+            # num == den only at r == virtual_top, closing the last segment
+            j, offset = k, 1 if num == den else Fraction(num, den)
         if j == 0:
             images.append((root,) * len(src_tree.levels[r]))
             continue
-        phi_j, comp_j, offset = m.phi_at(j), m.component(j), rho - (j - 1)
-        at_phi = [TreePoint((j, comp_j[x]), offset) for x in m.source.levels[phi_j - 1]]
+        phi_j, comp_j = m.phi_at(j), m.component(j)
+        at_phi = [TreePoint._at((j, comp_j[x]), offset) for x in m.source.levels[phi_j - 1]]
         images.append(_pull_back(m.source, at_phi, phi_j, r))
     return TreeMap._built(src_tree, tgt_tree, images, schedule=sched)
 
@@ -386,21 +402,21 @@ def extract_morphism(f: TreeMap) -> TowerMorphism:
     """Phi(n) = witness m(n); f_n(c) = the level-n ancestor of f(c).
 
     Well-defined because f(T_c) is connected and stays at radius >= n for
-    every c at radius m(n).
+    every c at radius m(n), so f(c) lies at or below a level-n vertex.  A
+    minimal witness table is nondecreasing, so the morphism is built on the
+    trusted path.
     """
     rep = properness_witness(f)
     if rep.total_upto == 0:
         raise NotProper("no properness witness at any level within depth")
-    src_tower = tower_of_tree(f.source)
-    tgt_tower = tower_of_tree(f.target)
-    comps = []
-    for n in range(1, rep.total_upto + 1):
-        mn = rep.table[n - 1]
-        comp = {}
-        for c, p in zip(f.source.levels[mn], f.images[mn]):
-            comp[c[1]] = ancestor_point_at(f.target, p, Fraction(n)).base[1]
-        comps.append(comp)
-    return TowerMorphism(src_tower, tgt_tower, list(rep.table), comps)
+    tgt = f.target
+    comps = [
+        {c[1]: tgt.ancestor(p.base, n)[1] for c, p in zip(f.source.levels[mn], f.images[mn])}
+        for n, mn in enumerate(rep.table, start=1)
+    ]
+    return TowerMorphism._trusted(
+        tower_of_tree(f.source), tower_of_tree(tgt), list(rep.table), comps
+    )
 
 
 def simplicial_of_level(m: TowerMorphism) -> TreeMap:

@@ -496,11 +496,30 @@ class TowerMorphism:
             values = _pull_back(source, [comp[x] for x in source.level(p)], p, q)
             norm_phi.append(q)
             norm_comps.append(dict(zip(source.level(q), values)))
+        self._set(source, target, norm_phi, norm_comps, trim_incoherent)
 
+    @classmethod
+    def _trusted(
+        cls,
+        source: Tower,
+        target: Tower,
+        phi: Sequence[int],
+        components: Sequence[dict[str, str]],
+        trim_incoherent: bool = False,
+    ) -> TowerMorphism:
+        """A morphism from data the package derived: phi nondecreasing within
+        1..source.depth, at most target.depth components, components[n-1]
+        total on X_{phi(n)} with keys in level order and values in Y_n.  Only
+        the coherence witnesses are searched."""
+        m = cls.__new__(cls)
+        m._set(source, target, phi, components, trim_incoherent)
+        return m
+
+    def _set(self, source, target, phi, components, trim_incoherent) -> None:
         witnesses = []
-        keep = len(norm_comps)
-        for n in range(1, len(norm_comps)):
-            w = _coherence_witness(source, target, norm_phi, norm_comps, n)
+        keep = len(components)
+        for n in range(1, len(components)):
+            w = _coherence_witness(source, target, phi, components, n)
             if w is None:
                 if trim_incoherent:
                     keep = n
@@ -509,8 +528,8 @@ class TowerMorphism:
             witnesses.append(w)
         self.source = source
         self.target = target
-        self.phi = tuple(norm_phi[:keep])
-        self.components = tuple(norm_comps[:keep])
+        self.phi = tuple(phi[:keep])
+        self.components = tuple(components[:keep])
         self.witnesses = tuple(witnesses[: keep - 1])
 
     @property
@@ -579,7 +598,7 @@ def _agreement_level(
 def identity_morphism(tower: Tower) -> TowerMorphism:
     phi = range(1, tower.depth + 1)
     comps = [{x: x for x in tower.level(n)} for n in phi]
-    return TowerMorphism(tower, tower, list(phi), comps)
+    return TowerMorphism._trusted(tower, tower, list(phi), comps)
 
 
 def compose_morphisms(g: TowerMorphism, f: TowerMorphism) -> TowerMorphism:
@@ -601,7 +620,8 @@ def compose_morphisms(g: TowerMorphism, f: TowerMorphism) -> TowerMorphism:
         comps.append({x: g_n[f_psi[x]] for x in f.source.level(f.phi_at(psi_n))})
     if not comps:
         raise DepthExhausted("composite has no level within depth")
-    return TowerMorphism(f.source, g.target, phi, comps, trim_incoherent=True)
+    # Phi_f . Phi_g is nondecreasing and h_n is total on its level
+    return TowerMorphism._trusted(f.source, g.target, phi, comps, trim_incoherent=True)
 
 
 @dataclass(frozen=True)

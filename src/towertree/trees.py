@@ -190,9 +190,22 @@ class TreePoint:
             raise ValidationError("the root carries no edge below it")
         object.__setattr__(self, "offset", offset)
 
+    @classmethod
+    def _at(cls, base: Vertex, offset: int | Fraction) -> TreePoint:
+        """A point whose offset is already normalized: the int 1 at a vertex,
+        a Fraction in (0, 1) below a non-root base otherwise."""
+        p = cls.__new__(cls)
+        p.__dict__.update(base=base, offset=offset)
+        return p
+
     @property
     def radius(self) -> int | Fraction:
         return self.base[0] - 1 + self.offset
+
+    @property
+    def floor(self) -> int:
+        """floor(radius): the level of a vertex, one less inside an edge."""
+        return self.base[0] if self.offset == 1 else self.base[0] - 1
 
     @property
     def is_vertex(self) -> bool:
@@ -200,7 +213,7 @@ class TreePoint:
 
 
 def point_of(v: Vertex) -> TreePoint:
-    return TreePoint(v, 1)
+    return TreePoint._at(v, 1)
 
 
 @dataclass(frozen=True)
@@ -340,10 +353,10 @@ def meet_point(tree: RootedTree, x: TreePoint, y: TreePoint) -> TreePoint:
     return m if isinstance(m, TreePoint) else point_of(m)
 
 
-def _meet_radius(tree: RootedTree, x: TreePoint, y: TreePoint) -> int | Fraction:
-    """radius(meet_point(tree, x, y)) for points already known to lie in tree."""
+def _meet_floor(tree: RootedTree, x: TreePoint, y: TreePoint) -> int:
+    """floor(radius(meet_point(tree, x, y))) for points already known to lie in tree."""
     m = _meet(tree, x, y)
-    return m.radius if isinstance(m, TreePoint) else m[0]
+    return m.floor if isinstance(m, TreePoint) else m[0]
 
 
 def geodesic_data(

@@ -148,6 +148,12 @@ def brute_radius(p):
     return Fraction(p.base[0] - 1) + Fraction(p.offset)
 
 
+def int_offset_exactly_at_vertex(p):
+    """The representation invariant: a point stores an int offset exactly
+    when its radius is a whole number, i.e. when it is a vertex."""
+    return (type(p.offset) is int) == (brute_radius(p).denominator == 1)
+
+
 def brute_meet(tree, x, y):
     """Meet of [root, x] and [root, y] from the shared prefix of root chains."""
     cx, cy = root_chain(tree, x.base), root_chain(tree, y.base)

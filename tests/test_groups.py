@@ -47,7 +47,7 @@ from towertree import (
     underlying_tower,
     windowed_solenoid_tower,
 )
-from towertree import Tower
+from towertree import Tower, TowerMorphism
 
 
 def reduction_hom(src_order, dst_order):
@@ -721,6 +721,13 @@ def test_core_iso_outputs_pass_the_validating_constructors():
         assert public.components == inclusion.components
         ident = identity_group_morphism(g)
         assert GroupLevelMorphism(g, g, ident.components).components == ident.components
+        # the tower morphisms, built on the trusted path, with key order and witnesses
+        for m in (ci.inverse, as_tower_morphism(inclusion), as_tower_morphism(ident)):
+            public = TowerMorphism(m.source, m.target, list(m.phi), m.components)
+            assert (public.phi, public.witnesses) == (m.phi, m.witnesses)
+            assert [list(c.items()) for c in public.components] == [
+                list(c.items()) for c in m.components
+            ]
         built += 1
     assert built >= 200
 

@@ -5,7 +5,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import constant_tower
-from oracles import brute_homotopy, brute_induced_images, brute_properness
+from oracles import (
+    brute_homotopy,
+    brute_induced_images,
+    brute_properness,
+    int_offset_exactly_at_vertex,
+)
 
 from towertree import (
     EQUIVALENT,
@@ -260,8 +265,12 @@ def test_composition_law_up_to_homotopy():
 
 
 def test_witness_tables_match_brute_meets():
-    inside = retractions = homotopies = 0
-    for seed in range(24):
+    """Tables read on radius floors equal the Fraction-radius oracles on
+    induced, composed, retraction and re-induced extracted maps."""
+    counts = dict.fromkeys(
+        ("maps", "interior", "failures", "retractions", "extracted", "homotopies", "not-proper"), 0
+    )
+    for seed in range(250):
         x = gen_random_tower(seed, depth=3 + seed % 5, max_level_size=4)
         y = gen_random_tower(seed + 40, depth=3 + (seed + 2) % 5, max_level_size=4)
         z = gen_random_tower(seed + 80, depth=3 + (seed + 4) % 5, max_level_size=4)
@@ -271,15 +280,26 @@ def test_witness_tables_match_brute_meets():
         maps = [f, h, hf]
         try:
             maps.append(retraction_map(tree_of_tower(x)).map)
-            retractions += 1
+            counts["retractions"] += 1
         except EmptyCore:
             pass
+        pairs = [(f, f), (h, h), (f, induce_tree_map(random_morphism(seed + 500, x, y)))]
+        for g in (f, hf):
+            try:
+                back = induce_tree_map(extract_morphism(g))
+            except NotProper:
+                continue
+            maps.append(back)
+            pairs.append((g, back))
+            counts["extracted"] += 1
         for g in maps:
             rep = properness_witness(g)
             assert (rep.table, rep.failure_level) == brute_properness(g)
-            inside += sum(not p.is_vertex for p in g.vertex_images.values())
-        other = induce_tree_map(random_morphism(seed + 500, x, y))
-        pairs = [(f, f), (f, other), (h, h)]
+            # == alone accepts Fraction(1) == 1
+            assert all(map(int_offset_exactly_at_vertex, g.vertex_images.values()))
+            counts["maps"] += 1
+            counts["interior"] += any(not p.is_vertex for p in g.vertex_images.values())
+            counts["failures"] += rep.failure_level is not None
         try:
             pairs.append((induce_tree_map(compose_morphisms(mh, mf)), hf))
         except DepthExhausted:
@@ -287,12 +307,16 @@ def test_witness_tables_match_brute_meets():
         for a, b in pairs:
             hp = homotopy_properness(a, b)
             assert (hp.table, hp.failure_level) == brute_homotopy(a, b)
-            homotopies += 1
-    assert inside >= 50 and retractions >= 10 and homotopies >= 85
+            counts["homotopies"] += 1
+            counts["not-proper"] += not hp.proper
+    assert counts["maps"] >= 1200 and counts["homotopies"] >= 1150, counts
+    assert counts["interior"] >= 250 and counts["not-proper"] >= 60, counts
+    assert 900 <= counts["failures"] <= counts["maps"] - 200, counts
+    assert counts["retractions"] >= 200 and counts["extracted"] >= 200, counts
 
 
 def test_induced_images_match_per_vertex_oracle():
-    inside = 0
+    inside = closed = 0
     for seed in range(30):
         src = gen_random_tower(seed, depth=2 + seed % 7, max_level_size=5)
         tgt = gen_random_tower(seed + 1300, depth=2 + (seed + 4) % 7, max_level_size=5)
@@ -301,8 +325,12 @@ def test_induced_images_match_per_vertex_oracle():
         sched = xi_schedule(m)
         expected = brute_induced_images(m, f.source, sched.breakpoints, sched.virtual_top)
         assert list(f.vertex_images.items()) == list(expected.items())
+        # == alone accepts Fraction(1) == 1
+        assert all(map(int_offset_exactly_at_vertex, f.vertex_images.values()))
         inside += sum(not p.is_vertex for p in expected.values())
-    assert inside >= 50
+        # the last segment closes on the deepest level: vertices, offset int 1
+        closed += sched.virtual_top == f.source.depth
+    assert inside >= 50 and closed >= 5
 
 
 def test_retraction_skips_the_witness_table_it_overrides(monkeypatch):
@@ -373,3 +401,37 @@ def test_analysis_builds_no_by_vertex_views(monkeypatch):
     # asked for, the views are built from the per-level data
     assert list(tree.parent) == list(tree.vertices[1:])
     assert list(rmap.vertex_images.values()) == [p for here in rmap.images for p in here]
+
+
+def test_each_map_measures_its_properness_once(monkeypatch):
+    """properness_witness keeps its report on the map; extraction, homotopy
+    horizons and repeated calls reuse it, and no other map shares it."""
+    import towertree.maps as maps
+
+    calls = []
+    real = maps._witness_table
+    monkeypatch.setattr(maps, "_witness_table", lambda lows, d: calls.append(d) or real(lows, d))
+    extracted = differ = 0
+    for seed in range(30):
+        x = gen_random_tower(seed, depth=3 + seed % 5, max_level_size=4)
+        y = gen_random_tower(seed + 40, depth=3 + (seed + 2) % 5, max_level_size=4)
+        f = induce_tree_map(random_morphism(seed, x, y))
+        other = induce_tree_map(random_morphism(seed + 500, x, y)).vertex_images
+        g = TreeMap(f.source, f.target, other)  # the same source and target objects
+        rep, rep_g = properness_witness(f), properness_witness(g)
+        calls.clear()
+        assert properness_witness(f) is rep
+        try:
+            extract_morphism(f)
+            extracted += 1
+        except NotProper:
+            pass
+        assert calls == []
+        homotopy_properness(f, g)
+        assert len(calls) == 1  # the homotopy table; both horizons are kept reports
+        assert properness_witness(f) is rep and properness_witness(g) is rep_g
+        if g != f:
+            assert rep_g is not rep
+            assert (rep_g.table, rep_g.failure_level) == brute_properness(g)
+            differ += rep_g != rep
+    assert extracted >= 10 and differ >= 5

@@ -1,6 +1,8 @@
 """Tower construction, bonding composites, ML verdicts, and morphisms."""
 
+import itertools
 import random
+import re
 import time
 
 import pytest
@@ -28,14 +30,17 @@ from towertree import (
     NOT_EQUIVALENT,
     DepthExhausted,
     IndexOutOfRange,
+    NotProper,
     Tower,
     TowerMorphism,
     ValidationError,
     compose_bonding,
     compose_morphisms,
+    extract_morphism,
     gen_random_tower,
     gen_solenoid,
     identity_morphism,
+    induce_tree_map,
     is_extendable,
     is_level_morphism,
     levelize_morphism,
@@ -515,3 +520,64 @@ def test_phi_normalization_matches_brute_lift():
             assert f.phi_at(n) == q
             assert f.component(n) == brute_lift(t, comps[n - 1], p, q)
             assert list(f.component(n)) == list(t.level(q))
+
+
+def _fields(m):
+    """phi, components with their key order, and coherence witnesses."""
+    return m.phi, [list(c.items()) for c in m.components], m.witnesses
+
+
+def test_trusted_morphisms_match_the_validating_constructor():
+    """Every morphism built on the trusted path equals what the validating
+    constructor builds from the same data, trimming included."""
+    cases = dict.fromkeys(("direct", "identity", "composite", "trimmed", "extracted"), 0)
+    for seed in range(120):
+        x = gen_random_tower(seed, depth=2 + seed % 7, max_level_size=1 + seed % 5)
+        y = gen_random_tower(seed + 40, depth=2 + (seed + 2) % 7, max_level_size=1 + seed % 5)
+        z = gen_random_tower(seed + 80, depth=2 + (seed + 4) % 7, max_level_size=4)
+        f, h = random_morphism(seed, x, y), random_morphism(seed + 1, y, z)
+        # a validated morphism's data is normalized already
+        trusted = TowerMorphism._trusted(x, y, list(f.phi), list(f.components))
+        assert _fields(trusted) == _fields(f)
+        cases["direct"] += 1
+        ident = identity_morphism(x)
+        assert _fields(ident) == _fields(TowerMorphism(x, x, list(ident.phi), ident.components))
+        cases["identity"] += 1
+        # the composite's raw data: (h . f)_n = h_n . f_{Psi(n)} while Psi(n) is defined
+        psi = list(itertools.takewhile(lambda p: p <= f.defined_upto, h.phi))
+        raw_phi = [f.phi[p - 1] for p in psi]
+        raw = [
+            {a: h.components[n][f.components[p - 1][a]] for a in x.level(f.phi[p - 1])}
+            for n, p in enumerate(psi)
+        ]
+        try:
+            comp = compose_morphisms(h, f)
+        except DepthExhausted:
+            assert not raw
+        else:
+            public = TowerMorphism(x, z, raw_phi, raw, trim_incoherent=True)
+            assert _fields(comp) == _fields(public)
+            cases["composite"] += 1
+        # arbitrary total components over a nondecreasing phi: mostly incoherent
+        rng = random.Random(seed)
+        phi = sorted(rng.randint(1, x.depth) for _ in range(y.depth))
+        comps = [{a: rng.choice(y.level(n)) for a in x.level(p)} for n, p in enumerate(phi, 1)]
+        public = TowerMorphism(x, y, phi, comps, trim_incoherent=True)
+        assert _fields(TowerMorphism._trusted(x, y, phi, comps, True)) == _fields(public)
+        cases["trimmed"] += public.defined_upto < len(phi)
+        try:
+            TowerMorphism(x, y, phi, comps)
+        except ValidationError as e:
+            with pytest.raises(ValidationError, match=re.escape(str(e))):
+                TowerMorphism._trusted(x, y, phi, comps)
+        else:
+            assert _fields(TowerMorphism._trusted(x, y, phi, comps)) == _fields(public)
+        try:
+            ext = extract_morphism(induce_tree_map(f))
+        except NotProper:
+            continue
+        assert _fields(ext) == _fields(
+            TowerMorphism(ext.source, ext.target, list(ext.phi), ext.components)
+        )
+        cases["extracted"] += 1
+    assert sum(cases.values()) >= 500 and min(cases.values()) >= 50, cases

@@ -1,5 +1,6 @@
 """Tree construction, roundtrips, metric geometry, core, and retraction."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from oracles import (
     brute_meet,
     brute_radius,
     brute_vertex_distance,
+    int_offset_exactly_at_vertex,
     is_ancestor,
     root_chain,
 )
@@ -46,6 +48,7 @@ from towertree import (
     tree_of_tower,
     windowed_solenoid_tower,
 )
+from towertree.trees import _meet_floor
 
 
 def test_two_branch_tree_shape(two_branch_tree):
@@ -154,6 +157,7 @@ def _metric_pairs(tree, rng, count):
 def test_metric_matches_chain_prefix_oracle():
     rng = random.Random(2024)
     cases = {"same base": 0, "ancestor": 0, "fork": 0}
+    vertices = 0
     for seed in range(12):
         tower = gen_random_tower(seed, depth=2 + seed % 6, max_level_size=4)
         t = tree_of_tower(tower)
@@ -164,14 +168,23 @@ def test_metric_matches_chain_prefix_oracle():
                 cases["ancestor"] += 1
             else:
                 cases["fork"] += 1
-            assert meet_point(t, x, y) == brute_meet(t, x, y)
+            meet = meet_point(t, x, y)
+            assert meet == brute_meet(t, x, y)
+            assert _meet_floor(t, x, y) == math.floor(brute_radius(meet))
+            assert x.floor == math.floor(brute_radius(x))
             d = distance(t, x, y)
             assert d == brute_distance(t, x, y)
             r = Fraction(rng.randint(0, int(8 * brute_radius(x))), 8)
-            assert ancestor_point_at(t, x, r) == brute_ancestor_point(t, x, r)
+            anc = ancestor_point_at(t, x, r)
+            assert anc == brute_ancestor_point(t, x, r)
             s = Fraction(rng.randint(0, int(8 * d)), 8)
-            assert geodesic_point(t, x, y, s) == brute_geodesic_point(t, x, y, s)
+            geo = geodesic_point(t, x, y, s)
+            assert geo == brute_geodesic_point(t, x, y, s)
+            # == alone accepts Fraction(1) == 1
+            assert all(map(int_offset_exactly_at_vertex, (x, y, meet, anc, geo)))
+            vertices += sum(brute_radius(p).denominator == 1 for p in (anc, geo))
     assert min(cases.values()) >= 100, cases
+    assert vertices >= 400
 
 
 def test_vertex_radii_are_ints_and_edge_points_fractions():
