@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import DepthExhausted, NotProper, TowerTreeError
-from .formats import emit_tower, parse_tower
+from .formats import _rational, emit_tower, parse_tower
 from .generate import (
     gen_biholder,
     gen_example_nonretract,
@@ -232,11 +232,13 @@ def _gen_solenoid(args) -> int:
     group, tower = gen_solenoid(args.primes, args.window, args.depth)
     report = build_report(tower)
     threads = limit_threads(group)
-    from .trees import branches, max_geodesic_subtree, tree_of_tower
+    from .trees import max_geodesic_subtree, tree_of_tower
 
+    # the core is geodesically complete: its branches end at full depth, and
+    # a single one holds every vertex of the core
     core = max_geodesic_subtree(tree_of_tower(tower))
-    bs = branches(core)
-    zero_branch = len(bs) == 1 and all(v[1] == "0" for v in bs[0].vertices[1:])
+    count = len(core.levels[core.depth])
+    zero_branch = count == 1 and all(v[1] == "0" for v in core.vertices[1:])
     if args.format == "machine":
         data = {
             "tower": json.loads(emit_tower(tower)),
@@ -250,18 +252,14 @@ def _gen_solenoid(args) -> int:
             f"solenoid: multipliers {list(args.primes)}, window {args.window}, depth {args.depth}"
         )
         sys.stdout.write(render_text(report))
-        shape = "single zero branch" if zero_branch else f"{len(bs)} branch(es)"
+        shape = "single zero branch" if zero_branch else f"{count} branch(es)"
         print(f"t-infinity shape: {shape}")
         print(f"threads: {len(threads)}")
     return EXIT_INVARIANT if not report.cross_check["consistent"] else EXIT_OK
 
 
 def _gen_biholder(args) -> int:
-    try:
-        ls = tuple(Fraction(s) for s in args.l)
-    except (ValueError, ZeroDivisionError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+    ls = tuple(_rational(s, "bad --l value") for s in args.l)
     table = gen_biholder(args.k_max, tuple(args.c), ls)
     if args.format == "machine":
         data = {

@@ -16,64 +16,18 @@ from typing import Mapping, Sequence
 
 import mpmath
 
-from .errors import (
-    DifferentTrees,
-    ElementNotInLevel,
-    EmptyCore,
-    InvalidParameter,
-    UnsupportedMode,
-    ValidationError,
-)
+from .errors import ElementNotInLevel, EmptyCore, InvalidParameter, UnsupportedMode, ValidationError
 from .towers import Tower, natural_key
-from .trees import (
-    ROOT,
-    Branch,
-    RootedTree,
-    max_geodesic_subtree,
-    tree_of_tower,
-)
+from .trees import ROOT, RootedTree, Vertex, max_geodesic_subtree, tree_of_tower
 
 GRID = "grid"
 RATIONAL = "rational"
 
 
-@dataclass(frozen=True)
-class AgreementDepth:
-    """t0 of two branches: length of the shared prefix; None means equal."""
-
-    value: int | None
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
-    def exponent(self) -> int:
-        if self.value is None:
-            raise ValidationError("equal branches have no finite agreement depth")
-        return self.value
-
-    def numeric(self) -> float:
-        """e^{-t0} for display; 0.0 at infinite depth."""
-        return 0.0 if self.value is None else math.exp(-self.value)
-
-    def __int__(self) -> int:
-        return self.exponent()
-
-
-def agreement(f: Branch, g: Branch) -> AgreementDepth:
-    """Largest radius at which the branches still share a vertex."""
-    if f.tree is not g.tree and f.tree is not None and g.tree is not None and f.tree != g.tree:
-        raise DifferentTrees("branches belong to different trees")
-    return prefix_agreement(f.vertices[1:], g.vertices[1:])
-
-
-def prefix_agreement(xs: Sequence, ys: Sequence) -> AgreementDepth:
-    """Length of the shared prefix of two sequences; None when they are equal."""
-    return AgreementDepth(_shared_prefix(xs, ys))
-
-
-def _shared_prefix(xs: Sequence, ys: Sequence) -> int | None:
-    """prefix_agreement's value as a plain int | None, for callers comparing many pairs."""
+def agreement(xs: Sequence, ys: Sequence) -> int | None:
+    """t0 of two ends: the length of the shared prefix of two sequences (id
+    chains, thread entries, or branches without their root); None when they
+    are equal."""
     if xs == ys:
         return None
     t0 = 0
@@ -282,7 +236,7 @@ def end_space_of(tree: RootedTree) -> UltrametricSpace:
     exponents = {}
     for i, f in enumerate(chains):
         for j in range(i + 1, len(chains)):
-            exponents[(points[i], points[j])] = _shared_prefix(f, chains[j])
+            exponents[(points[i], points[j])] = agreement(f, chains[j])
     return grid_space(points, exponents)
 
 
@@ -290,14 +244,17 @@ def end_space_of(tree: RootedTree) -> UltrametricSpace:
 # Ultrametric -> tree (the dendrogram)
 
 
-def tree_of_ultrametric(space: UltrametricSpace) -> tuple[RootedTree, dict[str, Branch]]:
+def tree_of_ultrametric(
+    space: UltrametricSpace,
+) -> tuple[RootedTree, dict[str, tuple[Vertex, ...]]]:
     """The quotient dendrogram: one vertex per class at each integer height
     up to max exponent + 1, where all classes are singletons.
 
-    Embedded points become complete branches whose pairwise agreement
-    depths equal the original exponents exactly.  The class of a point at
-    height h is its single-linkage cluster once every pair >= h has merged,
-    named by its least point; a malformed space gets connected components.
+    Each point becomes a complete branch, its root-to-leaf vertex tuple,
+    whose pairwise agreement depths equal the original exponents exactly.
+    The class of a point at height h is its single-linkage cluster once
+    every pair >= h has merged, named by its least point; a malformed space
+    gets connected components.
     """
     if space.mode != GRID:
         raise UnsupportedMode("rational spaces go through simplicialize instead")
@@ -320,10 +277,10 @@ def tree_of_ultrametric(space: UltrametricSpace) -> tuple[RootedTree, dict[str, 
         for coarse, fine in zip(parts, parts[1:])
     ]
     tree = tree_of_tower(Tower(classes, bonds))
-    ends = {}
-    for i, x in enumerate(pts):
-        chain = (ROOT,) + tuple((h, pts[part[i]]) for h, part in enumerate(parts, start=1))
-        ends[x] = Branch(vertices=chain, complete=True, tree=tree)
+    ends = {
+        x: (ROOT,) + tuple((h, pts[part[i]]) for h, part in enumerate(parts, start=1))
+        for i, x in enumerate(pts)
+    }
     return tree, ends
 
 

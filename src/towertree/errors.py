@@ -33,10 +33,6 @@ class EmptyCore(TowerTreeError):
     """No complete branch exists, so the geodesically complete core is trivial."""
 
 
-class DifferentTrees(TowerTreeError):
-    """Branches or points of distinct trees were combined."""
-
-
 class DifferentTowers(TowerTreeError):
     """Threads of distinct group towers were combined."""
 

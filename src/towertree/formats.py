@@ -55,6 +55,21 @@ def _decimal(text: str, what: str, whole: str, line: int | None = None) -> int:
     raise ParseError(f"{what} {whole!r}", line=line)
 
 
+def _rational(text: str, what: str, line: int | None = None) -> Fraction:
+    """text as a Fraction whose terms print within Python's int/str digit
+    limit, with a scientific exponent of at most four digits; anything else
+    is a ParseError "what 'text'"."""
+    try:
+        # Fraction("1e-999999999") would compute 10**999999999 first
+        if len(text.lower().partition("e")[2].lstrip("+-")) > 4:
+            raise ValueError
+        value = Fraction(text)
+        str(value)  # both terms print within the digit limit, as emit needs
+        return value
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"{what} {text!r}", line=line) from None
+
+
 def _is_int(value) -> bool:
     """A JSON integer; true and false are not."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -188,15 +203,7 @@ def emit_distance_matrix(space: UltrametricSpace) -> str:
 def _parse_entry(token: str, lineno: int) -> tuple[str, int | Fraction]:
     if token.startswith("e-"):
         return GRID, _decimal(token[2:], "bad exponent entry", token, line=lineno)
-    try:
-        # Fraction("1e-999999999") would compute 10**999999999 first
-        if len(token.lower().partition("e")[2].lstrip("+-")) > 4:
-            raise ValueError
-        value = Fraction(token)
-        str(value)  # both terms print within the int/str digit limit, as emit needs
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad distance entry {token!r}", line=lineno) from None
-    return RATIONAL, value
+    return RATIONAL, _rational(token, "bad distance entry", line=lineno)
 
 
 def parse_distance_matrix(text: str) -> UltrametricSpace:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -17,6 +18,7 @@ from .ends import UltrametricSpace, certified_ln_sign, grid_space, rational_spac
 from .errors import InvalidParameter
 from .groups import GroupTower, ScaleHom, TableGroup, TableHom, WindowedZ
 from .towers import (
+    MAX_GENERATOR_IDS,
     Tower,
     TowerMorphism,
     _pull_back,
@@ -165,8 +167,15 @@ class NonRetractReport:
 
 
 def gen_example_nonretract(count: int = 10) -> NonRetractReport:
+    """The distances 1/2^i, i = 1..count.  Like towers._check_generator,
+    refuses a count whose numbers would not print within Python's int/str
+    digit limit, before building any."""
     if count < 1:
         raise InvalidParameter("count must be >= 1")
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    most = (10**digits).bit_length() - 1  # the largest count with 2^count < 10^digits
+    if digits and count > most:
+        raise InvalidParameter(f"count must be at most {most}: 2^count prints within {digits} digits")
     dists = tuple(Fraction(1, 1 << i) for i in range(1, count + 1))
     return NonRetractReport(distances=dists, infimum=Fraction(0), point_in_core=False)
 
@@ -189,6 +198,8 @@ def gen_random_tower(
         raise InvalidParameter("max_level_size must be >= 1")
     if not 0.0 <= surjectivity_bias <= 1.0:
         raise InvalidParameter("surjectivity_bias must lie in [0, 1]")
+    if depth * max_level_size > MAX_GENERATOR_IDS:
+        raise InvalidParameter(f"depth x max_level_size may be at most {MAX_GENERATOR_IDS} ids")
     rng = random.Random(f"tower:{seed}")
     sizes = [rng.randint(1, max_level_size)]
     levels = [[str(i) for i in range(sizes[0])]]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from typing import Mapping, Sequence
 
-from .ends import AgreementDepth, _shared_prefix, prefix_agreement
+from .ends import agreement
 from .errors import (
     DifferentTowers,
     ElementNotInLevel,
@@ -396,7 +396,8 @@ def limit_threads(g: GroupTower) -> tuple[Thread, ...]:
     return tuple(sorted(threads, key=lambda t: tuple(natural_key(e) for e in t.entries)))
 
 
-def thread_distance(a: Thread, b: Thread) -> AgreementDepth:
+def thread_distance(a: Thread, b: Thread) -> int | None:
+    """The length of the threads' shared prefix; None when they are equal."""
     if (
         a.tower is not b.tower
         and a.tower is not None
@@ -404,7 +405,7 @@ def thread_distance(a: Thread, b: Thread) -> AgreementDepth:
         and a.tower != b.tower
     ):
         raise DifferentTowers("threads belong to different towers")
-    return prefix_agreement(a.entries, b.entries)
+    return agreement(a.entries, b.entries)
 
 
 def thread_product(g: GroupTower, a: Thread, b: Thread) -> Thread:
@@ -466,20 +467,20 @@ def check_translation_isometry(g: GroupTower) -> IsometryVerdict:
             row.append(None if ka is None else where.setdefault(ka, len(where)))
         products.append(row)
     points = list(where)
-    agree = [[_shared_prefix(a, b) for b in entries] for a in entries]
+    agree = [[agreement(a, b) for b in entries] for a in entries]
     checked = 0
     columns = list(zip(*products))  # columns[a][k], the position of k.a
     for ia, column_a in enumerate(columns):
         for ib, column_b in enumerate(columns):
             base = agree[ia][ib]
             x, y = inverses[ia], inverses[ib]
-            if (agree[x][y] if x < count > y else _shared_prefix(points[x], points[y])) != base:
+            if (agree[x][y] if x < count > y else agreement(points[x], points[y])) != base:
                 return IsometryVerdict(False, (threads[ia], threads[ia], threads[ib]), checked)
             for ik, x, y in zip(range(count), column_a, column_b):
                 if x is None or y is None:
                     continue
                 checked += 1
-                if (agree[x][y] if x < count > y else _shared_prefix(points[x], points[y])) != base:
+                if (agree[x][y] if x < count > y else agreement(points[x], points[y])) != base:
                     return IsometryVerdict(False, (threads[ik], threads[ia], threads[ib]), checked)
     return IsometryVerdict(valid=True, checked=checked)
 

@@ -7,7 +7,8 @@ machine emission round-trips bit for bit.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, fields
 
 from .errors import EmptyCore, InvalidParameter, ParseError
 from .maps import retraction_map
@@ -20,7 +21,7 @@ from .towers import (
     ml_verdict,
     windowed_solenoid_tower,
 )
-from .trees import branches, max_geodesic_subtree, tree_of_tower
+from .trees import max_geodesic_subtree, tree_of_tower
 from .ends import end_space_of
 from .formats import _load_json
 
@@ -70,18 +71,16 @@ def build_report(tower: Tower, depth_horizon: int | None = None) -> AnalysisRepo
     t_inf = {
         "vertex_count": len(core.vertices),
         "depth": core.depth,
-        "branch_count": len(branches(core)),
+        # the core is geodesically complete, so every leaf sits at full depth
+        "branch_count": len(core.levels[core.depth]),
     }
     try:
         space = end_space_of(tree)
-        histogram: dict[str, int] = {}
-        for _, _, value in space.pairs():
-            histogram[str(value)] = histogram.get(str(value), 0) + 1
-        diam = space.diameter_exponent()
+        histogram = Counter(space.table.values())
         end = {
             "point_count": len(space.points),
-            "exponent_histogram": dict(sorted(histogram.items())),
-            "diameter_exponent": diam,
+            "exponent_histogram": {str(k): histogram[k] for k in sorted(histogram, key=str)},
+            "diameter_exponent": min(histogram, default=None),
         }
     except EmptyCore:
         end = {"point_count": 0, "exponent_histogram": {}, "diameter_exponent": None}
@@ -164,20 +163,14 @@ def render_text(r: AnalysisReport) -> str:
 
 
 def emit_report(r: AnalysisReport) -> str:
-    data = {
-        "tower": r.tower,
-        "ml": r.ml,
-        "t_infinity": r.t_infinity,
-        "end_space": r.end_space,
-        "retraction": r.retraction,
-        "cross_check": r.cross_check,
-    }
+    # not asdict, which deep-copies every nested list before dumping it
+    data = {f.name: getattr(r, f.name) for f in fields(r)}
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def parse_report(text: str) -> AnalysisReport:
     data = _load_json(text)
-    keys = {"tower", "ml", "t_infinity", "end_space", "retraction", "cross_check"}
+    keys = {f.name for f in fields(AnalysisReport)}
     if not isinstance(data, dict) or set(data) != keys:
         raise ParseError("report object must carry exactly the analysis fields")
     return AnalysisReport(**data)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -146,12 +146,6 @@ class MLReport:
     per_level: tuple[LevelStabilization, ...]
     witness: MLFailure | None = None
 
-    def margin_at(self, level: int) -> int | None:
-        for row in self.per_level:
-            if row.level == level:
-                return row.margin
-        return None
-
 
 class Tower:
     """A truncated inverse sequence of finite sets.
@@ -262,15 +256,6 @@ class Tower:
         return f"Tower(depth={self.depth}, sizes={sizes}, flavor={self.flavor})"
 
 
-@dataclass(frozen=True)
-class BondComposite:
-    """The composite bond p_{n m} : X_m -> X_n."""
-
-    from_level: int
-    to_level: int
-    mapping: dict[str, str] = field(compare=True)
-
-
 # A generator tower may hold at most this many ids over all its levels,
 # counted before any level is built.  The doubling solenoid fits up to
 # window 2^17 at full depth 18 (524,304 ids).
@@ -356,12 +341,12 @@ def _reach(tower: Tower) -> list[list[int]]:
     return reach[::-1]
 
 
-def compose_bonding(tower: Tower, n: int, m: int) -> BondComposite:
-    """p_{n m} : X_m -> X_n, the identity when n == m."""
+def compose_bonding(tower: Tower, n: int, m: int) -> dict[str, str]:
+    """p_{n m} : X_m -> X_n as an id -> id dict, the identity when n == m."""
     if not 1 <= n <= m <= tower.depth:
         raise IndexOutOfRange(f"need 1 <= n <= m <= depth, got n={n}, m={m}, depth={tower.depth}")
     images = _pull_back(tower, tower.levels[n - 1], n, m)
-    return BondComposite(from_level=m, to_level=n, mapping=dict(zip(tower.levels[m - 1], images)))
+    return dict(zip(tower.levels[m - 1], images))
 
 
 def is_extendable(tower: Tower, n0: int, alpha: str, n1: int) -> bool:

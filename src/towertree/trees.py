@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -216,28 +216,6 @@ def point_of(v: Vertex) -> TreePoint:
     return TreePoint._at(v, 1)
 
 
-@dataclass(frozen=True)
-class Branch:
-    """A maximal root-based vertex path; complete iff it reaches full depth."""
-
-    vertices: tuple[Vertex, ...]
-    complete: bool
-    tree: "RootedTree" = dataclass_field(compare=False, repr=False, default=None)
-
-    @property
-    def leaf(self) -> Vertex:
-        return self.vertices[-1]
-
-    def at(self, n: int) -> Vertex:
-        if not 0 <= n < len(self.vertices):
-            raise IndexOutOfRange(f"branch has no vertex at radius {n}")
-        return self.vertices[n]
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices) - 1
-
-
 def tree_of_tower(tower: Tower) -> RootedTree:
     """Vertices (n, x) for x in X_n; parents follow the bonds; root below X_1."""
     tree = RootedTree.__new__(RootedTree)
@@ -305,13 +283,10 @@ def is_geodesically_complete(tree: RootedTree) -> bool:
     )
 
 
-def branches(tree: RootedTree) -> tuple[Branch, ...]:
-    """All maximal root-based paths, deterministically ordered by leaf."""
-    return tuple(
-        Branch(vertices=tree.chain(leaf), complete=leaf[0] == tree.depth, tree=tree)
-        for leaf in tree.vertices
-        if not tree.children_of(leaf)
-    )
+def branches(tree: RootedTree) -> tuple[tuple[Vertex, ...], ...]:
+    """All maximal root-based paths as root-to-leaf vertex tuples, ordered by
+    leaf in vertex order; a branch is complete iff its leaf sits at full depth."""
+    return tuple(tree.chain(leaf) for leaf in tree.vertices if not tree.children_of(leaf))
 
 
 # ---------------------------------------------------------------------------

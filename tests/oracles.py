@@ -114,7 +114,7 @@ def brute_end_exponents(tree, keep=lambda x: True):
     ids = sorted((v[1] for v in tree.levels[tree.depth] if keep(v[1])), key=natural_key)
     chains = {x: root_chain(tree, (tree.depth, x))[1:] for x in ids}
     return {
-        (x, y): _prefix(chains[x], chains[y]) for i, x in enumerate(ids) for y in ids[i + 1 :]
+        (x, y): brute_prefix(chains[x], chains[y]) for i, x in enumerate(ids) for y in ids[i + 1 :]
     }
 
 
@@ -373,13 +373,22 @@ def brute_induced_images(m, src_tree, breakpoints, virtual_top):
     return images
 
 
-def _prefix(xs, ys):
-    if xs == ys:
+def brute_prefix(xs, ys):
+    """Length of the shared prefix of two sequences, None when they are
+    equal: the first index where they differ or one of them stops."""
+    if list(xs) == list(ys):
         return None
     n = 0
-    while xs[n] == ys[n]:
+    while n < len(xs) and n < len(ys) and xs[n] == ys[n]:
         n += 1
     return n
+
+
+def brute_branches(tree):
+    """Root-to-leaf vertex tuples, leaves in vertex order: a leaf is no
+    vertex's parent, and its path is walked up parent_of."""
+    parents = {tree.parent_of(v) for v in tree.vertices if v != ROOT}
+    return tuple(tuple(root_chain(tree, v)) for v in tree.vertices if v not in parents)
 
 
 def brute_isometry(g):
@@ -392,9 +401,9 @@ def brute_isometry(g):
     checked = 0
     for a in threads:
         for b in threads:
-            base = _prefix(a.entries, b.entries)
+            base = brute_prefix(a.entries, b.entries)
             ia, ib = thread_inverse(g, a), thread_inverse(g, b)
-            if _prefix(ia.entries, ib.entries) != base:
+            if brute_prefix(ia.entries, ib.entries) != base:
                 return False, (a.entries, a.entries, b.entries), checked
             for k in threads:
                 try:
@@ -402,7 +411,7 @@ def brute_isometry(g):
                 except WindowOverflow:
                     continue
                 checked += 1
-                if _prefix(ka.entries, kb.entries) != base:
+                if brute_prefix(ka.entries, kb.entries) != base:
                     return False, (k.entries, a.entries, b.entries), checked
     return True, None, checked
 

@@ -101,6 +101,10 @@ def test_gen_solenoid_text():
     assert "ml: fails" in out
     assert "t-infinity shape: single zero branch" in out
     assert lines[-1] == "threads: 1"
+    # multiplier 1 keeps every id of the window: 7 branches at window 3
+    code, out, _ = run(["gen", "solenoid", "--primes", "1", "--window", "3", "--depth", "4"])
+    assert code == 0
+    assert out.splitlines()[-2:] == ["t-infinity shape: 7 branch(es)", "threads: 7"]
 
 
 def test_gen_solenoid_machine():
@@ -210,6 +214,11 @@ def test_analyze_rejects_input_past_interpreter_limits(tmp_path, text, extra):
         ["gen", "biholder", "--l", "x"],
         ["export-dot", "no-such-dir/tower.json"],
         ["gen", "solenoid", "--primes", "2", "--window", "1000000000", "--depth", "3"],
+        ["gen", "biholder", "--k-max", "4", "--l", "1/2", "1e-5000"],
+        ["gen", "biholder", "--k-max", "4", "--l", "1e-9999999"],
+        ["gen", "nonretract", "--count", "15000"],
+        ["gen", "nonretract", "--count", "15000", "--format", "machine"],
+        ["gen", "random", "--seed", "1", "--depth", "1025", "--max-level-size", "1024"],
     ],
     ids=[
         "random-depth",
@@ -218,6 +227,11 @@ def test_analyze_rejects_input_past_interpreter_limits(tmp_path, text, extra):
         "biholder-l-text",
         "dot-missing",
         "solenoid-budget",
+        "biholder-l-unprintable",
+        "biholder-l-long-exponent",
+        "nonretract-unprintable",
+        "nonretract-unprintable-machine",
+        "random-budget",
     ],
 )
 def test_every_command_reports_errors_as_one_line(argv):

@@ -12,6 +12,7 @@ from oracles import (
     ahu_canon,
     brute_components,
     brute_end_exponents,
+    brute_prefix,
     brute_ultrametric_ok,
     is_violation,
 )
@@ -19,7 +20,6 @@ from oracles import (
 from towertree import (
     GRID,
     RATIONAL,
-    DifferentTrees,
     Tower,
     UltrametricSpace,
     UnsupportedMode,
@@ -48,26 +48,32 @@ from towertree import (
 
 
 def test_agreement_two_branch(two_branch_tree):
+    # a branch is its root-to-leaf vertex tuple; t0 compares them below the root
     long, short = {}, {}
     for b in branches(two_branch_tree):
-        (long if b.complete else short)[0] = b
-    t0 = agreement(long[0], short[0])
-    assert t0.value == 1
-    assert abs(t0.numeric() - math.exp(-1)) < 1e-12
-    assert agreement(long[0], long[0]).is_infinite
+        (long if b[-1][0] == two_branch_tree.depth else short)[0] = b
+    t0 = agreement(long[0][1:], short[0][1:])
+    assert t0 == 1
+    assert abs(math.exp(-t0) - math.exp(-1)) < 1e-12
+    assert agreement(long[0][1:], long[0][1:]) is None
 
 
 def test_agreement_root_only():
     t = tree_of_tower(Tower([["a1", "a2"]], []))
     b1, b2 = branches(t)
-    assert agreement(b1, b2).value == 0
-    assert agreement(b1, b2).numeric() == 1.0
+    assert agreement(b1[1:], b2[1:]) == 0
+    assert math.exp(-agreement(b1[1:], b2[1:])) == 1.0
 
 
-def test_agreement_rejects_different_trees(two_branch_tree):
-    other = tree_of_tower(Tower([["a"]], []))
-    with pytest.raises(DifferentTrees):
-        agreement(branches(two_branch_tree)[0], branches(other)[0])
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from("abc"), max_size=6),
+    st.lists(st.sampled_from("abc"), max_size=6),
+)
+def test_agreement_matches_brute_prefix_scan(xs, ys):
+    assert agreement(xs, ys) == brute_prefix(xs, ys)
+    assert agreement(tuple(xs), tuple(ys)) == brute_prefix(xs, ys)
+    assert agreement(xs, list(xs)) is None
 
 
 def test_end_space_two_branch_is_single_point(two_branch_tree):
@@ -188,7 +194,7 @@ def test_tree_of_ultrametric_on_broken_spaces_is_connected_components():
         for h in range(1, tree.depth + 1):
             classes = {}
             for x, branch in ends.items():
-                classes.setdefault(branch.vertices[h], set()).add(x)
+                classes.setdefault(branch[h], set()).add(x)
             assert {frozenset(c) for c in classes.values()} == brute_components(space, h)
             # each class is named by its first point in point order
             for (_, name), c in classes.items():
@@ -319,9 +325,9 @@ def test_agreement_strong_triangle_on_random_trees(seed):
     for f in bs:
         for g in bs:
             for h in bs:
-                tfh = agreement(f, h).value
-                tfg = agreement(f, g).value
-                tgh = agreement(g, h).value
+                tfh = agreement(f[1:], h[1:])
+                tfg = agreement(f[1:], g[1:])
+                tgh = agreement(g[1:], h[1:])
                 vals = [v if v is not None else 10**9 for v in (tfh, tfg, tgh)]
                 assert vals[0] >= min(vals[1], vals[2])
 

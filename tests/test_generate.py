@@ -1,6 +1,7 @@
 """Generators: solenoids, the exponent table, the non-retract demo, corpora."""
 
 import hashlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -48,7 +49,7 @@ def test_gen_solenoid_group_matches_set_tower():
 def test_gen_solenoid_mixed_primes_eventual_image():
     # product 2*3*5*7*11 = 2310 exceeds the window, so only zero survives
     _, tower = gen_solenoid([2, 3, 5, 7, 11], 1000, 6)
-    image = set(compose_bonding(tower, 1, 6).mapping.values())
+    image = set(compose_bonding(tower, 1, 6).values())
     assert image == {"0"}
 
 
@@ -107,6 +108,41 @@ def test_nonretract_exact_distances():
     assert not rep.point_in_core
     with pytest.raises(InvalidParameter):
         gen_example_nonretract(count=0)
+
+
+def test_nonretract_refused_past_the_digit_limit():
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no int/str digit limit")
+    old = sys.get_int_max_str_digits()
+    try:
+        # 2^2126 < 10^640 <= 2^2127, so 2126 distances print and 2127 do not
+        sys.set_int_max_str_digits(640)
+        assert str(gen_example_nonretract(2126).distances[-1]) == f"1/{2**2126}"
+        with pytest.raises(InvalidParameter, match="at most 2126"):
+            gen_example_nonretract(2127)
+        # the refusal comes before anything is built
+        with pytest.raises(InvalidParameter):
+            gen_example_nonretract(10**12)
+    finally:
+        sys.set_int_max_str_digits(old)
+    if old == 4300:
+        with pytest.raises(InvalidParameter, match="at most 14284"):
+            gen_example_nonretract(14285)
+
+
+def test_random_tower_refused_past_the_id_budget(monkeypatch):
+    import towertree.generate as generate
+
+    for depth, size in ((1025, 1024), (1, (1 << 20) + 1), ((1 << 20) + 1, 1), (10**9, 10**9)):
+        with pytest.raises(InvalidParameter, match="at most 1048576 ids"):
+            gen_random_tower(0, depth, size)
+    monkeypatch.setattr(generate, "MAX_GENERATOR_IDS", 12)
+    assert gen_random_tower(0, 3, 4).depth == 3
+    assert gen_random_tower(0, 12, 1).depth == 12
+    with pytest.raises(InvalidParameter, match="at most 12 ids"):
+        gen_random_tower(0, 13, 1)
+    with pytest.raises(InvalidParameter):
+        gen_random_tower(0, 2, 7)
 
 
 def test_random_tower_determinism_and_degenerate():

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from oracles import brute_bond_rejection, brute_isometry, brute_table_rejection, brute_ultrametric_ok
-from oracles import brute_condition_E, brute_condition_M, brute_projection
+from oracles import brute_condition_E, brute_condition_M, brute_prefix, brute_projection
 
 from towertree import (
     EQUIVALENT,
@@ -112,10 +112,20 @@ def test_z8_threads_frozen():
 def test_thread_distances():
     g = z8_tower()
     by_top = {t.entries[2]: t for t in limit_threads(g)}
-    assert thread_distance(by_top["0"], by_top["2"]).value == 1
-    assert thread_distance(by_top["1"], by_top["5"]).value == 2
-    assert thread_distance(by_top["1"], by_top["1"]).is_infinite
-    assert thread_distance(by_top["0"], by_top["1"]).value == 0
+    assert thread_distance(by_top["0"], by_top["2"]) == 1
+    assert thread_distance(by_top["1"], by_top["5"]) == 2
+    assert thread_distance(by_top["1"], by_top["1"]) is None
+    assert thread_distance(by_top["0"], by_top["1"]) == 0
+
+
+def test_thread_distance_matches_brute_prefix_scan():
+    towers = [gen_random_group_tower(seed, depth=2 + seed % 4) for seed in range(40)]
+    towers += [z8_tower(), gen_solenoid([2, 3], 12, 3)[0]]
+    for g in towers:
+        threads = limit_threads(g)
+        for a in threads:
+            for b in threads:
+                assert thread_distance(a, b) == brute_prefix(a.entries, b.entries)
 
 
 def test_thread_distance_rejects_different_towers():
@@ -144,9 +154,9 @@ def test_thread_ultrametric_strong_triangle():
         for b in threads:
             for c in threads:
                 big = 10**9
-                dab = thread_distance(a, b).value
-                dac = thread_distance(a, c).value
-                dcb = thread_distance(c, b).value
+                dab = thread_distance(a, b)
+                dac = thread_distance(a, c)
+                dcb = thread_distance(c, b)
                 vals = [v if v is not None else big for v in (dab, dac, dcb)]
                 assert vals[0] >= min(vals[1], vals[2])
 
@@ -298,7 +308,7 @@ def test_group_end_space_is_ultrametric():
     for a in threads:
         for b in threads:
             if names[a] < names[b]:
-                exps[(names[a], names[b])] = thread_distance(a, b).value
+                exps[(names[a], names[b])] = thread_distance(a, b)
     sp = grid_space(sorted(names.values()), exps)
     assert brute_ultrametric_ok(sp)
 
@@ -619,8 +629,8 @@ def test_isometry_compares_each_pair_of_threads_once(monkeypatch):
     import towertree.groups as groups
 
     calls = []
-    real = groups._shared_prefix
-    monkeypatch.setattr(groups, "_shared_prefix", lambda xs, ys: calls.append(1) or real(xs, ys))
+    real = groups.agreement
+    monkeypatch.setattr(groups, "agreement", lambda xs, ys: calls.append(1) or real(xs, ys))
     towers = [gen_random_group_tower(seed, depth=4) for seed in range(30)]
     towers += [gen_solenoid([1], 5, 3)[0], unpatterned_scaling_tower()]
     for g in towers:

@@ -1,18 +1,26 @@
 """Analysis reports: content, horizon handling, serialization, rendering."""
 
+from collections import Counter
+
 import pytest
+
+from oracles import brute_end_exponents
 
 from towertree import (
     InvalidParameter,
+    branches,
     build_report,
     emit_report,
     end_space_of,
     gen_random_tower,
+    grid_space,
     max_geodesic_subtree,
     parse_report,
     render_text,
     retraction_map,
+    tower_of_tree,
     tree_of_tower,
+    tree_of_ultrametric,
     windowed_solenoid_tower,
 )
 from conftest import constant_tower
@@ -135,3 +143,32 @@ def test_report_builds_the_core_once(monkeypatch, tower):
     assert retraction_map(tree).map.target is core
     assert len(end_space_of(tree).points) == len(core.levels[core.depth])
     assert len(calls) == 2
+
+
+def test_branch_count_and_end_histogram_match_branches_and_pairs():
+    """branch_count is the size of the core's deepest level; the histogram
+    and diameter come from one walk over the pairs."""
+    towers = [
+        gen_random_tower(seed, 1 + seed % 6, 1 + seed % 6, (seed % 11) / 10) for seed in range(300)
+    ]
+    # exponents 10 and over next to single digits, where string order and
+    # numeric order differ
+    deep = grid_space(["a", "b", "c"], {("a", "b"): 11, ("a", "c"): 2, ("b", "c"): 2})
+    towers.append(tower_of_tree(tree_of_ultrametric(deep)[0]))
+    towers += [
+        windowed_solenoid_tower(primes, window, depth)
+        for primes in ([1], [2], [1, 2], [2, 3], [1, 1, 3])
+        for window, depth in ((0, 3), (3, 5), (64, 4))
+    ]
+    several = 0
+    for tower in towers:
+        r = build_report(tower)
+        core = max_geodesic_subtree(tree_of_tower(tower))
+        assert r.t_infinity["branch_count"] == len(branches(core))
+        several += len(branches(core)) > 1
+        pairs = Counter(brute_end_exponents(core).values())
+        assert r.end_space["exponent_histogram"] == {str(k): v for k, v in pairs.items()}
+        assert list(r.end_space["exponent_histogram"]) == sorted(map(str, pairs))
+        assert r.end_space["diameter_exponent"] == min(pairs, default=None)
+    assert several >= 150
+    assert list(build_report(towers[300]).end_space["exponent_histogram"]) == ["11", "2"]

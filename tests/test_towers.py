@@ -122,8 +122,7 @@ def test_level_access_bounds(two_branch_tower):
 
 
 def test_compose_bonding_identity_at_same_level(two_branch_tower):
-    c = compose_bonding(two_branch_tower, 2, 2)
-    assert c.mapping == {"b1": "b1", "b2": "b2"}
+    assert compose_bonding(two_branch_tower, 2, 2) == {"b1": "b1", "b2": "b2"}
 
 
 def test_compose_bonding_matches_direct_walk(two_branch_tower):
@@ -132,7 +131,7 @@ def test_compose_bonding_matches_direct_walk(two_branch_tower):
     for t in towers:
         for m in range(1, t.depth + 1):
             for n in range(1, m + 1):
-                assert compose_bonding(t, n, m).mapping == brute_composite(t, n, m)
+                assert compose_bonding(t, n, m) == brute_composite(t, n, m)
 
 
 def test_solenoid_window_level_sizes(solenoid_p2):
@@ -142,7 +141,7 @@ def test_solenoid_window_level_sizes(solenoid_p2):
 
 
 def test_solenoid_composite_multiplies(solenoid_p2):
-    c = compose_bonding(solenoid_p2, 1, 3).mapping
+    c = compose_bonding(solenoid_p2, 1, 3)
     assert c["1"] == "4"
     assert c["-3"] == "-12"
     assert c["0"] == "0"
@@ -276,7 +275,7 @@ def test_images_are_nested_decreasing(seed):
         prev = None
         for m in range(n, t.depth + 1):
             img = brute_image(t, n, m)
-            assert img == frozenset(compose_bonding(t, n, m).mapping.values())
+            assert img == frozenset(compose_bonding(t, n, m).values())
             if prev is not None:
                 assert img <= prev
             prev = img

@@ -10,6 +10,7 @@ from conftest import constant_tower
 from oracles import (
     ahu_canon,
     brute_ancestor_point,
+    brute_branches,
     brute_distance,
     brute_geodesic_point,
     brute_meet,
@@ -245,8 +246,27 @@ def test_every_vertex_lies_on_a_branch():
         t = tree_of_tower(gen_random_tower(seed, depth=3 + seed % 5, max_level_size=4))
         covered = set()
         for b in branches(t):
-            covered.update(b.vertices)
+            covered.update(b)
         assert covered == set(t.vertices)
+
+
+def test_branches_match_brute_chain_oracle(two_branch_tree):
+    trees = [RootedTree({}), tree_of_tower(Tower([["a2", "a1"]], [])), two_branch_tree]
+    trees += [
+        tree_of_tower(gen_random_tower(seed, 1 + seed % 6, 1 + seed % 5, (seed % 5) / 4))
+        for seed in range(200)
+    ]
+    incomplete = 0
+    for t in trees:
+        bs = branches(t)
+        assert bs == brute_branches(t)
+        incomplete += sum(b[-1][0] < t.depth for b in bs)
+    assert branches(RootedTree({})) == ((ROOT,),)
+    assert branches(two_branch_tree) == (
+        (ROOT, (1, "a"), (2, "b2")),
+        (ROOT, (1, "a"), (2, "b1"), (3, "c1")),
+    )
+    assert incomplete >= 80
 
 
 def test_retraction_two_branch(two_branch_tree):
