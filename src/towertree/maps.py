@@ -33,7 +33,7 @@ from .errors import (
     SourceTargetMismatch,
     ValidationError,
 )
-from .towers import TowerMorphism, _pull_back, is_level_morphism
+from .towers import TowerMorphism, _core_positions, _pull_back, is_level_morphism
 from .trees import (
     ROOT,
     RootedTree,
@@ -160,7 +160,8 @@ class TreeMap:
         schedule: XiSchedule | None = None,
     ) -> TreeMap:
         """A map whose images[n] were built over source.levels[n], root to
-        root and based at target vertices by construction."""
+        root and based at target vertices by construction; a row that is
+        already a tuple is kept, not copied."""
         f = cls.__new__(cls)
         f.source, f.target, f.schedule = source, target, schedule
         f.images = tuple(map(tuple, images))
@@ -376,7 +377,7 @@ def induce_tree_map(m: TowerMorphism) -> TreeMap:
     for r in range(1, src_tree.depth + 1):
         k = bisect_right(t, r)
         if k == 0:
-            images.append((root,) * len(src_tree.levels[r]))
+            images.append((root,) * len(m.source.levels[r - 1]))
             continue
         hi = t[k] if k < seg_count else sched.virtual_top
         num, den = r - t[k - 1], hi - t[k - 1]
@@ -386,7 +387,7 @@ def induce_tree_map(m: TowerMorphism) -> TreeMap:
             # num == den only at r == virtual_top, closing the last segment
             j, offset = k, 1 if num == den else Fraction(num, den)
         if j == 0:
-            images.append((root,) * len(src_tree.levels[r]))
+            images.append((root,) * len(m.source.levels[r - 1]))
             continue
         phi_j, comp_j = m.phi_at(j), m.component(j)
         at_phi = [TreePoint._at((j, comp_j[x]), offset) for x in m.source.levels[phi_j - 1]]
@@ -411,7 +412,7 @@ def extract_morphism(f: TreeMap) -> TowerMorphism:
         raise NotProper("no properness witness at any level within depth")
     tgt = f.target
     comps = [
-        {c[1]: tgt.ancestor(p.base, n)[1] for c, p in zip(f.source.levels[mn], f.images[mn])}
+        {x: tgt.ancestor(p.base, n)[1] for x, p in zip(f.source.tower.levels[mn - 1], f.images[mn])}
         for n, mn in enumerate(rep.table, start=1)
     ]
     return TowerMorphism._trusted(
@@ -432,7 +433,7 @@ def simplicial_of_level(m: TowerMorphism) -> TreeMap:
     images = [(point_of(ROOT),)]
     for n in range(1, src_tree.depth + 1):
         comp = m.component(n)
-        images.append([point_of((n, comp[x])) for _, x in src_tree.levels[n]])
+        images.append([point_of((n, comp[x])) for x in m.source.levels[n - 1]])
     return TreeMap._built(src_tree, tgt_tree, images)
 
 
@@ -442,20 +443,23 @@ def simplicial_of_level(m: TowerMorphism) -> TreeMap:
 
 def retraction_map(tree: RootedTree) -> Retraction:
     """Nearest-point retraction: each vertex drops to its deepest complete
-    ancestor, found one level at a time from the images of the level above.
-    Trees whose oracle grows unbounded finite branches get the failure the
-    window cannot exhibit."""
+    ancestor, found one level at a time on parent positions: a level takes
+    its parents' images, then the core's own positions (the ones
+    max_geodesic_subtree kept) become their own points.  No vertex outside
+    the core is looked at.  Trees whose oracle grows unbounded finite
+    branches get the failure the window cannot exhibit."""
     core = max_geodesic_subtree(tree)
     if core.depth == 0:
         raise EmptyCore("no complete branch to retract onto")
+    kept = _core_positions(tree.tower)
     images = [(point_of(ROOT),)]
     for n in range(1, tree.depth + 1):
-        in_core = set(core.levels.get(n, ()))
         above = images[-1]
-        images.append([
-            point_of(v) if v in in_core else above[j]
-            for v, j in zip(tree.levels[n], tree.parent_positions(n))
-        ])
+        here = [above[j] for j in tree.parent_positions(n)]
+        if n <= core.depth:
+            for i, v in zip(kept[n - 1], core.levels[n]):
+                here[i] = point_of(v)
+        images.append(tuple(here))
     rmap = TreeMap._built(tree, core, images)
     if not tree.fringe_unbounded:
         return Retraction(map=rmap, properness=properness_witness(rmap))

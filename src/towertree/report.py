@@ -37,15 +37,18 @@ class AnalysisReport:
 
 
 def _truncate(tower: Tower, horizon: int) -> Tower:
+    """The first horizon levels of the tower.  A generator tower keeps its
+    oracle, and only a horizon past its stored depth rebuilds it."""
     if horizon < 1:
         raise InvalidParameter("depth horizon must be >= 1")
-    if tower.oracle is not None:
-        return windowed_solenoid_tower(tower.oracle.primes, tower.oracle.window, horizon)
+    oracle = tower.oracle
     if horizon > tower.depth:
+        if oracle is not None:
+            return windowed_solenoid_tower(oracle.primes, oracle.window, horizon)
         raise InvalidParameter(
             f"horizon {horizon} exceeds the stored depth {tower.depth} of an extensional tower"
         )
-    return Tower._ordered(tower.levels[:horizon], tower.up[: horizon - 1])
+    return Tower._ordered(tower.levels[:horizon], tower.up[: horizon - 1], oracle)
 
 
 def _ml_dict(report: MLReport) -> dict:

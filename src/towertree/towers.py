@@ -303,15 +303,18 @@ def windowed_solenoid_tower(primes: Sequence[int], window: int, depth: int) -> T
     Level n holds the integers whose composite image at level 1 stays in
     [-window, window]; that shrinking window is exactly what keeps every
     bond total into its target level.  Level n lists -b..b in order, so z
-    sits at position z + b and its image p_n * z at p_n * z + b_n.  A tower
-    past _check_generator's budget is refused before any level is built.
+    sits at position z + b and its image p_n * z at p_n * z + b_n; the levels
+    share their id strings.  A tower past _check_generator's budget is
+    refused before any level is built.
     """
     oracle = SolenoidOracle(tuple(int(p) for p in primes), int(window))
     if depth < 1:
         raise ValidationError("depth must be >= 1")
     _check_generator(oracle, depth)
     bounds = list(oracle.level_bounds(depth))
-    levels = [tuple(map(str, range(-b, b + 1))) for b in bounds]
+    # bounds never increase, so every level is a slice of the widest, level 1
+    widest, top = tuple(map(str, range(-bounds[0], bounds[0] + 1))), bounds[0]
+    levels = [widest[top - b : top + b + 1] for b in bounds]
     up = [
         range(b - p * c, b + p * c + 1, p)
         for b, c, p in zip(bounds, bounds[1:], map(oracle.multiplier, range(1, depth)))
@@ -381,7 +384,7 @@ def ml_verdict(tower: Tower) -> MLReport:
     for n0, reach in enumerate(_reach(tower)[:-1], start=1):
         # p_{n0 m}(X_m) = {reach >= m} reaches its eventual value {reach = D}
         # one level past the deepest reach short of D
-        s = 1 + max((r for r in reach if r < depth), default=n0 - 1)
+        s = 1 + max(set(reach) - {depth}, default=n0 - 1)
         per_level.append(LevelStabilization(level=n0, stabilization=s, margin=depth - s))
     per_level = tuple(per_level)
 
@@ -412,10 +415,20 @@ def surjective_core(tower: Tower) -> Tower:
     """
     if tower.oracle is not None:
         raise UnsupportedMode("surjective_core works on extensional towers")
+    return _sub_tower(tower, _core_positions(tower))
+
+
+def _core_positions(tower: Tower) -> list[Sequence[int]]:
+    """The ascending positions of the core in X_1, X_2, ...: the ids the
+    oracle says extend forever, down to the last level that keeps one (no
+    level when none does), or else the eventual images {reach = D}."""
+    if tower.oracle is not None:
+        kept = [tower.oracle.forever_extendable(ids) for ids in tower.levels]
+        while kept and not kept[-1]:
+            kept.pop()
+        return kept
     depth = tower.depth
-    return _sub_tower(
-        tower, [[i for i, r in enumerate(reach) if r == depth] for reach in _reach(tower)]
-    )
+    return [[i for i, r in enumerate(reach) if r == depth] for reach in _reach(tower)]
 
 
 def _sub_tower(tower: Tower, kept: Sequence[Sequence[int]]) -> Tower:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import IndexOutOfRange, ValidationError, VertexNotFound
-from .towers import Tower, _sub_tower, surjective_core
+from .towers import Tower, _core_positions, _sub_tower, surjective_core
 
 Vertex = tuple[int, str]
 
@@ -36,11 +36,12 @@ class RootedTree:
     in X_n in the tower's order, parent maps each of them to
     (n - 1, p_{n-1}(x)), or to the implicit root (0, "root") at level 1, and
     a generator tower's oracle gives core_hint and fringe_unbounded.
-    parent, children and the core (max_geodesic_subtree) are built on first
-    use.  Instances are immutable; equality is the tower's.
+    levels, parent, children and the core (max_geodesic_subtree) are built
+    on first use, so a tree costs nothing per vertex until a caller asks for
+    vertices.  Instances are immutable; equality is the tower's.
     """
 
-    __slots__ = ("tower", "levels", "depth", "_parent", "_children", "_core")
+    __slots__ = ("tower", "depth", "_levels", "_parent", "_children", "_core")
 
     def __init__(self, parent: Mapping[Vertex, Vertex]):
         """Read levels and bonds off a parent map; Tower checks and orders them."""
@@ -58,14 +59,10 @@ class RootedTree:
         self._index(Tower(ids, bonds) if depth else None)
 
     def _index(self, tower: Tower | None) -> None:
-        """The vertices of the tower's levels."""
-        levels: dict[int, tuple[Vertex, ...]] = {0: (ROOT,)}
-        for n, ids in enumerate(tower.levels if tower is not None else (), start=1):
-            levels[n] = tuple([(n, x) for x in ids])
+        """Index the tower; every cache is built on first use."""
         self.tower = tower
-        self.levels = levels
-        self.depth = len(levels) - 1
-        self._parent = self._children = self._core = None
+        self.depth = tower.depth if tower is not None else 0
+        self._levels = self._parent = self._children = self._core = None
 
     @property
     def fringe_unbounded(self) -> bool:
@@ -86,20 +83,30 @@ class RootedTree:
             for i in oracle.forever_extendable(ids)
         )
 
+    @property
+    def levels(self) -> dict[int, tuple[Vertex, ...]]:
+        """levels[n] lists the vertices (n, x) for x in X_n, root at level 0."""
+        if self._levels is None:
+            levels: dict[int, tuple[Vertex, ...]] = {0: (ROOT,)}
+            for n, ids in enumerate(self.tower.levels if self.tower is not None else (), start=1):
+                levels[n] = tuple([(n, x) for x in ids])
+            self._levels = levels
+        return self._levels
+
     def parent_positions(self, n: int) -> Sequence[int]:
         """For each vertex of levels[n], n >= 1, the position of its parent in levels[n - 1]."""
         if n == 1:
-            return (0,) * len(self.levels[1])
+            return (0,) * len(self.tower.levels[0])
         return self.tower.up[n - 2]
 
     @property
     def parent(self) -> dict[Vertex, Vertex]:
         """Each vertex's parent, in level order."""
         if self._parent is None:
-            self._parent = {}
+            self._parent, levels = {}, self.levels
             for n in range(1, self.depth + 1):
-                above = self.levels[n - 1].__getitem__
-                self._parent.update(zip(self.levels[n], map(above, self.parent_positions(n))))
+                above = levels[n - 1].__getitem__
+                self._parent.update(zip(levels[n], map(above, self.parent_positions(n))))
         return self._parent
 
     @property
@@ -107,12 +114,13 @@ class RootedTree:
         """Each vertex's children, in level order."""
         if self._children is None:
             children: dict[Vertex, tuple[Vertex, ...]] = {}
+            levels = self.levels
             for n in range(self.depth + 1):
-                kids: list[list[Vertex]] = [[] for _ in self.levels[n]]
+                kids: list[list[Vertex]] = [[] for _ in levels[n]]
                 if n < self.depth:
-                    for v, j in zip(self.levels[n + 1], self.parent_positions(n + 1)):
+                    for v, j in zip(levels[n + 1], self.parent_positions(n + 1)):
                         kids[j].append(v)
-                children.update(zip(self.levels[n], map(tuple, kids)))
+                children.update(zip(levels[n], map(tuple, kids)))
             self._children = children
         return self._children
 
@@ -164,7 +172,8 @@ class RootedTree:
         return hash(self.tower)
 
     def __repr__(self) -> str:
-        return f"RootedTree(depth={self.depth}, vertices={sum(map(len, self.levels.values()))})"
+        sizes = map(len, self.tower.levels) if self.tower is not None else ()
+        return f"RootedTree(depth={self.depth}, vertices={1 + sum(sizes)})"
 
 
 @dataclass(frozen=True)
@@ -267,9 +276,7 @@ def max_geodesic_subtree(tree: RootedTree) -> RootedTree:
         elif tower.oracle is None:
             tree._core = tree_of_tower(surjective_core(tower))
         else:
-            kept = [tower.oracle.forever_extendable(ids) for ids in tower.levels]
-            while kept and not kept[-1]:
-                kept.pop()
+            kept = _core_positions(tower)
             tree._core = tree_of_tower(_sub_tower(tower, kept)) if kept else RootedTree({})
     return tree._core
 

@@ -134,6 +134,39 @@ def brute_ml_chain(primes, depth):
     return rows
 
 
+def brute_solenoid(primes, window, depth):
+    """(levels, up) of the windowed solenoid built level by level: level n
+    holds the z in -window..window with |z| times the product of the first
+    n - 1 multipliers within the window, each level's ids printed afresh
+    with tuple(map(str, range(-b, b + 1))), and up[n-1][i] is found by a
+    search for the id of p_n * z in level n."""
+    levels, prod = [], 1
+    for n in range(1, depth + 1):
+        b = max(z for z in range(window + 1) if z * prod <= window)
+        levels.append(tuple(map(str, range(-b, b + 1))))
+        prod *= primes[(n - 1) % len(primes)]
+    up = [
+        tuple(dst.index(str(primes[(n - 1) % len(primes)] * int(x))) for x in src)
+        for n, (dst, src) in enumerate(zip(levels, levels[1:]), start=1)
+    ]
+    return levels, up
+
+
+def eager_tree_views(tower):
+    """(levels, vertices, parent, children, repr) of tree_of_tower(tower),
+    built eagerly from the tower's levels and bond dicts."""
+    levels = {0: (ROOT,)}
+    for n in range(1, tower.depth + 1):
+        levels[n] = tuple((n, x) for x in tower.level(n))
+    vertices = tuple(v for n in sorted(levels) for v in levels[n])
+    parent = {}
+    for v in vertices[1:]:
+        parent[v] = ROOT if v[0] == 1 else (v[0] - 1, tower.bond(v[0] - 1)[v[1]])
+    children = {v: tuple(w for w in vertices if parent.get(w) == v) for v in vertices}
+    text = f"RootedTree(depth={tower.depth}, vertices={len(vertices)})"
+    return levels, vertices, parent, children, text
+
+
 def brute_vertex_distance(tree, u, w):
     cu, cw = root_chain(tree, u), root_chain(tree, w)
     common = 0

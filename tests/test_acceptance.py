@@ -79,6 +79,24 @@ def test_criterion_1_solenoid_desk_scale_analysis():
     assert elapsed < 2.0, f"took {elapsed:.2f}s"
 
 
+def test_north_star_solenoid_at_window_2_16():
+    """The doubling solenoid at window 2^16, depth 17 (262,159 ids),
+    analyzed whole."""
+    t0 = time.monotonic()
+    report = build_report(windowed_solenoid_tower([2], 2**16, 17))
+    elapsed = time.monotonic() - t0
+
+    assert report.tower["level_sizes"] == [2 ** (17 - n) + 1 for n in range(17)]
+    assert sum(report.tower["level_sizes"]) == 262_159
+    assert report.ml["verdict"] == "fails"
+    assert report.ml["witness"]["chain"] == [[n1, 2 ** (n1 - 1), n1 + 1] for n1 in range(2, 18)]
+    assert report.t_infinity == {"vertex_count": 18, "depth": 17, "branch_count": 1}
+    assert report.end_space["point_count"] == 1
+    assert report.retraction["witness_total"] is False
+    assert report.cross_check["consistent"] is True
+    assert elapsed < 1.0, f"took {elapsed:.2f}s"
+
+
 def test_criterion_2_functor_law_corpus():
     t0 = time.monotonic()
     summary = run_roundtrip_corpus(200)

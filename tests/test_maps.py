@@ -385,6 +385,8 @@ def test_public_constructor_rebuilds_every_produced_map():
 
 
 def test_analysis_builds_no_by_vertex_views(monkeypatch):
+    """build_report leaves every vertex view of the analyzed tree unbuilt:
+    its vertex tuples, parent and children, and the retraction's dict."""
     import towertree.report as report
     from towertree import windowed_solenoid_tower
 
@@ -394,13 +396,16 @@ def test_analysis_builds_no_by_vertex_views(monkeypatch):
     monkeypatch.setattr(
         report, "retraction_map", lambda t: seen.setdefault("retraction", real_retraction(t))
     )
-    report.build_report(windowed_solenoid_tower([2], 1024, 11))
-    tree, rmap = seen["tree"], seen["retraction"].map
-    assert rmap.source is tree
-    assert tree._parent is None and rmap._vertex_images is None
-    # asked for, the views are built from the per-level data
-    assert list(tree.parent) == list(tree.vertices[1:])
-    assert list(rmap.vertex_images.values()) == [p for here in rmap.images for p in here]
+    for tower in (windowed_solenoid_tower([2], 1024, 11), gen_random_tower(5, 6, 6, 0.5)):
+        seen.clear()
+        report.build_report(tower)
+        tree, rmap = seen["tree"], seen["retraction"].map
+        assert rmap.source is tree
+        assert tree._levels is None and tree._parent is None and tree._children is None
+        assert rmap._vertex_images is None
+        # asked for, the views are built from the per-level data
+        assert list(tree.parent) == list(tree.vertices[1:])
+        assert list(rmap.vertex_images.values()) == [p for here in rmap.images for p in here]
 
 
 def test_each_map_measures_its_properness_once(monkeypatch):

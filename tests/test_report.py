@@ -24,6 +24,7 @@ from towertree import (
     windowed_solenoid_tower,
 )
 from conftest import constant_tower
+from towertree.report import _truncate
 
 
 def test_report_two_branch_frozen(two_branch_tower):
@@ -172,3 +173,28 @@ def test_branch_count_and_end_histogram_match_branches_and_pairs():
         assert r.end_space["diameter_exponent"] == min(pairs, default=None)
     assert several >= 150
     assert list(build_report(towers[300]).end_space["exponent_histogram"]) == ["11", "2"]
+
+
+def test_truncating_a_generator_tower_slices_it(monkeypatch):
+    """A horizon within the stored depth slices the levels and parent
+    positions and keeps the oracle: the slice equals the tower built at
+    that depth.  Only a horizon past the stored depth rebuilds it."""
+    import towertree.report as report
+
+    rebuilt = []
+    real = report.windowed_solenoid_tower
+    monkeypatch.setattr(report, "windowed_solenoid_tower", lambda *a: rebuilt.append(a) or real(*a))
+    cases = 0
+    for primes in ([1], [2], [1, 3], [2, 3], [3, 1, 2]):
+        for window in (0, 6, 50):
+            tower = windowed_solenoid_tower(primes, window, 6)
+            for horizon in range(1, 9):
+                rebuilt.clear()
+                cut = _truncate(tower, horizon)
+                want = windowed_solenoid_tower(primes, window, horizon)
+                assert cut == want and hash(cut) == hash(want)
+                assert cut.oracle is tower.oracle or horizon > tower.depth
+                assert len(rebuilt) == (horizon > tower.depth)
+                assert build_report(tower, horizon) == build_report(want)
+                cases += horizon <= tower.depth
+    assert cases >= 30

@@ -18,6 +18,7 @@ from oracles import (
     brute_levelization,
     brute_lift,
     brute_ml_chain,
+    brute_solenoid,
     brute_stabilization,
 )
 
@@ -256,15 +257,46 @@ def test_generator_depth_budget():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6))
 def test_ml_stabilization_matches_brute_images(seed):
-    t = gen_random_tower(seed, depth=2 + seed % 6, max_level_size=5)
-    rep = ml_verdict(t)
-    for s in rep.per_level:
-        assert s.stabilization == brute_stabilization(t, s.level)
-        assert s.margin == t.depth - s.stabilization
-    # extensional towers can never produce a failure certificate
-    assert rep.verdict in (HOLDS, INCONCLUSIVE)
-    decided = all(s.margin >= 1 for s in rep.per_level)
-    assert (rep.verdict == HOLDS) == decided
+    rng = random.Random(seed)
+    primes = [rng.choice((1, 2, 3)) for _ in range(1 + seed % 3)]
+    generated = windowed_solenoid_tower(primes, seed % 13, 2 + seed % 6)
+    for t in (gen_random_tower(seed, depth=2 + seed % 6, max_level_size=5), generated):
+        rep = ml_verdict(t)
+        for s in rep.per_level:
+            assert s.stabilization == brute_stabilization(t, s.level)
+            assert s.margin == t.depth - s.stabilization
+        decided = all(s.margin >= 1 for s in rep.per_level)
+        if t.oracle is not None and not t.oracle.ml_holds():
+            assert rep.verdict == FAILS
+        else:
+            # only an oracle certifies a failure
+            assert rep.verdict in (HOLDS, INCONCLUSIVE)
+            assert (rep.verdict == HOLDS) == decided
+
+
+def test_solenoid_levels_match_a_level_by_level_build():
+    """Every level is a slice of level 1's ids, and the tower equals, and
+    hashes like, one built from ids printed afresh per level."""
+    cases = 0
+    for primes in ([1], [2], [1, 3], [2, 3], [3, 1, 2], [1, 1, 2]):
+        for window in (0, 1, 2, 7, 40):
+            for depth in (1, 3, 6):
+                t = windowed_solenoid_tower(primes, window, depth)
+                levels, up = brute_solenoid(primes, window, depth)
+                assert t.levels == tuple(levels) and t.up == tuple(up)
+                bonds = [
+                    dict(zip(src, map(dst.__getitem__, u)))
+                    for dst, src, u in zip(levels, levels[1:], up)
+                ]
+                plain = Tower(levels, bonds)
+                assert plain == tower_of_tree(tree_of_tower(t))
+                same = Tower._ordered(levels, up, t.oracle)
+                assert t == same and hash(t) == hash(same)
+                assert t != plain
+                # the levels share level 1's strings
+                assert {id(x) for level in t.levels for x in level} == set(map(id, t.levels[0]))
+                cases += 1
+    assert cases >= 40
 
 
 @settings(max_examples=40, deadline=None)

@@ -16,6 +16,7 @@ from oracles import (
     brute_meet,
     brute_radius,
     brute_vertex_distance,
+    eager_tree_views,
     int_offset_exactly_at_vertex,
     is_ancestor,
     root_chain,
@@ -368,11 +369,11 @@ def test_generator_core_hint_comes_from_the_oracle():
 
 
 def test_tree_reads_the_oracle_off_its_tower():
-    """A tree stores its tower and no copy of the oracle's verdict; equality
-    and hashing are the tower's, so a tower_of_tree copy, which drops the
-    oracle, indexes a different tree."""
+    """A tree stores its tower and no copy of the oracle's verdict, only
+    lazy caches; equality and hashing are the tower's, so a tower_of_tree
+    copy, which drops the oracle, indexes a different tree."""
     assert set(RootedTree.__slots__) == {
-        "tower", "levels", "depth", "_parent", "_children", "_core"
+        "tower", "depth", "_levels", "_parent", "_children", "_core"
     }
     towers = [gen_random_tower(seed, depth=1 + seed % 4, max_level_size=3) for seed in range(12)]
     for primes in ([2], [2, 2], [1], [1, 3]):
@@ -413,3 +414,71 @@ def test_children_follow_level_order():
             below = tree.levels.get(n + 1, ())
             for v in tree.levels[n]:
                 assert tree.children_of(v) == tuple(w for w in below if tree.parent[w] == v)
+
+
+def test_lazy_views_match_an_eager_build():
+    """levels, vertices, parent and children, each built on first use and
+    asked for in any order, equal an eager build from the tower's bond
+    dicts; depth, repr and parent positions need no vertex at all."""
+    towers = [
+        gen_random_tower(seed, 1 + seed % 6, 1 + seed % 6, (seed % 11) / 10) for seed in range(200)
+    ]
+    towers += [
+        windowed_solenoid_tower(primes, window, 1 + window % 5)
+        for primes in ([1], [2], [1, 3], [2, 3])
+        for window in (0, 3, 9, 20, 33)
+    ]
+    for k, tower in enumerate(towers):
+        tree = tree_of_tower(tower)
+        levels, vertices, parent, children, text = eager_tree_views(tower)
+        assert tree.depth == tower.depth and repr(tree) == text
+        for n in range(1, tree.depth + 1):
+            want = [levels[n - 1].index(parent[v]) for v in levels[n]]
+            assert list(tree.parent_positions(n)) == want
+        assert tree._levels is None and tree._parent is None and tree._children is None
+        views = [("levels", levels), ("vertices", vertices)]
+        views += [("parent", parent), ("children", children)]
+        for name, want in views[k % 4 :] + views[: k % 4]:
+            got = getattr(tree, name)
+            assert got == want
+            if isinstance(want, dict):
+                assert list(got.items()) == list(want.items())
+        if tower.oracle is None:
+            rebuilt = RootedTree(parent)
+            assert rebuilt == tree and repr(rebuilt) == text
+            assert list(rebuilt.parent.items()) == list(parent.items())
+    bare = RootedTree({})
+    assert repr(bare) == "RootedTree(depth=0, vertices=1)" and bare._levels is None
+    assert bare.levels == {0: (ROOT,)} and bare.vertices == (ROOT,)
+    assert bare.parent == {} and bare.children == {ROOT: ()}
+
+
+def test_retraction_sends_each_vertex_to_its_deepest_core_ancestor():
+    """Images read off parent positions equal a per-vertex oracle: the
+    deepest ancestor with a descendant at full depth, or, with an oracle,
+    the deepest ancestor whose id extends forever."""
+    trees = [
+        tree_of_tower(gen_random_tower(seed, 1 + seed % 7, 1 + seed % 5, (seed % 11) / 10))
+        for seed in range(270)
+    ]
+    trees += [
+        tree_of_tower(windowed_solenoid_tower(primes, window, 2 + window % 5))
+        for primes in ([1], [2], [1, 3], [2, 3], [3, 1, 2])
+        for window in (0, 2, 5, 11, 24, 40)
+    ]
+    moved = 0
+    for tree in trees:
+        oracle = tree.tower.oracle
+        if oracle is None:
+            core = {u for leaf in tree.levels[tree.depth] for u in root_chain(tree, leaf)}
+        else:
+            core = {v for v in tree.vertices if oracle.ml_holds() or v[1] == "0"} | {ROOT}
+        rmap = retraction_map(tree).map
+        assert rmap.target is max_geodesic_subtree(tree)
+        assert set(rmap.target.vertices) == core
+        for n, level in tree.levels.items():
+            for v, image in zip(level, rmap.images[n], strict=True):
+                deepest = next(u for u in reversed(root_chain(tree, v)) if u in core)
+                assert image == point_of(deepest)
+                moved += deepest != v
+    assert len(trees) >= 300 and moved >= 1000
