@@ -271,12 +271,14 @@ def tree_of_ultrametric(
             h -= 1
         for y in B:
             owner[y] = A[0]
-    classes = [dict.fromkeys(pts[r] for r in part) for part in parts]
-    bonds = [
-        {pts[r]: pts[coarse[r]] for r in dict.fromkeys(fine)}
-        for coarse, fine in zip(parts, parts[1:])
-    ]
-    tree = tree_of_tower(Tower(classes, bonds))
+    # a representative is the least position of its class, so each height
+    # lists its classes in point order, which is natural_key order
+    reps = [list(dict.fromkeys(part)) for part in parts]
+    up = []
+    for coarse, above, here in zip(parts, reps, reps[1:]):
+        where = {r: i for i, r in enumerate(above)}
+        up.append([where[coarse[r]] for r in here])
+    tree = tree_of_tower(Tower._ordered([[pts[r] for r in rs] for rs in reps], up))
     ends = {
         x: (ROOT,) + tuple((h, pts[part[i]]) for h, part in enumerate(parts, start=1))
         for i, x in enumerate(pts)

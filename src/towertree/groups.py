@@ -672,12 +672,13 @@ def core_iso_construction(g: GroupTower) -> CoreIso:
     source_under = underlying_tower(g)
     core_under = underlying_tower(core)
     phi = [m for _, m in projections]
-    comps = [
-        dict(zip(source_under.levels[m - 1], _pull_back(source_under, ids, n, m)))
-        for n, (ids, m) in enumerate(zip(source_under.levels, phi), start=1)
-    ]
+    rows = []
+    levels = zip(source_under.levels, core_under.levels, phi)
+    for n, (ids, core_ids, m) in enumerate(levels, start=1):
+        where = {x: i for i, x in enumerate(core_ids)}
+        rows.append([where[x] for x in _pull_back(source_under, ids, n, m)])
     # the projection witnesses are nondecreasing in n
-    inverse = TowerMorphism._trusted(source_under, core_under, phi, comps)
+    inverse = TowerMorphism._trusted(source_under, core_under, phi, rows)
     return CoreIso(core=core, inclusion=inclusion, inverse=inverse)
 
 
@@ -685,8 +686,8 @@ def as_tower_morphism(m: GroupLevelMorphism) -> TowerMorphism:
     """Forget the group structure of a level morphism."""
     src = underlying_tower(m.source)
     tgt = underlying_tower(m.target)
-    comps = [
-        {x: m.component(n).apply(x) for x in m.source.level(n).elements}
-        for n in range(1, m.defined_upto + 1)
-    ]
-    return TowerMorphism._trusted(src, tgt, list(range(1, m.defined_upto + 1)), comps)
+    rows = []
+    for f, xs, ys in zip(m.components, src.levels, tgt.levels):
+        where = {y: j for j, y in enumerate(ys)}
+        rows.append([where[f.apply(x)] for x in xs])
+    return TowerMorphism._trusted(src, tgt, list(range(1, m.defined_upto + 1)), rows)

@@ -276,7 +276,7 @@ def properness_witness(f: TreeMap) -> PropernessReport:
     for n in range(1, src.depth + 1):
         here = f.images[n]
         lows.append(min(p.floor for p in {id(p): p for p in here}.values()))
-        parents = map(above.__getitem__, src.parent_positions(n))
+        parents = [above[j] for j in src.parent_positions(n)]
         moved = [(a, b) for a, b in zip(parents, here) if a is not b]
         if moved:
             lows[n - 1] = min(lows[n - 1], min(_meet_floor(tgt, a, b) for a, b in moved))
@@ -389,9 +389,9 @@ def induce_tree_map(m: TowerMorphism) -> TreeMap:
         if j == 0:
             images.append((root,) * len(m.source.levels[r - 1]))
             continue
-        phi_j, comp_j = m.phi_at(j), m.component(j)
-        at_phi = [TreePoint._at((j, comp_j[x]), offset) for x in m.source.levels[phi_j - 1]]
-        images.append(_pull_back(m.source, at_phi, phi_j, r))
+        ids = m.target.levels[j - 1]
+        at_phi = [TreePoint._at((j, ids[i]), offset) for i in m.rows[j - 1]]
+        images.append(_pull_back(m.source, at_phi, m.phi[j - 1], r))
     return TreeMap._built(src_tree, tgt_tree, images, schedule=sched)
 
 
@@ -411,13 +411,12 @@ def extract_morphism(f: TreeMap) -> TowerMorphism:
     if rep.total_upto == 0:
         raise NotProper("no properness witness at any level within depth")
     tgt = f.target
-    comps = [
-        {x: tgt.ancestor(p.base, n)[1] for x, p in zip(f.source.tower.levels[mn - 1], f.images[mn])}
-        for n, mn in enumerate(rep.table, start=1)
-    ]
-    return TowerMorphism._trusted(
-        tower_of_tree(f.source), tower_of_tree(tgt), list(rep.table), comps
-    )
+    target = tower_of_tree(tgt)
+    rows = []
+    for n, mn in enumerate(rep.table, start=1):
+        where = {x: i for i, x in enumerate(target.levels[n - 1])}
+        rows.append([where[tgt.ancestor(p.base, n)[1]] for p in f.images[mn]])
+    return TowerMorphism._trusted(tower_of_tree(f.source), target, list(rep.table), rows)
 
 
 def simplicial_of_level(m: TowerMorphism) -> TreeMap:
@@ -431,9 +430,8 @@ def simplicial_of_level(m: TowerMorphism) -> TreeMap:
     src_tree = tree_of_tower(m.source)
     tgt_tree = tree_of_tower(m.target)
     images = [(point_of(ROOT),)]
-    for n in range(1, src_tree.depth + 1):
-        comp = m.component(n)
-        images.append([point_of((n, comp[x])) for x in m.source.levels[n - 1]])
+    for n, (ids, row) in enumerate(zip(m.target.levels, m.rows), start=1):
+        images.append([point_of((n, ids[i])) for i in row])
     return TreeMap._built(src_tree, tgt_tree, images)
 
 

@@ -224,7 +224,7 @@ class Tower:
         """bonds[n-1] maps X_{n+1} into X_n, keys in level order."""
         if self._bonds is None:
             self._bonds = tuple(
-                dict(zip(src, map(dst.__getitem__, u)))
+                dict(zip(src, [dst[i] for i in u]))
                 for dst, src, u in zip(self.levels, self.levels[1:], self.up)
             )
         return self._bonds
@@ -463,9 +463,13 @@ class TowerMorphism:
     for n = 1..defined_upto, with a stored coherence witness for every
     consecutive pair: some m >= Phi(n), Phi(n+1) within depth where
     f_n . p_{Phi(n) m}  ==  q_n . f_{n+1} . p_{Phi(n+1) m}.
+
+    Components are stored like bonds: rows[n-1][i] is the position in Y_n
+    of f_n(X_{Phi(n)}[i]).  components[n-1] is the same component as an
+    id -> id dict, built on first use.
     """
 
-    __slots__ = ("source", "target", "phi", "components", "witnesses")
+    __slots__ = ("source", "target", "phi", "rows", "witnesses", "_components")
 
     def __init__(
         self,
@@ -481,20 +485,20 @@ class TowerMorphism:
             raise ValidationError("more components than target levels")
         # normalize Phi to be nondecreasing by precomposing with bonds
         norm_phi: list[int] = []
-        norm_comps: list[dict[str, str]] = []
+        rows: list[Sequence[int]] = []
         for i, (p, comp) in enumerate(zip(phi, components)):
             if not 1 <= p <= source.depth:
                 raise ValidationError(f"phi({i + 1}) = {p} outside 1..{source.depth}")
             q = max(p, norm_phi[-1]) if norm_phi else p
             if set(comp) != set(source.level(p)):
                 raise ValidationError(f"component {i + 1} is not total on source level {p}")
-            stray = set(comp.values()) - set(target.level(i + 1))
+            where = {y: j for j, y in enumerate(target.levels[i])}
+            stray = set(comp.values()) - where.keys()
             if stray:
                 raise ValidationError(f"component {i + 1} leaves target level {i + 1}: {sorted(stray)}")
-            values = _pull_back(source, [comp[x] for x in source.level(p)], p, q)
             norm_phi.append(q)
-            norm_comps.append(dict(zip(source.level(q), values)))
-        self._set(source, target, norm_phi, norm_comps, trim_incoherent)
+            rows.append(_pull_back(source, [where[comp[x]] for x in source.levels[p - 1]], p, q))
+        self._set(source, target, norm_phi, rows, trim_incoherent)
 
     @classmethod
     def _trusted(
@@ -502,22 +506,23 @@ class TowerMorphism:
         source: Tower,
         target: Tower,
         phi: Sequence[int],
-        components: Sequence[dict[str, str]],
+        rows: Sequence[Sequence[int]],
         trim_incoherent: bool = False,
     ) -> TowerMorphism:
         """A morphism from data the package derived: phi nondecreasing within
-        1..source.depth, at most target.depth components, components[n-1]
-        total on X_{phi(n)} with keys in level order and values in Y_n.  Only
-        the coherence witnesses are searched."""
+        1..source.depth, at most target.depth rows, rows[n-1] over the
+        positions of X_{phi(n)} with values positions in Y_n.  Only the
+        coherence witnesses are searched."""
         m = cls.__new__(cls)
-        m._set(source, target, phi, components, trim_incoherent)
+        m._set(source, target, phi, rows, trim_incoherent)
         return m
 
-    def _set(self, source, target, phi, components, trim_incoherent) -> None:
+    def _set(self, source, target, phi, rows, trim_incoherent) -> None:
         witnesses = []
-        keep = len(components)
-        for n in range(1, len(components)):
-            w = _coherence_witness(source, target, phi, components, n)
+        keep = len(rows)
+        for n in range(1, len(rows)):
+            q = target.up[n - 1]
+            w = _agreement_level(source, phi[n - 1], rows[n - 1], phi[n], [q[j] for j in rows[n]])
             if w is None:
                 if trim_incoherent:
                     keep = n
@@ -527,12 +532,23 @@ class TowerMorphism:
         self.source = source
         self.target = target
         self.phi = tuple(phi[:keep])
-        self.components = tuple(components[:keep])
+        self.rows = tuple(map(tuple, rows[:keep]))
         self.witnesses = tuple(witnesses[: keep - 1])
+        self._components = None
+
+    @property
+    def components(self) -> tuple[dict[str, str], ...]:
+        """components[n-1] maps X_{Phi(n)} into Y_n, keys in level order."""
+        if self._components is None:
+            self._components = tuple(
+                dict(zip(self.source.levels[p - 1], [ids[j] for j in row]))
+                for p, ids, row in zip(self.phi, self.target.levels, self.rows)
+            )
+        return self._components
 
     @property
     def defined_upto(self) -> int:
-        return len(self.components)
+        return len(self.rows)
 
     def phi_at(self, n: int) -> int:
         if not 1 <= n <= self.defined_upto:
@@ -550,7 +566,7 @@ class TowerMorphism:
             and self.source == other.source
             and self.target == other.target
             and self.phi == other.phi
-            and self.components == other.components
+            and self.rows == other.rows
         )
 
     def __hash__(self):
@@ -560,29 +576,15 @@ class TowerMorphism:
         return f"TowerMorphism(phi={self.phi}, defined_upto={self.defined_upto})"
 
 
-def _coherence_witness(
-    source: Tower,
-    target: Tower,
-    phi: Sequence[int],
-    comps: Sequence[Mapping[str, str]],
-    n: int,
-) -> int | None:
-    """Least m with f_n . p_{Phi(n) m} == q_n . f_{n+1} . p_{Phi(n+1) m}, or None."""
-    qn = target.bond(n)
-    after = {x: qn[y] for x, y in comps[n].items()}
-    return _agreement_level(source, phi[n - 1], comps[n - 1], phi[n], after)
+def _agreement_level(source: Tower, a: int, va: Sequence, b: int, vb: Sequence) -> int | None:
+    """Least m >= max(a, b) within depth with va . p_{a m} == vb . p_{b m} on X_m, or None.
 
-
-def _agreement_level(
-    source: Tower, a: int, fa: Mapping[str, str], b: int, gb: Mapping[str, str]
-) -> int | None:
-    """Least m >= max(a, b) within depth with fa . p_{a m} == gb . p_{b m} on X_m, or None.
-
-    Both sides are value lists over the positions of X_m, carried up one
-    level at a time."""
+    va and vb are value rows over the positions of X_a and X_b; both are
+    carried up one level at a time as lists, so rows of any sequence type
+    compare by value."""
     m = max(a, b)
-    va = _pull_back(source, [fa[x] for x in source.levels[a - 1]], a, m)
-    vb = _pull_back(source, [gb[x] for x in source.levels[b - 1]], b, m)
+    va = _pull_back(source, list(va), a, m)
+    vb = _pull_back(source, list(vb), b, m)
     while va != vb:
         if m == source.depth:
             return None
@@ -594,9 +596,8 @@ def _agreement_level(
 
 
 def identity_morphism(tower: Tower) -> TowerMorphism:
-    phi = range(1, tower.depth + 1)
-    comps = [{x: x for x in tower.level(n)} for n in phi]
-    return TowerMorphism._trusted(tower, tower, list(phi), comps)
+    rows = [range(len(ids)) for ids in tower.levels]
+    return TowerMorphism._trusted(tower, tower, list(range(1, tower.depth + 1)), rows)
 
 
 def compose_morphisms(g: TowerMorphism, f: TowerMorphism) -> TowerMorphism:
@@ -608,18 +609,16 @@ def compose_morphisms(g: TowerMorphism, f: TowerMorphism) -> TowerMorphism:
     if f.target != g.source:
         raise SourceTargetMismatch("middle towers of the composition differ")
     phi = []
-    comps = []
-    for n in range(1, g.defined_upto + 1):
-        psi_n = g.phi_at(n)
+    rows = []
+    for psi_n, g_n in zip(g.phi, g.rows):
         if psi_n > f.defined_upto:
             break
-        phi.append(f.phi_at(psi_n))
-        g_n, f_psi = g.component(n), f.component(psi_n)
-        comps.append({x: g_n[f_psi[x]] for x in f.source.level(f.phi_at(psi_n))})
-    if not comps:
+        phi.append(f.phi[psi_n - 1])
+        rows.append([g_n[j] for j in f.rows[psi_n - 1]])
+    if not rows:
         raise DepthExhausted("composite has no level within depth")
     # Phi_f . Phi_g is nondecreasing and h_n is total on its level
-    return TowerMorphism._trusted(f.source, g.target, phi, comps, trim_incoherent=True)
+    return TowerMorphism._trusted(f.source, g.target, phi, rows, trim_incoherent=True)
 
 
 @dataclass(frozen=True)
@@ -646,8 +645,8 @@ def morphisms_equivalent(f: TowerMorphism, g: TowerMorphism) -> EquivalenceVerdi
         raise SourceTargetMismatch("morphisms do not share source and target")
     horizon = min(f.defined_upto, g.defined_upto)
     witnesses = [
-        _agreement_level(f.source, f.phi_at(n), f.component(n), g.phi_at(n), g.component(n))
-        for n in range(1, horizon + 1)
+        _agreement_level(f.source, a, fa, b, gb)
+        for a, fa, b, gb in zip(f.phi, f.rows, g.phi, g.rows)
     ]
     failing = tuple(n for n, w in enumerate(witnesses, start=1) if w is None)
     if not failing:
@@ -691,18 +690,10 @@ def levelize_morphism(f: TowerMorphism) -> Levelization:
     ]
     reindexed = Tower._ordered(new_levels, new_up)
 
-    level_comps = []
-    for k in range(1, k_max + 1):
-        p, fk = f.phi_at(k), f.component(k)
-        values = _pull_back(source, [fk[x] for x in source.level(p)], p, indices[k - 1])
-        level_comps.append(dict(zip(reindexed.level(k), values)))
-    level = TowerMorphism(reindexed, target, list(range(1, k_max + 1)), level_comps)
-
-    iso_in = TowerMorphism(
-        source,
-        reindexed,
-        indices,
-        [{x: x for x in reindexed.level(k)} for k in range(1, k_max + 1)],
+    level_rows = [_pull_back(source, row, p, n) for p, row, n in zip(f.phi, f.rows, indices)]
+    level = TowerMorphism._trusted(reindexed, target, list(range(1, k_max + 1)), level_rows)
+    iso_in = TowerMorphism._trusted(
+        source, reindexed, indices, [range(len(source.levels[n - 1])) for n in indices]
     )
     iso_out = identity_morphism(target)
     return Levelization(
@@ -716,12 +707,10 @@ def levelize_morphism(f: TowerMorphism) -> Levelization:
 
 def is_level_morphism(f: TowerMorphism) -> bool:
     """Phi == id on its range and all squares commute strictly."""
-    if any(f.phi_at(n) != n for n in range(1, f.defined_upto + 1)):
+    if any(p != n for n, p in enumerate(f.phi, start=1)):
         return False
     for n in range(1, f.defined_upto):
-        pn = f.source.bond(n)
-        qn = f.target.bond(n)
-        fn, fn1 = f.component(n), f.component(n + 1)
-        if any(fn[pn[x]] != qn[fn1[x]] for x in f.source.level(n + 1)):
+        fn, fn1, q = f.rows[n - 1], f.rows[n], f.target.up[n - 1]
+        if any(fn[i] != q[j] for i, j in zip(f.source.up[n - 1], fn1)):
             return False
     return True

@@ -7,7 +7,7 @@ int between vertices, a Fraction once a point inside an edge is involved.
 
 A tree is its tower plus lazy caches.  Geodesic completeness at truncation
 means "extendable to the deepest level".  A tree of a generator tower reads
-the oracle's verdict off it: core_hint lists the vertices that extend
+the oracle's verdict off it: its core keeps the vertices that extend
 forever, and fringe_unbounded records that the untruncated tree grows
 arbitrarily long finite branches (which no finite window can show).
 """
@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import IndexOutOfRange, ValidationError, VertexNotFound
-from .towers import Tower, _core_positions, _sub_tower, surjective_core
+from .towers import Tower, _core_positions, _sub_tower
 
 Vertex = tuple[int, str]
 
@@ -35,7 +35,7 @@ class RootedTree:
     tree reads everything off it: levels[n] lists the vertices (n, x) for x
     in X_n in the tower's order, parent maps each of them to
     (n - 1, p_{n-1}(x)), or to the implicit root (0, "root") at level 1, and
-    a generator tower's oracle gives core_hint and fringe_unbounded.
+    a generator tower's oracle gives the core and fringe_unbounded.
     levels, parent, children and the core (max_geodesic_subtree) are built
     on first use, so a tree costs nothing per vertex until a caller asks for
     vertices.  Instances are immutable; equality is the tower's.
@@ -72,18 +72,6 @@ class RootedTree:
         return oracle is not None and not oracle.ml_holds()
 
     @property
-    def core_hint(self) -> frozenset[Vertex] | None:
-        """The vertices the oracle says extend forever; None without an oracle."""
-        oracle = self.tower.oracle if self.tower is not None else None
-        if oracle is None:
-            return None
-        return frozenset(
-            (n, ids[i])
-            for n, ids in enumerate(self.tower.levels, start=1)
-            for i in oracle.forever_extendable(ids)
-        )
-
-    @property
     def levels(self) -> dict[int, tuple[Vertex, ...]]:
         """levels[n] lists the vertices (n, x) for x in X_n, root at level 0."""
         if self._levels is None:
@@ -105,8 +93,8 @@ class RootedTree:
         if self._parent is None:
             self._parent, levels = {}, self.levels
             for n in range(1, self.depth + 1):
-                above = levels[n - 1].__getitem__
-                self._parent.update(zip(levels[n], map(above, self.parent_positions(n))))
+                above = levels[n - 1]
+                self._parent.update(zip(levels[n], [above[j] for j in self.parent_positions(n)]))
         return self._parent
 
     @property
@@ -267,14 +255,12 @@ def max_geodesic_subtree(tree: RootedTree) -> RootedTree:
     tree of the surjective core, built on first call and kept on the tree.
 
     With an oracle the genuine forever-extendable core is used instead of
-    the depth-D proxy.
+    the depth-D proxy; both come from _core_positions.
     """
     if tree._core is None:
         tower = tree.tower
         if tower is None:
             tree._core = tree
-        elif tower.oracle is None:
-            tree._core = tree_of_tower(surjective_core(tower))
         else:
             kept = _core_positions(tower)
             tree._core = tree_of_tower(_sub_tower(tower, kept)) if kept else RootedTree({})

@@ -202,6 +202,34 @@ def test_tree_of_ultrametric_on_broken_spaces_is_connected_components():
     assert broken >= 10
 
 
+def _sorting_path(levels, bonds):
+    """The public constructor's tower from reversed levels and bond dicts."""
+    return Tower([level[::-1] for level in levels], [dict(reversed(b.items())) for b in bonds])
+
+
+def test_dendrogram_is_built_in_order_like_the_sorting_path():
+    """tree_of_ultrametric lists its classes in point order without sorting;
+    the constructor that sorts, fed the classes its branches name, builds
+    the same tower, on valid and broken grid spaces.  simplicialize's tree
+    likewise equals its own sorting-path rebuild."""
+    spaces = broken = 0
+    for seed in range(120):
+        grid = gen_random_grid_space(seed, max_points=12)
+        for space in (grid, perturbed(grid, seed)):
+            broken += not brute_ultrametric_ok(space)
+            tree, ends = tree_of_ultrametric(space)
+            chains = list(ends.values())
+            levels = [list(dict.fromkeys(c[h][1] for c in chains)) for h in range(1, tree.depth + 1)]
+            bonds = [{c[h + 1][1]: c[h][1] for c in chains} for h in range(1, tree.depth)]
+            ref = _sorting_path(levels, bonds)
+            assert (tree.tower.levels, tree.tower.up) == (ref.levels, ref.up)
+            spaces += 1
+        t = simplicialize(gen_random_rational_space(seed, max_points=10))[0].tower
+        ref = _sorting_path(t.levels, t.bonds)
+        assert (t.levels, t.up) == (ref.levels, ref.up)
+    assert spaces >= 200 and broken >= 30
+
+
 def test_point_ids_that_read_the_same_in_either_order():
     # "1" and "01" share a numeric value; neither argument order may matter
     a = grid_space(["1", "01"], {("01", "1"): 2})

@@ -131,13 +131,10 @@ def test_report_builds_the_core_once(monkeypatch, tower):
     import towertree.trees as trees
 
     calls = []
-    for name in ("surjective_core", "_sub_tower"):
-        real = getattr(trees, name)
-        monkeypatch.setattr(
-            trees, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a)
-        )
+    real = trees._sub_tower
+    monkeypatch.setattr(trees, "_sub_tower", lambda *a: calls.append("_sub_tower") or real(*a))
     build_report(tower)
-    assert calls == ["_sub_tower" if tower.oracle else "surjective_core"]
+    assert calls == ["_sub_tower"]
     tree = tree_of_tower(tower)
     core = max_geodesic_subtree(tree)
     assert max_geodesic_subtree(tree) is core

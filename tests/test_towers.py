@@ -20,6 +20,7 @@ from oracles import (
     brute_ml_chain,
     brute_solenoid,
     brute_stabilization,
+    root_chain,
 )
 
 from towertree import (
@@ -31,15 +32,20 @@ from towertree import (
     NOT_EQUIVALENT,
     DepthExhausted,
     IndexOutOfRange,
+    NotML,
     NotProper,
     Tower,
     TowerMorphism,
     ValidationError,
+    as_tower_morphism,
     compose_bonding,
     compose_morphisms,
+    core_iso_construction,
     extract_morphism,
+    gen_random_group_tower,
     gen_random_tower,
     gen_solenoid,
+    identity_group_morphism,
     identity_morphism,
     induce_tree_map,
     is_extendable,
@@ -558,17 +564,43 @@ def _fields(m):
     return m.phi, [list(c.items()) for c in m.components], m.witnesses
 
 
+def _rows(target, comps):
+    """Component dicts, keys in source level order, as rows of target positions."""
+    return [[target.level(n).index(v) for v in c.values()] for n, c in enumerate(comps, start=1)]
+
+
+def _group_morphisms(seed):
+    """(label, morphism, brute component dicts) for the tower morphisms a
+    group tower derives: the identity and, where ML holds, the core
+    inclusion and the core iso's inverse, whose components are composed
+    bonds."""
+    g = gen_random_group_tower(seed, depth=2 + seed % 4)
+    ident = as_tower_morphism(identity_group_morphism(g))
+    yield "as_tower_morphism", ident, [{a: a for a in ids} for ids in ident.source.levels]
+    try:
+        ci = core_iso_construction(g)
+    except NotML:
+        return
+    inc = as_tower_morphism(ci.inclusion)
+    yield "as_tower_morphism", inc, [{a: a for a in ids} for ids in inc.source.levels]
+    t = ci.inverse.source
+    yield "core_iso_inverse", ci.inverse, [
+        brute_composite(t, n, m) for n, m in enumerate(ci.inverse.phi, start=1)
+    ]
+
+
 def test_trusted_morphisms_match_the_validating_constructor():
     """Every morphism built on the trusted path equals what the validating
     constructor builds from the same data, trimming included."""
-    cases = dict.fromkeys(("direct", "identity", "composite", "trimmed", "extracted"), 0)
+    kinds = ("direct", "identity", "composite", "trimmed", "extracted", "levelized", "group")
+    cases = dict.fromkeys(kinds, 0)
     for seed in range(120):
         x = gen_random_tower(seed, depth=2 + seed % 7, max_level_size=1 + seed % 5)
         y = gen_random_tower(seed + 40, depth=2 + (seed + 2) % 7, max_level_size=1 + seed % 5)
         z = gen_random_tower(seed + 80, depth=2 + (seed + 4) % 7, max_level_size=4)
         f, h = random_morphism(seed, x, y), random_morphism(seed + 1, y, z)
         # a validated morphism's data is normalized already
-        trusted = TowerMorphism._trusted(x, y, list(f.phi), list(f.components))
+        trusted = TowerMorphism._trusted(x, y, list(f.phi), _rows(y, f.components))
         assert _fields(trusted) == _fields(f)
         cases["direct"] += 1
         ident = identity_morphism(x)
@@ -593,16 +625,29 @@ def test_trusted_morphisms_match_the_validating_constructor():
         rng = random.Random(seed)
         phi = sorted(rng.randint(1, x.depth) for _ in range(y.depth))
         comps = [{a: rng.choice(y.level(n)) for a in x.level(p)} for n, p in enumerate(phi, 1)]
+        rows = _rows(y, comps)
         public = TowerMorphism(x, y, phi, comps, trim_incoherent=True)
-        assert _fields(TowerMorphism._trusted(x, y, phi, comps, True)) == _fields(public)
+        assert _fields(TowerMorphism._trusted(x, y, phi, rows, True)) == _fields(public)
         cases["trimmed"] += public.defined_upto < len(phi)
         try:
             TowerMorphism(x, y, phi, comps)
         except ValidationError as e:
             with pytest.raises(ValidationError, match=re.escape(str(e))):
-                TowerMorphism._trusted(x, y, phi, comps)
+                TowerMorphism._trusted(x, y, phi, rows)
         else:
-            assert _fields(TowerMorphism._trusted(x, y, phi, comps)) == _fields(public)
+            assert _fields(TowerMorphism._trusted(x, y, phi, rows)) == _fields(public)
+        # levelization's level morphism and iso_in, from composed bond dicts
+        lz = levelize_morphism(f)
+        indices, _, level_comps = brute_levelization(f)
+        reindexed = lz.source_reindexed
+        k = len(indices)
+        assert _fields(lz.level) == _fields(TowerMorphism(reindexed, y, range(1, k + 1), level_comps))
+        iso_comps = [{a: a for a in x.level(n)} for n in indices]
+        assert _fields(lz.iso_in) == _fields(TowerMorphism(x, reindexed, indices, iso_comps))
+        cases["levelized"] += 1
+        for _, m, brute in _group_morphisms(seed):
+            assert _fields(m) == _fields(TowerMorphism(m.source, m.target, list(m.phi), brute))
+            cases["group"] += 1
         try:
             ext = extract_morphism(induce_tree_map(f))
         except NotProper:
@@ -611,4 +656,126 @@ def test_trusted_morphisms_match_the_validating_constructor():
             TowerMorphism(ext.source, ext.target, list(ext.phi), ext.components)
         )
         cases["extracted"] += 1
-    assert sum(cases.values()) >= 500 and min(cases.values()) >= 50, cases
+    assert sum(cases.values()) >= 700 and min(cases.values()) >= 50, cases
+
+
+def _extracted_components(tree_map, m):
+    """extract_morphism's components read off the vertex images: f_n(c) is
+    the level-n vertex on the root chain of f(c), c at level m(n)."""
+    source = tree_map.source.tower
+    return [
+        {c: root_chain(tree_map.target, p.base)[n][1] for c, p in zip(source.level(mn), tree_map.images[mn])}
+        for n, mn in enumerate(m.phi, start=1)
+    ]
+
+
+def _morphisms_with_brute_components(seed):
+    """(label, morphism, brute component dicts) over every way the package
+    builds a tower morphism; the dicts come from the inputs through bond
+    dict walks, never from the morphism's rows."""
+    x = gen_random_tower(seed, depth=2 + seed % 6, max_level_size=1 + seed % 5)
+    y = gen_random_tower(seed + 300, depth=2 + (seed + 3) % 6, max_level_size=1 + seed % 4)
+    z = gen_random_tower(seed + 600, depth=2 + (seed + 1) % 6, max_level_size=4)
+    rng = random.Random(seed)
+    # validated, with phi normalized: component n is p_{n, phi(n)} of x onto itself
+    phi = [rng.randint(n, x.depth) for n in range(1, x.depth + 1)]
+    comps = [brute_composite(x, n, p) for n, p in enumerate(phi, start=1)]
+    f = TowerMorphism(x, x, phi, comps)
+    yield "validated", f, [brute_lift(x, c, p, q) for c, p, q in zip(comps, phi, f.phi)]
+    # arbitrary components, trimmed at the first incoherent pair
+    phi = [rng.randint(1, x.depth) for _ in range(y.depth)]
+    comps = [{a: rng.choice(y.level(n)) for a in x.level(p)} for n, p in enumerate(phi, 1)]
+    t = TowerMorphism(x, y, phi, comps, trim_incoherent=True)
+    label = "trimmed" if t.defined_upto < len(phi) else "validated"
+    yield label, t, [brute_lift(x, c, p, q) for c, p, q in zip(comps, phi, t.phi)]
+    yield "identity", identity_morphism(y), [{a: a for a in ids} for ids in y.levels]
+    g, h = random_morphism(seed, x, y), random_morphism(seed + 1, y, z)
+    try:
+        hg = compose_morphisms(h, g)
+    except DepthExhausted:
+        pass
+    else:
+        gc, hc = g.components, h.components
+        yield "composed", hg, [
+            {a: hc[n][gc[p - 1][a]] for a in x.level(g.phi[p - 1])}
+            for n, p in zip(range(hg.defined_upto), h.phi)
+        ]
+    lz = levelize_morphism(g)
+    indices, _, level_comps = brute_levelization(g)
+    yield "levelized", lz.level, level_comps
+    yield "levelized", lz.iso_in, [{a: a for a in x.level(n)} for n in indices]
+    tree_map = induce_tree_map(g)
+    try:
+        ext = extract_morphism(tree_map)
+    except NotProper:
+        pass
+    else:
+        yield "extracted", ext, _extracted_components(tree_map, ext)
+    yield from _group_morphisms(seed)
+
+
+def test_lazy_components_match_brute_dicts():
+    """The id dicts built on first use from a morphism's rows equal the
+    dicts walked from its inputs, key order included."""
+    kinds = ("validated", "trimmed", "identity", "composed", "levelized", "extracted")
+    cases = dict.fromkeys(kinds + ("as_tower_morphism", "core_iso_inverse"), 0)
+    for seed in range(90):
+        for label, m, brute in _morphisms_with_brute_components(seed):
+            assert [list(c.items()) for c in m.components] == [list(c.items()) for c in brute]
+            assert [m.component(n) for n in range(1, m.defined_upto + 1)] == brute
+            cases[label] += 1
+    assert cases["trimmed"] >= 30 and cases["core_iso_inverse"] >= 30, cases
+    assert sum(cases.values()) >= 500 and min(cases.values()) >= 30, cases
+
+
+def _brute_is_level(m):
+    """Phi = id and f_n . p_n == q_n . f_{n+1} on every element, from bond
+    and component dicts."""
+    if list(m.phi) != list(range(1, m.defined_upto + 1)):
+        return False
+    return all(
+        m.component(n)[m.source.bond(n)[a]] == m.target.bond(n)[m.component(n + 1)[a]]
+        for n in range(1, m.defined_upto)
+        for a in m.source.level(n + 1)
+    )
+
+
+def test_is_level_morphism_matches_brute_squares():
+    verdicts = {True: 0, False: 0}
+    for seed in range(90):
+        candidates = [m for _, m, _ in _morphisms_with_brute_components(seed)]
+        # a level morphism with one component value moved: mostly not level
+        level = levelize_morphism(candidates[-1] if seed % 2 else candidates[0]).level
+        rng = random.Random(seed)
+        comps = [dict(c) for c in level.components]
+        n = rng.randrange(len(comps))
+        a = rng.choice(list(comps[n]))
+        comps[n][a] = rng.choice(level.target.level(n + 1))
+        candidates.append(TowerMorphism(level.source, level.target, level.phi, comps, True))
+        for m in candidates:
+            got = is_level_morphism(m)
+            assert got == _brute_is_level(m)
+            verdicts[got] += 1
+    assert sum(verdicts.values()) >= 300 and min(verdicts.values()) >= 100, verdicts
+
+
+def test_morphism_calculus_leaves_bond_dicts_unbuilt():
+    """Coherence search, composition, equivalence, induce and extract work
+    on parent positions and rows; no tower builds its id -> id bonds."""
+    for seed in range(40):
+        x0 = gen_random_tower(seed, depth=2 + seed % 6, max_level_size=4)
+        y0 = gen_random_tower(seed + 300, depth=2 + (seed + 3) % 6, max_level_size=4)
+        f0, g0 = random_morphism(seed, x0, y0), random_morphism(seed + 1, x0, y0)
+        x, y = Tower._ordered(x0.levels, x0.up), Tower._ordered(y0.levels, y0.up)
+        f = TowerMorphism(x, y, list(f0.phi), f0.components)
+        g = TowerMorphism._trusted(x, y, f0.phi, f0.rows)
+        h = compose_morphisms(identity_morphism(y), g)
+        morphisms_equivalent(f, h)
+        morphisms_equivalent(f, TowerMorphism(x, y, list(g0.phi), g0.components, True))
+        levelize_morphism(f)
+        is_level_morphism(f)
+        try:
+            extract_morphism(induce_tree_map(f))
+        except NotProper:
+            pass
+        assert x._bonds is None and y._bonds is None

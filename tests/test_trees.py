@@ -361,10 +361,10 @@ def test_generator_core_hint_comes_from_the_oracle():
     # some multiplier > 1: only 0 extends forever; all multipliers 1: everything
     for primes in ([2], [1, 3]):
         tree = tree_of_tower(windowed_solenoid_tower(primes, 64, 4))
-        assert tree.core_hint == {(n, "0") for n in range(1, 5)}
+        assert set(max_geodesic_subtree(tree).vertices) == {ROOT} | {(n, "0") for n in range(1, 5)}
         assert tree.fringe_unbounded
     tree = tree_of_tower(windowed_solenoid_tower([1], 8, 3))
-    assert tree.core_hint == frozenset(tree.parent)
+    assert max_geodesic_subtree(tree).vertices == tree.vertices
     assert not tree.fringe_unbounded
 
 
@@ -385,10 +385,8 @@ def test_tree_reads_the_oracle_off_its_tower():
         ta = tree_of_tower(a)
         oracle = a.oracle
         assert ta.fringe_unbounded == (oracle is not None and not oracle.ml_holds())
-        if oracle is None:
-            assert ta.core_hint is None
-        else:
-            assert ta.core_hint == {
+        if oracle is not None:
+            assert set(max_geodesic_subtree(ta).vertices) == {ROOT} | {
                 (n, x) for n, ids in enumerate(a.levels, start=1) for x in ids
                 if oracle.ml_holds() or x == "0"
             }
