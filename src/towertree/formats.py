@@ -254,21 +254,22 @@ def _emit_group(g: TableGroup | WindowedZ):
     cyclic = _cyclic_order(g)
     if cyclic is not None:
         return f"cyclic:{cyclic}"
+    ids = g.elements
     return {
-        "elements": list(g.elements),
-        "table": {a: {b: g.op(a, b) for b in g.elements} for a in g.elements},
+        "elements": list(ids),
+        "table": {a: dict(zip(ids, [ids[c] for c in row])) for a, row in zip(ids, g.rows)},
     }
 
 
 def _cyclic_order(g: TableGroup) -> int | None:
+    """m when g is Z/m on the ids "0".."m-1", read off its op rows."""
     m = len(g.elements)
-    if tuple(str(i) for i in range(m)) != g.elements:
-        return None
-    for a in g.elements:
-        for b in g.elements:
-            if g.op(a, b) != str((int(a) + int(b)) % m):
-                return None
-    return m
+    cycle = list(range(m)) * 2
+    if g.elements == tuple(map(str, range(m))) and all(
+        row == cycle[i : i + m] for i, row in enumerate(g.rows)
+    ):
+        return m
+    return None
 
 
 def emit_group_tower(g: GroupTower) -> str:

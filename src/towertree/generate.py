@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .ends import UltrametricSpace, certified_ln_sign, grid_space, rational_space
 from .errors import InvalidParameter
-from .groups import GroupTower, ScaleHom, TableGroup, TableHom, WindowedZ
+from .groups import GroupTower, ScaleHom, TableGroup, TableHom, WindowedZ, _decimal_ids
 from .towers import (
     MAX_GENERATOR_IDS,
     Tower,
@@ -31,8 +31,8 @@ from .towers import (
 def gen_solenoid(primes: Sequence[int], window: int, depth: int) -> tuple[GroupTower, Tower]:
     """The windowed solenoid: scalings z -> p_n z between shrinking windows.
 
-    Returns the group-level tower and its underlying set-level tower; both
-    carry the same divisibility oracle.
+    Returns the group-level tower and the very set-level tower it stores,
+    with the divisibility oracle; the scalings fit the windows by construction.
     """
     primes = tuple(int(p) for p in primes)
     if not primes:
@@ -47,7 +47,7 @@ def gen_solenoid(primes: Sequence[int], window: int, depth: int) -> tuple[GroupT
     oracle = tower.oracle
     levels = [WindowedZ(b) for b in oracle.level_bounds(depth)]
     bonds = [ScaleHom(oracle.multiplier(n)) for n in range(1, depth)]
-    return GroupTower(levels, bonds), tower
+    return GroupTower._trusted(levels, bonds, tower), tower
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +289,8 @@ def gen_random_group_tower(seed: int, depth: int, max_order: int = 16) -> GroupT
     bonds = []
     for n in range(1, depth):
         c = rng.randint(0, orders[n - 1] - 1)
-        mapping = {str(x): str((c * x) % orders[n - 1]) for x in range(orders[n])}
-        bonds.append(TableHom(mapping))
+        ids = _decimal_ids(orders[n - 1])
+        bonds.append(TableHom({x: ids[c * i % len(ids)] for i, x in enumerate(levels[n].elements)}))
     return GroupTower(levels, bonds)
 
 

@@ -1,18 +1,20 @@
 """Towers of groups at desk scale.
 
-Finite groups are multiplication tables (orders <= 64 in practice, plus a
-cyclic constructor); windowed infinite cyclic levels stay symbolic and
-never materialize a table.  Bonds are table homomorphisms, checked
-exhaustively, or symbolic scalings z -> k z, checked arithmetically.
-
-The inverse limit is enumerated as threads; its ultrametric reuses the
-end-space agreement depth.  Conditions (M) and (E) are closed-world at the
+Finite groups are multiplication tables on element positions (orders <= 64
+in practice, plus a cyclic constructor); windowed infinite cyclic levels
+stay symbolic.  Bonds are table homomorphisms, checked exhaustively, or
+scalings z -> k z, checked arithmetically; a group tower keeps them once, as
+the parent positions of its underlying tower.  The inverse limit is
+enumerated as threads.  Conditions (M) and (E) are closed-world at the
 truncation depth, like every other verdict in this package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import lru_cache
+from itertools import product
+from operator import getitem
 from typing import Mapping, Sequence
 
 from .ends import agreement
@@ -22,6 +24,7 @@ from .errors import (
     IndexOutOfRange,
     NotLevelMorphism,
     NotML,
+    UnsupportedMode,
     ValidationError,
     WindowOverflow,
 )
@@ -30,6 +33,7 @@ from .towers import (
     SolenoidOracle,
     Tower,
     TowerMorphism,
+    _core_positions,
     _pull_back,
     _reach,
     ml_verdict,
@@ -37,115 +41,125 @@ from .towers import (
 )
 
 
-class TableGroup:
-    """A finite group given by its multiplication table."""
+@lru_cache(maxsize=64)
+def _decimal_ids(m: int) -> tuple[str, ...]:
+    """The ids "0".."m-1" of Z/m, built once per order and shared."""
+    return tuple([str(i) for i in range(m)])
 
-    __slots__ = ("elements", "op_table", "unit", "inverse_table")
+
+class TableGroup:
+    """A finite group on element positions: elements in natural_key order,
+    index their positions, rows[i][j] the position of elements[i] *
+    elements[j], inverses[i] that of elements[i]^-1, e that of the unit.
+    op_table and inverse_table, keyed by ids, are views built on first use."""
+
+    __slots__ = ("elements", "index", "rows", "e", "unit", "inverses", "_op_table", "_inverse_table")
 
     def __init__(self, elements: Sequence[str], op_table: Mapping[tuple[str, str], str]):
         elems = tuple(sorted(elements, key=natural_key))
         position = {x: i for i, x in enumerate(elems)}
         if not elems or len(position) != len(elems):
             raise ValidationError("group elements must be a nonempty set of distinct ids")
-        # rows[i][j] is the position of elems[i] * elems[j]
-        rows: list[list[int]] = []
-        for a in elems:
-            row = []
-            for b in elems:
-                c = position.get(op_table.get((a, b)))
-                if c is None:
-                    raise ValidationError(f"table not closed at ({a}, {b})")
-                row.append(c)
-            rows.append(row)
+        rows = [[position.get(op_table.get((a, b))) for b in elems] for a in elems]
+        for a, row in zip(elems, rows):
+            if None in row:
+                raise ValidationError(f"table not closed at ({a}, {elems[row.index(None)]})")
         if len(op_table) != len(elems) ** 2:
             raise ValidationError("table has entries outside the group")
-        for i, row in enumerate(rows):
-            for j, ij in enumerate(row):
-                left, right = rows[ij], [row[x] for x in rows[j]]
-                if left != right:
-                    k = next(k for k, (u, v) in enumerate(zip(left, right)) if u != v)
-                    raise ValidationError(
-                        f"associativity fails at ({elems[i]}, {elems[j]}, {elems[k]})"
-                    )
         places = range(len(elems))
+        for (i, row), j in product(enumerate(rows), places):
+            left, right = rows[row[j]], [row[x] for x in rows[j]]
+            if left != right:
+                k = next(k for k, (u, v) in enumerate(zip(left, right)) if u != v)
+                raise ValidationError(f"associativity fails at ({elems[i]}, {elems[j]}, {elems[k]})")
         e = next((e for e in places if all(rows[e][i] == i == rows[i][e] for i in places)), None)
         if e is None:
             raise ValidationError("no two-sided unit")
-        unit = elems[e]
-        inverse = {}
-        for i, row in enumerate(rows):
-            j = next((j for j in places if row[j] == e == rows[j][i]), None)
-            if j is None:
-                raise ValidationError(f"{elems[i]} has no inverse")
-            inverse[elems[i]] = elems[j]
-        self._set(elems, op_table, unit, inverse)
+        inverses = [next((j for j in places if rows[i][j] == e == rows[j][i]), None) for i in places]
+        if None in inverses:
+            raise ValidationError(f"{elems[inverses.index(None)]} has no inverse")
+        self._set(elems, rows, e, inverses)
 
     @classmethod
-    def _trusted(cls, elements: Sequence[str], op_table, unit: str, inverse) -> TableGroup:
-        """A group from elements already in natural_key order, for builders
-        whose group law holds by construction; nothing is checked."""
+    def _trusted(cls, elements: Sequence[str], rows, e: int, inverses) -> TableGroup:
+        """A group whose elements are in order and whose law holds by construction."""
         grp = cls.__new__(cls)
-        grp._set(tuple(elements), op_table, unit, inverse)
+        grp._set(tuple(elements), rows, e, inverses)
         return grp
 
-    def _set(self, elements, op_table, unit, inverse) -> None:
+    def _set(self, elements, rows, e, inverses) -> None:
         self.elements = elements
-        self.op_table = {k: op_table[k] for k in sorted(op_table)}
-        self.unit = unit
-        self.inverse_table = inverse
+        self.index = {x: i for i, x in enumerate(elements)}
+        self.rows = rows
+        self.e, self.unit = e, elements[e]
+        self.inverses = inverses
+        self._op_table = self._inverse_table = None
 
     @classmethod
     def cyclic(cls, m: int) -> TableGroup:
         """Z/m on the ids "0".."m-1": i * j = (i + j) mod m, unit "0", i^-1 = -i mod m."""
         if m < 1:
             raise ValidationError("cyclic order must be >= 1")
-        elems = [str(i) for i in range(m)]
-        table = {(a, elems[j]): elems[(i + j) % m] for i, a in enumerate(elems) for j in range(m)}
-        return cls._trusted(elems, table, "0", {a: elems[-i % m] for i, a in enumerate(elems)})
+        cycle = list(range(m)) * 2
+        rows = [cycle[i : i + m] for i in range(m)]
+        return cls._trusted(_decimal_ids(m), rows, 0, cycle[m:0:-1])
+
+    @property
+    def op_table(self) -> dict[tuple[str, str], str]:
+        """{(a, b): a * b}, keys in sorted order."""
+        if self._op_table is None:
+            ids, rows = self.elements, self.rows
+            order = sorted(range(len(ids)), key=ids.__getitem__)
+            self._op_table = {(ids[i], ids[j]): ids[rows[i][j]] for i in order for j in order}
+        return self._op_table
+
+    @property
+    def inverse_table(self) -> dict[str, str]:
+        """{a: a^-1}, keys in element order."""
+        if self._inverse_table is None:
+            ids = self.elements
+            self._inverse_table = dict(zip(ids, map(ids.__getitem__, self.inverses)))
+        return self._inverse_table
+
+    row = property(lambda self: self.rows.__getitem__)  # row(i), as on a window
 
     def restricted(self, subset) -> TableGroup:
-        """The subgroup on a nonempty subset closed under op and inverse.
-
-        Closure is validated; associativity and the unit are inherited from
-        this group, so the subgroup is built on the trusted path."""
+        """The subgroup on a nonempty subset closed under op and inverse; only
+        closure is validated, associativity and the unit are inherited."""
         members = set(subset)
-        sub = sorted(members, key=natural_key)
-        stray = members - set(self.elements)
+        stray = members - self.index.keys()
         if stray:
             raise ElementNotInLevel(f"not group elements: {sorted(stray)}")
-        if not sub:
+        if not members:
             raise ValidationError("group elements must be a nonempty set of distinct ids")
-        table = {}
-        for a in sub:
-            for b in sub:
-                c = self.op_table[(a, b)]
-                if c not in members:
-                    raise ValidationError(f"subset not closed: {a}*{b} = {c}")
-                table[(a, b)] = c
-        inverse = {a: self.inverse_table[a] for a in sub}
-        for a, b in inverse.items():
-            if b not in members:
-                raise ValidationError(f"subset not closed under inverse: {a}^-1 = {b}")
-        return TableGroup._trusted(sub, table, self.unit, inverse)
+        positions = sorted(map(self.index.__getitem__, members))
+        ids, rows, inv = self.elements, self.rows, self.inverses
+        where = {i: j for j, i in enumerate(positions)}
+        for i, j in product(positions, repeat=2):
+            if rows[i][j] not in where:
+                raise ValidationError(f"subset not closed: {ids[i]}*{ids[j]} = {ids[rows[i][j]]}")
+        for i in positions:
+            if inv[i] not in where:
+                raise ValidationError(f"subset not closed under inverse: {ids[i]}^-1 = {ids[inv[i]]}")
+        sub = [[where[rows[i][j]] for j in positions] for i in positions]
+        inverses = [where[inv[i]] for i in positions]
+        return TableGroup._trusted([ids[i] for i in positions], sub, where[self.e], inverses)
 
     def op(self, a: str, b: str) -> str:
         try:
-            return self.op_table[(a, b)]
+            return self.elements[self.rows[self.index[a]][self.index[b]]]
         except KeyError:
             raise ElementNotInLevel(f"({a}, {b}) not in this group") from None
 
     def inv(self, a: str) -> str:
         try:
-            return self.inverse_table[a]
+            return self.elements[self.inverses[self.index[a]]]
         except KeyError:
             raise ElementNotInLevel(f"{a} not in this group") from None
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TableGroup)
-            and self.elements == other.elements
-            and self.op_table == other.op_table
-        )
+        same = isinstance(other, TableGroup)
+        return same and self.elements == other.elements and self.rows == other.rows
 
     def __hash__(self):
         return hash(self.elements)
@@ -156,11 +170,10 @@ class TableGroup:
 
 @dataclass(frozen=True)
 class WindowedZ:
-    """The integers in [-bound, bound], a symbolic window onto Z.
-
-    Addition outside the window raises WindowOverflow; this is the honest
-    desk-scale face of an infinite level, not a finite group.
-    """
+    """The integers in [-bound, bound], a symbolic window onto Z: z sits at
+    position z + bound, and addition outside the window raises
+    WindowOverflow.  This is the honest desk-scale face of an infinite
+    level, not a finite group, so a row is built only when asked for."""
 
     bound: int
 
@@ -172,9 +185,15 @@ class WindowedZ:
     def elements(self) -> tuple[str, ...]:
         return tuple(str(z) for z in range(-self.bound, self.bound + 1))
 
-    @property
-    def unit(self) -> str:
-        return "0"
+    index = property(lambda self: {x: i for i, x in enumerate(self.elements)})
+    unit = "0"
+    e = property(lambda self: self.bound)
+    inverses = property(lambda self: range(2 * self.bound, -1, -1))
+
+    def row(self, i: int) -> list[int | None]:
+        """Op row i on positions: i + j - bound at j, None where that leaves the window."""
+        b = self.bound
+        return [None] * (b - i) + [*range(max(i - b, 0), min(i + b, 2 * b) + 1)] + [None] * (i - b)
 
     def op(self, a: str, b: str) -> str:
         z = self._int(a) + self._int(b)
@@ -190,9 +209,6 @@ class WindowedZ:
         if abs(z) > self.bound:
             raise ElementNotInLevel(f"{a} outside the window [-{self.bound}, {self.bound}]")
         return z
-
-    def __repr__(self) -> str:
-        return f"WindowedZ(bound={self.bound})"
 
 
 @dataclass(frozen=True)
@@ -236,41 +252,60 @@ GroupBond = TableHom | ScaleHom
 Group = TableGroup | WindowedZ
 
 
-def _check_bond(src: Group, dst: Group, bond: GroupBond, position: int) -> None:
+def _bond_row(src: Group, dst: Group, bond: GroupBond, position: int) -> Sequence[int]:
+    """The bond as target positions, u[i] for bond(src[i]), once checked.
+    The law u(i * j) = u(i) * u(j) is compared one source row at a time, and
+    a row is scanned pair by pair only on a mismatch, or on a windowed
+    source, where some sums do not exist."""
     if isinstance(bond, ScaleHom):
         if not isinstance(src, WindowedZ) or not isinstance(dst, WindowedZ):
             raise ValidationError(f"bond {position}: scalings need windowed levels on both sides")
-        if bond.k * src.bound > dst.bound:
-            raise ValidationError(
-                f"bond {position}: scaling by {bond.k} leaves the target window"
-            )
-        return
-    elems = src.elements
-    dst_set = set(dst.elements)
-    if set(bond.mapping) != set(elems):
+        reach = bond.k * src.bound
+        if reach > dst.bound:
+            raise ValidationError(f"bond {position}: scaling by {bond.k} leaves the target window")
+        return range(dst.bound - reach, dst.bound + reach + 1, bond.k)
+    elems, mapping, where = src.elements, bond.mapping, dst.index
+    if mapping.keys() != set(elems):
         raise ValidationError(f"bond {position} is not total on its source level")
-    if not set(bond.mapping.values()) <= dst_set:
+    u = [where.get(mapping[x]) for x in elems]
+    if None in u:
         raise ValidationError(f"bond {position} leaves its target level")
-    if bond.apply(src.unit) != dst.unit:
+    if u[src.e] != dst.e:
         raise ValidationError(f"bond {position} does not preserve the unit")
-    images = [bond.apply(x) for x in elems]
-    for a, fa in zip(elems, images):
-        for b, fb in zip(elems, images):
-            try:
-                lhs = bond.apply(src.op(a, b))
-            except WindowOverflow:
-                continue  # the sum does not exist at this window; nothing to check
-            if lhs != dst.op(fa, fb):
-                raise ValidationError(f"bond {position} is not a homomorphism at ({a}, {b})")
+    ids = dst.elements
+    for i, fi in enumerate(u):
+        row, image = src.row(i), dst.row(fi)
+        if None in row or [u[k] for k in row] != [image[j] for j in u]:
+            for j, k in enumerate(row):
+                # a sum that leaves the source window does not exist: nothing to check
+                if k is not None and ids[u[k]] != dst.op(ids[fi], ids[u[j]]):
+                    raise ValidationError(
+                        f"bond {position} is not a homomorphism at ({elems[i]}, {elems[j]})"
+                    )
+    return u
+
+
+def _tower_of(levels: Sequence[Group], bonds: Sequence[GroupBond], up) -> Tower:
+    """The underlying tower.  Windowed levels joined by scalings keep a
+    divisibility oracle, so ML verdicts stay exact, when every window bound
+    agrees with the scale factors repeated by their shortest period."""
+    oracle, windowed = None, all(isinstance(grp, WindowedZ) for grp in levels)
+    if windowed and all(isinstance(b, ScaleHom) for b in bonds):
+        ks = tuple(b.k for b in bonds) or (1,)
+        periods = range(1, len(ks) + 1)
+        factors = next(ks[:d] for d in periods if all(k == ks[i % d] for i, k in enumerate(ks)))
+        candidate = SolenoidOracle(primes=factors, window=levels[0].bound)
+        if [grp.bound for grp in levels] == list(candidate.level_bounds(len(levels))):
+            oracle = candidate
+    return Tower._ordered([grp.elements for grp in levels], up, oracle)
 
 
 class GroupTower:
-    """An inverse sequence of groups with homomorphism bonds.
+    """An inverse sequence of groups with homomorphism bonds: its underlying
+    Tower (ids, and bonds as parent positions) plus each level's law on
+    positions.  levels and bonds keep the input forms."""
 
-    Every set-level question (threads, images, kernels) is answered on
-    the underlying tower, built once on first use."""
-
-    __slots__ = ("levels", "bonds", "_tower")
+    __slots__ = ("levels", "bonds", "tower")
 
     def __init__(self, levels: Sequence[Group], bonds: Sequence[GroupBond]):
         if not levels:
@@ -279,21 +314,20 @@ class GroupTower:
             raise ValidationError(
                 f"need {len(levels) - 1} bonds for {len(levels)} levels, got {len(bonds)}"
             )
-        for n, bond in enumerate(bonds, start=1):
-            _check_bond(levels[n], levels[n - 1], bond, n)
-        self._set(levels, bonds)
+        up = [_bond_row(levels[n], levels[n - 1], bond, n) for n, bond in enumerate(bonds, start=1)]
+        self._set(levels, bonds, _tower_of(levels, bonds, up))
 
     @classmethod
-    def _trusted(cls, levels: Sequence[Group], bonds: Sequence[GroupBond]) -> GroupTower:
-        """A tower whose bonds are homomorphisms by construction; nothing is checked."""
+    def _trusted(cls, levels: Sequence[Group], bonds: Sequence[GroupBond], tower) -> GroupTower:
+        """A tower, with its underlying tower, whose bonds are homomorphisms by construction."""
         g = cls.__new__(cls)
-        g._set(levels, bonds)
+        g._set(levels, bonds, tower)
         return g
 
-    def _set(self, levels, bonds) -> None:
+    def _set(self, levels, bonds, tower) -> None:
         self.levels = tuple(levels)
         self.bonds = tuple(bonds)
-        self._tower = None
+        self.tower = tower
 
     @property
     def depth(self) -> int:
@@ -310,56 +344,20 @@ class GroupTower:
         return self.bonds[n - 1]
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GroupTower)
-            and self.levels == other.levels
-            and self.bonds == other.bonds
-        )
+        same = isinstance(other, GroupTower)
+        return same and self.levels == other.levels and self.bonds == other.bonds
 
     def __hash__(self):
         return hash((self.levels, self.bonds))
 
     def __repr__(self) -> str:
-        sizes = "x".join(str(len(g.elements)) for g in self.levels)
+        sizes = "x".join(str(len(ids)) for ids in self.tower.levels)
         return f"GroupTower(depth={self.depth}, orders={sizes})"
 
 
-def _minimal_period(factors: tuple[int, ...]) -> tuple[int, ...]:
-    for d in range(1, len(factors) + 1):
-        if all(factors[i] == factors[i % d] for i in range(len(factors))):
-            return factors[:d]
-    return factors
-
-
-def _is_scaling_tower(g: GroupTower) -> bool:
-    """Windowed integer levels joined by scalings z -> k z."""
-    return all(isinstance(grp, WindowedZ) for grp in g.levels) and all(
-        isinstance(b, ScaleHom) for b in g.bonds
-    )
-
-
 def underlying_tower(g: GroupTower) -> Tower:
-    """Forget the group structure; windowed scaling towers keep their
-    divisibility oracle so ML verdicts stay exact.  Built on the first
-    call and kept on g; group elements are already in natural_key order.
-
-    The oracle extends the observed scale factors cyclically by their
-    shortest period, and is attached only when every window bound agrees
-    with what that pattern dictates."""
-    if g._tower is None:
-        oracle = None
-        if _is_scaling_tower(g):
-            factors = _minimal_period(tuple(b.k for b in g.bonds) or (1,))
-            candidate = SolenoidOracle(primes=factors, window=g.level(1).bound)
-            if [grp.bound for grp in g.levels] == list(candidate.level_bounds(g.depth)):
-                oracle = candidate
-        levels = [grp.elements for grp in g.levels]
-        up = []
-        for bond, src, dst in zip(g.bonds, levels[1:], levels):
-            where = {x: i for i, x in enumerate(dst)}
-            up.append([where[bond.apply(x)] for x in src])
-        g._tower = Tower._ordered(levels, up, oracle)
-    return g._tower
+    """Forget the group structure (a scaling tower keeps its oracle)."""
+    return g.tower
 
 
 # ---------------------------------------------------------------------------
@@ -379,11 +377,10 @@ class Thread:
         return self.entries[n - 1]
 
 
-def limit_threads(g: GroupTower) -> tuple[Thread, ...]:
-    """All threads.  A thread is determined by its deepest entry; a tower
-    with a divisibility oracle keeps only the deepest entries that extend
-    to every level of the untruncated tower."""
-    tower = underlying_tower(g)
+def _thread_positions(tower: Tower) -> list[tuple[int, ...]]:
+    """The threads as position tuples, sorted as their ids are.  A thread is
+    determined by its deepest entry; a tower with a divisibility oracle
+    keeps only the deepest entries that extend to every level."""
     positions = range(len(tower.levels[-1]))
     if tower.oracle is not None:
         positions = tower.oracle.forever_extendable(tower.levels[-1])
@@ -391,9 +388,16 @@ def limit_threads(g: GroupTower) -> tuple[Thread, ...]:
     for u in reversed(tower.up):
         positions = [u[i] for i in positions]
         down.append(positions)
-    columns = [map(ids.__getitem__, p) for ids, p in zip(tower.levels, reversed(down))]
-    threads = [Thread(entries=entries, tower=g) for entries in zip(*columns)]
-    return tuple(sorted(threads, key=lambda t: tuple(natural_key(e) for e in t.entries)))
+    return sorted(zip(*reversed(down)))
+
+
+def _threads(g: GroupTower, positions) -> tuple[Thread, ...]:
+    return tuple(Thread(tuple([ids[i] for ids, i in zip(g.tower.levels, t)]), g) for t in positions)
+
+
+def limit_threads(g: GroupTower) -> tuple[Thread, ...]:
+    """All threads, ordered by their entries."""
+    return _threads(g, _thread_positions(g.tower))
 
 
 def thread_distance(a: Thread, b: Thread) -> int | None:
@@ -438,50 +442,49 @@ class IsometryVerdict:
 def check_translation_isometry(g: GroupTower) -> IsometryVerdict:
     """d(ka, kb) = d(a, b) and d(a^-1, b^-1) = d(a, b), exhaustively.
 
-    The agreement depths of the T limit threads are computed once, into a
-    T x T table, and each inverse and product k.a is built once and stored
-    as a position, so every triple (k, a, b) is two int lookups.  A product
-    or inverse that is no limit thread (only a table altered after
-    construction makes one) is compared entry by entry.  On a windowed
-    tower a product that leaves the window does not exist at this
-    truncation (as in _check_bond), so triples whose k.a or k.b is
-    undefined are skipped; checked counts the triples compared.
+    Threads are tuples of level positions.  Each inverse and each of the T²
+    products k.a is built once through the levels' op rows, as a point
+    numbered after the T threads (only a table altered after construction
+    makes a new one), or -1 where it leaves a window and so does not exist
+    at this truncation.  For each pair (a, b) the depths of its inverses
+    and of every (ka, kb) are read off the agreement table in one run of
+    row lookups, where an undefined product reads a miss and is skipped; the
+    run is walked only when a defined depth differs from d(a, b), to report
+    the first violation.  checked counts the triples compared.
     """
-    threads = limit_threads(g)
-    entries = [t.entries for t in threads]
-    count = len(entries)
-    # positions: the threads first, then each product or inverse that is not one
-    where = {p: i for i, p in enumerate(entries)}
-    inverses = [
-        where.setdefault(tuple([grp.inv(x) for grp, x in zip(g.levels, a)]), len(where))
-        for a in entries
-    ]
-    products: list[list[int | None]] = []  # products[k][a], the position of k.a
-    for k in entries:
-        row = []
-        for a in entries:
-            try:
-                ka = tuple([grp.op(x, y) for grp, x, y in zip(g.levels, k, a)])
-            except WindowOverflow:
-                ka = None
-            row.append(None if ka is None else where.setdefault(ka, len(where)))
-        products.append(row)
-    points = list(where)
-    agree = [[agreement(a, b) for b in entries] for a in entries]
+    threads = _thread_positions(g.tower)
+    count = len(threads)
+    columns = list(zip(*threads))  # columns[n][a], the position of thread a at level n
+    where = {t: i for i, t in enumerate(threads)}
+
+    def place(points) -> list[int]:
+        return [-1 if None in p else where.setdefault(p, len(where)) for p in points]
+
+    inverses = place(zip(*[map(grp.inverses.__getitem__, c) for grp, c in zip(g.levels, columns)]))
+    products = []  # products[k][a], the number of k.a
+    for k in threads:
+        rows = [grp.row(x).__getitem__ for grp, x in zip(g.levels, k)]
+        products.append(place(zip(*map(map, rows, columns))))
+    points, miss = list(where), object()
+    agree = [[agreement(p, q) for q in points] + [miss] for p in points]  # row/column -1: miss
+    agree.append([miss] * (len(points) + 1))
+    lanes = [[x, *kx] for x, kx in zip(inverses, zip(*products))]  # the inverse of a, then k.a
     checked = 0
-    columns = list(zip(*products))  # columns[a][k], the position of k.a
-    for ia, column_a in enumerate(columns):
-        for ib, column_b in enumerate(columns):
-            base = agree[ia][ib]
-            x, y = inverses[ia], inverses[ib]
-            if (agree[x][y] if x < count > y else agreement(points[x], points[y])) != base:
-                return IsometryVerdict(False, (threads[ia], threads[ia], threads[ib]), checked)
-            for ik, x, y in zip(range(count), column_a, column_b):
-                if x is None or y is None:
-                    continue
-                checked += 1
-                if (agree[x][y] if x < count > y else agreement(points[x], points[y])) != base:
-                    return IsometryVerdict(False, (threads[ik], threads[ia], threads[ib]), checked)
+    for a, lane_a in enumerate(lanes):
+        rows_a = [agree[x] for x in lane_a]
+        for b, lane_b in enumerate(lanes):
+            base, depths = agree[a][b], list(map(getitem, rows_a, lane_b))
+            undefined = depths.count(miss)
+            if depths.count(base) + undefined > count:
+                checked += count - undefined
+                continue
+            # k = -1 is the pair of inverses, reported as (a, a, b) and not counted
+            for k, (x, y, d) in enumerate(zip(lane_a, lane_b, depths), start=-1):
+                if x >= 0 <= y:
+                    checked += k >= 0
+                    if d != base:
+                        found = _threads(g, [threads[a if k < 0 else k], threads[a], threads[b]])
+                        return IsometryVerdict(False, found, checked)
     return IsometryVerdict(valid=True, checked=checked)
 
 
@@ -490,41 +493,48 @@ def check_translation_isometry(g: GroupTower) -> IsometryVerdict:
 
 
 class GroupLevelMorphism:
-    """A strictly level-preserving morphism: homs f_n with q_n f_{n+1} = f_n p_n."""
+    """A strictly level-preserving morphism: homs f_n with q_n f_{n+1} = f_n p_n.
 
-    __slots__ = ("source", "target", "components")
+    Components are stored like bonds: rows[n-1][i] is the position in H_n
+    of f_n(G_n[i]), for source levels G_n and target levels H_n;
+    components keeps the input forms."""
+
+    __slots__ = ("source", "target", "rows", "components")
 
     def __init__(self, source: GroupTower, target: GroupTower, components: Sequence[GroupBond]):
         if not components:
             raise ValidationError("a level morphism needs at least one component")
         if len(components) > min(source.depth, target.depth):
             raise ValidationError("more components than levels")
-        for n, f in enumerate(components, start=1):
-            _check_bond(source.level(n), target.level(n), f, n)
-        for n in range(1, len(components)):
-            f_n, f_n1 = components[n - 1], components[n]
-            p_n, q_n = source.bond(n), target.bond(n)
-            for x in source.level(n + 1).elements:
-                if f_n.apply(p_n.apply(x)) != q_n.apply(f_n1.apply(x)):
-                    raise NotLevelMorphism(f"square {n} does not commute at {x}")
-        self._set(source, target, components)
+        rows = [
+            _bond_row(source.level(n), target.level(n), f, n)
+            for n, f in enumerate(components, start=1)
+        ]
+        for n in range(1, len(rows)):
+            p, q = source.tower.up[n - 1], target.tower.up[n - 1]
+            down, across = [rows[n - 1][i] for i in p], [q[j] for j in rows[n]]
+            if down != across:
+                x = next(x for x, y, z in zip(source.tower.levels[n], down, across) if y != z)
+                raise NotLevelMorphism(f"square {n} does not commute at {x}")
+        self._set(source, target, rows, components)
 
     @classmethod
-    def _trusted(cls, source, target, components: Sequence[GroupBond]) -> GroupLevelMorphism:
-        """A level morphism whose components are homomorphisms and whose
-        squares commute by construction; nothing is checked."""
+    def _trusted(cls, source, target, rows: Sequence[Sequence[int]]) -> GroupLevelMorphism:
+        """A level morphism of homomorphism rows whose squares commute by construction."""
         m = cls.__new__(cls)
-        m._set(source, target, components)
+        levels = zip(source.tower.levels, target.tower.levels, rows)
+        m._set(source, target, rows, [TableHom(dict(zip(x, [y[j] for j in r]))) for x, y, r in levels])
         return m
 
-    def _set(self, source, target, components) -> None:
+    def _set(self, source, target, rows, components) -> None:
         self.source = source
         self.target = target
+        self.rows = tuple(rows)
         self.components = tuple(components)
 
     @property
     def defined_upto(self) -> int:
-        return len(self.components)
+        return len(self.rows)
 
     def component(self, n: int) -> GroupBond:
         if not 1 <= n <= self.defined_upto:
@@ -533,8 +543,7 @@ class GroupLevelMorphism:
 
 
 def identity_group_morphism(g: GroupTower) -> GroupLevelMorphism:
-    comps = [TableHom({x: x for x in grp.elements}) for grp in g.levels]
-    return GroupLevelMorphism._trusted(g, g, comps)
+    return GroupLevelMorphism._trusted(g, g, [range(len(ids)) for ids in g.tower.levels])
 
 
 @dataclass(frozen=True)
@@ -561,15 +570,12 @@ def check_condition_M(m: GroupLevelMorphism) -> ConditionReport:
 
     Ker(p_{nm}) is read on the source's underlying tower: the unit flags
     of level n, pulled back one level at a time."""
-    source = underlying_tower(m.source)
-    kernels = [
-        [f.apply(x) == m.target.level(k).unit for x in source.levels[k - 1]]
-        for k, f in enumerate(m.components, start=1)
-    ]
+    source = m.source.tower
+    kernels = [[y == grp.e for y in row] for row, grp in zip(m.rows, m.target.levels)]
     witnesses = []
     for n in range(1, m.defined_upto + 1):
-        unit = m.source.level(n).unit
-        ker_p = [x == unit for x in source.levels[n - 1]]
+        unit = m.source.levels[n - 1].e
+        ker_p = [i == unit for i in range(len(source.levels[n - 1]))]
         for mm, ker_f in enumerate(kernels[n - 1 :], start=n):
             if all(p or not f for f, p in zip(ker_f, ker_p)):
                 witnesses.append((n, mm))
@@ -585,11 +591,11 @@ def check_condition_E(m: GroupLevelMorphism) -> ConditionReport:
 
     Im(q_{nm}) is {reach >= m} on the target's underlying tower, so the
     least such m is one past the deepest reach outside Im(f_n)."""
-    target = underlying_tower(m.target)
+    target = m.target.tower
     witnesses = []
-    for n, (f, reach) in enumerate(zip(m.components, _reach(target)), start=1):
-        image = set(map(f.apply, m.source.level(n).elements))
-        outside = (r for x, r in zip(target.levels[n - 1], reach) if x not in image)
+    for n, (row, reach) in enumerate(zip(m.rows, _reach(target)), start=1):
+        image = set(row)
+        outside = (r for j, r in enumerate(reach) if j not in image)
         found = 1 + max(outside, default=n - 1)
         if found > target.depth:
             return ConditionReport(kind="E", witnesses=tuple(witnesses), violation=n)
@@ -620,11 +626,9 @@ def is_group_tower_iso(m: GroupLevelMorphism) -> IsoVerdict:
 
 def ml_projection_check(g: GroupTower) -> tuple[tuple[int, int], ...]:
     """For each n the least m with p_{nm}(G_m) = pi_n(lim G), requiring an
-    ML verdict of Holds first.
-
-    The threads of a truncated tower project onto the eventual images
-    p_{nD}(G_D), so the table is the ML stabilization plus (D, D)."""
-    report = ml_verdict(underlying_tower(g))
+    ML verdict of Holds first: the threads of a truncated tower project onto
+    the eventual images p_{nD}(G_D), so this is the ML stabilization plus (D, D)."""
+    report = ml_verdict(g.tower)
     if report.verdict != HOLDS:
         raise NotML(f"ml verdict is {report.verdict}, projection lemma needs holds")
     return tuple((r.level, r.stabilization) for r in report.per_level) + ((g.depth, g.depth),)
@@ -643,51 +647,46 @@ class CoreIso:
 def core_iso_construction(g: GroupTower) -> CoreIso:
     """G is isomorphic to its core when ML holds (NotML otherwise).
 
-    Core level n is the subgroup pi_n(lim G) of G_n, and core bond n is bond
-    n restricted to it, a homomorphism already: only that it lands in core
-    level n is checked.  The core tower and the inclusion (identities, whose
-    squares commute because the bonds are restrictions) are trusted."""
+    Core level n is the subgroup pi_n(lim G) of G_n, the core positions of
+    the underlying tower: on a windowed level it must be all of it or a
+    window [-b, b] (UnsupportedMode otherwise).  Core bonds are restrictions,
+    so the core tower and the inclusion are trusted."""
     projections = ml_projection_check(g)
-    threads = limit_threads(g)
+    tower = g.tower
+    kept = _core_positions(tower)
     core_levels: list[Group] = []
-    for n, grp in enumerate(g.levels, start=1):
-        if isinstance(grp, WindowedZ):
-            # ML holds, so all factors are 1 and the projection is everything
+    for n, (grp, ids, positions) in enumerate(zip(g.levels, tower.levels, kept), start=1):
+        half = (len(positions) - 1) // 2
+        if len(positions) == len(ids):
             core_levels.append(grp)
+        elif isinstance(grp, TableGroup):
+            core_levels.append(grp.restricted(map(ids.__getitem__, positions)))
+        elif list(positions) == list(range(grp.bound - half, grp.bound + half + 1)):
+            core_levels.append(WindowedZ(half))
         else:
-            core_levels.append(grp.restricted({t.at(n) for t in threads}))
-    core_bonds: list[GroupBond] = []
-    for n, bond in enumerate(g.bonds, start=1):
-        if isinstance(bond, ScaleHom):
-            core_bonds.append(bond)
-            continue
-        mapping = {x: bond.apply(x) for x in core_levels[n].elements}
-        if not set(mapping.values()) <= set(core_levels[n - 1].elements):
-            raise ValidationError(f"core bond {n} leaves core level {n}")
-        core_bonds.append(TableHom(mapping))
-    core = GroupTower._trusted(core_levels, core_bonds)
-    inclusion = GroupLevelMorphism._trusted(
-        core, g, [TableHom({x: x for x in grp.elements}) for grp in core_levels]
-    )
-    source_under = underlying_tower(g)
-    core_under = underlying_tower(core)
+            raise UnsupportedMode(
+                f"level {n}: pi_{n}(lim G) is not a window of [-{grp.bound}, {grp.bound}]"
+            )
+    at = [dict(zip(positions, range(len(positions)))) for positions in kept]  # X_n -> core
+    core_up = [[at[n - 1][u[i]] for i in kept[n]] for n, u in enumerate(tower.up, start=1)]
+    core_bonds = [
+        bond if isinstance(bond, ScaleHom)
+        else TableHom(dict(zip(src.elements, map(dst.elements.__getitem__, u))))
+        for bond, u, src, dst in zip(g.bonds, core_up, core_levels[1:], core_levels)
+    ]
+    core = GroupTower._trusted(core_levels, core_bonds, _tower_of(core_levels, core_bonds, core_up))
+    inclusion = GroupLevelMorphism._trusted(core, g, kept)
     phi = [m for _, m in projections]
-    rows = []
-    levels = zip(source_under.levels, core_under.levels, phi)
-    for n, (ids, core_ids, m) in enumerate(levels, start=1):
-        where = {x: i for i, x in enumerate(core_ids)}
-        rows.append([where[x] for x in _pull_back(source_under, ids, n, m)])
-    # the projection witnesses are nondecreasing in n
-    inverse = TowerMorphism._trusted(source_under, core_under, phi, rows)
+    # p_{n phi(n)} lands in the core; the projection witnesses are nondecreasing in n
+    rows = [
+        _pull_back(tower, list(map(where.get, range(len(ids)))), n, m)
+        for n, (where, ids, m) in enumerate(zip(at, tower.levels, phi), start=1)
+    ]
+    inverse = TowerMorphism._trusted(tower, core.tower, phi, rows)
     return CoreIso(core=core, inclusion=inclusion, inverse=inverse)
 
 
 def as_tower_morphism(m: GroupLevelMorphism) -> TowerMorphism:
     """Forget the group structure of a level morphism."""
-    src = underlying_tower(m.source)
-    tgt = underlying_tower(m.target)
-    rows = []
-    for f, xs, ys in zip(m.components, src.levels, tgt.levels):
-        where = {y: j for j, y in enumerate(ys)}
-        rows.append([where[f.apply(x)] for x in xs])
-    return TowerMorphism._trusted(src, tgt, list(range(1, m.defined_upto + 1)), rows)
+    phi = list(range(1, m.defined_upto + 1))
+    return TowerMorphism._trusted(m.source.tower, m.target.tower, phi, m.rows)

@@ -546,3 +546,132 @@ def brute_projection(g):
         else:
             return None
     return tuple(table)
+
+
+# ---------------------------------------------------------------------------
+# Group towers by id, from an independent description of each level
+#
+# A spec is a dict: "levels" is a list of {"elements", "table", "inverse",
+# "unit"}, with elements in natural_key order and table[(a, b)] the id of
+# a * b, or None where a windowed sum leaves its window; "bonds" is a list
+# of id -> id dicts, bonds[n-1] from level n+1 to level n; "zero_only" says
+# that only the thread through 0 extends to every level of the untruncated
+# tower (a solenoid with a multiplier above 1).
+
+
+def cyclic_spec(m):
+    ids = [str(i) for i in range(m)]
+    table = {(a, b): str((int(a) + int(b)) % m) for a in ids for b in ids}
+    return {"elements": ids, "table": table, "inverse": {a: str(-int(a) % m) for a in ids}, "unit": "0"}
+
+
+def window_spec(bound):
+    ids = [str(z) for z in range(-bound, bound + 1)]
+    table = {
+        (a, b): str(int(a) + int(b)) if abs(int(a) + int(b)) <= bound else None
+        for a in ids for b in ids
+    }
+    inverse = {a: str(-int(a)) for a in ids}
+    return {"elements": ids, "table": table, "inverse": inverse, "unit": "0", "window": bound}
+
+
+def table_spec(elements, table):
+    ids = sorted(elements, key=natural_key)
+    unit = next(e for e in ids if all(table[(e, x)] == x for x in ids))
+    inverse = {a: next(b for b in ids if table[(a, b)] == unit) for a in ids}
+    return {"elements": ids, "table": dict(table), "inverse": inverse, "unit": unit}
+
+
+def spec_threads(spec):
+    """Every deepest entry walked down the bond dicts, sorted by natural_key
+    of the entries."""
+    top = spec["levels"][-1]["elements"]
+    if spec["zero_only"]:
+        top = ["0"]
+    threads = []
+    for x in top:
+        entries = [x]
+        for bond in reversed(spec["bonds"]):
+            entries.append(bond[entries[-1]])
+        threads.append(tuple(reversed(entries)))
+    return sorted(threads, key=lambda t: [natural_key(x) for x in t])
+
+
+def spec_isometry(spec):
+    """The translation-isometry scan on the spec's tables, two products per
+    triple: (valid, violation entries or None, checked)."""
+    levels = spec["levels"]
+    threads = spec_threads(spec)
+
+    def product(k, a):
+        entries = tuple(level["table"][(x, y)] for level, x, y in zip(levels, k, a))
+        return None if None in entries else entries
+
+    checked = 0
+    for a in threads:
+        for b in threads:
+            base = brute_prefix(a, b)
+            ia = tuple(level["inverse"][x] for level, x in zip(levels, a))
+            ib = tuple(level["inverse"][x] for level, x in zip(levels, b))
+            if brute_prefix(ia, ib) != base:
+                return False, (a, a, b), checked
+            for k in threads:
+                ka, kb = product(k, a), product(k, b)
+                if ka is None or kb is None:
+                    continue
+                checked += 1
+                if brute_prefix(ka, kb) != base:
+                    return False, (k, a, b), checked
+    return True, None, checked
+
+
+def _spec_down(spec, n, m, x):
+    """x in level m carried down to level n by the bond dicts."""
+    for k in range(m - 1, n - 1, -1):
+        x = spec["bonds"][k - 1][x]
+    return x
+
+
+def _spec_image(spec, n, m):
+    return {_spec_down(spec, n, m, x) for x in spec["levels"][m - 1]["elements"]}
+
+
+def spec_core_iso(spec):
+    """The core of a group tower by image sets: ("NotML",) for a solenoid
+    with a multiplier above 1 or when the image chains have not settled one
+    level before the depth, (error type name, message) when a core level is
+    no window of a windowed level or no subset closed under the table, and
+    otherwise (core elements, core bond items, phi, inverse items).  A
+    level whose projection is all of it is kept as it is, unchecked."""
+    depth = len(spec["levels"])
+    settled = all(_spec_image(spec, n, depth - 1) == _spec_image(spec, n, depth) for n in range(1, depth))
+    if spec["zero_only"] or not settled:
+        return ("NotML",)
+    cores, phi = [], []
+    for n in range(1, depth + 1):
+        level = spec["levels"][n - 1]
+        pi = _spec_image(spec, n, depth)
+        phi.append(next(m for m in range(n, depth + 1) if _spec_image(spec, n, m) == pi))
+        sub = [x for x in level["elements"] if x in pi]
+        cores.append(sub)
+        if len(sub) == len(level["elements"]):
+            continue
+        if level.get("window") is not None:
+            half = (len(sub) - 1) // 2
+            if sub != [str(z) for z in range(-half, half + 1)]:
+                bound = level["window"]
+                return ("UnsupportedMode", f"level {n}: pi_{n}(lim G) is not a window of [-{bound}, {bound}]")
+            continue
+        for a in sub:
+            for b in sub:
+                if level["table"][(a, b)] not in pi:
+                    return ("ValidationError", f"subset not closed: {a}*{b} = {level['table'][(a, b)]}")
+        for a in sub:
+            if level["inverse"][a] not in pi:
+                return ("ValidationError", f"subset not closed under inverse: {a}^-1 = {level['inverse'][a]}")
+    bonds = [[(x, spec["bonds"][n - 1][x]) for x in cores[n]] for n in range(1, depth)]
+    inverse = [
+        [(x, _spec_down(spec, n, m, x)) for x in spec["levels"][m - 1]["elements"]]
+        for n, m in enumerate(phi, start=1)
+    ]
+    return cores, bonds, tuple(phi), inverse

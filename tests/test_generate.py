@@ -10,6 +10,7 @@ from oracles import float_least_violation, float_min_exponent
 
 from towertree import (
     FAILS,
+    GroupTower,
     InvalidParameter,
     certified_ln_sign,
     compose_bonding,
@@ -21,6 +22,7 @@ from towertree import (
     gen_random_tower,
     gen_solenoid,
     is_geodesically_complete,
+    limit_threads,
     ml_verdict,
     random_morphism,
     tree_of_tower,
@@ -44,6 +46,16 @@ def test_gen_solenoid_group_matches_set_tower():
     g, tower = gen_solenoid([2, 3], 100, 4)
     assert underlying_tower(g) == tower
     assert ml_verdict(tower).verdict == FAILS
+
+
+def test_gen_solenoid_hands_its_tower_to_the_group_tower():
+    # the group tower keeps the very tower it came with, oracle included,
+    # even at depth 1, where no scale factor is observed
+    for depth in (1, 2, 5):
+        g, tower = gen_solenoid([2], 16, depth)
+        assert underlying_tower(g) is tower
+        assert [t.entries for t in limit_threads(g)] == [("0",) * depth]
+        assert GroupTower(g.levels, g.bonds) == g
 
 
 def test_gen_solenoid_mixed_primes_eventual_image():
