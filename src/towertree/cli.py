@@ -107,7 +107,7 @@ def _mutated(fmap: TreeMap) -> TreeMap:
         virtual_top=sched.virtual_top,
         source_depth=sched.source_depth,
     )
-    return TreeMap._built(fmap.source, fmap.target, fmap.images, schedule=broken)
+    return TreeMap._built(fmap.source, fmap.target, fmap.rows, schedule=broken)
 
 
 def _check_instance(summary: CorpusSummary, tag: str, x: Tower, f: TowerMorphism,

@@ -1,11 +1,12 @@
 """Rooted tree maps: the two functors between towers and trees.
 
-A TreeMap stores vertex images only, one tuple per source level; each
-edge maps linearly onto the geodesic between its endpoint images, so
-evaluation anywhere is exact.  That representation covers every map
-constructed here (induced maps, simplicial level maps, retractions)
-because their breakpoints always land on vertices.  Maps are built and
-measured level by level on the source's parent positions.
+A TreeMap stores vertex images only, as rows of target points (level,
+position, offset); each edge maps linearly onto the geodesic between its
+endpoint images, so evaluation anywhere is exact.  That representation
+covers every map constructed here (induced maps, simplicial level maps,
+retractions) because their breakpoints always land on vertices.  Maps are
+built and measured level by level on parent positions; TreePoints are an
+output view.
 
 Properness is witnessed by a table n -> m(n), minimal with the closed
 reading: every point at radius >= m(n) has image radius >= n, checked on
@@ -32,16 +33,22 @@ from .errors import (
     NotProper,
     SourceTargetMismatch,
     ValidationError,
+    VertexNotFound,
 )
 from .towers import TowerMorphism, _core_positions, _pull_back, is_level_morphism
 from .trees import (
     ROOT,
+    ROOT_AT,
+    Point,
     RootedTree,
     TreePoint,
     Vertex,
-    _meet_floor,
-    distance,
-    geodesic_point,
+    _along,
+    _climb,
+    _floor,
+    _meet,
+    _radius,
+    _up,
     max_geodesic_subtree,
     point_of,
     tower_of_tree,
@@ -126,11 +133,12 @@ class HomotopyReport:
 class TreeMap:
     """A rooted map determined by vertex images and linear edges.
 
-    images[n][i] is the image of source.levels[n][i]; vertex_images, the
-    same images keyed by vertex in level order, and the map's properness
+    rows[n][i] is the image of the i-th vertex of source sphere n as a
+    target point (level, position, offset); vertex_images, the same images
+    as TreePoints keyed by vertex in level order, and the map's properness
     report are built on first use."""
 
-    __slots__ = ("source", "target", "images", "schedule", "_vertex_images", "_properness")
+    __slots__ = ("source", "target", "rows", "schedule", "_vertex_images", "_properness")
 
     def __init__(
         self,
@@ -143,37 +151,42 @@ class TreeMap:
             raise ValidationError("vertex images must cover the source vertex set exactly")
         if vertex_images[ROOT] != point_of(ROOT):
             raise ValidationError("a rooted map must send root to root")
+        at = {}
         for v, img in vertex_images.items():
-            if not target.has_vertex(img.base):
-                raise ValidationError(f"image of {v} is based at {img.base}, not a target vertex")
-        images = [map(vertex_images.get, level) for level in source.levels.values()]
-        self.source, self.target, self.schedule = source, target, schedule
-        self.images = tuple(map(tuple, images))
-        self._vertex_images = self._properness = None
+            try:
+                at[v] = target._locate(img)
+            except VertexNotFound:
+                msg = f"image of {v} is based at {img.base}, not a target vertex"
+                raise ValidationError(msg) from None
+        rows = [[at[v] for v in level] for level in source.levels.values()]
+        self._set(source, target, rows, schedule)
 
     @classmethod
     def _built(
         cls,
         source: RootedTree,
         target: RootedTree,
-        images: Sequence[Sequence[TreePoint]],
+        rows: Sequence[Sequence[Point]],
         schedule: XiSchedule | None = None,
     ) -> TreeMap:
-        """A map whose images[n] were built over source.levels[n], root to
-        root and based at target vertices by construction; a row that is
-        already a tuple is kept, not copied."""
+        """A map whose rows were built root to root over the source spheres by
+        construction; a row that is already a tuple is kept, not copied."""
         f = cls.__new__(cls)
-        f.source, f.target, f.schedule = source, target, schedule
-        f.images = tuple(map(tuple, images))
-        f._vertex_images = f._properness = None
+        f._set(source, target, rows, schedule)
         return f
+
+    def _set(self, source, target, rows, schedule) -> None:
+        self.source, self.target, self.schedule = source, target, schedule
+        self.rows = tuple([tuple(row) for row in rows])
+        self._vertex_images = self._properness = None
 
     @property
     def vertex_images(self) -> dict[Vertex, TreePoint]:
         """Each source vertex's image, in level order."""
         if self._vertex_images is None:
             levels = chain.from_iterable(self.source.levels.values())
-            self._vertex_images = dict(zip(levels, chain.from_iterable(self.images)))
+            point = self.target._point
+            self._vertex_images = dict(zip(levels, [point(a) for row in self.rows for a in row]))
         return self._vertex_images
 
     def image_of_vertex(self, v: Vertex) -> TreePoint:
@@ -181,26 +194,38 @@ class TreeMap:
 
     def image_of_point(self, p: TreePoint) -> TreePoint:
         """Evaluate the map at any point; edges map linearly onto geodesics."""
-        if p.is_vertex:
-            return self.vertex_images[p.base]
-        a = self.vertex_images[self.source.parent_of(p.base)]
-        b = self.vertex_images[p.base]
-        span = distance(self.target, a, b)
-        return geodesic_point(self.target, a, b, p.offset * span)
+        a = self.source._locate(p)
+        return self.target._point(_image(self.rows, _up(self.source), _up(self.target), a))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TreeMap)
             and self.source == other.source
             and self.target == other.target
-            and self.images == other.images
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.source, self.target, self.images))
+        return hash((self.source, self.target, self.rows))
 
     def __repr__(self) -> str:
         return f"TreeMap({self.source!r} -> {self.target!r})"
+
+
+def _image(rows, source_up, target_up, a: Point) -> Point:
+    """The image of the source point a under the map with these rows: a row
+    lookup at a vertex, else one interpolation on the geodesic between the
+    images of the edge's two ends."""
+    j, p, offset = a
+    here = rows[j][p]
+    if offset == 1:
+        return here
+    above = rows[j - 1][_climb(source_up, j, p, j - 1)]
+    if above == here:
+        return here
+    m = _meet(target_up, above, here)
+    span = _radius(above) + _radius(here) - 2 * _radius(m)
+    return _along(target_up, above, here, m, offset * span)
 
 
 @dataclass(frozen=True)
@@ -221,18 +246,21 @@ class Retraction:
 
 
 def identity_tree_map(tree: RootedTree) -> TreeMap:
-    return TreeMap._built(tree, tree, [map(point_of, level) for level in tree.levels.values()])
+    sizes = map(len, tree.tower.levels) if tree.tower is not None else ()
+    rows = [[(n, i, 1) for i in range(size)] for n, size in enumerate(sizes, start=1)]
+    return TreeMap._built(tree, tree, [(ROOT_AT,), *rows])
 
 
 def check_nonexpansive(f: TreeMap) -> NonexpansiveVerdict:
     """Each unit edge must map onto a geodesic of length <= 1."""
-    src = f.source
+    src, up = f.source, _up(f.target)
     for n in range(1, src.depth + 1):
-        above, here = f.images[n - 1], f.images[n]
+        above, here = f.rows[n - 1], f.rows[n]
         for i, j in enumerate(src.parent_positions(n)):
-            if distance(f.target, above[j], here[i]) > 1:
+            a, b = above[j], here[i]
+            if a is not b and _radius(a) + _radius(b) - 2 * _radius(_meet(up, a, b)) > 1:
                 return NonexpansiveVerdict(
-                    valid=False, violation=(src.levels[n - 1][j], src.levels[n][i])
+                    valid=False, violation=(src._vertex(n - 1, j), src._vertex(n, i))
                 )
     return NonexpansiveVerdict(valid=True)
 
@@ -265,21 +293,22 @@ def properness_witness(f: TreeMap) -> PropernessReport:
     One pass per source level: its vertices' image radii and the meet
     radii of the edges that reach it from the level above, both as floors.
     Images are often shared (a retraction sends whole subtrees to one
-    point), so each distinct image object is measured once, and an edge
-    whose endpoints have the same image is skipped: its meet radius is the
+    point), so each distinct image is measured once, and an edge whose
+    endpoints are the same image object is skipped: its meet radius is the
     parent's image radius, already counted one level up."""
     if f._properness is not None:
         return f._properness
     src, tgt = f.source, f.target
-    above = f.images[0]
-    lows = [above[0].floor]
+    up = _up(tgt)
+    above = f.rows[0]
+    lows = [_floor(above[0])]
     for n in range(1, src.depth + 1):
-        here = f.images[n]
-        lows.append(min(p.floor for p in {id(p): p for p in here}.values()))
+        here = f.rows[n]
+        lows.append(min([_floor(a) for a in set(here)]))
         parents = [above[j] for j in src.parent_positions(n)]
-        moved = [(a, b) for a, b in zip(parents, here) if a is not b]
+        moved = [_floor(_meet(up, a, b)) for a, b in zip(parents, here) if a is not b]
         if moved:
-            lows[n - 1] = min(lows[n - 1], min(_meet_floor(tgt, a, b) for a, b in moved))
+            lows[n - 1] = min(lows[n - 1], min(moved))
         above = here
     table, failure = _witness_table(lows, tgt.depth)
     f._properness = PropernessReport(
@@ -301,25 +330,21 @@ def homotopy_properness(f: TreeMap, g: TreeMap) -> HomotopyReport:
     """
     if f.source != g.source or f.target != g.target:
         raise SourceTargetMismatch("homotopy needs maps with shared source and target")
-    src, ft, gt = f.source, f.target, g.target
+    src, up = f.source, _up(f.target)
     lows: list[int] = []
     for n in range(src.depth + 1):
-        f_here, g_here = f.images[n], g.images[n]
-        track = [_meet_floor(ft, a, b) for a, b in zip(f_here, g_here)]
+        fh, gh = f.rows[n], g.rows[n]
+        track = [_floor(_meet(up, a, b)) for a, b in zip(fh, gh)]
         lows.append(min(track))
         if n:
-            edges = min(
-                min(
-                    track_above[j],
-                    track[i],
-                    _meet_floor(ft, f_above[j], f_here[i]),
-                    _meet_floor(gt, g_above[j], g_here[i]),
-                )
+            # the parent's own track is already in lows[n - 1]
+            edges = [
+                min(track[i], _floor(_meet(up, fa[j], fh[i])), _floor(_meet(up, ga[j], gh[i])))
                 for i, j in enumerate(src.parent_positions(n))
-            )
-            lows[n - 1] = min(lows[n - 1], edges)
-        f_above, g_above, track_above = f_here, g_here, track
-    table, failure = _witness_table(lows, ft.depth)
+            ]
+            lows[n - 1] = min(lows[n - 1], *edges)
+        fa, ga = fh, gh
+    table, failure = _witness_table(lows, f.target.depth)
     horizon = min(properness_witness(f).total_upto, properness_witness(g).total_upto)
     return HomotopyReport(
         table=table,
@@ -330,10 +355,15 @@ def homotopy_properness(f: TreeMap, g: TreeMap) -> HomotopyReport:
 
 
 def compose_tree_maps(g: TreeMap, f: TreeMap) -> TreeMap:
-    """g after f; edges re-linearized between the composed vertex images."""
+    """g after f; edges re-linearized between the composed vertex images.
+
+    Each image of f is a row lookup in g at a vertex and one interpolation
+    inside an edge."""
     if f.target != g.source:
         raise SourceTargetMismatch("middle trees of the composition differ")
-    return TreeMap._built(f.source, g.target, [map(g.image_of_point, here) for here in f.images])
+    rows, source_up, target_up = g.rows, _up(g.source), _up(g.target)
+    images = [[_image(rows, source_up, target_up, a) for a in here] for here in f.rows]
+    return TreeMap._built(f.source, g.target, images)
 
 
 # ---------------------------------------------------------------------------
@@ -370,14 +400,13 @@ def induce_tree_map(m: TowerMorphism) -> TreeMap:
     sched = xi_schedule(m)
     t = sched.breakpoints
     seg_count = len(t)
-    root = point_of(ROOT)
-    images = [(root,)]
+    rows = [(ROOT_AT,)]
     # the vertices of one level share r, so the segment k, the image level j
     # and the offset are found once per level: rho = k - 1 + num / den
     for r in range(1, src_tree.depth + 1):
         k = bisect_right(t, r)
         if k == 0:
-            images.append((root,) * len(m.source.levels[r - 1]))
+            rows.append((ROOT_AT,) * len(m.source.levels[r - 1]))
             continue
         hi = t[k] if k < seg_count else sched.virtual_top
         num, den = r - t[k - 1], hi - t[k - 1]
@@ -387,12 +416,11 @@ def induce_tree_map(m: TowerMorphism) -> TreeMap:
             # num == den only at r == virtual_top, closing the last segment
             j, offset = k, 1 if num == den else Fraction(num, den)
         if j == 0:
-            images.append((root,) * len(m.source.levels[r - 1]))
+            rows.append((ROOT_AT,) * len(m.source.levels[r - 1]))
             continue
-        ids = m.target.levels[j - 1]
-        at_phi = [TreePoint._at((j, ids[i]), offset) for i in m.rows[j - 1]]
-        images.append(_pull_back(m.source, at_phi, m.phi[j - 1], r))
-    return TreeMap._built(src_tree, tgt_tree, images, schedule=sched)
+        at_phi = [(j, i, offset) for i in m.rows[j - 1]]
+        rows.append(_pull_back(m.source, at_phi, m.phi[j - 1], r))
+    return TreeMap._built(src_tree, tgt_tree, rows, schedule=sched)
 
 
 # ---------------------------------------------------------------------------
@@ -403,20 +431,17 @@ def extract_morphism(f: TreeMap) -> TowerMorphism:
     """Phi(n) = witness m(n); f_n(c) = the level-n ancestor of f(c).
 
     Well-defined because f(T_c) is connected and stays at radius >= n for
-    every c at radius m(n), so f(c) lies at or below a level-n vertex.  A
-    minimal witness table is nondecreasing, so the morphism is built on the
-    trusted path.
+    every c at radius m(n), so f(c) lies at or below a level-n vertex, whose
+    position the row climbs to.  A minimal witness table is nondecreasing,
+    so the morphism is built on the trusted path.
     """
     rep = properness_witness(f)
     if rep.total_upto == 0:
         raise NotProper("no properness witness at any level within depth")
-    tgt = f.target
-    target = tower_of_tree(tgt)
-    rows = []
-    for n, mn in enumerate(rep.table, start=1):
-        where = {x: i for i, x in enumerate(target.levels[n - 1])}
-        rows.append([where[tgt.ancestor(p.base, n)[1]] for p in f.images[mn]])
-    return TowerMorphism._trusted(tower_of_tree(f.source), target, list(rep.table), rows)
+    up = _up(f.target)
+    table = list(rep.table)
+    rows = [[_climb(up, j, p, n) for j, p, _ in f.rows[mn]] for n, mn in enumerate(table, start=1)]
+    return TowerMorphism._trusted(tower_of_tree(f.source), tower_of_tree(f.target), table, rows)
 
 
 def simplicial_of_level(m: TowerMorphism) -> TreeMap:
@@ -429,10 +454,8 @@ def simplicial_of_level(m: TowerMorphism) -> TreeMap:
         )
     src_tree = tree_of_tower(m.source)
     tgt_tree = tree_of_tower(m.target)
-    images = [(point_of(ROOT),)]
-    for n, (ids, row) in enumerate(zip(m.target.levels, m.rows), start=1):
-        images.append([point_of((n, ids[i])) for i in row])
-    return TreeMap._built(src_tree, tgt_tree, images)
+    rows = [[(n, i, 1) for i in row] for n, row in enumerate(m.rows, start=1)]
+    return TreeMap._built(src_tree, tgt_tree, [(ROOT_AT,), *rows])
 
 
 # ---------------------------------------------------------------------------
@@ -450,15 +473,15 @@ def retraction_map(tree: RootedTree) -> Retraction:
     if core.depth == 0:
         raise EmptyCore("no complete branch to retract onto")
     kept = _core_positions(tree.tower)
-    images = [(point_of(ROOT),)]
+    rows = [(ROOT_AT,)]
     for n in range(1, tree.depth + 1):
-        above = images[-1]
+        above = rows[-1]
         here = [above[j] for j in tree.parent_positions(n)]
         if n <= core.depth:
-            for i, v in zip(kept[n - 1], core.levels[n]):
-                here[i] = point_of(v)
-        images.append(tuple(here))
-    rmap = TreeMap._built(tree, core, images)
+            for k, i in enumerate(kept[n - 1]):
+                here[i] = (n, k, 1)
+        rows.append(here)
+    rmap = TreeMap._built(tree, core, rows)
     if not tree.fringe_unbounded:
         return Retraction(map=rmap, properness=properness_witness(rmap))
     rep = PropernessReport(

@@ -41,6 +41,8 @@ EQUIVALENT = "equivalent"
 NOT_EQUIVALENT = "not_equivalent_closed_world"
 EQUIV_INCONCLUSIVE = "inconclusive"
 
+_DIGIT_RUNS = re.compile(r"(\d+)")
+
 
 def natural_key(s: str):
     """Sort key that orders integer-looking ids numerically, others naturally.
@@ -59,7 +61,7 @@ def natural_key(s: str):
         try:
             parts = tuple(
                 (0, int(part), "") if part.isdecimal() else (1, 0, part)
-                for part in re.split(r"(\d+)", s)
+                for part in _DIGIT_RUNS.split(s)
                 if part
             )
         except ValueError:  # a run past Python's int/str digit limit
@@ -206,8 +208,8 @@ class Tower:
         return tower
 
     def _set(self, levels, up, oracle) -> None:
-        self.levels = tuple(tuple(level) for level in levels)
-        self.up = tuple(tuple(u) for u in up)
+        self.levels = tuple([tuple(level) for level in levels])
+        self.up = tuple([tuple(u) for u in up])
         self.oracle = oracle
         self._bonds = None
 
@@ -532,7 +534,7 @@ class TowerMorphism:
         self.source = source
         self.target = target
         self.phi = tuple(phi[:keep])
-        self.rows = tuple(map(tuple, rows[:keep]))
+        self.rows = tuple([tuple(row) for row in rows[:keep]])
         self.witnesses = tuple(witnesses[: keep - 1])
         self._components = None
 

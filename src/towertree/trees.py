@@ -5,6 +5,12 @@ its integer level; points interior to edges carry an exact rational
 offset, so every distance, meet, and geodesic computed here is exact: an
 int between vertices, a Fraction once a point inside an edge is involved.
 
+The geometry runs on positions: a point is (level, position, offset), the
+deeper end of its edge at that position of the level (0 for the root) and
+the offset normalized as in TreePoint, and meets climb the tower's parent
+positions `up`; TreePoint and the by-vertex views resolve ids through a
+per-level {id: position} index built on first use.
+
 A tree is its tower plus lazy caches.  Geodesic completeness at truncation
 means "extendable to the deepest level".  A tree of a generator tower reads
 the oracle's verdict off it: its core keeps the vertices that extend
@@ -36,12 +42,13 @@ class RootedTree:
     in X_n in the tower's order, parent maps each of them to
     (n - 1, p_{n-1}(x)), or to the implicit root (0, "root") at level 1, and
     a generator tower's oracle gives the core and fringe_unbounded.
-    levels, parent, children and the core (max_geodesic_subtree) are built
-    on first use, so a tree costs nothing per vertex until a caller asks for
-    vertices.  Instances are immutable; equality is the tower's.
+    levels, parent, children, the core (max_geodesic_subtree) and each
+    level's {id: position} index are built on first use, so a tree costs
+    nothing per vertex until a caller asks for vertices.  Instances are
+    immutable; equality is the tower's.
     """
 
-    __slots__ = ("tower", "depth", "_levels", "_parent", "_children", "_core")
+    __slots__ = ("tower", "depth", "_levels", "_parent", "_children", "_core", "_where")
 
     def __init__(self, parent: Mapping[Vertex, Vertex]):
         """Read levels and bonds off a parent map; Tower checks and orders them."""
@@ -63,6 +70,7 @@ class RootedTree:
         self.tower = tower
         self.depth = tower.depth if tower is not None else 0
         self._levels = self._parent = self._children = self._core = None
+        self._where: dict[int, dict[str, int]] = {}
 
     @property
     def fringe_unbounded(self) -> bool:
@@ -116,16 +124,40 @@ class RootedTree:
     def vertices(self) -> tuple[Vertex, ...]:
         return tuple(itertools.chain.from_iterable(self.levels.values()))
 
+    def _position(self, v: Vertex) -> int:
+        """The position of v in levels[v[0]], off that level's {id: position}
+        index, which is built on first use."""
+        n = v[0]
+        if n not in self._where and n in range(1, self.depth + 1):
+            self._where[n] = {x: i for i, x in enumerate(self.tower.levels[n - 1])}
+        p = 0 if v == ROOT else self._where.get(n, {}).get(v[1])
+        if p is None:
+            raise VertexNotFound(f"{v} is not a vertex of this tree")
+        return p
+
+    def _vertex(self, n: int, p: int) -> Vertex:
+        """The vertex at position p of level n."""
+        return (n, self.tower.levels[n - 1][p]) if n else ROOT
+
+    def _locate(self, x: TreePoint) -> Point:
+        """x as (level, position, offset)."""
+        return (x.base[0], self._position(x.base), x.offset)
+
+    def _point(self, a: Point) -> TreePoint:
+        """The TreePoint of (level, position, offset)."""
+        return TreePoint._at(self._vertex(a[0], a[1]), a[2])
+
     def has_vertex(self, v: Vertex) -> bool:
-        return v == ROOT or v in self.parent
+        try:
+            self._position(v)
+        except VertexNotFound:
+            return False
+        return True
 
     def parent_of(self, v: Vertex) -> Vertex:
         if v == ROOT:
             raise VertexNotFound("the root has no parent")
-        try:
-            return self.parent[v]
-        except KeyError:
-            raise VertexNotFound(f"{v} is not a vertex of this tree") from None
+        return self.ancestor(v, v[0] - 1)
 
     def children_of(self, v: Vertex) -> tuple[Vertex, ...]:
         try:
@@ -135,22 +167,18 @@ class RootedTree:
 
     def ancestor(self, v: Vertex, n: int) -> Vertex:
         """The vertex at level n on the root path of v; needs 0 <= n <= level of v."""
-        if not self.has_vertex(v):
-            raise VertexNotFound(f"{v} is not a vertex of this tree")
+        p = self._position(v)
         if not 0 <= n <= v[0]:
             raise IndexOutOfRange(f"level {n} not in 0..{v[0]}")
-        parent = self.parent
-        while v[0] > n:
-            v = parent[v]
-        return v
+        return self._vertex(n, _climb(_up(self), v[0], p, n))
 
     def chain(self, v: Vertex) -> tuple[Vertex, ...]:
         """Root-to-v vertex path; chain(v)[i] sits at level i."""
-        if not self.has_vertex(v):
-            raise VertexNotFound(f"{v} is not a vertex of this tree")
-        out, parent = [v], self.parent
-        while out[-1] != ROOT:
-            out.append(parent[out[-1]])
+        p, up = self._position(v), _up(self)
+        out = [v]
+        for n in range(v[0] - 1, -1, -1):
+            p = _climb(up, n + 1, p, n)
+            out.append(self._vertex(n, p))
         return tuple(reversed(out))
 
     def __eq__(self, other) -> bool:
@@ -200,17 +228,17 @@ class TreePoint:
         return self.base[0] - 1 + self.offset
 
     @property
-    def floor(self) -> int:
-        """floor(radius): the level of a vertex, one less inside an edge."""
-        return self.base[0] if self.offset == 1 else self.base[0] - 1
-
-    @property
     def is_vertex(self) -> bool:
         return self.offset == 1
 
 
 def point_of(v: Vertex) -> TreePoint:
     return TreePoint._at(v, 1)
+
+
+Point = tuple[int, int, "int | Fraction"]  # see the module docstring
+
+ROOT_AT: Point = (0, 0, 1)
 
 
 def tree_of_tower(tower: Tower) -> RootedTree:
@@ -286,54 +314,70 @@ def branches(tree: RootedTree) -> tuple[tuple[Vertex, ...], ...]:
 # Metric geometry
 
 
-def _checked_point(tree: RootedTree, p: TreePoint) -> TreePoint:
-    if not tree.has_vertex(p.base):
-        raise VertexNotFound(f"{p.base} is not a vertex of this tree")
+def _up(tree: RootedTree) -> Sequence[Sequence[int]]:
+    """The tower's parent positions, () for the bare root."""
+    return tree.tower.up if tree.tower is not None else ()
+
+
+def _climb(up: Sequence[Sequence[int]], j: int, p: int, n: int) -> int:
+    """The position in level n of the ancestor of position p of level j; 0 <= n <= j."""
+    while j > n:
+        j -= 1
+        p = up[j - 1][p] if j else 0
     return p
 
 
-def _meet(tree: RootedTree, x: TreePoint, y: TreePoint) -> TreePoint | Vertex:
-    """The meet of [root, x] and [root, y]: x or y when one segment holds
-    the other, else the fork vertex.  Climbs from the deeper base to the
-    shallower level, then from both at once: O(distance) parent steps."""
-    a, b = x.base, y.base
-    if a == b:
-        # same base edge: the shallower offset wins
-        return x if x.offset <= y.offset else y
-    parent = tree.parent
-    while a[0] > b[0]:
-        a = parent[a]
-    while b[0] > a[0]:
-        b = parent[b]
-    if a == b:
-        # the shallower base lies on the other's root path, so its point is the meet
-        return x if x.base[0] < y.base[0] else y
-    while a != b:
-        a, b = parent[a], parent[b]
-    return a
+def _radius(a: Point) -> int | Fraction:
+    return a[0] - 1 + a[2]
+
+
+def _floor(a: Point) -> int:
+    """floor(radius): the level of a vertex, one less inside an edge."""
+    return a[0] if a[2] == 1 else a[0] - 1
+
+
+def _meet(up: Sequence[Sequence[int]], a: Point, b: Point) -> Point:
+    """The meet of [root, a] and [root, b]: the shallower of a and b when its
+    base lies on the other's root path, else the fork vertex.  Climbs from
+    the deeper base to the shallower level, then from both at once:
+    O(distance) parent steps."""
+    j = min(a[0], b[0])
+    pa, pb = _climb(up, a[0], a[1], j), _climb(up, b[0], b[1], j)
+    if pa == pb:
+        return a if (a[0], a[2]) <= (b[0], b[2]) else b
+    while pa != pb:
+        j -= 1
+        pa, pb = (up[j - 1][pa], up[j - 1][pb]) if j else (0, 0)
+    return (j, pa, 1)
+
+
+def _point_at(up: Sequence[Sequence[int]], a: Point, r: int | Fraction) -> Point:
+    """The point at radius r on [root, a]; needs 0 <= r <= radius(a)."""
+    n = math.ceil(r)
+    offset = r - n + 1
+    return (n, _climb(up, a[0], a[1], n), 1 if offset == 1 else offset)
+
+
+def _along(up: Sequence[Sequence[int]], a: Point, b: Point, m: Point, s) -> Point:
+    """The point at arc length s from a on the geodesic [a, b], whose meet is m."""
+    down = _radius(a) - _radius(m)
+    if s <= down:
+        return _point_at(up, a, _radius(a) - s)
+    return _point_at(up, b, _radius(m) + (s - down))
 
 
 def meet_point(tree: RootedTree, x: TreePoint, y: TreePoint) -> TreePoint:
     """Deepest common point of the root segments [root, x] and [root, y]."""
-    _checked_point(tree, x)
-    _checked_point(tree, y)
-    m = _meet(tree, x, y)
-    return m if isinstance(m, TreePoint) else point_of(m)
-
-
-def _meet_floor(tree: RootedTree, x: TreePoint, y: TreePoint) -> int:
-    """floor(radius(meet_point(tree, x, y))) for points already known to lie in tree."""
-    m = _meet(tree, x, y)
-    return m.floor if isinstance(m, TreePoint) else m[0]
+    return geodesic_data(tree, x, y)[0]
 
 
 def geodesic_data(
     tree: RootedTree, x: TreePoint, y: TreePoint
 ) -> tuple[TreePoint, int | Fraction]:
     """(meet, distance); distance = radius(x) + radius(y) - 2 radius(meet)."""
-    meet = meet_point(tree, x, y)
-    dist = x.radius + y.radius - 2 * meet.radius
-    return meet, dist
+    a, b = tree._locate(x), tree._locate(y)
+    m = _meet(_up(tree), a, b)
+    return tree._point(m), _radius(a) + _radius(b) - 2 * _radius(m)
 
 
 def distance(tree: RootedTree, x: TreePoint, y: TreePoint) -> int | Fraction:
@@ -345,20 +389,18 @@ def ancestor_point_at(tree: RootedTree, x: TreePoint, r: Fraction) -> TreePoint:
     r = Fraction(r)
     if not 0 <= r <= x.radius:
         raise IndexOutOfRange(f"radius {r} outside [0, {x.radius}]")
-    level = math.ceil(r)
-    return TreePoint(tree.ancestor(x.base, level), r - (level - 1))
+    return tree._point(_point_at(_up(tree), tree._locate(x), r))
 
 
 def geodesic_point(tree: RootedTree, x: TreePoint, y: TreePoint, s: Fraction) -> TreePoint:
     """The point at arc length s from x along the geodesic [x, y]."""
     s = Fraction(s)
-    meet, dist = geodesic_data(tree, x, y)
+    up, a, b = _up(tree), tree._locate(x), tree._locate(y)
+    m = _meet(up, a, b)
+    dist = _radius(a) + _radius(b) - 2 * _radius(m)
     if not 0 <= s <= dist:
         raise IndexOutOfRange(f"arc length {s} outside [0, {dist}]")
-    down = x.radius - meet.radius
-    if s <= down:
-        return ancestor_point_at(tree, x, x.radius - s)
-    return ancestor_point_at(tree, y, meet.radius + (s - down))
+    return tree._point(_along(up, a, b, m, s))
 
 
 # ---------------------------------------------------------------------------

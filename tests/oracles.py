@@ -271,6 +271,30 @@ def brute_homotopy(f, g):
     return brute_witness_table(f.source, t.depth, track, edge_q)
 
 
+def brute_composite_images(g, f):
+    """Vertex images of g after f, one vertex at a time: g's image of f(v)
+    when f(v) is a vertex, else the point at arc length offset * span from
+    g(parent) toward g(base) on their geodesic, by brute_geodesic_point."""
+    gi, mid, out = g.vertex_images, g.source, {}
+    for v, p in f.vertex_images.items():
+        if p.is_vertex:
+            out[v] = gi[p.base]
+            continue
+        a, b = gi[root_chain(mid, p.base)[-2]], gi[p.base]
+        out[v] = brute_geodesic_point(g.target, a, b, p.offset * brute_distance(g.target, a, b))
+    return out
+
+
+def brute_violation(f):
+    """check_nonexpansive's violation: the first edge, in level order, whose
+    end images lie more than 1 apart by brute_distance, or None."""
+    img = f.vertex_images
+    for p, v in _edges(f.source):
+        if brute_distance(f.target, img[p], img[v]) > 1:
+            return p, v
+    return None
+
+
 def is_ancestor(tree, u, w):
     """True when u lies on the root chain of w (inclusive)."""
     return u in root_chain(tree, w)

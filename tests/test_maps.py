@@ -1,15 +1,21 @@
 """Schedules, induced maps, extraction, properness, and homotopy checks."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import constant_tower
 from oracles import (
+    brute_composite_images,
+    brute_distance,
+    brute_geodesic_point,
     brute_homotopy,
     brute_induced_images,
     brute_properness,
+    brute_violation,
     int_offset_exactly_at_vertex,
+    root_chain,
 )
 
 from towertree import (
@@ -33,6 +39,7 @@ from towertree import (
     identity_morphism,
     identity_tree_map,
     induce_tree_map,
+    levelize_morphism,
     morphisms_equivalent,
     point_of,
     properness_witness,
@@ -266,9 +273,13 @@ def test_composition_law_up_to_homotopy():
 
 def test_witness_tables_match_brute_meets():
     """Tables read on radius floors equal the Fraction-radius oracles on
-    induced, composed, retraction and re-induced extracted maps."""
+    induced, composed, identity, simplicial, retraction and re-induced
+    extracted maps; composed images and nonexpansive verdicts equal the
+    brute geodesic and distance oracles."""
     counts = dict.fromkeys(
-        ("maps", "interior", "failures", "retractions", "extracted", "homotopies", "not-proper"), 0
+        ("maps", "interior", "failures", "retractions", "extracted", "homotopies", "not-proper",
+         "composed", "interpolated", "violations"),
+        0,
     )
     for seed in range(250):
         x = gen_random_tower(seed, depth=3 + seed % 5, max_level_size=4)
@@ -277,7 +288,24 @@ def test_witness_tables_match_brute_meets():
         mf, mh = random_morphism(seed, x, y), random_morphism(seed + 1, y, z)
         f, h = induce_tree_map(mf), induce_tree_map(mh)
         hf = compose_tree_maps(h, f)
-        maps = [f, h, hf]
+        level = levelize_morphism(mf).level
+        maps = [f, h, hf, identity_tree_map(f.target), simplicial_of_level(level)]
+        rng = random.Random(seed)
+        below = f.target.vertices[1:]
+        wild = TreeMap(f.source, f.target, {
+            v: point_of(v) if v == ROOT else TreePoint(rng.choice(below), Fraction(rng.randint(1, 4), 4))
+            for v in f.source.vertices
+        })
+        for g, after in ((h, f), (wild, identity_tree_map(f.source)), (h, wild)):
+            composed = compose_tree_maps(g, after)
+            assert composed.vertex_images == brute_composite_images(g, after)
+            counts["composed"] += 1
+            counts["interpolated"] += sum(not p.is_vertex for p in after.vertex_images.values())
+            maps.append(composed)
+        for g in (f, hf, wild, compose_tree_maps(h, wild)):
+            want = brute_violation(g)
+            assert check_nonexpansive(g).violation == want
+            counts["violations"] += want is not None
         try:
             maps.append(retraction_map(tree_of_tower(x)).map)
             counts["retractions"] += 1
@@ -313,6 +341,8 @@ def test_witness_tables_match_brute_meets():
     assert counts["interior"] >= 250 and counts["not-proper"] >= 60, counts
     assert 900 <= counts["failures"] <= counts["maps"] - 200, counts
     assert counts["retractions"] >= 200 and counts["extracted"] >= 200, counts
+    assert counts["composed"] >= 750 and counts["interpolated"] >= 2000, counts
+    assert counts["violations"] >= 200, counts
 
 
 def test_induced_images_match_per_vertex_oracle():
@@ -374,7 +404,7 @@ def test_public_constructor_rebuilds_every_produced_map():
         for kind, g in produced:
             rebuilt = TreeMap(g.source, g.target, g.vertex_images, g.schedule)
             assert rebuilt == g and hash(rebuilt) == hash(g)
-            assert rebuilt.images == g.images
+            assert rebuilt.rows == g.rows
             assert list(g.vertex_images) == list(g.source.vertices)
             kinds[kind] += 1
         # maps between the same trees are equal exactly when their images are
@@ -386,7 +416,9 @@ def test_public_constructor_rebuilds_every_produced_map():
 
 def test_analysis_builds_no_by_vertex_views(monkeypatch):
     """build_report leaves every vertex view of the analyzed tree unbuilt:
-    its vertex tuples, parent and children, and the retraction's dict."""
+    its vertex tuples, parent and children, and the retraction's dict; so
+    do induce, extract, compose, properness, nonexpansive and homotopy on
+    every source and target tree they touch."""
     import towertree.report as report
     from towertree import windowed_solenoid_tower
 
@@ -405,7 +437,128 @@ def test_analysis_builds_no_by_vertex_views(monkeypatch):
         assert rmap._vertex_images is None
         # asked for, the views are built from the per-level data
         assert list(tree.parent) == list(tree.vertices[1:])
-        assert list(rmap.vertex_images.values()) == [p for here in rmap.images for p in here]
+        ids = rmap.target.tower.levels
+        eager = [TreePoint((j, ids[j - 1][p]) if j else ROOT, o) for here in rmap.rows for j, p, o in here]
+        assert list(rmap.vertex_images.values()) == eager
+    counts = dict.fromkeys(("maps", "extracted", "violations"), 0)
+    for seed in range(40):
+        x, y, z = (gen_random_tower(seed + k, 3 + (seed + k) % 5, 4, 0.5) for k in (0, 40, 80))
+        mf, mh = random_morphism(seed, x, y), random_morphism(seed + 1, y, z)
+        f, h = induce_tree_map(mf), induce_tree_map(mh)
+        deep = (f.target.depth, 0, 1)  # every vertex below the root goes to one deepest vertex
+        squash = TreeMap._built(f.source, f.target, [f.rows[0], *([deep] * len(row) for row in f.rows[1:])])
+        maps = [f, h, compose_tree_maps(h, f), compose_tree_maps(identity_tree_map(f.target), f), squash]
+        try:
+            maps.append(induce_tree_map(compose_morphisms(mh, mf)))
+        except DepthExhausted:
+            pass
+        for g in list(maps):
+            properness_witness(g)
+            counts["violations"] += not check_nonexpansive(g)
+            homotopy_properness(g, g)
+            try:
+                back = induce_tree_map(extract_morphism(g))
+            except (DepthExhausted, NotProper):
+                continue
+            homotopy_properness(g, back)
+            maps.append(back)
+            counts["extracted"] += 1
+        for g in maps:
+            for tree in (g.source, g.target):
+                assert tree._levels is None and tree._parent is None and tree._children is None
+            assert g._vertex_images is None
+            counts["maps"] += 1
+    assert counts["maps"] >= 300 and counts["extracted"] >= 80 and counts["violations"] >= 20, counts
+
+
+def test_tree_point_views_match_an_eager_build():
+    """vertex_images, image_of_vertex and image_of_point, built from rows on
+    first use, equal TreePoints built one by one through the validating
+    constructor from the target's ids and the brute geodesic oracle, and
+    the public constructor reads those points back to the same rows."""
+    kinds = dict.fromkeys(
+        ("induced", "composite", "identity", "simplicial", "retraction", "extracted"), 0
+    )
+    for seed in range(60):
+        x, y, z = (gen_random_tower(seed + k, 3 + (seed + k) % 5, 4, 0.5) for k in (0, 40, 80))
+        mf = random_morphism(seed, x, y)
+        f, h = induce_tree_map(mf), induce_tree_map(random_morphism(seed + 1, y, z))
+        produced = [
+            ("induced", f),
+            ("composite", compose_tree_maps(h, f)),
+            ("identity", identity_tree_map(f.target)),
+            ("simplicial", simplicial_of_level(levelize_morphism(mf).level)),
+        ]
+        try:
+            produced.append(("retraction", retraction_map(f.source).map))
+        except EmptyCore:
+            pass
+        try:
+            produced.append(("extracted", induce_tree_map(extract_morphism(f))))
+        except (DepthExhausted, NotProper):
+            pass
+        for kind, g in produced:
+            assert g._vertex_images is None
+            src_ids, tgt_ids = (None, *g.source.tower.levels), g.target.tower.levels
+            eager = {ROOT: TreePoint(ROOT, 1)}
+            for n in range(1, g.source.depth + 1):
+                for x_id, (j, p, offset) in zip(src_ids[n], g.rows[n], strict=True):
+                    eager[(n, x_id)] = TreePoint((j, tgt_ids[j - 1][p]) if j else ROOT, offset)
+            assert list(g.vertex_images.items()) == list(eager.items())
+            assert all(int_offset_exactly_at_vertex(p) for p in g.vertex_images.values())
+            assert all(g.image_of_vertex(v) == p for v, p in eager.items())
+            for v in list(eager)[1:]:
+                a, b = eager[root_chain(g.source, v)[-2]], eager[v]
+                span = brute_distance(g.target, a, b)
+                for t in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
+                    assert g.image_of_point(TreePoint(v, t)) == brute_geodesic_point(g.target, a, b, t * span)
+            assert TreeMap(g.source, g.target, eager, g.schedule).rows == g.rows
+            kinds[kind] += 1
+    assert min(kinds.values()) >= 25, kinds
+
+
+def test_maps_reach_no_by_vertex_tree_lookup(monkeypatch):
+    """The maps layer runs on positions: with the trees' by-vertex lookups
+    (parent, parent_of, has_vertex, ancestor, chain) made to fail, every
+    producer, measure, composition, extraction, the public constructor and
+    the TreePoint views and geometry give the same results as before."""
+    from towertree import RootedTree, distance, geodesic_point, meet_point
+
+    def run(seed):
+        x, y, z = (gen_random_tower(seed + k, 3 + (seed + k) % 5, 4, 0.5) for k in (0, 40, 80))
+        mf, mh = random_morphism(seed, x, y), random_morphism(seed + 1, y, z)
+        f, h = induce_tree_map(mf), induce_tree_map(mh)
+        hf = compose_tree_maps(h, f)
+        maps = [f, hf, identity_tree_map(f.source), simplicial_of_level(levelize_morphism(mf).level)]
+        try:
+            maps.append(retraction_map(f.source).map)
+        except EmptyCore:
+            pass
+        maps.append(TreeMap(f.source, f.target, dict(f.vertex_images)))
+        out = []
+        for g in maps:
+            rep = properness_witness(g)
+            out += [g.rows, rep, check_nonexpansive(g), homotopy_properness(g, g)]
+            out += [g.image_of_point(TreePoint(v, Fraction(1, 3))) for v in g.source.vertices[1:]]
+            try:
+                e = extract_morphism(g)
+                out += [e.phi, e.rows]
+            except NotProper:
+                out.append(None)
+        a, b = hf.vertex_images[hf.source.vertices[-1]], hf.vertex_images[hf.source.vertices[1]]
+        d = distance(hf.target, a, b)
+        out += [meet_point(hf.target, a, b), d, geodesic_point(hf.target, a, b, d / 2)]
+        return out
+
+    want = [run(seed) for seed in range(30)]
+
+    def refuse(*args):
+        raise AssertionError("a by-vertex tree lookup was reached")
+
+    monkeypatch.setattr(RootedTree, "parent", property(refuse))
+    for name in ("parent_of", "has_vertex", "ancestor", "chain"):
+        monkeypatch.setattr(RootedTree, name, refuse)
+    assert [run(seed) for seed in range(30)] == want
 
 
 def test_each_map_measures_its_properness_once(monkeypatch):

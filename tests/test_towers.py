@@ -433,6 +433,48 @@ def test_natural_key_reads_only_decimal_runs_as_numbers():
     assert sorted(["x²", "x2", "²"], key=natural_key) == ["x2", "x²", "²"]
 
 
+def _split_key(s):
+    r"""natural_key as one expression: int() of the whole id, else the
+    re.split(r"(\d+)", s) runs with empty runs dropped, then the tie-break."""
+    try:
+        parts = ((0, int(s), ""),)
+    except ValueError:
+        parts = tuple(
+            (0, int(part), "") if part.isdecimal() else (1, 0, part)
+            for part in re.split(r"(\d+)", s)
+            if part
+        )
+    return parts + ((-1, len(s), s),)
+
+
+def test_natural_key_matches_the_split_expression_on_fuzzed_ids():
+    rng = random.Random(17)
+    pieces = ["", "a", "p", "x_", "-", "+", " ", ".", "²", "٣", "é"]
+
+    def digits():
+        run = "".join(rng.choice("0123456789") for _ in range(rng.randint(1, 6)))
+        return "0" + run if rng.random() < 0.3 else run
+
+    ids = ["", "0", "-0", "+0", "00", "007", " 7", "-007", "10", "01", "1", "a1b", "1a", "a1"]
+    for _ in range(2400):
+        kind = rng.randrange(4)
+        if kind == 0:  # signed integers, leading zeros included
+            ids.append(rng.choice(["", "-", "+"]) + digits())
+        elif kind == 1:  # digit runs only
+            ids.append("".join(digits() for _ in range(rng.randint(1, 3))))
+        else:  # text and digit runs; runs at either end leave empty text runs
+            ids.append("".join(rng.choice(pieces) if k % 2 else digits() for k in range(rng.randint(1, 6))))
+    kinds = {"int": 0, "runs": 0, "empty run": 0}
+    for s in ids:
+        assert natural_key(s) == _split_key(s), s
+        runs = re.split(r"(\d+)", s)
+        kinds["int"] += len(natural_key(s)) == 2 and natural_key(s)[0][2] == ""
+        kinds["runs"] += len(runs) > 2
+        kinds["empty run"] += "" in runs
+    assert len(set(ids)) >= 2000 and min(kinds.values()) >= 400, kinds
+    assert sorted(ids, key=natural_key) == sorted(ids, key=_split_key)
+
+
 # ---------------------------------------------------------------------------
 # The stored parent positions and the in-order builders
 
@@ -664,7 +706,7 @@ def _extracted_components(tree_map, m):
     the level-n vertex on the root chain of f(c), c at level m(n)."""
     source = tree_map.source.tower
     return [
-        {c: root_chain(tree_map.target, p.base)[n][1] for c, p in zip(source.level(mn), tree_map.images[mn])}
+        {c: root_chain(tree_map.target, tree_map.vertex_images[(mn, c)].base)[n][1] for c in source.level(mn)}
         for n, mn in enumerate(m.phi, start=1)
     ]
 

@@ -50,7 +50,7 @@ from towertree import (
     tree_of_tower,
     windowed_solenoid_tower,
 )
-from towertree.trees import _meet_floor
+from towertree.trees import _floor, _meet, _up
 
 
 def test_two_branch_tree_shape(two_branch_tree):
@@ -172,8 +172,8 @@ def test_metric_matches_chain_prefix_oracle():
                 cases["fork"] += 1
             meet = meet_point(t, x, y)
             assert meet == brute_meet(t, x, y)
-            assert _meet_floor(t, x, y) == math.floor(brute_radius(meet))
-            assert x.floor == math.floor(brute_radius(x))
+            assert _floor(_meet(_up(t), t._locate(x), t._locate(y))) == math.floor(brute_radius(meet))
+            assert _floor(t._locate(x)) == math.floor(brute_radius(x))
             d = distance(t, x, y)
             assert d == brute_distance(t, x, y)
             r = Fraction(rng.randint(0, int(8 * brute_radius(x))), 8)
@@ -373,7 +373,7 @@ def test_tree_reads_the_oracle_off_its_tower():
     lazy caches; equality and hashing are the tower's, so a tower_of_tree
     copy, which drops the oracle, indexes a different tree."""
     assert set(RootedTree.__slots__) == {
-        "tower", "depth", "_levels", "_parent", "_children", "_core"
+        "tower", "depth", "_levels", "_parent", "_children", "_core", "_where"
     }
     towers = [gen_random_tower(seed, depth=1 + seed % 4, max_level_size=3) for seed in range(12)]
     for primes in ([2], [2, 2], [1], [1, 3]):
@@ -475,8 +475,10 @@ def test_retraction_sends_each_vertex_to_its_deepest_core_ancestor():
         assert rmap.target is max_geodesic_subtree(tree)
         assert set(rmap.target.vertices) == core
         for n, level in tree.levels.items():
-            for v, image in zip(level, rmap.images[n], strict=True):
+            for v, image in zip(level, rmap.rows[n], strict=True):
                 deepest = next(u for u in reversed(root_chain(tree, v)) if u in core)
-                assert image == point_of(deepest)
+                at = rmap.target.levels[deepest[0]].index(deepest)
+                assert image == (deepest[0], at, 1) and type(image[2]) is int
+                assert rmap.vertex_images[v] == point_of(deepest)
                 moved += deepest != v
     assert len(trees) >= 300 and moved >= 1000
