@@ -34,6 +34,7 @@ from .towers import (
     Tower,
     TowerMorphism,
     _core_positions,
+    _forever_positions,
     _pull_back,
     _reach,
     ml_verdict,
@@ -378,16 +379,11 @@ class Thread:
 
 
 def _thread_positions(tower: Tower) -> list[tuple[int, ...]]:
-    """The threads as position tuples, sorted as their ids are.  A thread is
-    determined by its deepest entry; a tower with a divisibility oracle
-    keeps only the deepest entries that extend to every level."""
-    positions = range(len(tower.levels[-1]))
-    if tower.oracle is not None:
-        positions = tower.oracle.forever_extendable(tower.levels[-1])
-    down = [positions]
+    """The threads as position tuples, sorted as their ids are: a thread is
+    determined by its deepest entry, one of that level's forever positions."""
+    down = [_forever_positions(tower)]
     for u in reversed(tower.up):
-        positions = [u[i] for i in positions]
-        down.append(positions)
+        down.append([u[i] for i in down[-1]])
     return sorted(zip(*reversed(down)))
 
 

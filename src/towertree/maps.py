@@ -14,8 +14,8 @@ vertices and on edge meets.  The tables are computed on floor(radius), an
 int read off a point's base level, since a radius is only ever compared
 with an integer n and x >= n exactly when floor(x) >= n.  Each map measures
 its properness once and keeps the report.  Verdicts at truncation are
-closed-world and say so; trees flagged fringe_unbounded get the oracle's
-failure instead of the window's optimism.
+closed-world and say so; a tree whose oracle finds some reach finite
+(fringe_unbounded) gets that failure instead of the window's optimism.
 """
 
 from __future__ import annotations
@@ -467,19 +467,17 @@ def retraction_map(tree: RootedTree) -> Retraction:
     ancestor, found one level at a time on parent positions: a level takes
     its parents' images, then the core's own positions (the ones
     max_geodesic_subtree kept) become their own points.  No vertex outside
-    the core is looked at.  Trees whose oracle grows unbounded finite
-    branches get the failure the window cannot exhibit."""
+    the core is looked at.  Trees whose oracle finds some reach finite get
+    the failure the window cannot exhibit."""
     core = max_geodesic_subtree(tree)
     if core.depth == 0:
         raise EmptyCore("no complete branch to retract onto")
-    kept = _core_positions(tree.tower)
     rows = [(ROOT_AT,)]
-    for n in range(1, tree.depth + 1):
+    for n, kept in enumerate(_core_positions(tree.tower), start=1):
         above = rows[-1]
         here = [above[j] for j in tree.parent_positions(n)]
-        if n <= core.depth:
-            for k, i in enumerate(kept[n - 1]):
-                here[i] = (n, k, 1)
+        for k, i in enumerate(kept):
+            here[i] = (n, k, 1)
         rows.append(here)
     rmap = TreeMap._built(tree, core, rows)
     if not tree.fringe_unbounded:

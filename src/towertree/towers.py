@@ -5,19 +5,20 @@ sets joined by total bonding maps p_n : X_{n+1} -> X_n.  Element ids are
 opaque strings, unique within their level.
 
 Two flavors exist.  Extensional towers are plain tables.  Generator towers
-are windowed-integer towers (bonds z -> p*z) that additionally carry an
-exact divisibility oracle, so extendability questions can be answered for
-any target level, including levels beyond the truncation depth.  Verdicts
-that depend on data beyond depth D stay three-valued: Holds needs an
-observed repeat with margin, Fails needs an oracle certificate, everything
-else is inconclusive at this depth.
+are windowed-integer towers (bonds z -> p*z) whose oracle answers one
+question for any level, beyond the truncation depth too: the reach of an
+element in the infinite tower.  The core is the deepest level's forever
+positions pushed down `up`, all of that level when read closed-world.
+Verdicts that depend on data beyond depth D stay three-valued: Holds needs
+an observed repeat with margin, Fails needs an oracle certificate,
+everything else is inconclusive at this depth.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import sys
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -74,7 +75,8 @@ class SolenoidOracle:
     """Exact oracle for windowed-integer towers with bonds z -> p_n * z.
 
     The prime list is used cyclically, so the oracle speaks about the full
-    infinite tower: answers never depend on the finite window.
+    infinite tower: answers never depend on the finite window.  P(n, m) is
+    the product of the multipliers of levels n..m-1.
     """
 
     primes: tuple[int, ...]
@@ -90,37 +92,27 @@ class SolenoidOracle:
         """Multiplier of the bond X_{n+1} -> X_n."""
         return self.primes[(n - 1) % len(self.primes)]
 
-    def step_product(self, n0: int, n1: int) -> int:
-        """Product of multipliers along the composite bond X_{n1} -> X_{n0}."""
-        prod = 1
-        for n in range(n0, n1):
-            prod *= self.multiplier(n)
-        return prod
-
     def level_bounds(self, depth: int) -> Iterator[int]:
         """Window bounds of levels n = 1..depth: level n holds the integers z
-        with |z| <= window // step_product(1, n), one multiplication per level."""
+        with |z| <= window // P(1, n), one multiplication per level."""
         prod = 1
         for n in range(1, depth + 1):
             yield self.window // prod
             if prod <= self.window:  # beyond the window every bound stays 0
                 prod *= self.multiplier(n)
 
-    def is_extendable(self, n0: int, alpha: int, n1: int) -> bool:
-        """Does some beta at level n1 map onto alpha (divisibility test)?"""
-        return alpha % self.step_product(n0, n1) == 0
-
-    def forever_extendable(self, ids: Sequence[str]) -> range:
-        """Positions of the ids that extend to every level of the infinite
-        tower: all of them when every multiplier is 1, otherwise the ids of
-        value 0.  ids is a windowed level: integers in increasing order."""
-        if self.ml_holds():
-            return range(len(ids))
-        return range(bisect_left(ids, 0, key=int), bisect_right(ids, 0, key=int))
-
-    def ml_holds(self) -> bool:
-        """ML for the infinite tower: fails as soon as one multiplier exceeds 1."""
-        return all(p == 1 for p in self.primes)
+    def reach(self, n: int, z: int) -> int | float:
+        """The deepest m >= n with z at level n in the image of level m: the
+        last m with P(n, m) dividing z, or math.inf (forever) when z == 0 or
+        every multiplier is 1.  No window bounds the quotient: with |z| <=
+        window // P(1, n) it fits level m's window // P(1, m)."""
+        if z == 0 or all(p == 1 for p in self.primes):
+            return math.inf
+        m = n
+        while z % self.multiplier(m) == 0:
+            z //= self.multiplier(m)
+            m += 1
+        return m
 
 
 @dataclass(frozen=True)
@@ -156,7 +148,7 @@ class Tower:
     stored once, as parent positions: up[n-1][i] is the position in X_n of
     p_n(X_{n+1}[i]).  bonds[n-1] is the same bond as an id -> id dict, built
     on first use.  Instances are treated as immutable; equality is
-    structural and includes the oracle for generator towers.
+    structural and includes the oracle, which only in-package builders give.
     """
 
     __slots__ = ("levels", "up", "oracle", "_bonds")
@@ -165,7 +157,6 @@ class Tower:
         self,
         levels: Sequence[Iterable[str]],
         bonds: Sequence[Mapping[str, str]],
-        oracle: SolenoidOracle | None = None,
     ):
         """Sort and validate levels and bonds from outside the package."""
         if not levels:
@@ -192,7 +183,7 @@ class Tower:
             if stray:
                 raise ValidationError(f"bond {n} leaves level {n}: {sorted(stray)}")
             up.append(tuple([where[bond[x]] for x in src]))
-        self._set(norm_levels, up, oracle)
+        self._set(norm_levels, up, None)
 
     @classmethod
     def _ordered(
@@ -273,10 +264,10 @@ def _check_generator(oracle: SolenoidOracle, depth: int) -> None:
     """Refuse a generator tower before it is built: it may have at most
     MAX_GENERATOR_DEPTH levels holding at most MAX_GENERATOR_IDS ids, and
     every number of its ML failure certificate must print within Python's
-    int/str digit limit.  The largest is the last chain entry,
-    alpha = step_product(1, s) with s the first level >= depth whose
-    multiplier exceeds 1.  Every level holds an id, so the id count stops
-    the level walk within MAX_GENERATOR_IDS steps."""
+    int/str digit limit.  The largest is the last chain entry's alpha,
+    P(1, depth), since every multiplier from depth up to the first one
+    above 1 is 1.  Every level holds an id, so the id count stops the level
+    walk within MAX_GENERATOR_IDS steps."""
     total = 0
     for b in oracle.level_bounds(depth):
         total += 2 * b + 1
@@ -285,13 +276,10 @@ def _check_generator(oracle: SolenoidOracle, depth: int) -> None:
     if depth > MAX_GENERATOR_DEPTH:
         raise ValidationError(f"generator tower has more than {MAX_GENERATOR_DEPTH} levels")
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if digits == 0 or depth < 2 or oracle.ml_holds():
+    if digits == 0:
         return
-    s = depth
-    while oracle.multiplier(s) == 1:
-        s += 1
     ceiling, alpha = 10**digits, 1
-    for n in range(1, s):
+    for n in range(1, depth):
         alpha *= oracle.multiplier(n)
         if alpha >= ceiling:
             raise ValidationError(
@@ -358,7 +346,7 @@ def is_extendable(tower: Tower, n0: int, alpha: str, n1: int) -> bool:
     """Does alpha in X_{n0} lie in the image of X_{n1}?
 
     Extensional towers answer from the reach of alpha and require
-    n1 <= depth.  Generator towers answer by divisibility for any n1 >= n0.
+    n1 <= depth.  Generator towers ask the oracle's reach, for any n1 >= n0.
     """
     if not 1 <= n0 <= tower.depth:
         raise IndexOutOfRange(f"level {n0} not in 1..{tower.depth}")
@@ -367,7 +355,7 @@ def is_extendable(tower: Tower, n0: int, alpha: str, n1: int) -> bool:
     if n1 < n0:
         raise IndexOutOfRange(f"target level {n1} is below {n0}")
     if tower.oracle is not None:
-        return tower.oracle.is_extendable(n0, int(alpha), n1)
+        return tower.oracle.reach(n0, int(alpha)) >= n1
     if n1 > tower.depth:
         raise IndexOutOfRange(f"level {n1} beyond depth {tower.depth} needs a generator oracle")
     return _reach(tower)[n0 - 1][tower.levels[n0 - 1].index(alpha)] >= n1
@@ -390,11 +378,11 @@ def ml_verdict(tower: Tower) -> MLReport:
         per_level.append(LevelStabilization(level=n0, stabilization=s, margin=depth - s))
     per_level = tuple(per_level)
 
-    oracle = tower.oracle
-    if oracle is not None and not oracle.ml_holds():
-        # n1 is defeated by alpha = step_product(1, s), with s the first
-        # level >= n1 whose multiplier exceeds 1: alpha extends to n1 but not
-        # to s + 1.  s only moves forward, carrying the product with it.
+    if _some_reach_finite(tower):
+        oracle = tower.oracle
+        # n1 is defeated by alpha = P(1, s), with s the first level >= n1
+        # whose multiplier exceeds 1: alpha's reach is s, so it extends to n1
+        # but not to s + 1.  s only moves forward, carrying the product.
         chain_rows = []
         s, alpha = 1, 1
         for n1 in range(2, depth + 1):
@@ -420,17 +408,31 @@ def surjective_core(tower: Tower) -> Tower:
     return _sub_tower(tower, _core_positions(tower))
 
 
+def _forever_positions(tower: Tower) -> Sequence[int]:
+    """The positions of the deepest level X_D whose reach is forever: all of
+    X_D read closed-world.  A generator level lists -b..b; 0 in the middle
+    always extends forever, every other id exactly when 1 does."""
+    size = len(tower.levels[-1])
+    if tower.oracle is None or tower.oracle.reach(tower.depth, 1) == math.inf:
+        return range(size)
+    return range(size // 2, size // 2 + 1)
+
+
+def _some_reach_finite(tower: Tower) -> bool:
+    """Some reach in the infinite tower is finite, so finite reaches grow
+    without bound: exactly when the reach of 1 at level 1 is.  Read
+    closed-world, an extensional tower has none."""
+    return tower.oracle is not None and tower.oracle.reach(1, 1) != math.inf
+
+
 def _core_positions(tower: Tower) -> list[Sequence[int]]:
-    """The ascending positions of the core in X_1, X_2, ...: the ids the
-    oracle says extend forever, down to the last level that keeps one (no
-    level when none does), or else the eventual images {reach = D}."""
-    if tower.oracle is not None:
-        kept = [tower.oracle.forever_extendable(ids) for ids in tower.levels]
-        while kept and not kept[-1]:
-            kept.pop()
-        return kept
-    depth = tower.depth
-    return [[i for i, r in enumerate(reach) if r == depth] for reach in _reach(tower)]
+    """The ascending positions of the core in X_1, ..., X_D: the deepest
+    level's forever positions pushed down `up`.  On an extensional tower
+    these are the eventual images {reach = D}."""
+    kept = [_forever_positions(tower)]
+    for u in reversed(tower.up):
+        kept.append(sorted({u[i] for i in kept[-1]}))
+    return kept[::-1]
 
 
 def _sub_tower(tower: Tower, kept: Sequence[Sequence[int]]) -> Tower:

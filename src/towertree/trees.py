@@ -11,11 +11,12 @@ the offset normalized as in TreePoint, and meets climb the tower's parent
 positions `up`; TreePoint and the by-vertex views resolve ids through a
 per-level {id: position} index built on first use.
 
-A tree is its tower plus lazy caches.  Geodesic completeness at truncation
-means "extendable to the deepest level".  A tree of a generator tower reads
-the oracle's verdict off it: its core keeps the vertices that extend
-forever, and fringe_unbounded records that the untruncated tree grows
-arbitrarily long finite branches (which no finite window can show).
+A tree is its tower plus lazy caches.  Its core is the deepest level's
+forever positions pushed down the parent positions: read closed-world that
+is every vertex extendable to the deepest level, over a generator tower the
+vertices whose reach is forever.  fringe_unbounded records that some reach
+is finite, so the untruncated tree grows arbitrarily long finite branches
+(which no finite window can show).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import IndexOutOfRange, ValidationError, VertexNotFound
-from .towers import Tower, _core_positions, _sub_tower
+from .towers import Tower, _core_positions, _some_reach_finite, _sub_tower
 
 Vertex = tuple[int, str]
 
@@ -74,10 +75,9 @@ class RootedTree:
 
     @property
     def fringe_unbounded(self) -> bool:
-        """The oracle says the untruncated tree grows arbitrarily long finite
-        branches, which no finite window can show."""
-        oracle = self.tower.oracle if self.tower is not None else None
-        return oracle is not None and not oracle.ml_holds()
+        """Some reach is finite: the untruncated tree grows arbitrarily long
+        finite branches, which no finite window can show."""
+        return self.tower is not None and _some_reach_finite(self.tower)
 
     @property
     def levels(self) -> dict[int, tuple[Vertex, ...]]:
@@ -279,19 +279,16 @@ def subtree_at(tree: RootedTree, c: Vertex) -> frozenset[Vertex]:
 
 
 def max_geodesic_subtree(tree: RootedTree) -> RootedTree:
-    """The maximal subtree in which every vertex extends to full depth: the
-    tree of the surjective core, built on first call and kept on the tree.
-
-    With an oracle the genuine forever-extendable core is used instead of
-    the depth-D proxy; both come from _core_positions.
+    """The maximal subtree in which every vertex extends forever, built on
+    first call and kept on the tree: the deepest level's forever positions
+    pushed down the parent positions (_core_positions).  Read closed-world,
+    every deepest vertex extends forever, so this is the tree of the
+    surjective core; with an oracle only the ids whose reach is forever.
     """
     if tree._core is None:
-        tower = tree.tower
-        if tower is None:
-            tree._core = tree
-        else:
-            kept = _core_positions(tower)
-            tree._core = tree_of_tower(_sub_tower(tower, kept)) if kept else RootedTree({})
+        tower, tree._core = tree.tower, tree
+        if tower is not None:
+            tree._core = tree_of_tower(_sub_tower(tower, _core_positions(tower)))
     return tree._core
 
 

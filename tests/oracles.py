@@ -152,6 +152,20 @@ def brute_solenoid(primes, window, depth):
     return levels, up
 
 
+def brute_forever_values(primes, window, depth):
+    """The values of levels 1..depth that lift to every level, as sets of
+    ints, read off a deeper windowed truncation alone: past enough cycles
+    of a list with a multiplier above 1 a level holds 0 alone, and with
+    every multiplier 1 the bonds are identities, so either way the images
+    of the deeper tower's last level are the values that lift forever."""
+    deep = depth + len(primes) * (window.bit_length() + 1)
+    levels, _ = brute_solenoid(primes, window, deep)
+    values = [set(map(int, levels[-1]))]
+    for n in range(deep - 1, 0, -1):
+        values.append({primes[(n - 1) % len(primes)] * z for z in values[-1]})
+    return values[::-1][:depth]
+
+
 def eager_tree_views(tower):
     """(levels, vertices, parent, children, repr) of tree_of_tower(tower),
     built eagerly from the tower's levels and bond dicts."""

@@ -1,8 +1,10 @@
 """Tower construction, bonding composites, ML verdicts, and morphisms."""
 
 import itertools
+import math
 import random
 import re
+import sys
 import time
 
 import pytest
@@ -14,6 +16,7 @@ from oracles import (
     brute_coherence_witnesses,
     brute_composite,
     brute_equivalence_witnesses,
+    brute_forever_values,
     brute_image,
     brute_levelization,
     brute_lift,
@@ -31,6 +34,7 @@ from towertree import (
     INCONCLUSIVE,
     NOT_EQUIVALENT,
     DepthExhausted,
+    SolenoidOracle,
     IndexOutOfRange,
     NotML,
     NotProper,
@@ -61,8 +65,9 @@ from towertree import (
     tree_of_tower,
     windowed_solenoid_tower,
 )
+from towertree.groups import _thread_positions
 from towertree.report import _truncate
-from towertree.towers import MAX_GENERATOR_DEPTH, MAX_GENERATOR_IDS
+from towertree.towers import MAX_GENERATOR_DEPTH, MAX_GENERATOR_IDS, _core_positions, _reach
 
 
 def test_natural_key_orders_numeric_suffixes():
@@ -244,6 +249,98 @@ def test_generator_budget_refuses_before_building():
         _truncate(windowed_solenoid_tower([2], 10**6, 2), 3)
 
 
+def test_generator_digit_limit_counts_a_trailing_run_of_ones():
+    """The last chain entry's alpha is the product of the multipliers of
+    levels 1..depth-1 also where depth falls in the run of 1s that ends the
+    prime list: the first depth whose product reaches the limit is refused,
+    inside the run and past it, with the same message."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no int/str digit limit")
+    old = sys.get_int_max_str_digits()
+    primes = [10] * 640 + [1] * 5
+    try:
+        sys.set_int_max_str_digits(640)
+        chain = ml_verdict(windowed_solenoid_tower(primes, 0, 640)).witness.chain
+        assert chain[-1] == (640, 10**639, 641) and len(str(chain[-1][1])) == 640
+        for depth in range(641, 649):  # 641..645 inside the run of 1s
+            message = "^its ML failure certificate would hold numbers over 640 digits$"
+            with pytest.raises(ValidationError, match=message):
+                windowed_solenoid_tower(primes, 0, depth)
+    finally:
+        sys.set_int_max_str_digits(old)
+    # with every multiplier 1 no certificate is issued, at any depth
+    assert windowed_solenoid_tower([1] * 7, 0, MAX_GENERATOR_DEPTH).depth == MAX_GENERATOR_DEPTH
+
+
+def _generator_specs(count=240):
+    """(primes, window, depth) of seeded generator towers: multipliers of 1
+    mixed in, all-ones lists and window 0 included."""
+    rng = random.Random(18)
+    specs = [([1], 0, 4), ([1, 1, 1], 9, 5), ([2], 0, 6), ([1, 1, 2], 0, 7), ([3, 1, 1], 40, 8)]
+    while len(specs) < count:
+        primes = [rng.choice((1, 1, 1, 2, 3, 5)) for _ in range(rng.randint(1, 5))]
+        specs.append((primes, rng.choice((0, 0, 1, 2, 7, 13, 40, 64)), rng.randint(1, 9)))
+    return specs
+
+
+def test_oracle_reach_core_and_threads_match_brute_lifts():
+    """The oracle's reach, capped at depth, is _reach on the stored levels;
+    past depth it is the reach in a deeper materialized truncation (the
+    window never bounds it); the core and the threads are the values that
+    lift forever, read off a deeper truncation alone; and each ML chain row
+    is (n1, P(1, n1), reach(1, P(1, n1)) + 1)."""
+    ones = zero = beyond = 0
+    for primes, window, depth in _generator_specs():
+        t = windowed_solenoid_tower(primes, window, depth)
+        oracle, k = t.oracle, 1 + depth % 4
+        deeper = _reach(windowed_solenoid_tower(primes, window, depth + k))
+        for n, (ids, row) in enumerate(zip(t.levels, _reach(t)), start=1):
+            reaches = [oracle.reach(n, int(x)) for x in ids]
+            assert [min(r, depth) for r in reaches] == row
+            assert [min(r, depth + k) for r in reaches] == deeper[n - 1]
+            assert [is_extendable(t, n, x, depth + k) for x in ids[:3]] == [
+                r == depth + k for r in deeper[n - 1][:3]
+            ]
+            beyond += sum(depth < r < depth + k for r in deeper[n - 1])
+        forever = brute_forever_values(primes, window, depth)
+        assert [
+            {int(x) for x in ids if oracle.reach(n, int(x)) == math.inf}
+            for n, ids in enumerate(t.levels, start=1)
+        ] == forever
+        kept = _core_positions(t)
+        assert [[int(ids[i]) for i in positions] for ids, positions in zip(t.levels, kept)] == [
+            sorted(values) for values in forever
+        ]
+        core = max_geodesic_subtree(tree_of_tower(t))
+        assert core.tower.levels == tuple(tuple(map(str, sorted(values))) for values in forever)
+        bounds = [len(ids) // 2 for ids in t.levels]
+        threads = sorted(
+            tuple(z * math.prod(primes[(m - 1) % len(primes)] for m in range(n, depth)) + b
+                  for n, b in enumerate(bounds, start=1))
+            for z in forever[-1]
+        )
+        assert _thread_positions(t) == threads
+        if all(p == 1 for p in primes):
+            ones += 1
+            assert ml_verdict(t).witness is None
+        else:
+            assert list(ml_verdict(t).witness.chain) == [
+                (n1, a, oracle.reach(1, a) + 1)
+                for n1 in range(2, depth + 1)
+                for a in [math.prod(primes[(n - 1) % len(primes)] for n in range(1, n1))]
+            ]
+        zero += window == 0
+    assert ones >= 30 and zero >= 30 and beyond >= 100
+
+
+def test_public_tower_refuses_an_oracle():
+    """Only the package's builders attach an oracle, so it always describes
+    the levels."""
+    with pytest.raises(TypeError):
+        Tower([["a", "b"], ["c"]], [{"c": "a"}], oracle=SolenoidOracle((2,), 1))
+    assert Tower([["a", "b"], ["c"]], [{"c": "a"}]).oracle is None
+
+
 def test_generator_depth_budget():
     # at window 0 every level holds one id, so depth 2^20 passes the id budget
     deep = MAX_GENERATOR_DEPTH + 1
@@ -272,7 +369,7 @@ def test_ml_stabilization_matches_brute_images(seed):
             assert s.stabilization == brute_stabilization(t, s.level)
             assert s.margin == t.depth - s.stabilization
         decided = all(s.margin >= 1 for s in rep.per_level)
-        if t.oracle is not None and not t.oracle.ml_holds():
+        if t.oracle is not None and not all(p == 1 for p in t.oracle.primes):
             assert rep.verdict == FAILS
         else:
             # only an oracle certifies a failure
@@ -491,14 +588,17 @@ def _random_towers(count=40):
 
 
 def _assert_matches_sorting_path(t):
-    """t equals the public constructor's tower built from reversed input."""
+    """t's levels and up equal those of the public constructor's tower built
+    from reversed input, which is extensional; an oracle t carries describes
+    its levels."""
     ref = Tower(
         [level[::-1] for level in t.levels],
         [dict(reversed(bond.items())) for bond in t.bonds],
-        oracle=t.oracle,
     )
-    assert t == ref
     assert (t.levels, t.up) == (ref.levels, ref.up)
+    assert ref.oracle is None and (t == ref) == (t.oracle is None)
+    if t.oracle is not None:
+        assert t == windowed_solenoid_tower(t.oracle.primes, t.oracle.window, t.depth)
     assert [list(b.items()) for b in t.bonds] == [list(b.items()) for b in ref.bonds]
     assert all(type(x) is str for level in t.levels for x in level)
     assert all(type(i) is int for u in t.up for i in u)

@@ -357,7 +357,7 @@ def test_parent_map_rejections(parent):
         RootedTree(parent)
 
 
-def test_generator_core_hint_comes_from_the_oracle():
+def test_generator_core_is_the_oracles_forever_set():
     # some multiplier > 1: only 0 extends forever; all multipliers 1: everything
     for primes in ([2], [1, 3]):
         tree = tree_of_tower(windowed_solenoid_tower(primes, 64, 4))
@@ -384,11 +384,12 @@ def test_tree_reads_the_oracle_off_its_tower():
     for a in towers:
         ta = tree_of_tower(a)
         oracle = a.oracle
-        assert ta.fringe_unbounded == (oracle is not None and not oracle.ml_holds())
+        ones = oracle is not None and all(p == 1 for p in oracle.primes)
+        assert ta.fringe_unbounded == (oracle is not None and not ones)
         if oracle is not None:
             assert set(max_geodesic_subtree(ta).vertices) == {ROOT} | {
                 (n, x) for n, ids in enumerate(a.levels, start=1) for x in ids
-                if oracle.ml_holds() or x == "0"
+                if ones or x == "0"
             }
         for b in towers:
             tb = tree_of_tower(b)
@@ -470,7 +471,8 @@ def test_retraction_sends_each_vertex_to_its_deepest_core_ancestor():
         if oracle is None:
             core = {u for leaf in tree.levels[tree.depth] for u in root_chain(tree, leaf)}
         else:
-            core = {v for v in tree.vertices if oracle.ml_holds() or v[1] == "0"} | {ROOT}
+            ones = all(p == 1 for p in oracle.primes)
+            core = {v for v in tree.vertices if ones or v[1] == "0"} | {ROOT}
         rmap = retraction_map(tree).map
         assert rmap.target is max_geodesic_subtree(tree)
         assert set(rmap.target.vertices) == core
