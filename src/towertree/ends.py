@@ -43,13 +43,13 @@ class UltrametricSpace:
 
     Grid mode stores integer exponents k (distance e^{-k}); rational mode
     stores Fractions in (0, 1].  Points are sorted once, and index maps each
-    to its position; table holds each pair once, as (x, y) with x first in
-    point order.  Construction checks types, symmetry, and range; the strong
-    triangle inequality is a separate verdict so that deliberately broken
-    inputs can be examined.
+    to its position; rows[i][j] is the value of (points[i], points[j]), None
+    on the diagonal.  Construction checks types, symmetry, and range; the
+    strong triangle inequality is a separate verdict so that deliberately
+    broken inputs can be examined.
     """
 
-    __slots__ = ("points", "index", "mode", "table")
+    __slots__ = ("points", "index", "mode", "rows")
 
     def __init__(self, points, entries: Mapping[tuple[str, str], int | Fraction], mode: str):
         pts = tuple(sorted(points, key=natural_key))
@@ -60,7 +60,8 @@ class UltrametricSpace:
             raise ValidationError("an ultrametric space needs at least one point")
         if mode not in (GRID, RATIONAL):
             raise UnsupportedMode(f"unknown mode {mode!r}")
-        table: dict[tuple[str, str], int | Fraction] = {}
+        rows: list[list] = [[None] * len(pts) for _ in pts]
+        filled = 0
         for (x, y), value in entries.items():
             i, j = index.get(x), index.get(y)
             if i is None or j is None:
@@ -77,18 +78,24 @@ class UltrametricSpace:
                 value = Fraction(value)
                 if not 0 < value <= 1:
                     raise ValidationError(f"rational distance for {key} must lie in (0, 1]")
-            if key in table and table[key] != value:
+            if rows[i][j] is None:
+                filled += 1
+            elif rows[i][j] != value:
                 raise ValidationError(f"asymmetric entries for pair {key}")
-            table[key] = value
-        if len(table) != len(pts) * (len(pts) - 1) // 2:
-            missing = sorted(
-                (x, y) for i, x in enumerate(pts) for y in pts[i + 1 :] if (x, y) not in table
-            )
+            rows[i][j] = rows[j][i] = value
+        self.points, self.index, self.mode, self.rows = pts, index, mode, rows
+        if filled != len(pts) * (len(pts) - 1) // 2:
+            missing = sorted((x, y) for x, y, v in self.pairs() if v is None)
             raise ValidationError(f"missing distances for pairs: {missing[:3]}...")
-        self.points = pts
-        self.index = index
-        self.mode = mode
-        self.table = table
+
+    @classmethod
+    def _trusted(cls, points: Sequence[str], rows: list[list], mode: str) -> UltrametricSpace:
+        """A space from points already in natural_key order and their full
+        rows, for builders whose values hold by construction."""
+        space = cls.__new__(cls)
+        space.points, space.mode, space.rows = tuple(points), mode, rows
+        space.index = {x: i for i, x in enumerate(space.points)}
+        return space
 
     def _entry(self, x: str, y: str):
         i, j = self.index.get(x), self.index.get(y)
@@ -96,9 +103,7 @@ class UltrametricSpace:
             raise ElementNotInLevel(f"{x!r} is not a point of this space")
         if j is None:
             raise ElementNotInLevel(f"{y!r} is not a point of this space")
-        if i == j:
-            return None
-        return self.table[(x, y) if i < j else (y, x)]
+        return self.rows[i][j]
 
     def exponent(self, x: str, y: str) -> int | None:
         """Agreement exponent; None on the diagonal.  Grid mode only."""
@@ -120,9 +125,9 @@ class UltrametricSpace:
         return math.exp(-e) if self.mode == GRID else float(e)
 
     def pairs(self):
-        for i, x in enumerate(self.points):
-            for y in self.points[i + 1 :]:
-                yield x, y, self.table[(x, y)]
+        for i, (x, row) in enumerate(zip(self.points, self.rows)):
+            for y, v in zip(self.points[i + 1 :], row[i + 1 :]):
+                yield x, y, v
 
     def diameter_exponent(self) -> int | None:
         """Grid mode: the least exponent over pairs (diameter e^{-k})."""
@@ -135,11 +140,11 @@ class UltrametricSpace:
             isinstance(other, UltrametricSpace)
             and self.points == other.points
             and self.mode == other.mode
-            and self.table == other.table
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.points, self.mode, tuple(sorted(self.table.items()))))
+        return hash((self.points, self.mode, tuple(map(tuple, self.rows))))
 
     def __repr__(self) -> str:
         return f"UltrametricSpace({len(self.points)} points, mode={self.mode})"
@@ -165,7 +170,8 @@ class UltrametricVerdict:
 def _single_linkage(space: UltrametricSpace):
     """The single-linkage merge pass: pairs from closest to farthest
     (descending exponent in grid mode, ascending distance in rational mode)
-    join clusters in a union-find over point positions.
+    join clusters in a union-find over point positions.  Pairs of one value
+    come in position order, so the merges depend only on the space.
 
     Yields (v, a, b, A, B) each time the pair (a, b) at value v first joins
     two clusters, A holding a and B holding b, before they merge.  A cluster
@@ -173,10 +179,10 @@ def _single_linkage(space: UltrametricSpace):
     has the lesser representative.  Pairs inside one cluster are skipped, so
     malformed spaces still merge into connected components.
     """
-    index = space.index
     by_value = {}
-    for (x, y), v in space.table.items():
-        by_value.setdefault(v, []).append((index[x], index[y]))
+    for i, row in enumerate(space.rows):
+        for j in range(i + 1, len(row)):
+            by_value.setdefault(row[j], []).append((i, j))
     cluster = [[i] for i in range(len(space.points))]
     for v in sorted(by_value, reverse=space.mode == GRID):
         for a, b in by_value[v]:
@@ -201,18 +207,15 @@ def verify_ultrametric(space: UltrametricSpace) -> UltrametricVerdict:
     The first pair (x, y) that does not yields a genuine violating triple,
     because A and B were consistent before the merge.
     """
-    pts, table = space.points, space.table
-
-    def d(i: int, j: int):
-        return table[(pts[i], pts[j]) if i < j else (pts[j], pts[i])]
-
+    rows = space.rows
     for v, a, b, A, B in _single_linkage(space):
         for x in A:
+            row = rows[x]
             for y in B:
-                if d(x, y) != v:
-                    triple = (x, b, a) if d(x, b) != v else (x, y, b)
+                if row[y] != v:
+                    triple = (x, b, a) if row[b] != v else (x, y, b)
                     return UltrametricVerdict(
-                        valid=False, violation=tuple(pts[i] for i in triple)
+                        valid=False, violation=tuple(space.points[i] for i in triple)
                     )
     return UltrametricVerdict(valid=True)
 
@@ -223,21 +226,25 @@ def verify_ultrametric(space: UltrametricSpace) -> UltrametricVerdict:
 
 def end_space_of(tree: RootedTree) -> UltrametricSpace:
     """Ends of the maximal geodesically complete subtree, distances as
-    agreement exponents.  Each end's id chain is carried up the core
-    tower's parent positions; point ids are the deepest ids."""
+    agreement exponents; point ids are the core's deepest ids.  Ends at
+    e^{-k} meet at a core vertex of level k, so the ends below each vertex
+    are gathered up the parent positions and each pair is set where it meets."""
     core = max_geodesic_subtree(tree)
     if core.depth == 0:
         raise EmptyCore("the tree has no complete branch")
-    tower = core.tower
-    chains = [(x,) for x in tower.levels[0]]
-    for ids, up in zip(tower.levels[1:], tower.up):
-        chains = [chains[i] + (x,) for x, i in zip(ids, up)]
-    points = [chain[-1] for chain in chains]
-    exponents = {}
-    for i, f in enumerate(chains):
-        for j in range(i + 1, len(chains)):
-            exponents[(points[i], points[j])] = agreement(f, chains[j])
-    return grid_space(points, exponents)
+    sizes = [1] + [len(ids) for ids in core.tower.levels]
+    rows: list[list] = [[None] * sizes[-1] for _ in range(sizes[-1])]
+    below = [[i] for i in range(sizes[-1])]  # the ends below each vertex of the current level
+    for k in range(core.depth - 1, -1, -1):
+        above = [[] for _ in range(sizes[k])]
+        for ends, p in zip(below, core.parent_positions(k + 1)):
+            for x in ends:
+                row = rows[x]
+                for y in above[p]:
+                    row[y] = rows[y][x] = k
+            above[p] += ends
+        below = above
+    return UltrametricSpace._trusted(core.tower.levels[-1], rows, GRID)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +266,7 @@ def tree_of_ultrametric(
     if space.mode != GRID:
         raise UnsupportedMode("rational spaces go through simplicialize instead")
     pts = space.points
-    height = max(space.table.values(), default=0) + 1
+    height = max((v for _, _, v in space.pairs()), default=0) + 1
     owner = list(range(len(pts)))  # position -> representative position
     # parts[h - 1] is owner once every pair >= h has merged; heights at or
     # below the last merge keep the final owner itself
@@ -396,28 +403,17 @@ def simplicialize(space: UltrametricSpace) -> tuple[RootedTree, EndCorrespondenc
     e^{-(k+1)} < d <= e^{-k}, which pins the distortion into (1/e, 1].
     Each distinct distance is certified once."""
     rows = []
-    exponents = {}
+    grid = space.mode == GRID
     floors: dict[Fraction, int] = {}
     for x, y, v in space.pairs():
-        if space.mode == GRID:
-            k = v
-            rows.append(
-                CorrespondenceRow(
-                    x=x, y=y, original=Fraction(0), original_exponent=v, new_exponent=k, certified=True
-                )
-            )
-        else:
-            if v not in floors:
-                floors[v] = certified_neg_log_floor(v)
-            k = floors[v]
-            rows.append(
-                CorrespondenceRow(
-                    x=x, y=y, original=v, original_exponent=None, new_exponent=k, certified=True
-                )
-            )
-        exponents[(x, y)] = k
-    grid = grid_space(space.points, exponents)
-    tree, _ = tree_of_ultrametric(grid)
+        if not grid and v not in floors:
+            floors[v] = certified_neg_log_floor(v)
+        original, exponent, k = (Fraction(0), v, v) if grid else (v, None, floors[v])
+        rows.append(CorrespondenceRow(x, y, original, exponent, k, certified=True))
+    if not grid:
+        exps = [[None if v is None else floors[v] for v in row] for row in space.rows]
+        space = UltrametricSpace._trusted(space.points, exps, GRID)
+    tree, _ = tree_of_ultrametric(space)
     return tree, EndCorrespondence(points=space.points, rows=tuple(rows))
 
 

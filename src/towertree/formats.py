@@ -192,11 +192,9 @@ def emit_distance_matrix(space: UltrametricSpace) -> str:
     for p in space.points:
         if any(ch.isspace() for ch in p):
             raise ParseError(f"point id {p!r} cannot carry whitespace in matrix form")
-    rows = [["0"] * len(space.points) for _ in space.points]
-    for x, y, value in space.pairs():
-        i, j = space.index[x], space.index[y]
-        rows[i][j] = rows[j][i] = _emit_entry(value, space.mode)
-    lines = [" ".join(space.points)] + [" ".join(row) for row in rows]
+    lines = [" ".join(space.points)] + [
+        " ".join("0" if v is None else _emit_entry(v, space.mode) for v in row) for row in space.rows
+    ]
     return "\n".join(lines) + "\n"
 
 

@@ -35,7 +35,7 @@ from .errors import (
     ValidationError,
     VertexNotFound,
 )
-from .towers import TowerMorphism, _core_positions, _pull_back, is_level_morphism
+from .towers import TowerMorphism, _pull_back, is_level_morphism
 from .trees import (
     ROOT,
     ROOT_AT,
@@ -473,7 +473,7 @@ def retraction_map(tree: RootedTree) -> Retraction:
     if core.depth == 0:
         raise EmptyCore("no complete branch to retract onto")
     rows = [(ROOT_AT,)]
-    for n, kept in enumerate(_core_positions(tree.tower), start=1):
+    for n, kept in enumerate(tree._core[1], start=1):
         above = rows[-1]
         here = [above[j] for j in tree.parent_positions(n)]
         for k, i in enumerate(kept):

@@ -7,10 +7,9 @@ machine emission round-trips bit for bit.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, fields
 
-from .errors import EmptyCore, InvalidParameter, ParseError
+from .errors import InvalidParameter, ParseError
 from .maps import retraction_map
 from .towers import (
     FAILS,
@@ -21,8 +20,7 @@ from .towers import (
     ml_verdict,
     windowed_solenoid_tower,
 )
-from .trees import max_geodesic_subtree, tree_of_tower
-from .ends import end_space_of
+from .trees import RootedTree, max_geodesic_subtree, tree_of_tower
 from .formats import _load_json
 
 
@@ -65,28 +63,36 @@ def _ml_dict(report: MLReport) -> dict:
     }
 
 
+def _end_dict(core: RootedTree, sizes: list[int]) -> dict:
+    """The end figures counted up the core, whose level sizes, root first,
+    are sizes: one end per deepest vertex, and the pairs of ends that agree
+    through level k number the sum of C(c, 2) over that level's vertices, c
+    the ends below each."""
+    ends = [1] * sizes[-1]
+    agree = [0]  # pairs agreeing through level depth, depth - 1, ..., 0
+    for n in range(core.depth, 0, -1):
+        above = [0] * sizes[n - 1]
+        for c, p in zip(ends, core.parent_positions(n)):
+            above[p] += c
+        ends = above
+        agree.append(sum(c * (c - 1) // 2 for c in ends))
+    agree.reverse()
+    histogram = {k: agree[k] - agree[k + 1] for k in range(core.depth) if agree[k] > agree[k + 1]}
+    return {
+        "point_count": sizes[-1],
+        "exponent_histogram": {str(k): histogram[k] for k in sorted(histogram, key=str)},
+        "diameter_exponent": min(histogram, default=None),
+    }
+
+
 def build_report(tower: Tower, depth_horizon: int | None = None) -> AnalysisReport:
     if depth_horizon is not None:
         tower = _truncate(tower, depth_horizon)
     ml = ml_verdict(tower)
     tree = tree_of_tower(tower)
     core = max_geodesic_subtree(tree)
-    t_inf = {
-        "vertex_count": len(core.vertices),
-        "depth": core.depth,
-        # the core is geodesically complete, so every leaf sits at full depth
-        "branch_count": len(core.levels[core.depth]),
-    }
-    try:
-        space = end_space_of(tree)
-        histogram = Counter(space.table.values())
-        end = {
-            "point_count": len(space.points),
-            "exponent_histogram": {str(k): histogram[k] for k in sorted(histogram, key=str)},
-            "diameter_exponent": min(histogram, default=None),
-        }
-    except EmptyCore:
-        end = {"point_count": 0, "exponent_histogram": {}, "diameter_exponent": None}
+    sizes = [1] + [len(ids) for ids in core.tower.levels]
+    t_inf = {"vertex_count": sum(sizes), "depth": core.depth, "branch_count": sizes[-1]}
     retr = retraction_map(tree).properness
     retraction = {
         "witness_total": retr.total,
@@ -117,7 +123,7 @@ def build_report(tower: Tower, depth_horizon: int | None = None) -> AnalysisRepo
         },
         ml=_ml_dict(ml),
         t_infinity=t_inf,
-        end_space=end,
+        end_space=_end_dict(core, sizes),
         retraction=retraction,
         cross_check=cross,
     )

@@ -43,10 +43,10 @@ class RootedTree:
     in X_n in the tower's order, parent maps each of them to
     (n - 1, p_{n-1}(x)), or to the implicit root (0, "root") at level 1, and
     a generator tower's oracle gives the core and fringe_unbounded.
-    levels, parent, children, the core (max_geodesic_subtree) and each
-    level's {id: position} index are built on first use, so a tree costs
-    nothing per vertex until a caller asks for vertices.  Instances are
-    immutable; equality is the tower's.
+    levels, parent, children, the core (max_geodesic_subtree) with its
+    positions, and each level's {id: position} index are built on first
+    use, so a tree costs nothing per vertex until a caller asks for
+    vertices.  Instances are immutable; equality is the tower's.
     """
 
     __slots__ = ("tower", "depth", "_levels", "_parent", "_children", "_core", "_where")
@@ -279,17 +279,16 @@ def subtree_at(tree: RootedTree, c: Vertex) -> frozenset[Vertex]:
 
 
 def max_geodesic_subtree(tree: RootedTree) -> RootedTree:
-    """The maximal subtree in which every vertex extends forever, built on
-    first call and kept on the tree: the deepest level's forever positions
-    pushed down the parent positions (_core_positions).  Read closed-world,
-    every deepest vertex extends forever, so this is the tree of the
-    surjective core; with an oracle only the ids whose reach is forever.
+    """The maximal subtree in which every vertex extends forever, built once
+    and kept on the tree with its positions: the deepest level's forever
+    positions pushed down the parent positions (_core_positions).  Read
+    closed-world, every deepest vertex extends forever, so this is the tree
+    of the surjective core; with an oracle only the ids whose reach is forever.
     """
     if tree._core is None:
-        tower, tree._core = tree.tower, tree
-        if tower is not None:
-            tree._core = tree_of_tower(_sub_tower(tower, _core_positions(tower)))
-    return tree._core
+        kept = _core_positions(tree.tower) if tree.tower is not None else []
+        tree._core = (tree_of_tower(_sub_tower(tree.tower, kept)) if kept else tree, kept)
+    return tree._core[0]
 
 
 def is_geodesically_complete(tree: RootedTree) -> bool:

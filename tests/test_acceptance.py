@@ -5,6 +5,7 @@ pass/fail line.  Budgets are wall-clock on a desk machine; the checks
 themselves are exact (integers, fractions, certified interval arithmetic).
 """
 
+import json
 import math
 import time
 from fractions import Fraction
@@ -38,6 +39,7 @@ from towertree import (
     limit_threads,
     ml_projection_check,
     morphisms_equivalent,
+    parse_tower,
     properness_witness,
     random_morphism,
     simplicialize,
@@ -93,6 +95,29 @@ def test_north_star_solenoid_at_window_2_16():
     assert report.t_infinity == {"vertex_count": 18, "depth": 17, "branch_count": 1}
     assert report.end_space["point_count"] == 1
     assert report.retraction["witness_total"] is False
+    assert report.cross_check["consistent"] is True
+    assert elapsed < 1.0, f"took {elapsed:.2f}s"
+
+
+def test_north_star_wide_tower_end_figures():
+    """50 ids over 4,000, every bond onto (97 KB of JSON), parsed and
+    analyzed: the end figures are counted off the core, not read off its
+    7,998,000 pairs of ends."""
+    top = [f"b{i}" for i in range(50)]
+    ids = [f"e{i}" for i in range(4000)]
+    bonds = [{x: top[i % 50] for i, x in enumerate(ids)}]
+    text = json.dumps({"depth": 2, "levels": [top, ids], "bonds": bonds})
+    t0 = time.monotonic()
+    report = build_report(parse_tower(text))
+    elapsed = time.monotonic() - t0
+
+    assert len(text) == 97_361
+    # 50 classes of 80 ends each agree through level 1
+    assert report.end_space == {
+        "point_count": 4000,
+        "exponent_histogram": {"0": 7_998_000 - 50 * 3_160, "1": 50 * 3_160},
+        "diameter_exponent": 0,
+    }
     assert report.cross_check["consistent"] is True
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
 

@@ -36,6 +36,7 @@ from towertree import (
     grid_space,
     is_extendable,
     max_geodesic_subtree,
+    parse_distance_matrix,
     rational_space,
     simplicialize,
     sphere,
@@ -185,6 +186,30 @@ def test_verify_large_end_space_and_a_broken_copy():
     assert is_violation(broken, *verdict.violation)
 
 
+def test_verify_reports_the_same_triple_in_any_entry_order():
+    """Single linkage reads the pairs of one value in position order, so the
+    verdict depends only on the space: not on the order of a matrix's header
+    and rows, nor on the order in which grid_space receives its entries."""
+    broken = 0
+    for seed in range(300):
+        space = perturbed(gen_random_grid_space(seed, max_points=10), seed)
+        verdict = verify_ultrametric(space)
+        broken += not verdict.valid
+        rng = random.Random(f"order:{seed}")
+        order = list(space.points)
+        rng.shuffle(order)
+        text = "\n".join(
+            [" ".join(order)]
+            + [" ".join("0" if x == y else f"e-{space.exponent(x, y)}" for y in order) for x in order]
+        )
+        entries = [((x, y), v) for x, y, v in space.pairs()]
+        rng.shuffle(entries)
+        for other in (parse_distance_matrix(text), grid_space(order, dict(entries))):
+            assert other == space
+            assert verify_ultrametric(other) == verdict
+    assert broken >= 100
+
+
 def test_tree_of_ultrametric_on_broken_spaces_is_connected_components():
     broken = 0
     for seed in range(40):
@@ -282,7 +307,7 @@ def test_dendrogram_rejects_rational_mode():
 
 
 def test_grid_roundtrip_seeded():
-    for seed in range(15):
+    for seed in range(100):
         sp = gen_random_grid_space(seed, max_points=32)
         tree, _ = tree_of_ultrametric(sp)
         assert end_space_of(tree) == sp
@@ -375,7 +400,11 @@ def test_end_space_always_valid_ultrametric(seed):
 def _assert_end_space_matches_root_chains(tree, keep=lambda x: True):
     space = end_space_of(tree)
     assert set(space.points) == {v[1] for v in tree.levels[tree.depth] if keep(v[1])}
-    assert {(x, y): v for x, y, v in space.pairs()} == brute_end_exponents(tree, keep)
+    brute = brute_end_exponents(tree, keep)
+    for i, x in enumerate(space.points):
+        for j, y in enumerate(space.points):
+            want = None if i == j else brute.get((x, y), brute.get((y, x)))
+            assert space.rows[i][j] == want
     return space
 
 

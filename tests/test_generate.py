@@ -221,5 +221,5 @@ def test_random_spaces_are_frozen_data():
     for seed in range(100):
         for size in ({}, {"max_points": 5}, {"max_points": 40}):
             for sp in (gen_random_grid_space(seed, **size), gen_random_rational_space(seed, **size)):
-                digest.update(repr((sp.points, sorted(sp.table.items()))).encode())
+                digest.update(repr((sp.points, sorted(((x, y), v) for x, y, v in sp.pairs()))).encode())
     assert digest.hexdigest() == "346d998e02a609d6c110ef42690c00a9dc4ea400ddc7336041bd106c9153838a"

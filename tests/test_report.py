@@ -14,6 +14,7 @@ from towertree import (
     end_space_of,
     gen_random_tower,
     grid_space,
+    is_extendable,
     max_geodesic_subtree,
     parse_report,
     render_text,
@@ -123,29 +124,43 @@ def test_render_text_failure_mentions_witness(solenoid_p2):
 
 @pytest.mark.parametrize(
     "tower",
-    [gen_random_tower(7, 5, 4, 0.5), windowed_solenoid_tower([2, 3], 300, 6)],
-    ids=["random", "solenoid"],
+    [
+        gen_random_tower(7, 5, 4, 0.5),
+        windowed_solenoid_tower([2, 3], 300, 6),
+        windowed_solenoid_tower([1], 40, 5),
+    ],
+    ids=["random", "solenoid", "all_ones"],
 )
 def test_report_builds_the_core_once(monkeypatch, tower):
-    """T-infinity, the end space and the retraction share one core."""
+    """T-infinity, the end figures and the retraction share one core, and
+    its positions are pushed down the tower once."""
+    import towertree.maps as maps
+    import towertree.towers as towers
     import towertree.trees as trees
 
     calls = []
-    real = trees._sub_tower
-    monkeypatch.setattr(trees, "_sub_tower", lambda *a: calls.append("_sub_tower") or real(*a))
+    real_sub, real_core = towers._sub_tower, towers._core_positions
+    monkeypatch.setattr(trees, "_sub_tower", lambda *a: calls.append("_sub_tower") or real_sub(*a))
+    for module in (towers, trees, maps):
+        if hasattr(module, "_core_positions"):
+            monkeypatch.setattr(
+                module, "_core_positions", lambda *a: calls.append("_core_positions") or real_core(*a)
+            )
     build_report(tower)
-    assert calls == ["_sub_tower"]
+    assert sorted(calls) == ["_core_positions", "_sub_tower"]
     tree = tree_of_tower(tower)
     core = max_geodesic_subtree(tree)
     assert max_geodesic_subtree(tree) is core
     assert retraction_map(tree).map.target is core
     assert len(end_space_of(tree).points) == len(core.levels[core.depth])
-    assert len(calls) == 2
+    assert len(calls) == 4
 
 
 def test_branch_count_and_end_histogram_match_branches_and_pairs():
-    """branch_count is the size of the core's deepest level; the histogram
-    and diameter come from one walk over the pairs."""
+    """branch_count is the size of the core's deepest level; the point
+    count, histogram and diameter are read off the core's end counts, and
+    the oracle compares the root chains of every pair of deepest vertices
+    that extend, on the whole tree."""
     towers = [
         gen_random_tower(seed, 1 + seed % 6, 1 + seed % 6, (seed % 11) / 10) for seed in range(300)
     ]
@@ -155,20 +170,26 @@ def test_branch_count_and_end_histogram_match_branches_and_pairs():
     towers.append(tower_of_tree(tree_of_ultrametric(deep)[0]))
     towers += [
         windowed_solenoid_tower(primes, window, depth)
-        for primes in ([1], [2], [1, 2], [2, 3], [1, 1, 3])
-        for window, depth in ((0, 3), (3, 5), (64, 4))
+        for primes in ([1], [2], [3], [1, 1], [1, 2], [2, 3], [1, 1, 3], [3, 1, 2])
+        for window, depth in ((0, 3), (3, 5), (64, 4), (10, 6))
     ]
-    several = 0
+    several = proper = 0
     for tower in towers:
         r = build_report(tower)
-        core = max_geodesic_subtree(tree_of_tower(tower))
+        tree = tree_of_tower(tower)
+        core = max_geodesic_subtree(tree)
         assert r.t_infinity["branch_count"] == len(branches(core))
         several += len(branches(core)) > 1
-        pairs = Counter(brute_end_exponents(core).values())
+        proper += len(core.vertices) < len(tree.vertices)
+        # read closed-world every deepest vertex is an end; with an oracle,
+        # an end is a deepest vertex that still extends 40 levels further
+        keep = lambda x: tower.oracle is None or is_extendable(tower, tower.depth, x, tower.depth + 40)
+        assert r.end_space["point_count"] == sum(keep(v[1]) for v in tree.levels[tree.depth])
+        pairs = Counter(brute_end_exponents(tree, keep).values())
         assert r.end_space["exponent_histogram"] == {str(k): v for k, v in pairs.items()}
         assert list(r.end_space["exponent_histogram"]) == sorted(map(str, pairs))
         assert r.end_space["diameter_exponent"] == min(pairs, default=None)
-    assert several >= 150
+    assert several >= 150 and proper >= 100
     assert list(build_report(towers[300]).end_space["exponent_histogram"]) == ["11", "2"]
 
 
