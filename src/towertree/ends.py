@@ -232,7 +232,7 @@ def end_space_of(tree: RootedTree) -> UltrametricSpace:
     core = max_geodesic_subtree(tree)
     if core.depth == 0:
         raise EmptyCore("the tree has no complete branch")
-    sizes = [1] + [len(ids) for ids in core.tower.levels]
+    sizes = [1, *core.tower.sizes]
     rows: list[list] = [[None] * sizes[-1] for _ in range(sizes[-1])]
     below = [[i] for i in range(sizes[-1])]  # the ends below each vertex of the current level
     for k in range(core.depth - 1, -1, -1):

@@ -352,7 +352,7 @@ class GroupTower:
         return hash((self.levels, self.bonds))
 
     def __repr__(self) -> str:
-        sizes = "x".join(str(len(ids)) for ids in self.tower.levels)
+        sizes = "x".join(map(str, self.tower.sizes))
         return f"GroupTower(depth={self.depth}, orders={sizes})"
 
 
@@ -539,7 +539,7 @@ class GroupLevelMorphism:
 
 
 def identity_group_morphism(g: GroupTower) -> GroupLevelMorphism:
-    return GroupLevelMorphism._trusted(g, g, [range(len(ids)) for ids in g.tower.levels])
+    return GroupLevelMorphism._trusted(g, g, [range(size) for size in g.tower.sizes])
 
 
 @dataclass(frozen=True)

@@ -246,7 +246,7 @@ class Retraction:
 
 
 def identity_tree_map(tree: RootedTree) -> TreeMap:
-    sizes = map(len, tree.tower.levels) if tree.tower is not None else ()
+    sizes = tree.tower.sizes if tree.tower is not None else ()
     rows = [[(n, i, 1) for i in range(size)] for n, size in enumerate(sizes, start=1)]
     return TreeMap._built(tree, tree, [(ROOT_AT,), *rows])
 
@@ -406,7 +406,7 @@ def induce_tree_map(m: TowerMorphism) -> TreeMap:
     for r in range(1, src_tree.depth + 1):
         k = bisect_right(t, r)
         if k == 0:
-            rows.append((ROOT_AT,) * len(m.source.levels[r - 1]))
+            rows.append((ROOT_AT,) * m.source.sizes[r - 1])
             continue
         hi = t[k] if k < seg_count else sched.virtual_top
         num, den = r - t[k - 1], hi - t[k - 1]
@@ -416,7 +416,7 @@ def induce_tree_map(m: TowerMorphism) -> TreeMap:
             # num == den only at r == virtual_top, closing the last segment
             j, offset = k, 1 if num == den else Fraction(num, den)
         if j == 0:
-            rows.append((ROOT_AT,) * len(m.source.levels[r - 1]))
+            rows.append((ROOT_AT,) * m.source.sizes[r - 1])
             continue
         at_phi = [(j, i, offset) for i in m.rows[j - 1]]
         rows.append(_pull_back(m.source, at_phi, m.phi[j - 1], r))

@@ -36,7 +36,8 @@ class AnalysisReport:
 
 def _truncate(tower: Tower, horizon: int) -> Tower:
     """The first horizon levels of the tower.  A generator tower keeps its
-    oracle, and only a horizon past its stored depth rebuilds it."""
+    oracle and prints no id, and only a horizon past its stored depth
+    rebuilds it."""
     if horizon < 1:
         raise InvalidParameter("depth horizon must be >= 1")
     oracle = tower.oracle
@@ -46,7 +47,8 @@ def _truncate(tower: Tower, horizon: int) -> Tower:
         raise InvalidParameter(
             f"horizon {horizon} exceeds the stored depth {tower.depth} of an extensional tower"
         )
-    return Tower._ordered(tower.levels[:horizon], tower.up[: horizon - 1], oracle)
+    levels = tower.levels[:horizon] if oracle is None else None
+    return Tower._ordered(levels, tower.up[: horizon - 1], oracle, tower.sizes[:horizon])
 
 
 def _ml_dict(report: MLReport) -> dict:
@@ -91,7 +93,7 @@ def build_report(tower: Tower, depth_horizon: int | None = None) -> AnalysisRepo
     ml = ml_verdict(tower)
     tree = tree_of_tower(tower)
     core = max_geodesic_subtree(tree)
-    sizes = [1] + [len(ids) for ids in core.tower.levels]
+    sizes = [1, *core.tower.sizes]
     t_inf = {"vertex_count": sum(sizes), "depth": core.depth, "branch_count": sizes[-1]}
     retr = retraction_map(tree).properness
     retraction = {
@@ -118,7 +120,7 @@ def build_report(tower: Tower, depth_horizon: int | None = None) -> AnalysisRepo
     return AnalysisReport(
         tower={
             "depth": tower.depth,
-            "level_sizes": [len(level) for level in tower.levels],
+            "level_sizes": list(tower.sizes),
             "flavor": tower.flavor,
         },
         ml=_ml_dict(ml),

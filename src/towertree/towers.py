@@ -144,14 +144,16 @@ class MLReport:
 class Tower:
     """A truncated inverse sequence of finite sets.
 
-    levels[n-1] is X_n, a tuple of ids in natural_key order.  The bonds are
-    stored once, as parent positions: up[n-1][i] is the position in X_n of
-    p_n(X_{n+1}[i]).  bonds[n-1] is the same bond as an id -> id dict, built
-    on first use.  Instances are treated as immutable; equality is
+    levels[n-1] is X_n, a tuple of ids in natural_key order, and sizes[n-1]
+    its size.  The bonds are stored once, as parent positions: up[n-1][i] is
+    the position in X_n of p_n(X_{n+1}[i]).  bonds[n-1] is the same bond as
+    an id -> id dict, built on first use.  A generator level of size 2b + 1
+    lists -b..b, so a windowed solenoid prints its ids only on the first
+    read of levels.  Instances are treated as immutable; equality is
     structural and includes the oracle, which only in-package builders give.
     """
 
-    __slots__ = ("levels", "up", "oracle", "_bonds")
+    __slots__ = ("levels", "sizes", "up", "oracle", "_bonds")
 
     def __init__(
         self,
@@ -188,25 +190,42 @@ class Tower:
     @classmethod
     def _ordered(
         cls,
-        levels: Sequence[Sequence[str]],
+        levels: Sequence[Sequence[str]] | None,
         up: Sequence[Sequence[int]],
         oracle: SolenoidOracle | None = None,
+        sizes: Sequence[int] = (),
     ) -> Tower:
         """A tower from levels already in natural_key order and their parent
-        positions, for builders whose order holds by construction."""
-        tower = cls.__new__(cls)
-        tower._set(levels, up, oracle)
+        positions, for builders whose order holds by construction.  A
+        generator tower may pass levels None and its level sizes instead."""
+        tower = cls.__new__(cls if levels is not None else _Unprinted)
+        tower._set(levels, up, oracle, sizes)
         return tower
 
-    def _set(self, levels, up, oracle) -> None:
-        self.levels = tuple([tuple(level) for level in levels])
+    def _set(self, levels, up, oracle, sizes=()) -> None:
+        if levels is not None:
+            self.levels = tuple([tuple(level) for level in levels])
+            sizes = map(len, self.levels)
+        self.sizes = tuple(sizes)
         self.up = tuple([tuple(u) for u in up])
         self.oracle = oracle
         self._bonds = None
 
+    def _ids_at(self, n: int, positions: Sequence[int]) -> Sequence[str]:
+        """The ids at the ascending positions of X_n.  A generator level of
+        size 2b + 1 lists -b..b, so a part of it is printed from its
+        positions alone; a whole level is the level itself."""
+        if len(positions) == self.sizes[n - 1]:
+            return self.levels[n - 1]
+        if self.oracle is None:
+            ids = self.levels[n - 1]
+            return [ids[i] for i in positions]
+        b = self.sizes[n - 1] // 2
+        return [str(i - b) for i in positions]
+
     @property
     def depth(self) -> int:
-        return len(self.levels)
+        return len(self.sizes)
 
     @property
     def flavor(self) -> str:
@@ -245,8 +264,27 @@ class Tower:
         return hash((self.levels, self.up, self.oracle))
 
     def __repr__(self) -> str:
-        sizes = "x".join(str(len(lv)) for lv in self.levels)
+        sizes = "x".join(map(str, self.sizes))
         return f"Tower(depth={self.depth}, sizes={sizes}, flavor={self.flavor})"
+
+
+class _Unprinted(Tower):
+    """A generator tower built from its sizes, before its ids are printed.
+    The first read of levels prints them into the slot, each level a slice
+    of level 1's strings, and makes the tower a plain Tower again, since a
+    class with __getattr__ reads every attribute about four times slower
+    (CPython 3.11)."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        if name != "levels":
+            raise AttributeError(f"'Tower' object has no attribute {name!r}")
+        top = self.sizes[0] // 2
+        widest = tuple(map(str, range(-top, top + 1)))
+        self.levels = tuple([widest[top - s // 2 : top + s // 2 + 1] for s in self.sizes])
+        self.__class__ = Tower
+        return self.levels
 
 
 # A generator tower may hold at most this many ids over all its levels,
@@ -254,9 +292,9 @@ class Tower:
 # window 2^17 at full depth 18 (524,304 ids).
 MAX_GENERATOR_IDS = 1 << 20
 # ... and at most this many levels, since every level adds an ML chain row
-# to the report.  At depth 8,192, `towertree analyze` takes 0.7 s and prints
-# 0.55 MB for primes [1], window 0, and 0.9 s and 11 MB for primes [2]
-# (2-vCPU x86_64 VM, Python 3.11).
+# to the report.  At depth 8,192, `towertree analyze` takes 0.35-0.5 s and
+# prints 0.55 MB for primes [1], window 0, and 0.55-0.65 s and 11 MB for
+# primes [2] (whole process, 2-vCPU x86_64 VM, Python 3.11.7).
 MAX_GENERATOR_DEPTH = 1 << 13
 
 
@@ -293,23 +331,21 @@ def windowed_solenoid_tower(primes: Sequence[int], window: int, depth: int) -> T
     Level n holds the integers whose composite image at level 1 stays in
     [-window, window]; that shrinking window is exactly what keeps every
     bond total into its target level.  Level n lists -b..b in order, so z
-    sits at position z + b and its image p_n * z at p_n * z + b_n; the levels
-    share their id strings.  A tower past _check_generator's budget is
-    refused before any level is built.
+    sits at position z + b and its image p_n * z at p_n * z + b_n.  The tower
+    holds the level sizes and parent positions; its ids are printed on the
+    first read of levels.  A tower past _check_generator's budget is refused
+    before any level is built.
     """
     oracle = SolenoidOracle(tuple(int(p) for p in primes), int(window))
     if depth < 1:
         raise ValidationError("depth must be >= 1")
     _check_generator(oracle, depth)
     bounds = list(oracle.level_bounds(depth))
-    # bounds never increase, so every level is a slice of the widest, level 1
-    widest, top = tuple(map(str, range(-bounds[0], bounds[0] + 1))), bounds[0]
-    levels = [widest[top - b : top + b + 1] for b in bounds]
     up = [
         range(b - p * c, b + p * c + 1, p)
         for b, c, p in zip(bounds, bounds[1:], map(oracle.multiplier, range(1, depth)))
     ]
-    return Tower._ordered(levels, up, oracle=oracle)
+    return Tower._ordered(None, up, oracle, [2 * b + 1 for b in bounds])
 
 
 def _pull_back(tower: Tower, values: Sequence, n: int, m: int) -> Sequence:
@@ -324,9 +360,9 @@ def _reach(tower: Tower) -> list[list[int]]:
     """reach[n-1][i] is the deepest m with X_n[i] in p_{n m}(X_m), so
     p_{n m}(X_m) is {reach >= m}: one pass from the deepest level to level 1."""
     depth = tower.depth
-    reach = [[depth] * len(tower.levels[-1])]
+    reach = [[depth] * tower.sizes[-1]]
     for n in range(depth - 1, 0, -1):
-        here = [n] * len(tower.levels[n - 1])
+        here = [n] * tower.sizes[n - 1]
         for i, r in zip(tower.up[n - 1], reach[-1]):
             if r > here[i]:
                 here[i] = r
@@ -345,20 +381,21 @@ def compose_bonding(tower: Tower, n: int, m: int) -> dict[str, str]:
 def is_extendable(tower: Tower, n0: int, alpha: str, n1: int) -> bool:
     """Does alpha in X_{n0} lie in the image of X_{n1}?
 
-    Extensional towers answer from the reach of alpha and require
-    n1 <= depth.  Generator towers ask the oracle's reach, for any n1 >= n0.
+    Extensional towers pull X_{n0}'s positions back over levels n0..n1 and
+    require n1 <= depth.  Generator towers ask the oracle's reach, for any
+    n1 >= n0.
     """
-    if not 1 <= n0 <= tower.depth:
-        raise IndexOutOfRange(f"level {n0} not in 1..{tower.depth}")
-    if alpha not in tower.level(n0):
-        raise ElementNotInLevel(f"{alpha!r} is not in level {n0}")
+    try:
+        i = tower.level(n0).index(alpha)
+    except ValueError:
+        raise ElementNotInLevel(f"{alpha!r} is not in level {n0}") from None
     if n1 < n0:
         raise IndexOutOfRange(f"target level {n1} is below {n0}")
     if tower.oracle is not None:
         return tower.oracle.reach(n0, int(alpha)) >= n1
     if n1 > tower.depth:
         raise IndexOutOfRange(f"level {n1} beyond depth {tower.depth} needs a generator oracle")
-    return _reach(tower)[n0 - 1][tower.levels[n0 - 1].index(alpha)] >= n1
+    return i in _pull_back(tower, range(tower.sizes[n0 - 1]), n0, n1)
 
 
 def ml_verdict(tower: Tower) -> MLReport:
@@ -412,7 +449,7 @@ def _forever_positions(tower: Tower) -> Sequence[int]:
     """The positions of the deepest level X_D whose reach is forever: all of
     X_D read closed-world.  A generator level lists -b..b; 0 in the middle
     always extends forever, every other id exactly when 1 does."""
-    size = len(tower.levels[-1])
+    size = tower.sizes[-1]
     if tower.oracle is None or tower.oracle.reach(tower.depth, 1) == math.inf:
         return range(size)
     return range(size // 2, size // 2 + 1)
@@ -449,8 +486,7 @@ def _sub_tower(tower: Tower, kept: Sequence[Sequence[int]]) -> Tower:
             if None in parents:
                 raise ValidationError(f"bond {n - 1} leaves level {n - 1}")
             up.append(parents)
-        ids = tower.levels[n - 1]
-        levels.append([ids[i] for i in positions])
+        levels.append(tower._ids_at(n, positions))
         where = {i: j for j, i in enumerate(positions)}
     return Tower._ordered(levels, up)
 
@@ -600,7 +636,7 @@ def _agreement_level(source: Tower, a: int, va: Sequence, b: int, vb: Sequence) 
 
 
 def identity_morphism(tower: Tower) -> TowerMorphism:
-    rows = [range(len(ids)) for ids in tower.levels]
+    rows = [range(size) for size in tower.sizes]
     return TowerMorphism._trusted(tower, tower, list(range(1, tower.depth + 1)), rows)
 
 
@@ -689,7 +725,7 @@ def levelize_morphism(f: TowerMorphism) -> Levelization:
     k_max = len(indices)
     new_levels = [source.level(n) for n in indices]
     new_up = [
-        _pull_back(source, range(len(source.level(n))), n, n_next)
+        _pull_back(source, range(source.sizes[n - 1]), n, n_next)
         for n, n_next in zip(indices, indices[1:])
     ]
     reindexed = Tower._ordered(new_levels, new_up)
@@ -697,7 +733,7 @@ def levelize_morphism(f: TowerMorphism) -> Levelization:
     level_rows = [_pull_back(source, row, p, n) for p, row, n in zip(f.phi, f.rows, indices)]
     level = TowerMorphism._trusted(reindexed, target, list(range(1, k_max + 1)), level_rows)
     iso_in = TowerMorphism._trusted(
-        source, reindexed, indices, [range(len(source.levels[n - 1])) for n in indices]
+        source, reindexed, indices, [range(source.sizes[n - 1]) for n in indices]
     )
     iso_out = identity_morphism(target)
     return Levelization(

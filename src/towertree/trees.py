@@ -92,7 +92,7 @@ class RootedTree:
     def parent_positions(self, n: int) -> Sequence[int]:
         """For each vertex of levels[n], n >= 1, the position of its parent in levels[n - 1]."""
         if n == 1:
-            return (0,) * len(self.tower.levels[0])
+            return (0,) * self.tower.sizes[0]
         return self.tower.up[n - 2]
 
     @property
@@ -188,7 +188,7 @@ class RootedTree:
         return hash(self.tower)
 
     def __repr__(self) -> str:
-        sizes = map(len, self.tower.levels) if self.tower is not None else ()
+        sizes = self.tower.sizes if self.tower is not None else ()
         return f"RootedTree(depth={self.depth}, vertices={1 + sum(sizes)})"
 
 

@@ -26,3 +26,12 @@ def solenoid_p2():
 def constant_tower(depth, size=1):
     ids = [f"x{i}" for i in range(size)]
     return Tower([ids] * depth, [{x: x for x in ids}] * (depth - 1))
+
+
+def printed(tower) -> bool:
+    """Whether the tower holds its ids, read without printing them."""
+    try:
+        object.__getattribute__(tower, "levels")
+    except AttributeError:
+        return False
+    return True

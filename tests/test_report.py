@@ -24,7 +24,7 @@ from towertree import (
     tree_of_ultrametric,
     windowed_solenoid_tower,
 )
-from conftest import constant_tower
+from conftest import constant_tower, printed
 from towertree.report import _truncate
 
 
@@ -216,3 +216,13 @@ def test_truncating_a_generator_tower_slices_it(monkeypatch):
                 assert build_report(tower, horizon) == build_report(want)
                 cases += horizon <= tower.depth
     assert cases >= 30
+
+
+def test_build_report_leaves_a_solenoid_unprinted():
+    """analyze reads level sizes and parent positions: neither the report
+    nor a truncation prints the ids of a window 2^14 solenoid."""
+    tower = windowed_solenoid_tower([2], 1 << 14, 15)
+    report = build_report(tower)
+    assert build_report(tower, 9).tower["level_sizes"] == report.tower["level_sizes"][:9]
+    assert not printed(tower)
+    assert report.tower["level_sizes"] == [len(ids) for ids in tower.levels]

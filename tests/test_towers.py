@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import constant_tower
+from conftest import constant_tower, printed
 from oracles import (
     brute_coherence_witnesses,
     brute_composite,
@@ -34,6 +34,7 @@ from towertree import (
     INCONCLUSIVE,
     NOT_EQUIVALENT,
     DepthExhausted,
+    ElementNotInLevel,
     SolenoidOracle,
     IndexOutOfRange,
     NotML,
@@ -63,11 +64,12 @@ from towertree import (
     surjective_core,
     tower_of_tree,
     tree_of_tower,
+    underlying_tower,
     windowed_solenoid_tower,
 )
 from towertree.groups import _thread_positions
 from towertree.report import _truncate
-from towertree.towers import MAX_GENERATOR_DEPTH, MAX_GENERATOR_IDS, _core_positions, _reach
+from towertree.towers import MAX_GENERATOR_DEPTH, MAX_GENERATOR_IDS, _core_positions, _reach, _sub_tower
 
 
 def test_natural_key_orders_numeric_suffixes():
@@ -400,6 +402,77 @@ def test_solenoid_levels_match_a_level_by_level_build():
                 assert {id(x) for level in t.levels for x in level} == set(map(id, t.levels[0]))
                 cases += 1
     assert cases >= 40
+
+
+def _eager_levels(oracle, depth):
+    """The levels as printed eagerly: level 1's strings once, every level a
+    slice of them."""
+    bounds = list(oracle.level_bounds(depth))
+    widest, top = tuple(map(str, range(-bounds[0], bounds[0] + 1))), bounds[0]
+    return tuple(widest[top - b : top + b + 1] for b in bounds)
+
+
+def test_solenoid_ids_are_printed_on_first_read():
+    """A windowed solenoid and its truncations hold no ids until levels is
+    read, and then hold the eager slices of level 1's strings.  A sub-tower
+    prints the ids at its positions alone; a level it keeps whole is the
+    printed level itself."""
+    cases = 0
+    for primes in ([1], [2], [2, 3], [3, 1, 2]):
+        for window in (0, 7, 300):
+            for depth in range(1, 7):
+                t = windowed_solenoid_tower(primes, window, depth)
+                cuts = [_truncate(t, h) for h in range(1, depth + 1)]
+                assert not any(map(printed, [t, *cuts]))
+                kept = _core_positions(t)
+                core = _sub_tower(t, kept)
+                assert printed(t) == any(len(p) == s for p, s in zip(kept, t.sizes))
+                half = [range(0, t.sizes[-1], 2)]
+                for u in reversed(t.up):
+                    half.append(sorted({u[i] for i in half[-1]}))
+                part = _sub_tower(windowed_solenoid_tower(primes, window, depth), half[::-1])
+                eager = _eager_levels(t.oracle, depth)
+                assert t.levels == eager and type(t) is Tower
+                for h, cut in enumerate(cuts, start=1):
+                    assert cut.levels == eager[:h] == _eager_levels(t.oracle, h)
+                for sub, positions in ((core, kept), (part, half[::-1])):
+                    assert sub.levels == tuple(
+                        tuple(ids[i] for i in p) for ids, p in zip(eager, positions)
+                    )
+                cases += 1
+    assert cases == 72
+
+
+def test_sizes_are_the_level_lengths():
+    towers = []
+    for t in _random_towers():
+        towers += [t, surjective_core(t), max_geodesic_subtree(tree_of_tower(t)).tower]
+    for spec in SMALL_SOLENOIDS + [([2], 0, 3), ([1], 0, 2)]:
+        t = windowed_solenoid_tower(*spec)
+        towers += [t, _truncate(t, 2), max_geodesic_subtree(tree_of_tower(t)).tower]
+        if spec[1] >= 1:
+            towers.append(underlying_tower(gen_solenoid(*spec)[0]))
+    towers += [underlying_tower(gen_random_group_tower(seed, 4)) for seed in range(20)]
+    for t in towers:
+        assert t.sizes == tuple(map(len, t.levels)) and t.depth == len(t.sizes)
+    assert sum(t.oracle is not None for t in towers) >= 14
+
+
+def test_is_extendable_on_a_table_pulls_back_only_its_levels(monkeypatch, two_branch_tower):
+    """An extensional answer pulls positions back over levels n0..n1 and
+    builds no reach table; the refusals keep their messages."""
+    monkeypatch.setattr("towertree.towers._reach", lambda tower: pytest.fail("reach table built"))
+    t = two_branch_tower
+    assert [is_extendable(t, 2, x, 3) for x in t.level(2)] == [True, False]
+    assert is_extendable(t, 2, "b2", 2) and is_extendable(t, 1, "a", 3)
+    with pytest.raises(ElementNotInLevel, match=re.escape("'b1' is not in level 1")):
+        is_extendable(t, 1, "b1", 2)
+    with pytest.raises(IndexOutOfRange, match=re.escape("level 4 not in 1..3")):
+        is_extendable(t, 4, "a", 4)
+    with pytest.raises(IndexOutOfRange, match=re.escape("target level 1 is below 2")):
+        is_extendable(t, 2, "b1", 1)
+    with pytest.raises(IndexOutOfRange, match=re.escape("level 4 beyond depth 3")):
+        is_extendable(t, 2, "b1", 4)
 
 
 @settings(max_examples=40, deadline=None)
