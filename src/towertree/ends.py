@@ -4,7 +4,9 @@ Distances between ends are stored as agreement depths (integer exponents
 of e^{-t0}); the transcendental e^{-k} only appears at presentation time.
 Rational-distance spaces are supported alongside, and are discretized onto
 the integer-exponent grid by simplicialize, whose exponent choices are
-certified with interval arithmetic rather than trusted to floats.
+certified with interval arithmetic rather than trusted to floats.  mpmath
+is imported by the certified logs that use it, on their first call, so
+importing the package does not load it.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
-
-import mpmath
 
 from .errors import ElementNotInLevel, EmptyCore, InvalidParameter, UnsupportedMode, ValidationError
 from .towers import Tower, natural_key
@@ -321,6 +321,8 @@ def _certified_sign_ln_minus(p: int, q: int, r: Fraction) -> int:
     Only sound when ln(p/q) != r; callers ensure that (a rational equal to
     a rational power of e forces p = q and r = 0, which they exclude).
     """
+    import mpmath
+
     prec = 80
     while prec <= 100000:
         old = mpmath.iv.prec
@@ -359,6 +361,8 @@ def certified_neg_log_floor(d: Fraction) -> int:
         raise InvalidParameter("need a distance in (0, 1]")
     if d == 1:
         return 0
+    import mpmath
+
     k = int(mpmath.floor(-mpmath.log(mpmath.mpf(d.numerator) / mpmath.mpf(d.denominator))))
     k = max(k, 0)
     # certify, walking if the float guess sat on the wrong side
@@ -386,6 +390,8 @@ class CorrespondenceRow:
         """original / discretized distance; exactly 1.0 for grid originals."""
         if self.original_exponent is not None:
             return 1.0
+        import mpmath
+
         return float(mpmath.mpf(self.original.numerator) / mpmath.mpf(self.original.denominator) * mpmath.exp(self.new_exponent))
 
 

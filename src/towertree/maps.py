@@ -15,13 +15,15 @@ int read off a point's base level, since a radius is only ever compared
 with an integer n and x >= n exactly when floor(x) >= n.  Each map measures
 its properness once and keeps the report.  Verdicts at truncation are
 closed-world and say so; a tree whose oracle finds some reach finite
-(fringe_unbounded) gets that failure instead of the window's optimism.
+(fringe_unbounded) gets that failure instead of the window's optimism.  A
+retraction's rows are built on the first read of its map, since that
+failure reads none of them.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from typing import Mapping, Sequence
@@ -250,10 +252,20 @@ class NonexpansiveVerdict:
 
 @dataclass(frozen=True)
 class Retraction:
-    """The nearest-point retraction onto the maximal complete subtree."""
+    """The nearest-point retraction of source onto its maximal complete
+    subtree.  map is built on its first read and kept; properness alone
+    reads no row when the oracle decides it (fringe_unbounded).  Equality
+    compares source and properness, which determine the map."""
 
-    map: TreeMap
+    source: RootedTree
     properness: PropernessReport
+    _map: TreeMap | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def map(self) -> TreeMap:
+        if self._map is None:
+            object.__setattr__(self, "_map", _retraction_tree_map(self.source))
+        return self._map
 
 
 def identity_tree_map(tree: RootedTree) -> TreeMap:
@@ -478,16 +490,12 @@ def simplicial_of_level(m: TowerMorphism) -> TreeMap:
 # Retraction onto the maximal geodesically complete subtree
 
 
-def retraction_map(tree: RootedTree) -> Retraction:
-    """Nearest-point retraction: each vertex drops to its deepest complete
-    ancestor, found one level at a time on parent positions: a level takes
-    its parents' images, then the core's own positions (the ones
-    max_geodesic_subtree kept) become their own points.  No vertex outside
-    the core is looked at.  Trees whose oracle finds some reach finite get
-    the failure the window cannot exhibit."""
+def _retraction_tree_map(tree: RootedTree) -> TreeMap:
+    """Each vertex drops to its deepest complete ancestor, found one level
+    at a time on parent positions: a level takes its parents' images, then
+    the core's own positions (the ones max_geodesic_subtree kept) become
+    their own points.  No vertex outside the core is looked at."""
     core = max_geodesic_subtree(tree)
-    if core.depth == 0:
-        raise EmptyCore("no complete branch to retract onto")
     rows = [(ROOT_AT,)]
     for n, kept in enumerate(tree._core[1], start=1):
         if n == 1:
@@ -497,15 +505,26 @@ def retraction_map(tree: RootedTree) -> Retraction:
         for k, i in enumerate(kept):
             here[i] = (n, k, 1)
         rows.append(here)
-    rmap = TreeMap._built(tree, core, rows)
-    if not tree.fringe_unbounded:
-        return Retraction(map=rmap, properness=properness_witness(rmap))
-    rep = PropernessReport(
-        table=(),
-        total_upto=0,
-        failure_level=1,
-        source_depth=tree.depth,
-        target_depth=core.depth,
-        oracle_override=True,
-    )
-    return Retraction(map=rmap, properness=rep)
+    return TreeMap._built(tree, core, rows)
+
+
+def retraction_map(tree: RootedTree) -> Retraction:
+    """Nearest-point retraction onto the maximal complete subtree.  Trees
+    whose oracle finds some reach finite get the failure the window cannot
+    exhibit, and their rows wait for the first read of map; on any other
+    tree the rows are built now, since properness_witness reads them."""
+    core = max_geodesic_subtree(tree)
+    if core.depth == 0:
+        raise EmptyCore("no complete branch to retract onto")
+    if tree.fringe_unbounded:
+        rep = PropernessReport(
+            table=(),
+            total_upto=0,
+            failure_level=1,
+            source_depth=tree.depth,
+            target_depth=core.depth,
+            oracle_override=True,
+        )
+        return Retraction(tree, rep)
+    rmap = _retraction_tree_map(tree)
+    return Retraction(tree, properness_witness(rmap), rmap)

@@ -69,15 +69,21 @@ def _end_dict(core: RootedTree, sizes: list[int]) -> dict:
     """The end figures counted up the core, whose level sizes, root first,
     are sizes: one end per deepest vertex, and the pairs of ends that agree
     through level k number the sum of C(c, 2) over that level's vertices, c
-    the ends below each."""
+    the ends below each.  A range row moves each count to a parent of its
+    own, so it moves the counts in one slice and leaves that sum as it is."""
     ends = [1] * sizes[-1]
     agree = [0]  # pairs agreeing through level depth, depth - 1, ..., 0
     for n in range(core.depth, 0, -1):
         above = [0] * sizes[n - 1]
-        for c, p in zip(ends, core.parent_positions(n)):
-            above[p] += c
+        u = core.parent_positions(n)
+        if type(u) is range:
+            above[u.start : u.stop : u.step] = ends
+            agree.append(agree[-1])
+        else:
+            for c, p in zip(ends, u):
+                above[p] += c
+            agree.append(sum(c * (c - 1) // 2 for c in above))
         ends = above
-        agree.append(sum(c * (c - 1) // 2 for c in ends))
     agree.reverse()
     histogram = {k: agree[k] - agree[k + 1] for k in range(core.depth) if agree[k] > agree[k + 1]}
     return {

@@ -3,9 +3,14 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import towertree
 from towertree import emit_tower, parse_report, parse_tower
 from towertree.cli import EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, EXIT_PROPERTY, main
 
@@ -44,6 +49,26 @@ def test_analyze_machine_parses(tmp_path, two_branch_tower):
     report = parse_report(out)
     assert report.cross_check["consistent"] is True
     assert report.tower["depth"] == 3
+
+
+def test_analyze_leaves_mpmath_unloaded(tmp_path):
+    """A one-shot analyze of a solenoid takes no certified log, so it never
+    loads mpmath; the first certified log does."""
+    spec = tmp_path / "solenoid.json"
+    spec.write_text(json.dumps({"generator": "solenoid", "primes": [2], "window": 64, "depth": 7}))
+    code = f"""
+import contextlib, io, sys
+from fractions import Fraction
+import towertree.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["analyze", {str(spec)!r}, "--format", "machine"]) == 0
+assert "mpmath" not in sys.modules
+from towertree.ends import certified_neg_log_floor
+assert certified_neg_log_floor(Fraction(1, 3)) == 1
+assert "mpmath" in sys.modules
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(towertree.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_analyze_missing_file():

@@ -8,6 +8,7 @@ from oracles import brute_end_exponents
 
 from towertree import (
     InvalidParameter,
+    Tower,
     branches,
     build_report,
     emit_report,
@@ -17,6 +18,7 @@ from towertree import (
     is_extendable,
     max_geodesic_subtree,
     parse_report,
+    point_of,
     render_text,
     retraction_map,
     tower_of_tree,
@@ -154,6 +156,49 @@ def test_report_builds_the_core_once(monkeypatch, tower):
     assert retraction_map(tree).map.target is core
     assert len(end_space_of(tree).points) == len(core.levels[core.depth])
     assert len(calls) == 4
+
+
+def test_report_leaves_the_retraction_rows_unbuilt(monkeypatch):
+    """On a fringe_unbounded solenoid the retraction's properness is the
+    oracle's failure, so the report never builds the retraction's rows.
+    Read, the map sends each vertex to its deepest core ancestor."""
+    import towertree.maps as maps
+
+    tower = windowed_solenoid_tower([2], 64, 7)
+    tree = tree_of_tower(tower)
+    assert tree.fringe_unbounded
+    real = maps._retraction_tree_map
+
+    def refuse(t):
+        raise AssertionError("retraction rows built")
+
+    monkeypatch.setattr(maps, "_retraction_tree_map", refuse)
+    assert build_report(tower).retraction["oracle_override"] is True
+    r = retraction_map(tree)
+    assert r.properness.failure_level == 1
+    monkeypatch.setattr(maps, "_retraction_tree_map", real)
+    rmap = r.map
+    assert r.map is rmap and rmap.source is tree and rmap.target is max_geodesic_subtree(tree)
+    assert r == retraction_map(tree) and hash(r) == hash(retraction_map(tree))
+    core = set(rmap.target.vertices)
+    for v in tree.vertices:
+        a = v
+        while a not in core:
+            a = tree.parent[a]
+        assert rmap.image_of_vertex(v) == point_of(a)
+
+
+def test_end_figures_agree_on_range_and_tuple_rows():
+    """A range row moves the end counts up in one slice and keeps the pairs
+    counted below it: with a merging row between two range rows, the
+    figures equal those of the same tower with every row a tuple."""
+    levels = [["a0", "a1"], ["b0", "b1"], ["c0", "c1", "c2", "c3"], ["d0", "d1", "d2", "d3"]]
+    ranged = Tower._ordered(levels, [range(2), (0, 0, 1, 1), range(4)])
+    plain = Tower._ordered(levels, [(0, 1), (0, 0, 1, 1), (0, 1, 2, 3)])
+    assert type(max_geodesic_subtree(tree_of_tower(ranged)).parent_positions(4)) is range
+    figures = build_report(ranged).end_space
+    assert figures == build_report(plain).end_space
+    assert figures == {"point_count": 4, "exponent_histogram": {"0": 4, "2": 2}, "diameter_exponent": 0}
 
 
 def test_branch_count_and_end_histogram_match_branches_and_pairs():
