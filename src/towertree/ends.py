@@ -6,7 +6,7 @@ Rational-distance spaces are supported alongside, and are discretized onto
 the integer-exponent grid by simplicialize, whose exponent choices are
 certified with interval arithmetic rather than trusted to floats.  mpmath
 is imported by the certified logs that use it, on their first call, so
-importing the package does not load it.
+importing the package does not load it.  Points form a Level or Window.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import ElementNotInLevel, EmptyCore, InvalidParameter, UnsupportedMode, ValidationError
-from .towers import Tower, natural_key
+from .towers import Level, Tower, Window, natural_key
 from .trees import ROOT, RootedTree, Vertex, max_geodesic_subtree, tree_of_tower
 
 GRID = "grid"
@@ -42,19 +42,18 @@ class UltrametricSpace:
     """A finite point set with exact pairwise distances.
 
     Grid mode stores integer exponents k (distance e^{-k}); rational mode
-    stores Fractions in (0, 1].  Points are sorted once, and index maps each
-    to its position; rows[i][j] is the value of (points[i], points[j]), None
-    on the diagonal.  Construction checks types, symmetry, and range; the
-    strong triangle inequality is a separate verdict so that deliberately
-    broken inputs can be examined.
+    stores Fractions in (0, 1].  points is a Level, sorted once, or the
+    Window of a generator tower's end space; rows[i][j] is the value of
+    (points[i], points[j]), None on the diagonal.  Construction checks
+    types, symmetry, and range; the strong triangle inequality is a
+    separate verdict so that deliberately broken inputs can be examined.
     """
 
-    __slots__ = ("points", "index", "mode", "rows")
+    __slots__ = ("points", "mode", "rows")
 
     def __init__(self, points, entries: Mapping[tuple[str, str], int | Fraction], mode: str):
-        pts = tuple(sorted(points, key=natural_key))
-        index = {x: i for i, x in enumerate(pts)}
-        if len(index) != len(pts):
+        pts = Level(sorted(points, key=natural_key))
+        if len(set(pts)) != len(pts):
             raise ValidationError("duplicate point ids")
         if not pts:
             raise ValidationError("an ultrametric space needs at least one point")
@@ -62,10 +61,12 @@ class UltrametricSpace:
             raise UnsupportedMode(f"unknown mode {mode!r}")
         rows: list[list] = [[None] * len(pts) for _ in pts]
         filled = 0
+        index = pts.index
         for (x, y), value in entries.items():
-            i, j = index.get(x), index.get(y)
-            if i is None or j is None:
-                raise ValidationError(f"entry ({x}, {y}) names an unknown point")
+            try:
+                i, j = index(x), index(y)
+            except ValueError:
+                raise ValidationError(f"entry ({x}, {y}) names an unknown point") from None
             if i == j:
                 if value != 0:
                     raise ValidationError(f"self-distance of {x} must be 0")
@@ -83,27 +84,25 @@ class UltrametricSpace:
             elif rows[i][j] != value:
                 raise ValidationError(f"asymmetric entries for pair {key}")
             rows[i][j] = rows[j][i] = value
-        self.points, self.index, self.mode, self.rows = pts, index, mode, rows
+        self.points, self.mode, self.rows = pts, mode, rows
         if filled != len(pts) * (len(pts) - 1) // 2:
             missing = sorted((x, y) for x, y, v in self.pairs() if v is None)
             raise ValidationError(f"missing distances for pairs: {missing[:3]}...")
 
     @classmethod
-    def _trusted(cls, points: Sequence[str], rows: list[list], mode: str) -> UltrametricSpace:
-        """A space from points already in natural_key order and their full
-        rows, for builders whose values hold by construction."""
+    def _trusted(cls, points: Level | Window, rows: list[list], mode: str) -> UltrametricSpace:
+        """A space from points, a level of a tower or of a space, and their
+        full rows, for builders whose values hold by construction."""
         space = cls.__new__(cls)
-        space.points, space.mode, space.rows = tuple(points), mode, rows
-        space.index = {x: i for i, x in enumerate(space.points)}
+        space.points, space.mode, space.rows = points, mode, rows
         return space
 
     def _entry(self, x: str, y: str):
-        i, j = self.index.get(x), self.index.get(y)
-        if i is None:
-            raise ElementNotInLevel(f"{x!r} is not a point of this space")
-        if j is None:
-            raise ElementNotInLevel(f"{y!r} is not a point of this space")
-        return self.rows[i][j]
+        try:
+            return self.rows[self.points.index(x)][self.points.index(y)]
+        except ValueError:
+            stray = y if x in self.points else x
+            raise ElementNotInLevel(f"{stray!r} is not a point of this space") from None
 
     def exponent(self, x: str, y: str) -> int | None:
         """Agreement exponent; None on the diagonal.  Grid mode only."""

@@ -1,12 +1,13 @@
 """Towers of groups at desk scale.
 
-Finite groups are multiplication tables on element positions (orders <= 64
-in practice, plus a cyclic constructor); windowed infinite cyclic levels
-stay symbolic.  Bonds are table homomorphisms, checked exhaustively, or
-scalings z -> k z, checked arithmetically; a group tower keeps them once, as
-the parent positions of its underlying tower.  The inverse limit is
-enumerated as threads.  Conditions (M) and (E) are closed-world at the
-truncation depth, like every other verdict in this package.
+Finite groups are multiplication tables on the positions of a Level of
+element ids (orders <= 64 in practice, plus a cyclic constructor); windowed
+infinite cyclic levels stay symbolic, on a Window.  Bonds are table
+homomorphisms, checked exhaustively, or scalings z -> k z, checked
+arithmetically; a group tower keeps them once, as the parent positions of
+its underlying tower.  The inverse limit is enumerated as threads.
+Conditions (M) and (E) are closed-world at the truncation depth, like
+every other verdict in this package.
 """
 
 from __future__ import annotations
@@ -30,9 +31,11 @@ from .errors import (
 )
 from .towers import (
     HOLDS,
+    Level,
     SolenoidOracle,
     Tower,
     TowerMorphism,
+    Window,
     _core_positions,
     _forever_positions,
     _pull_back,
@@ -43,28 +46,28 @@ from .towers import (
 
 
 @lru_cache(maxsize=64)
-def _decimal_ids(m: int) -> tuple[str, ...]:
+def _decimal_ids(m: int) -> Level:
     """The ids "0".."m-1" of Z/m, built once per order and shared."""
-    return tuple([str(i) for i in range(m)])
+    return Level([str(i) for i in range(m)])
 
 
 class TableGroup:
-    """A finite group on element positions: elements in natural_key order,
-    index their positions, rows[i][j] the position of elements[i] *
-    elements[j], inverses[i] that of elements[i]^-1, e that of the unit.
-    op_table and inverse_table, keyed by ids, are views built on first use."""
+    """A finite group on element positions: elements, a Level in natural_key
+    order, rows[i][j] the position of elements[i] * elements[j], inverses[i]
+    that of elements[i]^-1, e that of the unit.  op_table and inverse_table,
+    keyed by ids, are views built on first use."""
 
-    __slots__ = ("elements", "index", "rows", "e", "unit", "inverses", "_op_table", "_inverse_table")
+    __slots__ = ("elements", "rows", "e", "unit", "inverses", "_op_table", "_inverse_table")
 
     def __init__(self, elements: Sequence[str], op_table: Mapping[tuple[str, str], str]):
-        elems = tuple(sorted(elements, key=natural_key))
-        position = {x: i for i, x in enumerate(elems)}
-        if not elems or len(position) != len(elems):
+        elems = Level(sorted(elements, key=natural_key))
+        if not elems or len(set(elems)) != len(elems):
             raise ValidationError("group elements must be a nonempty set of distinct ids")
-        rows = [[position.get(op_table.get((a, b))) for b in elems] for a in elems]
-        for a, row in zip(elems, rows):
-            if None in row:
-                raise ValidationError(f"table not closed at ({a}, {elems[row.index(None)]})")
+        try:
+            rows = [[elems.index(op_table.get((a, b))) for b in elems] for a in elems]
+        except ValueError:
+            a, b = next(ab for ab in product(elems, repeat=2) if op_table.get(ab) not in elems)
+            raise ValidationError(f"table not closed at ({a}, {b})") from None
         if len(op_table) != len(elems) ** 2:
             raise ValidationError("table has entries outside the group")
         places = range(len(elems))
@@ -82,15 +85,14 @@ class TableGroup:
         self._set(elems, rows, e, inverses)
 
     @classmethod
-    def _trusted(cls, elements: Sequence[str], rows, e: int, inverses) -> TableGroup:
-        """A group whose elements are in order and whose law holds by construction."""
+    def _trusted(cls, elements: Level, rows, e: int, inverses) -> TableGroup:
+        """A group whose elements, a Level, are in order and whose law holds by construction."""
         grp = cls.__new__(cls)
-        grp._set(tuple(elements), rows, e, inverses)
+        grp._set(elements, rows, e, inverses)
         return grp
 
     def _set(self, elements, rows, e, inverses) -> None:
         self.elements = elements
-        self.index = {x: i for i, x in enumerate(elements)}
         self.rows = rows
         self.e, self.unit = e, elements[e]
         self.inverses = inverses
@@ -128,12 +130,12 @@ class TableGroup:
         """The subgroup on a nonempty subset closed under op and inverse; only
         closure is validated, associativity and the unit are inherited."""
         members = set(subset)
-        stray = members - self.index.keys()
+        stray = members.difference(self.elements)
         if stray:
             raise ElementNotInLevel(f"not group elements: {sorted(stray)}")
         if not members:
             raise ValidationError("group elements must be a nonempty set of distinct ids")
-        positions = sorted(map(self.index.__getitem__, members))
+        positions = sorted(map(self.elements.index, members))
         ids, rows, inv = self.elements, self.rows, self.inverses
         where = {i: j for j, i in enumerate(positions)}
         for i, j in product(positions, repeat=2):
@@ -144,18 +146,18 @@ class TableGroup:
                 raise ValidationError(f"subset not closed under inverse: {ids[i]}^-1 = {ids[inv[i]]}")
         sub = [[where[rows[i][j]] for j in positions] for i in positions]
         inverses = [where[inv[i]] for i in positions]
-        return TableGroup._trusted([ids[i] for i in positions], sub, where[self.e], inverses)
+        return TableGroup._trusted(Level([ids[i] for i in positions]), sub, where[self.e], inverses)
 
     def op(self, a: str, b: str) -> str:
         try:
-            return self.elements[self.rows[self.index[a]][self.index[b]]]
-        except KeyError:
+            return self.elements[self.rows[self.elements.index(a)][self.elements.index(b)]]
+        except ValueError:
             raise ElementNotInLevel(f"({a}, {b}) not in this group") from None
 
     def inv(self, a: str) -> str:
         try:
-            return self.elements[self.inverses[self.index[a]]]
-        except KeyError:
+            return self.elements[self.inverses[self.elements.index(a)]]
+        except ValueError:
             raise ElementNotInLevel(f"{a} not in this group") from None
 
     def __eq__(self, other) -> bool:
@@ -182,11 +184,7 @@ class WindowedZ:
         if self.bound < 0:
             raise ValidationError("window bound must be >= 0")
 
-    @property
-    def elements(self) -> tuple[str, ...]:
-        return tuple(str(z) for z in range(-self.bound, self.bound + 1))
-
-    index = property(lambda self: {x: i for i, x in enumerate(self.elements)})
+    elements = property(lambda self: Window(self.bound))
     unit = "0"
     e = property(lambda self: self.bound)
     inverses = property(lambda self: range(2 * self.bound, -1, -1))
@@ -197,19 +195,19 @@ class WindowedZ:
         return [None] * (b - i) + [*range(max(i - b, 0), min(i + b, 2 * b) + 1)] + [None] * (i - b)
 
     def op(self, a: str, b: str) -> str:
-        z = self._int(a) + self._int(b)
+        try:
+            z = self.elements.index(a) + self.elements.index(b) - 2 * self.bound
+        except ValueError:
+            raise ElementNotInLevel(f"({a}, {b}) not in the window [-{self.bound}, {self.bound}]") from None
         if abs(z) > self.bound:
             raise WindowOverflow(f"{a} + {b} leaves the window [-{self.bound}, {self.bound}]")
         return str(z)
 
     def inv(self, a: str) -> str:
-        return str(-self._int(a))
-
-    def _int(self, a: str) -> int:
-        z = int(a)
-        if abs(z) > self.bound:
-            raise ElementNotInLevel(f"{a} outside the window [-{self.bound}, {self.bound}]")
-        return z
+        try:
+            return str(self.bound - self.elements.index(a))
+        except ValueError:
+            raise ElementNotInLevel(f"{a} not in the window [-{self.bound}, {self.bound}]") from None
 
 
 @dataclass(frozen=True)
@@ -265,15 +263,15 @@ def _bond_row(src: Group, dst: Group, bond: GroupBond, position: int) -> Sequenc
         if reach > dst.bound:
             raise ValidationError(f"bond {position}: scaling by {bond.k} leaves the target window")
         return range(dst.bound - reach, dst.bound + reach + 1, bond.k)
-    elems, mapping, where = src.elements, bond.mapping, dst.index
+    elems, mapping, ids = src.elements, bond.mapping, dst.elements
     if mapping.keys() != set(elems):
         raise ValidationError(f"bond {position} is not total on its source level")
-    u = [where.get(mapping[x]) for x in elems]
-    if None in u:
-        raise ValidationError(f"bond {position} leaves its target level")
+    try:
+        u = [ids.index(mapping[x]) for x in elems]
+    except ValueError:
+        raise ValidationError(f"bond {position} leaves its target level") from None
     if u[src.e] != dst.e:
         raise ValidationError(f"bond {position} does not preserve the unit")
-    ids = dst.elements
     for i, fi in enumerate(u):
         row, image = src.row(i), dst.row(fi)
         if None in row or [u[k] for k in row] != [image[j] for j in u]:

@@ -36,7 +36,7 @@ class AnalysisReport:
 
 def _truncate(tower: Tower, horizon: int) -> Tower:
     """The first horizon levels of the tower.  A generator tower keeps its
-    oracle and prints no id, and only a horizon past its stored depth
+    oracle and its windows, and only a horizon past its stored depth
     rebuilds it."""
     if horizon < 1:
         raise InvalidParameter("depth horizon must be >= 1")
@@ -47,8 +47,7 @@ def _truncate(tower: Tower, horizon: int) -> Tower:
         raise InvalidParameter(
             f"horizon {horizon} exceeds the stored depth {tower.depth} of an extensional tower"
         )
-    levels = tower.levels[:horizon] if oracle is None else None
-    return Tower._ordered(levels, tower.up[: horizon - 1], oracle, tower.sizes[:horizon])
+    return Tower._ordered(tower.levels[:horizon], tower.up[: horizon - 1], oracle)
 
 
 def _ml_dict(report: MLReport) -> dict:

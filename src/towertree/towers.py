@@ -2,7 +2,8 @@
 
 A tower is a finite chain  X_1 <- X_2 <- ... <- X_D  of nonempty finite
 sets joined by total bonding maps p_n : X_{n+1} -> X_n.  Element ids are
-opaque strings, unique within their level.
+opaque strings, unique within their level, which is a Level of ids, or a
+generator tower's Window -b..b, which prints an id only when it is read.
 
 Two flavors exist.  Extensional towers are plain tables.  Generator towers
 are windowed-integer towers (bonds z -> p*z) whose oracle answers one
@@ -141,21 +142,75 @@ class MLReport:
     witness: MLFailure | None = None
 
 
+class _Positions(dict):
+    """A Level's {id: position} dict; as Level.index, its first read on a
+    level builds the level's dict and keeps the lookup there, in C."""
+
+    def __missing__(self, x):
+        raise ValueError(f"{x!r} is not an id of this level")
+
+    def __get__(self, level, owner=None):
+        if level is None:
+            return self
+        level.index = _Positions(zip(level, range(len(level)))).__getitem__
+        return level.index
+
+
+class Level(tuple):
+    """The ids of one level in natural_key order; index(x) is the position
+    of x in O(1), or ValueError, as from tuple.index, for any other x."""
+
+    index = _Positions()
+
+
+@dataclass(frozen=True, eq=False)
+class Window:
+    """The generator level -b..b, b the bound: __getitem__ prints the id
+    str(i - b) at a position i only when it is read, a slice as a tuple, and
+    index(x) reads the position off the value of x.  A window equals, and
+    hashes like, the tuple of its ids; two windows compare by bound."""
+
+    bound: int
+
+    def __len__(self) -> int:
+        return 2 * self.bound + 1
+
+    def __getitem__(self, i):
+        z = range(-self.bound, self.bound + 1)[i]
+        return tuple(map(str, z)) if type(z) is range else str(z)
+
+    def index(self, x) -> int:
+        try:
+            z = int(x)
+        except (TypeError, ValueError):
+            z = None
+        if z is None or abs(z) > self.bound or str(z) != x:
+            raise ValueError(f"{x!r} is not an id of this level")
+        return z + self.bound
+
+    def __eq__(self, other) -> bool:
+        if type(other) is Window:
+            return self.bound == other.bound
+        return isinstance(other, tuple) and len(other) == len(self) and tuple(self) == other
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+
 class Tower:
     """A truncated inverse sequence of finite sets.
 
-    levels[n-1] is X_n, a tuple of ids in natural_key order, and sizes[n-1]
-    its size.  The bonds are stored once, as parent positions: up[n-1][i] is
-    the position in X_n of p_n(X_{n+1}[i]), a row that is a tuple, or a
-    range with a positive step from an in-package builder.  bonds[n-1] is
-    the same bond as an id -> id dict, built on first use.  A generator
-    level of size 2b + 1 lists -b..b, so a windowed solenoid prints its ids
-    only on the first read of levels.  Instances are treated as immutable;
-    equality is structural, compares rows by their contents and includes
-    the oracle, which only in-package builders give.
+    levels[n-1] is X_n, a Level, or a Window of size 2b + 1 on a generator
+    level, and sizes[n-1] its size.  The bonds are stored once, as parent
+    positions: up[n-1][i] is the position in X_n of p_n(X_{n+1}[i]), a row
+    that is a tuple, or a range with a positive step from an in-package
+    builder.  bonds[n-1] is the same bond as an id -> id dict, built on
+    first use.  Instances are treated as immutable; equality is structural,
+    compares rows by their contents and includes the oracle, which only
+    in-package builders give.
     """
 
-    __slots__ = ("levels", "sizes", "up", "oracle", "_bonds", "_where")
+    __slots__ = ("levels", "sizes", "up", "oracle", "_bonds")
 
     def __init__(
         self,
@@ -167,7 +222,7 @@ class Tower:
             raise ValidationError("a tower needs at least one level")
         norm_levels = []
         for n, level in enumerate(levels, start=1):
-            ids = tuple(sorted(level, key=natural_key))
+            ids = Level(sorted(level, key=natural_key))
             if not ids:
                 raise ValidationError(f"level {n} is empty")
             if len(set(ids)) != len(ids):
@@ -179,64 +234,35 @@ class Tower:
             )
         up = []
         for n, bond in enumerate(bonds, start=1):
-            src = norm_levels[n]
-            where = {x: i for i, x in enumerate(norm_levels[n - 1])}
+            src, dst = norm_levels[n], norm_levels[n - 1]
             if set(bond) != set(src):
                 raise ValidationError(f"bond {n} is not total on level {n + 1}")
-            stray = set(bond.values()) - where.keys()
-            if stray:
-                raise ValidationError(f"bond {n} leaves level {n}: {sorted(stray)}")
-            up.append(tuple([where[bond[x]] for x in src]))
+            try:
+                up.append(tuple([dst.index(bond[x]) for x in src]))
+            except ValueError:
+                stray = set(bond.values()).difference(dst)
+                raise ValidationError(f"bond {n} leaves level {n}: {sorted(stray)}") from None
         self._set(norm_levels, up, None)
 
     @classmethod
     def _ordered(
         cls,
-        levels: Sequence[Sequence[str]] | None,
+        levels: Sequence[Sequence[str]],
         up: Sequence[Sequence[int]],
         oracle: SolenoidOracle | None = None,
-        sizes: Sequence[int] = (),
     ) -> Tower:
         """A tower from levels already in natural_key order and their parent
-        positions, for builders whose order holds by construction.  A
-        generator tower may pass levels None and its level sizes instead."""
-        tower = cls.__new__(cls if levels is not None else _Unprinted)
-        tower._set(levels, up, oracle, sizes)
+        positions, for builders whose order holds by construction."""
+        tower = cls.__new__(cls)
+        tower._set(levels, up, oracle)
         return tower
 
-    def _set(self, levels, up, oracle, sizes=()) -> None:
-        if levels is not None:
-            self.levels = tuple([tuple(level) for level in levels])
-            sizes = map(len, self.levels)
-        self.sizes = tuple(sizes)
+    def _set(self, levels, up, oracle) -> None:
+        self.levels = tuple([v if type(v) in (Level, Window) else Level(v) for v in levels])
+        self.sizes = tuple(map(len, self.levels))
         self.up = tuple([u if type(u) is range and u.step > 0 else tuple(u) for u in up])
         self.oracle = oracle
         self._bonds = None
-        self._where: dict[int, dict[str, int]] = {}
-
-    def _ids_at(self, n: int, positions: Sequence[int]) -> Sequence[str]:
-        """The ids at the positions of X_n.  A generator level of size 2b + 1
-        lists -b..b, so its ids are printed from their positions alone."""
-        if self.oracle is None:
-            ids = self.levels[n - 1]
-            return [ids[i] for i in positions]
-        b = self.sizes[n - 1] // 2
-        return [str(i - b) for i in positions]
-
-    def _position_at(self, n: int, x) -> int | None:
-        """The position of the id x in X_n, None when x is not one of its
-        ids: read off the value of x on a generator level, else off the
-        level's {id: position} index, which is built on first use."""
-        if self.oracle is None:
-            if n not in self._where:
-                self._where[n] = {y: i for i, y in enumerate(self.levels[n - 1])}
-            return self._where[n].get(x)
-        b = self.sizes[n - 1] // 2
-        try:
-            z = int(x)
-        except (TypeError, ValueError):
-            return None
-        return z + b if -b <= z <= b and str(z) == x else None
 
     @property
     def depth(self) -> int:
@@ -256,7 +282,7 @@ class Tower:
             )
         return self._bonds
 
-    def level(self, n: int) -> tuple[str, ...]:
+    def level(self, n: int) -> Level | Window:
         if not 1 <= n <= self.depth:
             raise IndexOutOfRange(f"level {n} not in 1..{self.depth}")
         return self.levels[n - 1]
@@ -268,13 +294,11 @@ class Tower:
         return self.bonds[n - 1]
 
     def __eq__(self, other) -> bool:
-        """Equal oracles that are not None print equal levels from equal
-        sizes, and a range row equals the tuple of its positions."""
+        """A range row equals the tuple of its positions."""
         return self is other or (
             isinstance(other, Tower)
             and self.oracle == other.oracle
-            and self.sizes == other.sizes
-            and (self.oracle is not None or self.levels == other.levels)
+            and self.levels == other.levels
             and all(u == v or tuple(u) == tuple(v) for u, v in zip(self.up, other.up))
         )
 
@@ -284,25 +308,6 @@ class Tower:
     def __repr__(self) -> str:
         sizes = "x".join(map(str, self.sizes))
         return f"Tower(depth={self.depth}, sizes={sizes}, flavor={self.flavor})"
-
-
-class _Unprinted(Tower):
-    """A generator tower built from its sizes, before its ids are printed.
-    The first read of levels prints them into the slot, each level a slice
-    of level 1's strings, and makes the tower a plain Tower again, since a
-    class with __getattr__ reads every attribute about four times slower
-    (CPython 3.11)."""
-
-    __slots__ = ()
-
-    def __getattr__(self, name: str):
-        if name != "levels":
-            raise AttributeError(f"'Tower' object has no attribute {name!r}")
-        top = self.sizes[0] // 2
-        widest = tuple(map(str, range(-top, top + 1)))
-        self.levels = tuple([widest[top - s // 2 : top + s // 2 + 1] for s in self.sizes])
-        self.__class__ = Tower
-        return self.levels
 
 
 def _through(values: Sequence, u: Sequence[int]) -> Sequence:
@@ -357,10 +362,9 @@ def windowed_solenoid_tower(primes: Sequence[int], window: int, depth: int) -> T
     Level n holds the integers whose composite image at level 1 stays in
     [-window, window]; that shrinking window is exactly what keeps every
     bond total into its target level.  Level n lists -b..b in order, so z
-    sits at position z + b and its image p_n * z at p_n * z + b_n.  The tower
-    holds the level sizes and parent positions; its ids are printed on the
-    first read of levels.  A tower past _check_generator's budget is refused
-    before any level is built.
+    sits at position z + b and its image p_n * z at p_n * z + b_n.  Every
+    level is a Window, so the tower prints no id until one is read.  A tower
+    past _check_generator's budget is refused before any level is built.
     """
     oracle = SolenoidOracle(tuple(int(p) for p in primes), int(window))
     if depth < 1:
@@ -371,7 +375,7 @@ def windowed_solenoid_tower(primes: Sequence[int], window: int, depth: int) -> T
         range(b - p * c, b + p * c + 1, p)
         for b, c, p in zip(bounds, bounds[1:], map(oracle.multiplier, range(1, depth)))
     ]
-    return Tower._ordered(None, up, oracle, [2 * b + 1 for b in bounds])
+    return Tower._ordered([Window(b) for b in bounds], up, oracle)
 
 
 def _pull_back(tower: Tower, values: Sequence, n: int, m: int) -> Sequence:
@@ -518,8 +522,8 @@ def _core_positions(tower: Tower) -> list[Sequence[int]]:
 def _sub_tower(tower: Tower, kept: Sequence[Sequence[int]]) -> Tower:
     """The tower on the ascending positions kept[n-1] of X_n, n = 1..len(kept);
     every kept vertex's parent must be kept as well.  A level kept whole
-    shares the level's ids, and below a level kept whole the parents are
-    read through the tower's row as they are."""
+    is shared, and below a level kept whole the parents are read through
+    the tower's row as they are."""
     levels, up = [], []
     where: dict[int, int] | None = None  # None: the level above is kept whole
     for n, positions in enumerate(kept, start=1):
@@ -535,7 +539,7 @@ def _sub_tower(tower: Tower, kept: Sequence[Sequence[int]]) -> Tower:
                 if None in parents:
                     raise ValidationError(f"bond {n - 1} leaves level {n - 1}")
             up.append(parents)
-        levels.append(tower.levels[n - 1] if whole else tower._ids_at(n, positions))
+        levels.append(tower.levels[n - 1] if whole else _through(tower.levels[n - 1], positions))
         where = None if whole else {i: j for j, i in enumerate(positions)}
     return Tower._ordered(levels, up)
 
@@ -581,12 +585,12 @@ class TowerMorphism:
             q = max(p, norm_phi[-1]) if norm_phi else p
             if set(comp) != set(source.level(p)):
                 raise ValidationError(f"component {i + 1} is not total on source level {p}")
-            where = {y: j for j, y in enumerate(target.levels[i])}
-            stray = set(comp.values()) - where.keys()
+            ids = target.levels[i]
+            stray = set(comp.values()).difference(ids)
             if stray:
                 raise ValidationError(f"component {i + 1} leaves target level {i + 1}: {sorted(stray)}")
             norm_phi.append(q)
-            rows.append(_pull_back(source, [where[comp[x]] for x in source.levels[p - 1]], p, q))
+            rows.append(_pull_back(source, [ids.index(comp[x]) for x in source.levels[p - 1]], p, q))
         self._set(source, target, norm_phi, rows, trim_incoherent)
 
     @classmethod

@@ -8,8 +8,8 @@ int between vertices, a Fraction once a point inside an edge is involved.
 The geometry runs on positions: a point is (level, position, offset), the
 deeper end of its edge at that position of the level (0 for the root) and
 the offset normalized as in TreePoint, and meets climb the tower's parent
-positions `up`; TreePoint and the by-vertex views resolve ids through a
-per-level {id: position} index built on first use.
+positions `up`; TreePoint and the by-vertex views resolve ids through the
+index of the tower's level, so finding a generator vertex prints no id.
 
 A tree is its tower plus lazy caches.  Its core is the deepest level's
 forever positions pushed down the parent positions: read closed-world that
@@ -43,10 +43,10 @@ class RootedTree:
     in X_n in the tower's order, parent maps each of them to
     (n - 1, p_{n-1}(x)), or to the implicit root (0, "root") at level 1, and
     a generator tower's oracle gives the core and fringe_unbounded.
-    levels, parent, children, the core (max_geodesic_subtree) with its
-    positions, and each level's {id: position} index are built on first
-    use, so a tree costs nothing per vertex until a caller asks for
-    vertices.  Instances are immutable; equality is the tower's.
+    levels, parent, children and the core (max_geodesic_subtree) with its
+    positions are built on first use, so a tree costs nothing per vertex
+    until a caller asks for vertices.  Instances are immutable; equality is
+    the tower's.
     """
 
     __slots__ = ("tower", "depth", "_levels", "_parent", "_children", "_core")
@@ -125,17 +125,16 @@ class RootedTree:
 
     def _position(self, v: Vertex) -> int:
         """The position of v in levels[v[0]]."""
-        n = v[0]
         if v == ROOT:
             return 0
-        p = self.tower._position_at(n, v[1]) if n in range(1, self.depth + 1) else None
-        if p is None:
-            raise VertexNotFound(f"{v} is not a vertex of this tree")
-        return p
+        try:
+            return self.tower.levels[range(1, self.depth + 1).index(v[0])].index(v[1])
+        except ValueError:
+            raise VertexNotFound(f"{v} is not a vertex of this tree") from None
 
     def _vertex(self, n: int, p: int) -> Vertex:
         """The vertex at position p of level n."""
-        return (n, self.tower._ids_at(n, [p])[0]) if n else ROOT
+        return (n, self.tower.levels[n - 1][p]) if n else ROOT
 
     def _locate(self, x: TreePoint) -> Point:
         """x as (level, position, offset)."""

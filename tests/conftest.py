@@ -1,6 +1,9 @@
+from contextlib import contextmanager
+
 import pytest
 
 from towertree import Tower, tree_of_tower, windowed_solenoid_tower
+from towertree.towers import Window
 
 
 @pytest.fixture
@@ -28,10 +31,19 @@ def constant_tower(depth, size=1):
     return Tower([ids] * depth, [{x: x for x in ids}] * (depth - 1))
 
 
-def printed(tower) -> bool:
-    """Whether the tower holds its ids, read without printing them."""
-    try:
-        object.__getattribute__(tower, "levels")
-    except AttributeError:
-        return False
-    return True
+@contextmanager
+def printed_ids():
+    """The ids that Windows yield inside the block, in order: an item or a
+    slice read, which iteration, a Window's hash and its equality with a
+    tuple go through.  A test that needs a call to print nothing asserts
+    that the list stays empty."""
+    ids = []
+
+    def item(self, i, read=Window.__getitem__):
+        got = read(self, i)
+        ids.extend(got if type(got) is tuple else [got])
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Window, "__getitem__", item)
+        yield ids

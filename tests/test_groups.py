@@ -91,6 +91,14 @@ def test_windowed_z_ops():
     assert len(w.elements) == 9
     with pytest.raises(WindowOverflow):
         w.op("3", "3")
+    # ids that int() reads but the window does not list, and ids int() refuses
+    for stray in ("01", "+1", " 1", "-0", "5", "a", 1, None):
+        with pytest.raises(ElementNotInLevel):
+            w.op(stray, "0")
+        with pytest.raises(ElementNotInLevel):
+            w.op("0", stray)
+        with pytest.raises(ElementNotInLevel):
+            w.inv(stray)
 
 
 def test_scale_hom_window_bound_enforced():
@@ -390,11 +398,11 @@ def test_isometry_matches_brute_oracle_on_altered_tables():
         elems = top.elements
         if len(elems) < 2:
             continue
-        a, b = top.index[rng.choice(elems)], top.index[rng.choice(elems)]
+        a, b = elems.index(rng.choice(elems)), elems.index(rng.choice(elems))
         if seed % 3 == 0:
-            top.inverses[a] = top.index[rng.choice(elems)]
+            top.inverses[a] = elems.index(rng.choice(elems))
         else:
-            top.rows[a][b] = top.index[rng.choice(elems)]
+            top.rows[a][b] = elems.index(rng.choice(elems))
         verdict = check_translation_isometry(g)
         valid, violation, checked = brute_isometry(g)
         got = None if verdict.violation is None else tuple(t.entries for t in verdict.violation)
@@ -619,7 +627,7 @@ def test_isometry_matches_brute_oracle_on_altered_lower_tables():
         for _ in range(rng.randint(1, 2)):
             n = rng.choice(tables)
             level = g.levels[n]
-            pick = lambda: level.index[rng.choice(level.elements)]
+            pick = lambda: level.elements.index(rng.choice(level.elements))
             # the value is drawn before the entry it replaces
             if rng.random() < 0.3:
                 value = pick()
@@ -880,12 +888,13 @@ def _alter(g, spec, rng):
     for _ in range(rng.randint(1, 2) if tables else 0):
         n = rng.choice(tables)
         level, entry = g.levels[n], spec["levels"][n]
-        value, a, b = (rng.choice(level.elements) for _ in range(3))
+        ids = level.elements
+        value, a, b = (rng.choice(ids) for _ in range(3))
         if rng.random() < 0.3:
-            level.inverses[level.index[a]] = level.index[value]
+            level.inverses[ids.index(a)] = ids.index(value)
             entry["inverse"][a] = value
         else:
-            level.rows[level.index[a]][level.index[b]] = level.index[value]
+            level.rows[ids.index(a)][ids.index(b)] = ids.index(value)
             entry["table"][(a, b)] = value
 
 

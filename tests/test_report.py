@@ -26,7 +26,7 @@ from towertree import (
     tree_of_ultrametric,
     windowed_solenoid_tower,
 )
-from conftest import constant_tower, printed
+from conftest import constant_tower, printed_ids
 from towertree.report import _truncate
 
 
@@ -265,9 +265,18 @@ def test_truncating_a_generator_tower_slices_it(monkeypatch):
 
 def test_build_report_leaves_a_solenoid_unprinted():
     """analyze reads level sizes and parent positions: neither the report
-    nor a truncation prints the ids of a window 2^14 solenoid."""
-    tower = windowed_solenoid_tower([2], 1 << 14, 15)
-    report = build_report(tower)
-    assert build_report(tower, 9).tower["level_sizes"] == report.tower["level_sizes"][:9]
-    assert not printed(tower)
-    assert report.tower["level_sizes"] == [len(ids) for ids in tower.levels]
+    nor a truncation prints an id of a window 2^14 solenoid outside its
+    core.  A core level kept in part prints the ids it keeps, 0 for primes
+    [2]; the core of primes [1] keeps all 491,535 ids, and shares the
+    tower's windows instead of printing them."""
+    for primes, core_ids in (([2], ["0"]), ([1], [])):
+        tower = windowed_solenoid_tower(primes, 1 << 14, 15)
+        with printed_ids() as ids:
+            report = build_report(tower)
+            cut = build_report(tower, 9)
+            core = max_geodesic_subtree(tree_of_tower(tower)).tower
+        assert ids == core_ids * (15 + 9 + 15)
+        assert cut.tower["level_sizes"] == report.tower["level_sizes"][:9]
+        assert report.tower["level_sizes"] == [len(level) for level in tower.levels]
+    assert all(a is b for a, b in zip(core.levels, tower.levels))
+    assert core.sizes == tower.sizes and sum(core.sizes) == 491_535

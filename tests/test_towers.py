@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import constant_tower, printed
+from conftest import constant_tower, printed_ids
 from oracles import (
     brute_coherence_witnesses,
     brute_composite,
@@ -39,9 +39,11 @@ from towertree import (
     IndexOutOfRange,
     NotML,
     NotProper,
+    TableGroup,
     Tower,
     TowerMorphism,
     ValidationError,
+    WindowedZ,
     as_tower_morphism,
     compose_bonding,
     compose_morphisms,
@@ -60,6 +62,7 @@ from towertree import (
     morphisms_equivalent,
     max_geodesic_subtree,
     natural_key,
+    parse_distance_matrix,
     random_morphism,
     retraction_map,
     surjective_core,
@@ -381,8 +384,8 @@ def test_ml_stabilization_matches_brute_images(seed):
 
 
 def test_solenoid_levels_match_a_level_by_level_build():
-    """Every level is a slice of level 1's ids, and the tower equals, and
-    hashes like, one built from ids printed afresh per level."""
+    """Every level lists the ids printed afresh per level, and the tower
+    equals, and hashes like, one built from them."""
     cases = 0
     for primes in ([1], [2], [1, 3], [2, 3], [3, 1, 2], [1, 1, 2]):
         for window in (0, 1, 2, 7, 40):
@@ -399,8 +402,6 @@ def test_solenoid_levels_match_a_level_by_level_build():
                 same = Tower._ordered(levels, up, t.oracle)
                 assert t == same and hash(t) == hash(same)
                 assert t != plain
-                # the levels share level 1's strings
-                assert {id(x) for level in t.levels for x in level} == set(map(id, t.levels[0]))
                 cases += 1
     assert cases >= 40
 
@@ -414,26 +415,28 @@ def _eager_levels(oracle, depth):
 
 
 def test_solenoid_ids_are_printed_on_first_read():
-    """A windowed solenoid and its truncations hold no ids until levels is
-    read, and then hold the eager slices of level 1's strings.  A sub-tower
-    prints the ids at its positions alone; a level it keeps whole is the
-    printed level itself."""
+    """A windowed solenoid and its truncations print no id until one is
+    read, and then read as the eager slices of level 1's strings.  A
+    sub-tower prints the ids at its positions alone; a level it keeps whole
+    is the tower's level itself."""
     cases = 0
     for primes in ([1], [2], [2, 3], [3, 1, 2]):
         for window in (0, 7, 300):
             for depth in range(1, 7):
-                t = windowed_solenoid_tower(primes, window, depth)
-                cuts = [_truncate(t, h) for h in range(1, depth + 1)]
-                assert not any(map(printed, [t, *cuts]))
-                kept = _core_positions(t)
-                core = _sub_tower(t, kept)
-                assert printed(t) == any(len(p) == s for p, s in zip(kept, t.sizes))
+                with printed_ids() as ids:
+                    t = windowed_solenoid_tower(primes, window, depth)
+                    cuts = [_truncate(t, h) for h in range(1, depth + 1)]
+                    kept = _core_positions(t)
+                    core = _sub_tower(t, kept)
+                pairs = list(zip(core.levels, t.levels, kept))
+                assert ids == [x for sub, level, p in pairs if len(p) < len(level) for x in sub]
+                assert all(sub is level for sub, level, p in pairs if len(p) == len(level))
                 half = [range(0, t.sizes[-1], 2)]
                 for u in reversed(t.up):
                     half.append(sorted({u[i] for i in half[-1]}))
                 part = _sub_tower(windowed_solenoid_tower(primes, window, depth), half[::-1])
                 eager = _eager_levels(t.oracle, depth)
-                assert t.levels == eager and type(t) is Tower
+                assert t.levels == eager
                 for h, cut in enumerate(cuts, start=1):
                     assert cut.levels == eager[:h] == _eager_levels(t.oracle, h)
                 for sub, positions in ((core, kept), (part, half[::-1])):
@@ -442,6 +445,39 @@ def test_solenoid_ids_are_printed_on_first_read():
                     )
                 cases += 1
     assert cases == 72
+
+
+def test_levels_and_windows_index_slice_and_compare_as_their_ids():
+    """Every level form, a Level of ids or a Window, finds each id at its
+    position in O(1), refuses near misses with ValueError as tuple.index
+    does, reads items and slices as the eagerly printed ids, and equals and
+    hashes like their tuple."""
+    solenoids = [windowed_solenoid_tower([2, 3], w, 4) for w in (0, 7, 300)]
+    matrix = "10 1 0 p2\n0 e-1 e-2 e-1\ne-1 0 e-1 e-3\ne-2 e-1 0 e-1\ne-1 e-3 e-1 0\n"
+    cases = [(Tower([["1", "x", "0"]], []).levels[0], ("0", "1", "x"))]
+    cases += [(level, tuple(map(str, range(-b, b + 1)))) for t in solenoids
+              for level, b in zip(t.levels, t.oracle.level_bounds(t.depth))]
+    cases += [(TableGroup.cyclic(m).elements, tuple(map(str, range(m)))) for m in (1, 2, 12)]
+    cases += [(WindowedZ(b).elements, tuple(map(str, range(-b, b + 1)))) for b in (0, 3)]
+    cases.append((parse_distance_matrix(matrix).points, ("0", "1", "10", "p2")))
+    assert {type(level).__name__ for level, _ in cases} == {"Level", "Window"}
+    for level, eager in cases:
+        assert [level.index(x) for x in eager] == list(range(len(eager)))
+        for stray in ("01", "+1", " 1", "-0", "00", 1, None, "p02"):
+            with pytest.raises(ValueError):
+                level.index(stray)
+        n = len(eager)
+        assert len(level) == n and list(level) == list(eager)
+        assert [level[i] for i in range(-n, n)] == [eager[i] for i in range(-n, n)]
+        for cut in (slice(None), slice(1, -1), slice(None, None, -2), slice(n // 2, n + 5, 3)):
+            assert level[cut] == eager[cut]
+        with pytest.raises(IndexError):
+            level[n]
+        assert level == eager and eager == level and hash(level) == hash(eager)
+        assert level != eager[1:] and level != list(eager)
+    for t in solenoids:
+        plain, back = Tower(list(map(list, t.levels)), t.bonds), tower_of_tree(tree_of_tower(t))
+        assert back == plain and plain == back and hash(back) == hash(plain)
 
 
 def test_sizes_are_the_level_lengths():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import constant_tower, printed
+from conftest import constant_tower, printed_ids
 from oracles import (
     ahu_canon,
     brute_ancestor_point,
@@ -337,16 +337,19 @@ def test_tree_indexes_its_tower(two_branch_tower, solenoid_p2):
 
 def test_solenoid_vertices_are_found_and_named_unprinted():
     """A generator level lists -b..b, so a vertex's position is read off its
-    id and an id is printed from its position: ancestor and chain leave the
-    tower unprinted, and the positions agree with the printed levels."""
+    id and an id is printed from its position: ancestor and chain print
+    only the ids they return, and the positions agree with the printed
+    levels."""
     tree = tree_of_tower(windowed_solenoid_tower([2], 1 << 10, 11))
-    assert tree.ancestor((11, "1"), 3) == (3, "256")
-    assert tree.chain((9, "-3"))[-3:] == ((7, "-12"), (8, "-6"), (9, "-3"))
-    assert tree.parent_of((1, "-1024")) == ROOT
-    for stray in ((3, "257"), (3, "0256"), (3, "+1"), (3, " 1"), (3, 1), (12, "0"), (0, "0")):
-        assert not tree.has_vertex(stray)
-    assert tree.has_vertex((3, "-256"))
-    assert not printed(tree.tower)
+    with printed_ids() as ids:
+        assert tree.ancestor((11, "1"), 3) == (3, "256")
+        chain = tree.chain((9, "-3"))
+        assert chain[-3:] == ((7, "-12"), (8, "-6"), (9, "-3"))
+        assert tree.parent_of((1, "-1024")) == ROOT
+        for stray in ((3, "257"), (3, "0256"), (3, "+1"), (3, " 1"), (3, 1), (12, "0"), (0, "0")):
+            assert not tree.has_vertex(stray)
+        assert tree.has_vertex((3, "-256"))
+    assert ids == ["256", *(x for _, x in reversed(chain[1:-1]))]
     for n, ids in enumerate(tree.tower.levels, start=1):
         assert [tree._position((n, x)) for x in ids] == list(range(len(ids)))
 
