@@ -232,13 +232,10 @@ def _gen_solenoid(args) -> int:
     group, tower = gen_solenoid(args.primes, args.window, args.depth)
     report = build_report(tower)
     threads = limit_threads(group)
-    from .trees import max_geodesic_subtree, tree_of_tower
-
-    # the core is geodesically complete: its branches end at full depth, and
-    # a single one holds every vertex of the core
-    core = max_geodesic_subtree(tree_of_tower(tower))
-    count = len(core.levels[core.depth])
-    zero_branch = count == 1 and all(v[1] == "0" for v in core.vertices[1:])
+    # the core keeps only the 0 thread unless every multiplier is 1, and then
+    # it keeps whole windows of at least 3 ids: one branch is the 0 branch
+    count = report.t_infinity["branch_count"]
+    zero_branch = count == 1
     if args.format == "machine":
         data = {
             "tower": json.loads(emit_tower(tower)),

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from .errors import ElementNotInLevel, EmptyCore, InvalidParameter, UnsupportedMode, ValidationError
 from .towers import Level, Tower, Window, natural_key
-from .trees import ROOT, RootedTree, Vertex, max_geodesic_subtree, tree_of_tower
+from .trees import RootedTree, Vertex, max_geodesic_subtree, tree_of_tower
 
 GRID = "grid"
 RATIONAL = "rational"
@@ -231,19 +231,19 @@ def end_space_of(tree: RootedTree) -> UltrametricSpace:
     core = max_geodesic_subtree(tree)
     if core.depth == 0:
         raise EmptyCore("the tree has no complete branch")
-    sizes = [1, *core.tower.sizes]
-    rows: list[list] = [[None] * sizes[-1] for _ in range(sizes[-1])]
-    below = [[i] for i in range(sizes[-1])]  # the ends below each vertex of the current level
+    count = core.sizes[-1]
+    rows: list[list] = [[None] * count for _ in range(count)]
+    below = [[i] for i in range(count)]  # the ends below each vertex of the current level
     for k in range(core.depth - 1, -1, -1):
-        above = [[] for _ in range(sizes[k])]
-        for ends, p in zip(below, core.parent_positions(k + 1)):
+        above = [[] for _ in range(core.sizes[k])]
+        for ends, p in zip(below, core.up[k]):
             for x in ends:
                 row = rows[x]
                 for y in above[p]:
                     row[y] = rows[y][x] = k
             above[p] += ends
         below = above
-    return UltrametricSpace._trusted(core.tower.levels[-1], rows, GRID)
+    return UltrametricSpace._trusted(core.ids[-1], rows, GRID)
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +285,7 @@ def tree_of_ultrametric(
         where = {r: i for i, r in enumerate(above)}
         up.append([where[coarse[r]] for r in here])
     tree = tree_of_tower(Tower._ordered([[pts[r] for r in rs] for rs in reps], up))
-    ends = {
-        x: (ROOT,) + tuple((h, pts[part[i]]) for h, part in enumerate(parts, start=1))
-        for i, x in enumerate(pts)
-    }
-    return tree, ends
+    return tree, {x: tree.chain((height, x)) for x in pts}
 
 
 def tu_distance(space: UltrametricSpace, x: str, t, y: str, s):

@@ -5,8 +5,9 @@ position, offset); each edge maps linearly onto the geodesic between its
 endpoint images, so evaluation anywhere is exact.  That representation
 covers every map constructed here (induced maps, simplicial level maps,
 retractions) because their breakpoints always land on vertices.  Maps are
-built and measured level by level on parent positions; TreePoints are an
-output view.
+built and measured level by level, one loop over the source tree's `up`
+rows with the root as level 0, and every meet climbs the target's `up`;
+TreePoints are an output view.
 
 Properness is witnessed by a table n -> m(n), minimal with the closed
 reading: every point at radius >= m(n) has image radius >= n, checked on
@@ -50,7 +51,6 @@ from .trees import (
     _floor,
     _meet,
     _radius,
-    _up,
     max_geodesic_subtree,
     point_of,
     tower_of_tree,
@@ -197,7 +197,7 @@ class TreeMap:
     def image_of_point(self, p: TreePoint) -> TreePoint:
         """Evaluate the map at any point; edges map linearly onto geodesics."""
         a = self.source._locate(p)
-        return self.target._point(_image(self.rows, _up(self.source), _up(self.target), a))
+        return self.target._point(_image(self.rows, self.source.up, self.target.up, a))
 
     def __eq__(self, other) -> bool:
         return (
@@ -215,11 +215,11 @@ class TreeMap:
 
 
 def _spans_edge(up, above: Point, here: Point) -> bool:
-    """here is a vertex below the root and above is its parent vertex, so an
+    """here is a vertex and above is its parent vertex, one level up, so an
     edge with these end images maps onto one target edge and meets at above:
     one `up` lookup, no meet."""
     n, p, offset = here
-    return offset == 1 and n > 0 and above == (n - 1, up[n - 2][p] if n > 1 else 0, 1)
+    return offset == 1 and above[0] == n - 1 and above[2] == 1 and above[1] == up[n - 1][p]
 
 
 def _image(rows, source_up, target_up, a: Point) -> Point:
@@ -231,7 +231,7 @@ def _image(rows, source_up, target_up, a: Point) -> Point:
     here = rows[j][p]
     if offset == 1:
         return here
-    above = rows[j - 1][_climb(source_up, j, p, j - 1)]
+    above = rows[j - 1][source_up[j - 1][p]]
     if above == here:
         return here
     if _spans_edge(target_up, above, here):
@@ -269,21 +269,20 @@ class Retraction:
 
 
 def identity_tree_map(tree: RootedTree) -> TreeMap:
-    sizes = tree.tower.sizes if tree.tower is not None else ()
-    rows = [[(n, i, 1) for i in range(size)] for n, size in enumerate(sizes, start=1)]
-    return TreeMap._built(tree, tree, [(ROOT_AT,), *rows])
+    rows = [[(n, i, 1) for i in range(size)] for n, size in enumerate(tree.sizes)]
+    return TreeMap._built(tree, tree, rows)
 
 
 def check_nonexpansive(f: TreeMap) -> NonexpansiveVerdict:
     """Each unit edge must map onto a geodesic of length <= 1."""
-    src, up = f.source, _up(f.target)
-    for n in range(1, src.depth + 1):
-        above, here = f.rows[n - 1], f.rows[n]
-        for i, j in enumerate(src.parent_positions(n)):
+    src, up = f.source, f.target.up
+    for n, u in enumerate(src.up):
+        above, here = f.rows[n], f.rows[n + 1]
+        for i, j in enumerate(u):
             a, b = above[j], here[i]
             if a is not b and _radius(a) + _radius(b) - 2 * _radius(_meet(up, a, b)) > 1:
                 return NonexpansiveVerdict(
-                    valid=False, violation=(src._vertex(n - 1, j), src._vertex(n, i))
+                    valid=False, violation=(src._vertex(n, j), src._vertex(n + 1, i))
                 )
     return NonexpansiveVerdict(valid=True)
 
@@ -322,22 +321,17 @@ def properness_witness(f: TreeMap) -> PropernessReport:
     already counted one level up."""
     if f._properness is not None:
         return f._properness
-    src, tgt = f.source, f.target
-    up = _up(tgt)
-    above = f.rows[0]
-    lows = [_floor(above[0])]
-    for n in range(1, src.depth + 1):
-        here = f.rows[n]
-        lows.append(min([_floor(a) for a in set(here)]))
-        parents = _through(above, src.parent_positions(n))
+    src, tgt, rows = f.source, f.target, f.rows
+    up = tgt.up
+    lows = [min([_floor(a) for a in set(row)]) for row in rows]
+    for n, u in enumerate(src.up):
         moved = [
             _floor(_meet(up, a, b))
-            for a, b in zip(parents, here)
+            for a, b in zip(_through(rows[n], u), rows[n + 1])
             if a is not b and not _spans_edge(up, a, b)
         ]
         if moved:
-            lows[n - 1] = min(lows[n - 1], min(moved))
-        above = here
+            lows[n] = min(lows[n], min(moved))
     table, failure = _witness_table(lows, tgt.depth)
     f._properness = PropernessReport(
         table=table,
@@ -358,20 +352,17 @@ def homotopy_properness(f: TreeMap, g: TreeMap) -> HomotopyReport:
     """
     if f.source != g.source or f.target != g.target:
         raise SourceTargetMismatch("homotopy needs maps with shared source and target")
-    src, up = f.source, _up(f.target)
-    lows: list[int] = []
-    for n in range(src.depth + 1):
-        fh, gh = f.rows[n], g.rows[n]
-        track = [_floor(_meet(up, a, b)) for a, b in zip(fh, gh)]
-        lows.append(min(track))
-        if n:
-            # the parent's own track is already in lows[n - 1]
-            edges = [
-                min(track[i], _floor(_meet(up, fa[j], fh[i])), _floor(_meet(up, ga[j], gh[i])))
-                for i, j in enumerate(src.parent_positions(n))
-            ]
-            lows[n - 1] = min(lows[n - 1], *edges)
-        fa, ga = fh, gh
+    up = f.target.up
+    tracks = [[_floor(_meet(up, a, b)) for a, b in zip(fh, gh)] for fh, gh in zip(f.rows, g.rows)]
+    lows = [min(track) for track in tracks]
+    for n, u in enumerate(f.source.up):
+        # the parent's own track is already in lows[n]
+        fa, ga, fh, gh, track = f.rows[n], g.rows[n], f.rows[n + 1], g.rows[n + 1], tracks[n + 1]
+        edges = [
+            min(track[i], _floor(_meet(up, fa[j], fh[i])), _floor(_meet(up, ga[j], gh[i])))
+            for i, j in enumerate(u)
+        ]
+        lows[n] = min(lows[n], *edges)
     table, failure = _witness_table(lows, f.target.depth)
     horizon = min(properness_witness(f).total_upto, properness_witness(g).total_upto)
     return HomotopyReport(
@@ -389,7 +380,7 @@ def compose_tree_maps(g: TreeMap, f: TreeMap) -> TreeMap:
     inside an edge."""
     if f.target != g.source:
         raise SourceTargetMismatch("middle trees of the composition differ")
-    rows, source_up, target_up = g.rows, _up(g.source), _up(g.target)
+    rows, source_up, target_up = g.rows, g.source.up, g.target.up
     images = [[_image(rows, source_up, target_up, a) for a in here] for here in f.rows]
     return TreeMap._built(f.source, g.target, images)
 
@@ -466,7 +457,7 @@ def extract_morphism(f: TreeMap) -> TowerMorphism:
     rep = properness_witness(f)
     if rep.total_upto == 0:
         raise NotProper("no properness witness at any level within depth")
-    up = _up(f.target)
+    up = f.target.up
     table = list(rep.table)
     rows = [[_climb(up, j, p, n) for j, p, _ in f.rows[mn]] for n, mn in enumerate(table, start=1)]
     return TowerMorphism._trusted(tower_of_tree(f.source), tower_of_tree(f.target), table, rows)
@@ -497,11 +488,8 @@ def _retraction_tree_map(tree: RootedTree) -> TreeMap:
     their own points.  No vertex outside the core is looked at."""
     core = max_geodesic_subtree(tree)
     rows = [(ROOT_AT,)]
-    for n, kept in enumerate(tree._core[1], start=1):
-        if n == 1:
-            here = [ROOT_AT] * tree.tower.sizes[0]
-        else:
-            here = _through(rows[-1], tree.parent_positions(n))
+    for n, (u, kept) in enumerate(zip(tree.up, tree._core[1]), start=1):
+        here = _through(rows[-1], u)
         for k, i in enumerate(kept):
             here[i] = (n, k, 1)
         rows.append(here)

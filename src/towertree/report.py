@@ -64,17 +64,18 @@ def _ml_dict(report: MLReport) -> dict:
     }
 
 
-def _end_dict(core: RootedTree, sizes: list[int]) -> dict:
-    """The end figures counted up the core, whose level sizes, root first,
-    are sizes: one end per deepest vertex, and the pairs of ends that agree
-    through level k number the sum of C(c, 2) over that level's vertices, c
-    the ends below each.  A range row moves each count to a parent of its
-    own, so it moves the counts in one slice and leaves that sum as it is."""
+def _end_dict(core: RootedTree) -> dict:
+    """The end figures counted up the core: one end per deepest vertex, and
+    the pairs of ends that agree through level k number the sum of C(c, 2)
+    over that level's vertices, c the ends below each.  A range row moves
+    each count to a parent of its own, so it moves the counts in one slice
+    and leaves that sum as it is."""
+    sizes = core.sizes
     ends = [1] * sizes[-1]
     agree = [0]  # pairs agreeing through level depth, depth - 1, ..., 0
-    for n in range(core.depth, 0, -1):
-        above = [0] * sizes[n - 1]
-        u = core.parent_positions(n)
+    for n in range(core.depth - 1, -1, -1):
+        above = [0] * sizes[n]
+        u = core.up[n]
         if type(u) is range:
             above[u.start : u.stop : u.step] = ends
             agree.append(agree[-1])
@@ -98,8 +99,7 @@ def build_report(tower: Tower, depth_horizon: int | None = None) -> AnalysisRepo
     ml = ml_verdict(tower)
     tree = tree_of_tower(tower)
     core = max_geodesic_subtree(tree)
-    sizes = [1, *core.tower.sizes]
-    t_inf = {"vertex_count": sum(sizes), "depth": core.depth, "branch_count": sizes[-1]}
+    t_inf = {"vertex_count": sum(core.sizes), "depth": core.depth, "branch_count": core.sizes[-1]}
     retr = retraction_map(tree).properness
     retraction = {
         "witness_total": retr.total,
@@ -130,7 +130,7 @@ def build_report(tower: Tower, depth_horizon: int | None = None) -> AnalysisRepo
         },
         ml=_ml_dict(ml),
         t_infinity=t_inf,
-        end_space=_end_dict(core, sizes),
+        end_space=_end_dict(core),
         retraction=retraction,
         cross_check=cross,
     )

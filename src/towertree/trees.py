@@ -5,18 +5,23 @@ its integer level; points interior to edges carry an exact rational
 offset, so every distance, meet, and geodesic computed here is exact: an
 int between vertices, a Fraction once a point inside an edge is involved.
 
-The geometry runs on positions: a point is (level, position, offset), the
-deeper end of its edge at that position of the level (0 for the root) and
-the offset normalized as in TreePoint, and meets climb the tower's parent
-positions `up`; TreePoint and the by-vertex views resolve ids through the
-index of the tower's level, so finding a generator vertex prints no id.
+A tree is its tower with the root as level 0, held as three per-level
+arrays: ids[n] and sizes[n] for the vertices of level n, and up[n][i], the
+position in level n of the parent of vertex i of level n + 1.  Level 0 is
+the one-point Level ("root",) with a row of zeros below it; the rest are
+the tower's own levels, sizes and rows.
 
-A tree is its tower plus lazy caches.  Its core is the deepest level's
-forever positions pushed down the parent positions: read closed-world that
-is every vertex extendable to the deepest level, over a generator tower the
-vertices whose reach is forever.  fringe_unbounded records that some reach
-is finite, so the untruncated tree grows arbitrarily long finite branches
-(which no finite window can show).
+The geometry runs on positions: a point is (level, position, offset), the
+deeper end of its edge at that position of the level and the offset
+normalized as in TreePoint, and meets climb `up`; TreePoint and the
+by-vertex views find ids through the level's index, so finding a
+generator vertex prints no id.
+
+The core is the deepest level's forever positions pushed down `up`: read
+closed-world that is every vertex extendable to the deepest level, over a
+generator tower the vertices whose reach is forever.  fringe_unbounded
+records that some reach is finite, so the untruncated tree grows
+arbitrarily long finite branches (which no finite window can show).
 """
 
 from __future__ import annotations
@@ -28,28 +33,28 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import IndexOutOfRange, ValidationError, VertexNotFound
-from .towers import Tower, _core_positions, _some_reach_finite, _sub_tower
+from .towers import Level, Tower, _core_positions, _some_reach_finite, _sub_tower, _through
 
 Vertex = tuple[int, str]
 
 ROOT: Vertex = (0, "root")
 
+_ROOT_LEVEL = Level(ROOT[1:])
+
 
 class RootedTree:
     """A finite rooted tree: the levels and bonds of a tower plus a root.
 
-    tower is the tower the tree indexes (None for the bare root), and the
-    tree reads everything off it: levels[n] lists the vertices (n, x) for x
-    in X_n in the tower's order, parent maps each of them to
-    (n - 1, p_{n-1}(x)), or to the implicit root (0, "root") at level 1, and
-    a generator tower's oracle gives the core and fringe_unbounded.
-    levels, parent, children and the core (max_geodesic_subtree) with its
-    positions are built on first use, so a tree costs nothing per vertex
-    until a caller asks for vertices.  Instances are immutable; equality is
-    the tower's.
+    tower is the tower the tree indexes (None for the bare root); ids,
+    sizes and up are the root-first arrays of the module docstring, ids and
+    sizes holding the tower's own objects.  up, the by-vertex views
+    (levels[n] lists the vertices (n, x) for x in ids[n], parent, children)
+    and the core (max_geodesic_subtree) with its positions are built on
+    first use, so a tree costs nothing per vertex until a caller asks for
+    vertices.  Instances are immutable; equality is the tower's.
     """
 
-    __slots__ = ("tower", "depth", "_levels", "_parent", "_children", "_core")
+    __slots__ = ("tower", "depth", "ids", "sizes", "_up", "_levels", "_parent", "_children", "_core")
 
     def __init__(self, parent: Mapping[Vertex, Vertex]):
         """Read levels and bonds off a parent map; Tower checks and orders them."""
@@ -67,9 +72,13 @@ class RootedTree:
         self._index(Tower(ids, bonds) if depth else None)
 
     def _index(self, tower: Tower | None) -> None:
-        """Index the tower; every cache is built on first use."""
+        """Index the tower, None for the bare root; every other cache is built on first use."""
         self.tower = tower
-        self.depth = tower.depth if tower is not None else 0
+        if tower is None:
+            self.ids, self.sizes, self._up = (_ROOT_LEVEL,), (1,), ()
+        else:
+            self.ids, self.sizes, self._up = (_ROOT_LEVEL, *tower.levels), (1, *tower.sizes), None
+        self.depth = len(self.sizes) - 1
         self._levels = self._parent = self._children = self._core = None
 
     @property
@@ -79,44 +88,40 @@ class RootedTree:
         return self.tower is not None and _some_reach_finite(self.tower)
 
     @property
-    def levels(self) -> dict[int, tuple[Vertex, ...]]:
-        """levels[n] lists the vertices (n, x) for x in X_n, root at level 0."""
-        if self._levels is None:
-            levels: dict[int, tuple[Vertex, ...]] = {0: (ROOT,)}
-            for n, ids in enumerate(self.tower.levels if self.tower is not None else (), start=1):
-                levels[n] = tuple([(n, x) for x in ids])
-            self._levels = levels
-        return self._levels
+    def up(self) -> tuple[Sequence[int], ...]:
+        """up[n][i] is the position in level n of the parent of vertex i of
+        level n + 1: a row of zeros, then the tower's rows as they are."""
+        if self._up is None:
+            self._up = ((0,) * self.sizes[1], *self.tower.up)
+        return self._up
 
-    def parent_positions(self, n: int) -> Sequence[int]:
-        """For each vertex of levels[n], n >= 1, the position of its parent in levels[n - 1]."""
-        if n == 1:
-            return (0,) * self.tower.sizes[0]
-        return self.tower.up[n - 2]
+    @property
+    def levels(self) -> dict[int, tuple[Vertex, ...]]:
+        """levels[n] lists the vertices (n, x) for x in ids[n]."""
+        if self._levels is None:
+            self._levels = {n: tuple([(n, x) for x in ids]) for n, ids in enumerate(self.ids)}
+        return self._levels
 
     @property
     def parent(self) -> dict[Vertex, Vertex]:
         """Each vertex's parent, in level order."""
         if self._parent is None:
             self._parent, levels = {}, self.levels
-            for n in range(1, self.depth + 1):
-                above = levels[n - 1]
-                self._parent.update(zip(levels[n], [above[j] for j in self.parent_positions(n)]))
+            for n, u in enumerate(self.up):
+                self._parent.update(zip(levels[n + 1], _through(levels[n], u)))
         return self._parent
 
     @property
     def children(self) -> dict[Vertex, tuple[Vertex, ...]]:
         """Each vertex's children, in level order."""
         if self._children is None:
-            children: dict[Vertex, tuple[Vertex, ...]] = {}
-            levels = self.levels
-            for n in range(self.depth + 1):
+            self._children, levels = {}, self.levels
+            for n, u in enumerate(self.up):
                 kids: list[list[Vertex]] = [[] for _ in levels[n]]
-                if n < self.depth:
-                    for v, j in zip(levels[n + 1], self.parent_positions(n + 1)):
-                        kids[j].append(v)
-                children.update(zip(levels[n], map(tuple, kids)))
-            self._children = children
+                for v, j in zip(levels[n + 1], u):
+                    kids[j].append(v)
+                self._children.update(zip(levels[n], map(tuple, kids)))
+            self._children.update(dict.fromkeys(levels[self.depth], ()))
         return self._children
 
     @property
@@ -124,17 +129,17 @@ class RootedTree:
         return tuple(itertools.chain.from_iterable(self.levels.values()))
 
     def _position(self, v: Vertex) -> int:
-        """The position of v in levels[v[0]]."""
-        if v == ROOT:
-            return 0
+        """The position of v in levels[v[0]]; VertexNotFound for any value
+        that is not a vertex of this tree."""
         try:
-            return self.tower.levels[range(1, self.depth + 1).index(v[0])].index(v[1])
-        except ValueError:
+            n, x = v
+            return self.ids[range(self.depth + 1).index(n)].index(x)
+        except (TypeError, ValueError):
             raise VertexNotFound(f"{v} is not a vertex of this tree") from None
 
     def _vertex(self, n: int, p: int) -> Vertex:
         """The vertex at position p of level n."""
-        return (n, self.tower.levels[n - 1][p]) if n else ROOT
+        return (n, self.ids[n][p])
 
     def _locate(self, x: TreePoint) -> Point:
         """x as (level, position, offset)."""
@@ -167,15 +172,15 @@ class RootedTree:
         p = self._position(v)
         if not 0 <= n <= v[0]:
             raise IndexOutOfRange(f"level {n} not in 0..{v[0]}")
-        return self._vertex(n, _climb(_up(self), v[0], p, n))
+        return self._vertex(n, _climb(self.up, v[0], p, n))
 
     def chain(self, v: Vertex) -> tuple[Vertex, ...]:
         """Root-to-v vertex path; chain(v)[i] sits at level i."""
-        p, up = self._position(v), _up(self)
+        p, up, ids = self._position(v), self.up, self.ids
         out = [v]
         for n in range(v[0] - 1, -1, -1):
-            p = _climb(up, n + 1, p, n)
-            out.append(self._vertex(n, p))
+            p = up[n][p]
+            out.append((n, ids[n][p]))
         return tuple(reversed(out))
 
     def __eq__(self, other) -> bool:
@@ -185,8 +190,7 @@ class RootedTree:
         return hash(self.tower)
 
     def __repr__(self) -> str:
-        sizes = self.tower.sizes if self.tower is not None else ()
-        return f"RootedTree(depth={self.depth}, vertices={1 + sum(sizes)})"
+        return f"RootedTree(depth={self.depth}, vertices={sum(self.sizes)})"
 
 
 @dataclass(frozen=True)
@@ -289,12 +293,9 @@ def max_geodesic_subtree(tree: RootedTree) -> RootedTree:
 
 
 def is_geodesically_complete(tree: RootedTree) -> bool:
-    """Every vertex short of full depth has a child."""
-    return all(
-        tree.children_of(v)
-        for lv in range(0, tree.depth)
-        for v in tree.levels[lv]
-    )
+    """Every vertex short of full depth has a child: each level above the
+    deepest is covered by the next level's row of up."""
+    return all(len(set(u)) == size for u, size in zip(tree.up, tree.sizes))
 
 
 def branches(tree: RootedTree) -> tuple[tuple[Vertex, ...], ...]:
@@ -307,16 +308,11 @@ def branches(tree: RootedTree) -> tuple[tuple[Vertex, ...], ...]:
 # Metric geometry
 
 
-def _up(tree: RootedTree) -> Sequence[Sequence[int]]:
-    """The tower's parent positions, () for the bare root."""
-    return tree.tower.up if tree.tower is not None else ()
-
-
 def _climb(up: Sequence[Sequence[int]], j: int, p: int, n: int) -> int:
     """The position in level n of the ancestor of position p of level j; 0 <= n <= j."""
     while j > n:
         j -= 1
-        p = up[j - 1][p] if j else 0
+        p = up[j][p]
     return p
 
 
@@ -340,7 +336,7 @@ def _meet(up: Sequence[Sequence[int]], a: Point, b: Point) -> Point:
         return a if (a[0], a[2]) <= (b[0], b[2]) else b
     while pa != pb:
         j -= 1
-        pa, pb = (up[j - 1][pa], up[j - 1][pb]) if j else (0, 0)
+        pa, pb = up[j][pa], up[j][pb]
     return (j, pa, 1)
 
 
@@ -369,7 +365,7 @@ def geodesic_data(
 ) -> tuple[TreePoint, int | Fraction]:
     """(meet, distance); distance = radius(x) + radius(y) - 2 radius(meet)."""
     a, b = tree._locate(x), tree._locate(y)
-    m = _meet(_up(tree), a, b)
+    m = _meet(tree.up, a, b)
     return tree._point(m), _radius(a) + _radius(b) - 2 * _radius(m)
 
 
@@ -382,13 +378,13 @@ def ancestor_point_at(tree: RootedTree, x: TreePoint, r: Fraction) -> TreePoint:
     r = Fraction(r)
     if not 0 <= r <= x.radius:
         raise IndexOutOfRange(f"radius {r} outside [0, {x.radius}]")
-    return tree._point(_point_at(_up(tree), tree._locate(x), r))
+    return tree._point(_point_at(tree.up, tree._locate(x), r))
 
 
 def geodesic_point(tree: RootedTree, x: TreePoint, y: TreePoint, s: Fraction) -> TreePoint:
     """The point at arc length s from x along the geodesic [x, y]."""
     s = Fraction(s)
-    up, a, b = _up(tree), tree._locate(x), tree._locate(y)
+    up, a, b = tree.up, tree._locate(x), tree._locate(y)
     m = _meet(up, a, b)
     dist = _radius(a) + _radius(b) - 2 * _radius(m)
     if not 0 <= s <= dist:

@@ -195,7 +195,7 @@ def test_end_figures_agree_on_range_and_tuple_rows():
     levels = [["a0", "a1"], ["b0", "b1"], ["c0", "c1", "c2", "c3"], ["d0", "d1", "d2", "d3"]]
     ranged = Tower._ordered(levels, [range(2), (0, 0, 1, 1), range(4)])
     plain = Tower._ordered(levels, [(0, 1), (0, 0, 1, 1), (0, 1, 2, 3)])
-    assert type(max_geodesic_subtree(tree_of_tower(ranged)).parent_positions(4)) is range
+    assert type(max_geodesic_subtree(tree_of_tower(ranged)).up[3]) is range
     figures = build_report(ranged).end_space
     assert figures == build_report(plain).end_space
     assert figures == {"point_count": 4, "exponent_histogram": {"0": 4, "2": 2}, "diameter_exponent": 0}

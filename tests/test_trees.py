@@ -34,6 +34,7 @@ from towertree import (
     branches,
     distance,
     dot_of_tree,
+    end_space_of,
     gen_random_tower,
     geodesic_data,
     geodesic_point,
@@ -50,7 +51,8 @@ from towertree import (
     tree_of_tower,
     windowed_solenoid_tower,
 )
-from towertree.trees import _floor, _meet, _up
+from towertree.towers import Level
+from towertree.trees import _floor, _meet
 
 
 def test_two_branch_tree_shape(two_branch_tree):
@@ -172,7 +174,7 @@ def test_metric_matches_chain_prefix_oracle():
                 cases["fork"] += 1
             meet = meet_point(t, x, y)
             assert meet == brute_meet(t, x, y)
-            assert _floor(_meet(_up(t), t._locate(x), t._locate(y))) == math.floor(brute_radius(meet))
+            assert _floor(_meet(t.up, t._locate(x), t._locate(y))) == math.floor(brute_radius(meet))
             assert _floor(t._locate(x)) == math.floor(brute_radius(x))
             d = distance(t, x, y)
             assert d == brute_distance(t, x, y)
@@ -209,8 +211,12 @@ def test_subtree_at_frozen(two_branch_tree):
     }
     assert subtree_at(two_branch_tree, ROOT) == set(two_branch_tree.vertices)
     assert subtree_at(two_branch_tree, (3, "c1")) == {(3, "c1")}
-    with pytest.raises(VertexNotFound):
-        subtree_at(two_branch_tree, (9, "zzz"))
+    for stray in ((9, "zzz"), (1, ["a"]), (1,), None):
+        assert not two_branch_tree.has_vertex(stray)
+        with pytest.raises(VertexNotFound):
+            two_branch_tree._position(stray)
+        with pytest.raises(VertexNotFound):
+            subtree_at(two_branch_tree, stray)
 
 
 def test_max_geodesic_subtree_prunes_dead_branch(two_branch_tree):
@@ -346,8 +352,11 @@ def test_solenoid_vertices_are_found_and_named_unprinted():
         chain = tree.chain((9, "-3"))
         assert chain[-3:] == ((7, "-12"), (8, "-6"), (9, "-3"))
         assert tree.parent_of((1, "-1024")) == ROOT
-        for stray in ((3, "257"), (3, "0256"), (3, "+1"), (3, " 1"), (3, 1), (12, "0"), (0, "0")):
+        for stray in ((3, "257"), (3, "0256"), (3, "+1"), (3, " 1"), (3, 1), (12, "0"), (0, "0"),
+                      (3, ["256"]), (3,), None):
             assert not tree.has_vertex(stray)
+            with pytest.raises(VertexNotFound):
+                tree._position(stray)
         assert tree.has_vertex((3, "-256"))
     assert ids == ["256", *(x for _, x in reversed(chain[1:-1]))]
     for n, ids in enumerate(tree.tower.levels, start=1):
@@ -392,7 +401,7 @@ def test_tree_reads_the_oracle_off_its_tower():
     lazy caches; equality and hashing are the tower's, so a tower_of_tree
     copy, which drops the oracle, indexes a different tree."""
     assert set(RootedTree.__slots__) == {
-        "tower", "depth", "_levels", "_parent", "_children", "_core"
+        "tower", "depth", "ids", "sizes", "_up", "_levels", "_parent", "_children", "_core"
     }
     towers = [gen_random_tower(seed, depth=1 + seed % 4, max_level_size=3) for seed in range(12)]
     for primes in ([2], [2, 2], [1], [1, 3]):
@@ -425,6 +434,33 @@ def test_tree_reads_the_oracle_off_its_tower():
     assert RootedTree({}) == RootedTree({}) and hash(RootedTree({})) == hash(RootedTree({}))
 
 
+def test_tree_arrays_are_the_towers_with_the_root_first(two_branch_tower):
+    """ids, sizes and up are the tower's levels, sizes and rows with the root
+    as level 0 and a row of zeros below it; the tower's objects are shared,
+    not copied, and up is built only on its first read, which the core, the
+    end space and the retraction of a solenoid that some reach leaves never
+    make."""
+    for tower in (two_branch_tower, windowed_solenoid_tower([2, 3], 300, 6)):
+        tree = tree_of_tower(tower)
+        assert tree.ids[0] == ("root",) and tree.sizes == (1, *tower.sizes)
+        assert tree._up is None
+        up = tree.up
+        assert tree.up is up and len(up) == tower.depth == len(tree.ids) - 1
+        assert up[0] == (0,) * tree.sizes[1]
+        for n in range(1, tower.depth + 1):
+            assert tree.ids[n] is tower.levels[n - 1]
+            if n < tower.depth:
+                assert up[n] is tower.up[n - 1]
+    bare = RootedTree({})
+    assert bare.ids == (Level(("root",)),) and bare.sizes == (1,) and bare.up == ()
+    tree = tree_of_tower(windowed_solenoid_tower([2], 1 << 14, 15))
+    assert tree.fringe_unbounded
+    end_space_of(tree)
+    max_geodesic_subtree(tree)
+    retraction_map(tree)
+    assert tree._up is None
+
+
 def test_children_follow_level_order():
     for seed in range(20):
         tree = tree_of_tower(gen_random_tower(seed, depth=2 + seed % 5, max_level_size=5))
@@ -452,7 +488,7 @@ def test_lazy_views_match_an_eager_build():
         assert tree.depth == tower.depth and repr(tree) == text
         for n in range(1, tree.depth + 1):
             want = [levels[n - 1].index(parent[v]) for v in levels[n]]
-            assert list(tree.parent_positions(n)) == want
+            assert list(tree.up[n - 1]) == want
         assert tree._levels is None and tree._parent is None and tree._children is None
         views = [("levels", levels), ("vertices", vertices)]
         views += [("parent", parent), ("children", children)]
