@@ -3,10 +3,12 @@
 Distances between ends are stored as agreement depths (integer exponents
 of e^{-t0}); the transcendental e^{-k} only appears at presentation time.
 Rational-distance spaces are supported alongside, and are discretized onto
-the integer-exponent grid by simplicialize, whose exponent choices are
-certified with interval arithmetic rather than trusted to floats.  mpmath
-is imported by the certified logs that use it, on their first call, so
-importing the package does not load it.  Points form a Level or Window.
+the integer-exponent grid by simplicialize.  Its exponent choices are
+certified rather than trusted to floats: a float guess is confirmed by
+lower and upper bounds on a logarithm, each from mpmath.libmp calls
+rounded outward, at a precision doubled until the bounds decide.  mpmath
+is imported by the certified logs, on their first call, so importing the
+package does not load it.  Points form a Level or Window.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ class UltrametricSpace:
         if mode not in (GRID, RATIONAL):
             raise UnsupportedMode(f"unknown mode {mode!r}")
         rows: list[list] = [[None] * len(pts) for _ in pts]
-        filled = 0
         index = pts.index
         for (x, y), value in entries.items():
             try:
@@ -71,23 +72,13 @@ class UltrametricSpace:
                 if value != 0:
                     raise ValidationError(f"self-distance of {x} must be 0")
                 continue
-            key = (x, y) if i < j else (y, x)
-            if mode == GRID:
-                if not isinstance(value, int) or value < 0:
-                    raise ValidationError(f"grid exponent for {key} must be an integer >= 0")
-            else:
+            if mode == RATIONAL and type(value) is not Fraction:
                 value = Fraction(value)
-                if not 0 < value <= 1:
-                    raise ValidationError(f"rational distance for {key} must lie in (0, 1]")
-            if rows[i][j] is None:
-                filled += 1
-            elif rows[i][j] != value:
-                raise ValidationError(f"asymmetric entries for pair {key}")
-            rows[i][j] = rows[j][i] = value
+            rows[i][j] = value
+            if rows[j][i] is None:  # until (y, x) brings its own
+                rows[j][i] = value
+        _check_rows(pts, rows, mode)
         self.points, self.mode, self.rows = pts, mode, rows
-        if filled != len(pts) * (len(pts) - 1) // 2:
-            missing = sorted((x, y) for x, y, v in self.pairs() if v is None)
-            raise ValidationError(f"missing distances for pairs: {missing[:3]}...")
 
     @classmethod
     def _trusted(cls, points: Level | Window, rows: list[list], mode: str) -> UltrametricSpace:
@@ -147,6 +138,40 @@ class UltrametricSpace:
 
     def __repr__(self) -> str:
         return f"UltrametricSpace({len(self.points)} points, mode={self.mode})"
+
+
+# per mode: whether a value is in range, and the message when it is not
+_RANGE = {
+    GRID: (lambda v: isinstance(v, int) and v >= 0, "grid exponent for {} must be an integer >= 0"),
+    RATIONAL: (
+        lambda v: 0 < v.numerator <= v.denominator, "rational distance for {} must lie in (0, 1]"
+    ),
+}
+
+
+def _check_rows(points: Level, rows: list[list], mode: str) -> None:
+    """Check the position rows of a space: rows[i][j] is the value of
+    (points[i], points[j]), None on the diagonal and for a pair not given.
+    The first pair in position order with a value out of range or two
+    different values raises ValidationError, and so does any pair not given.
+    UltrametricSpace and parse_distance_matrix both check here."""
+    in_range, rule = _RANGE[mode]
+    unset = False
+    for i, row in enumerate(rows):
+        for j in range(i + 1, len(row)):
+            a, b = row[j], rows[j][i]
+            if a is None:
+                unset = True
+            elif not in_range(a) or (a is not b and not in_range(b)):
+                raise ValidationError(rule.format((points[i], points[j])))
+            elif a is not b and a != b:
+                raise ValidationError(f"asymmetric entries for pair {(points[i], points[j])}")
+    if unset:
+        n = len(points)
+        missing = sorted(
+            (points[i], points[j]) for i in range(n) for j in range(i + 1, n) if rows[i][j] is None
+        )
+        raise ValidationError(f"missing distances for pairs: {missing[:3]}...")
 
 
 def grid_space(points, exponents: Mapping[tuple[str, str], int]) -> UltrametricSpace:
@@ -310,30 +335,28 @@ def tu_distance(space: UltrametricSpace, x: str, t, y: str, s):
 # Certified integer log brackets
 
 
-def _certified_sign_ln_minus(p: int, q: int, r: Fraction) -> int:
-    """Sign of ln(p/q) - r, certified by widening interval precision.
+def _certified_sign_ln_minus(p: int, q: int, r: Fraction | int) -> int:
+    """Sign of ln(p/q) - r, certified by outward rounding.
 
+    At each precision, a lower bound on ln(p/q) - r comes from mpmath.libmp
+    calls that round p/q and its log down and r up, and an upper bound from
+    the opposite roundings, so both hold for the exact value, as in mpmath's
+    interval log.  A lower bound above 0 or an upper bound below 0 decides
+    the sign; otherwise the precision doubles from 80 bits up to 100,000.
     Only sound when ln(p/q) != r; callers ensure that (a rational equal to
     a rational power of e forces p = q and r = 0, which they exclude).
     """
-    import mpmath
+    from mpmath.libmp import from_int, mpf_div, mpf_log, mpf_sign, mpf_sub
+    from mpmath.libmp import round_ceiling as up, round_floor as down
 
+    top, bottom = from_int(p), from_int(q)
+    a, b = from_int(r.numerator), from_int(r.denominator)
     prec = 80
     while prec <= 100000:
-        old = mpmath.iv.prec
-        try:
-            mpmath.iv.prec = prec
-            x = (
-                mpmath.iv.log(mpmath.iv.mpf(p))
-                - mpmath.iv.log(mpmath.iv.mpf(q))
-                - mpmath.iv.mpf(r.numerator) / mpmath.iv.mpf(r.denominator)
-            )
-            if x.a > 0:
-                return 1
-            if x.b < 0:
-                return -1
-        finally:
-            mpmath.iv.prec = old
+        for rnd, opposite, sign in ((down, up, 1), (up, down, -1)):
+            ln = mpf_log(mpf_div(top, bottom, prec, rnd), prec, rnd)
+            if mpf_sign(mpf_sub(ln, mpf_div(a, b, prec, opposite), prec, rnd)) == sign:
+                return sign
         prec *= 2
     raise ValidationError(f"could not separate ln({p}/{q}) from {r}")
 
@@ -356,14 +379,12 @@ def certified_neg_log_floor(d: Fraction) -> int:
         raise InvalidParameter("need a distance in (0, 1]")
     if d == 1:
         return 0
-    import mpmath
-
-    k = int(mpmath.floor(-mpmath.log(mpmath.mpf(d.numerator) / mpmath.mpf(d.denominator))))
-    k = max(k, 0)
+    p, q = d.numerator, d.denominator
+    k = max(math.floor(math.log(q) - math.log(p)), 0)
     # certify, walking if the float guess sat on the wrong side
-    while certified_ln_sign(d, Fraction(-k)) > 0:  # d > e^{-k}: k too big
+    while _certified_sign_ln_minus(p, q, -k) > 0:  # d > e^{-k}: k too big
         k -= 1
-    while certified_ln_sign(d, Fraction(-(k + 1))) < 0:  # d <= e^{-(k+1)}: k too small
+    while _certified_sign_ln_minus(p, q, -(k + 1)) < 0:  # d <= e^{-(k+1)}: k too small
         k += 1
     return k
 
@@ -402,20 +423,26 @@ def simplicialize(space: UltrametricSpace) -> tuple[RootedTree, EndCorrespondenc
     """Discretize distances onto the integer-exponent grid and build the
     dendrogram.  Each pair's exponent k is certified to satisfy
     e^{-(k+1)} < d <= e^{-k}, which pins the distortion into (1/e, 1].
-    Each distinct distance is certified once."""
+    Each distinct distance is certified once, found by its numerator and
+    denominator, and the exponent rows are filled in the same pass."""
+    pts, grid = space.points, space.mode == GRID
+    exps = space.rows if grid else [[None] * len(pts) for _ in pts]
+    floors: dict[tuple[int, int], int] = {}
     rows = []
-    grid = space.mode == GRID
-    floors: dict[Fraction, int] = {}
-    for x, y, v in space.pairs():
-        if not grid and v not in floors:
-            floors[v] = certified_neg_log_floor(v)
-        original, exponent, k = (Fraction(0), v, v) if grid else (v, None, floors[v])
-        rows.append(CorrespondenceRow(x, y, original, exponent, k, certified=True))
-    if not grid:
-        exps = [[None if v is None else floors[v] for v in row] for row in space.rows]
-        space = UltrametricSpace._trusted(space.points, exps, GRID)
-    tree, _ = tree_of_ultrametric(space)
-    return tree, EndCorrespondence(points=space.points, rows=tuple(rows))
+    for i, (x, row) in enumerate(zip(pts, space.rows)):
+        for j in range(i + 1, len(row)):
+            v = row[j]
+            if grid:
+                rows.append(CorrespondenceRow(x, pts[j], Fraction(0), v, v, certified=True))
+                continue
+            key = (v.numerator, v.denominator)
+            k = floors.get(key)
+            if k is None:
+                k = floors[key] = certified_neg_log_floor(v)
+            exps[i][j] = exps[j][i] = k
+            rows.append(CorrespondenceRow(x, pts[j], v, None, k, certified=True))
+    tree, _ = tree_of_ultrametric(UltrametricSpace._trusted(pts, exps, GRID))
+    return tree, EndCorrespondence(points=pts, rows=tuple(rows))
 
 
 def bilipschitz_bounds(corr: EndCorrespondence) -> tuple[float, float]:

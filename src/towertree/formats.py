@@ -10,10 +10,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .ends import GRID, RATIONAL, UltrametricSpace, grid_space, rational_space
+from .ends import GRID, RATIONAL, UltrametricSpace, _check_rows
 from .errors import ParseError, TowerTreeError
 from .groups import GroupTower, ScaleHom, TableGroup, TableHom, WindowedZ
-from .towers import Tower, TowerMorphism, windowed_solenoid_tower
+from .towers import Level, Tower, TowerMorphism, natural_key, windowed_solenoid_tower
 from .towers import MAX_GENERATOR_IDS  # noqa: F401  (the generator budget lives in towers)
 
 # A group level may hold at most this many elements (a windowZ:N level holds
@@ -205,41 +205,47 @@ def _parse_entry(token: str, lineno: int) -> tuple[str, int | Fraction]:
 
 
 def parse_distance_matrix(text: str) -> UltrametricSpace:
+    """The space of a matrix text.  The header is sorted once, and each
+    entry is written into the row of its point's position, checked as
+    UltrametricSpace checks its rows."""
     rows = [
         (i, line.split()) for i, line in enumerate(text.splitlines(), start=1) if line.strip()
     ]
     _require(bool(rows), "matrix text is empty")
-    header_line, points = rows[0]
-    _require(len(set(points)) == len(points), "duplicate ids in matrix header")
+    header_line, header = rows[0]
+    _require(len(set(header)) == len(header), "duplicate ids in matrix header")
     body = rows[1:]
-    if len(body) != len(points):
+    if len(body) != len(header):
         raise ParseError(
-            f"expected {len(points)} rows after the header, found {len(body)}", line=header_line
+            f"expected {len(header)} rows after the header, found {len(body)}", line=header_line
         )
-    entries: dict[tuple[str, str], int | Fraction] = {}
-    modes = set()
+    try:
+        points = Level(sorted(header, key=natural_key))
+    except TowerTreeError as e:
+        raise ParseError(str(e)) from None
+    pos = [points.index(x) for x in header]
+    values: list[list] = [[None] * len(points) for _ in points]
     read: dict[str, tuple[str, int | Fraction]] = {}  # each distinct token is parsed once
-    for (lineno, tokens), x in zip(body, points):
+    for (lineno, tokens), i in zip(body, pos):
         if len(tokens) != len(points):
             raise ParseError(f"row has {len(tokens)} entries, expected {len(points)}", line=lineno)
-        for token, y in zip(tokens, points):
-            if x == y:
+        row = values[i]
+        for token, j in zip(tokens, pos):
+            if i == j:
                 if token != "0":
                     raise ParseError(f"diagonal entry must be 0, found {token!r}", line=lineno)
                 continue
-            mode, value = read.get(token) or read.setdefault(token, _parse_entry(token, lineno))
-            modes.add(mode)
-            entries[(x, y)] = value
+            row[j] = (read.get(token) or read.setdefault(token, _parse_entry(token, lineno)))[1]
+    modes = {mode for mode, _ in read.values()}
     if len(modes) > 1:
         raise ParseError("matrix mixes exponent and rational entries")
     # a singleton matrix has no off-diagonal entry to reveal its mode
     mode = modes.pop() if modes else GRID
     try:
-        if mode == GRID:
-            return grid_space(points, entries)
-        return rational_space(points, entries)
+        _check_rows(points, values, mode)
     except TowerTreeError as e:
         raise ParseError(str(e)) from None
+    return UltrametricSpace._trusted(points, values, mode)
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ def gen_solenoid(primes: Sequence[int], window: int, depth: int) -> tuple[GroupT
 class BiHolderRow:
     """One comparison row: exact distance 1/2^{k+1} against e^{-n}.
 
-    n is the least integer with e^{-n} < (d/k)^k, certified by interval
+    n is the least integer with e^{-n} < (d/k)^k, certified by outward-rounded
     arithmetic; the strict inequality is what makes the simplicial metric
     collapse faster than any fixed Hoelder exponent allows.
     """

@@ -157,15 +157,14 @@ class RootedTree:
         return True
 
     def parent_of(self, v: Vertex) -> Vertex:
-        if v == ROOT:
+        p = self._position(v)
+        if v[0] == 0:
             raise VertexNotFound("the root has no parent")
-        return self.ancestor(v, v[0] - 1)
+        return self._vertex(v[0] - 1, self.up[v[0] - 1][p])
 
     def children_of(self, v: Vertex) -> tuple[Vertex, ...]:
-        try:
-            return self.children[v]
-        except KeyError:
-            raise VertexNotFound(f"{v} is not a vertex of this tree") from None
+        self._position(v)
+        return self.children[v]
 
     def ancestor(self, v: Vertex, n: int) -> Vertex:
         """The vertex at level n on the root path of v; needs 0 <= n <= level of v."""
@@ -270,12 +269,11 @@ def subtree_at(tree: RootedTree, c: Vertex) -> frozenset[Vertex]:
     """All descendants of c, including c itself."""
     if not tree.has_vertex(c):
         raise VertexNotFound(f"{c} is not a vertex of this tree")
-    out = set()
-    stack = [c]
+    out, stack, children = set(), [c], tree.children
     while stack:
         v = stack.pop()
         out.add(v)
-        stack.extend(tree.children_of(v))
+        stack.extend(children[v])
     return frozenset(out)
 
 
@@ -301,7 +299,8 @@ def is_geodesically_complete(tree: RootedTree) -> bool:
 def branches(tree: RootedTree) -> tuple[tuple[Vertex, ...], ...]:
     """All maximal root-based paths as root-to-leaf vertex tuples, ordered by
     leaf in vertex order; a branch is complete iff its leaf sits at full depth."""
-    return tuple(tree.chain(leaf) for leaf in tree.vertices if not tree.children_of(leaf))
+    children = tree.children
+    return tuple(tree.chain(leaf) for leaf in tree.vertices if not children[leaf])
 
 
 # ---------------------------------------------------------------------------

@@ -395,7 +395,7 @@ def in_neg_log_band(d, k):
 def float_min_exponent(k):
     """Minimal integer n with e^{-n} < (2^{-(k+1)} / k)^k, via mpmath.
 
-    High-precision floating oracle, independent of the interval-arithmetic
+    High-precision floating oracle, independent of the outward-rounded
     certification in the library.
     """
     import mpmath
@@ -403,6 +403,57 @@ def float_min_exponent(k):
     with mpmath.workdps(60):
         bound = k * mpmath.log(k * mpmath.mpf(2) ** (k + 1))
         return int(mpmath.floor(bound)) + 1
+
+
+def mp_ln_sign(value, threshold):
+    """Sign of ln(value) - threshold for rationals value > 0 and threshold,
+    from 60-digit mpmath.  Asserts that the difference is at least 1e-40
+    away from 0, so that 60 digits decide it."""
+    import mpmath
+
+    value, threshold = Fraction(value), Fraction(threshold)
+    with mpmath.workdps(60):
+        x = (
+            mpmath.log(value.numerator)
+            - mpmath.log(value.denominator)
+            - mpmath.mpf(threshold.numerator) / threshold.denominator
+        )
+        assert abs(x) > mpmath.mpf(10) ** -40, f"ln({value}) is too close to {threshold}"
+        return 1 if x > 0 else -1
+
+
+def mp_neg_log_floor(d):
+    """floor(-ln d) for rational d in (0, 1], from 60-digit mpmath.
+    Asserts that -ln d is at least 1e-40 away from every integer but 0."""
+    import mpmath
+
+    d = Fraction(d)
+    if d == 1:
+        return 0
+    with mpmath.workdps(60):
+        x = mpmath.log(d.denominator) - mpmath.log(d.numerator)
+        k = int(mpmath.floor(x))
+        assert min(x - k, k + 1 - x) > mpmath.mpf(10) ** -40, f"{d} is too close to a power of e"
+        return k
+
+
+def exp_convergents(k, max_denominator):
+    """The continued-fraction convergents p/q of e^-k in (0, 1] with
+    q <= max_denominator, from 120-digit mpmath.  They alternate around
+    e^-k and come within 1/q^2 of it."""
+    import mpmath
+
+    out, (p0, q0), (p1, q1) = [], (0, 1), (1, 0)
+    with mpmath.workdps(120):
+        x = mpmath.exp(-k)
+        while True:
+            a = int(mpmath.floor(x))
+            p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
+            if q1 > max_denominator:
+                return out
+            if p1 > 0:
+                out.append(Fraction(p1, q1))
+            x = 1 / (x - a)
 
 
 def float_least_violation(c, l, k_max):

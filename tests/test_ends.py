@@ -14,7 +14,11 @@ from oracles import (
     brute_end_exponents,
     brute_prefix,
     brute_ultrametric_ok,
+    exp_convergents,
+    float_min_exponent,
     is_violation,
+    mp_ln_sign,
+    mp_neg_log_floor,
 )
 
 from towertree import (
@@ -46,6 +50,7 @@ from towertree import (
     verify_ultrametric,
     windowed_solenoid_tower,
 )
+from towertree.generate import DEFAULT_C_GRID, DEFAULT_L_GRID
 
 
 def test_agreement_two_branch(two_branch_tree):
@@ -368,6 +373,35 @@ def test_certified_ln_sign():
     assert certified_ln_sign(Fraction(8), Fraction(2)) == 1
     assert certified_ln_sign(Fraction(7), Fraction(2)) == -1
     assert certified_ln_sign(Fraction(1), Fraction(0)) == 0
+
+
+def test_certified_neg_log_floor_matches_a_60_digit_oracle():
+    rng = random.Random("neg-log-floor")
+    ds = []
+    while len(ds) < 1200:
+        q = rng.randint(1, 10 ** rng.randint(1, 40))
+        ds.append(Fraction(rng.randint(1, q), q))
+    # the convergents of e^-k sit on either side of the band edge e^-k, the
+    # later ones closer than 80 bits can tell
+    edges = [(k, d) for k in range(1, 13) for d in exp_convergents(k, 10**18)]
+    assert len(edges) >= 200
+    assert {mp_neg_log_floor(d) - k for k, d in edges} == {-1, 0}
+    for d in ds + [d for _, d in edges]:
+        assert certified_neg_log_floor(d) == mp_neg_log_floor(d), d
+
+
+def test_certified_ln_sign_matches_a_60_digit_oracle_on_biholder_thresholds():
+    checked = 0
+    for k in range(2, 65):
+        n, m = float_min_exponent(k), k << (k + 1)
+        # the thresholds gen_biholder compares ln(k 2^(k+1)) with: the walk
+        # to n on either side of it, and each (C, l) cell of its grid
+        cases = [(m, Fraction(n - 1, k)), (m, Fraction(n, k))]
+        cases += [(c << (k + 1), l * n) for c in DEFAULT_C_GRID for l in DEFAULT_L_GRID]
+        for value, threshold in cases:
+            assert certified_ln_sign(Fraction(value), threshold) == mp_ln_sign(value, threshold)
+            checked += 1
+    assert checked == 63 * 11
 
 
 @settings(max_examples=30, deadline=None)

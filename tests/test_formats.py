@@ -2,6 +2,7 @@
 
 import copy
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from towertree import (
     TableGroup,
     TableHom,
     GroupTower,
+    ValidationError,
     WindowedZ,
     emit_distance_matrix,
     emit_group_tower,
@@ -334,6 +336,92 @@ _LONG = "1" * 5000  # past Python's 4,300-digit int/str limit
 def test_malformed_matrix_and_group_input_ends_in_parse_error(parse, text):
     with pytest.raises(ParseError):
         parse(text)
+
+
+def _shuffled_matrix(space, rng, faults=()):
+    """The matrix text of space with its header shuffled, and its entries
+    as a dict in file order; faults maps a (row, column) of the file to the
+    token that replaces the entry there."""
+    header = list(space.points)
+    rng.shuffle(header)
+    lines, entries = [" ".join(header)], {}
+    for r, x in enumerate(header):
+        tokens = []
+        for c, y in enumerate(header):
+            if x == y:
+                tokens.append("0")
+                continue
+            if space.mode == GRID:
+                value = space.exponent(x, y)
+                token = f"e-{value}"
+            else:
+                value = space.rational(x, y)
+                token = str(value)
+            if (r, c) in faults:
+                token = faults[r, c]
+                value = Fraction(token)
+            tokens.append(token)
+            entries[(x, y)] = value
+        lines.append(" ".join(tokens))
+    return "\n".join(lines) + "\n", entries
+
+
+def test_parsed_matrix_is_the_space_of_its_entries():
+    for seed in range(60):
+        rng = random.Random(f"matrix-order:{seed}")
+        space = (gen_random_grid_space if seed % 2 else gen_random_rational_space)(seed, 12)
+        if len(space.points) < 2:
+            continue  # a singleton matrix parses as grid
+        text, entries = _shuffled_matrix(space, rng)
+        build = grid_space if space.mode == GRID else rational_space
+        assert parse_distance_matrix(text) == build(list(space.points), entries) == space
+
+
+def test_parser_and_constructor_report_the_same_first_fault():
+    """Both check the position rows of a space in one routine, so a matrix
+    with faults in several pairs names the same first pair either way, in
+    whatever order the entries come."""
+    checked = 0
+    for seed in range(60):
+        rng = random.Random(f"matrix-fault:{seed}")
+        space = gen_random_rational_space(seed, 12)
+        n = len(space.points)
+        if n < 3:
+            continue
+        # one side of each of three pairs gets a distance out of range or
+        # one the generator never draws, so that the pair is asymmetric
+        pairs = rng.sample([(r, c) for r in range(n) for c in range(r + 1, n)], 3)
+        faults = {
+            rng.choice([pair, pair[::-1]]): rng.choice(["3/2", "1/7", "2/9"]) for pair in pairs
+        }
+        text, entries = _shuffled_matrix(space, rng, faults)
+        with pytest.raises(ParseError) as parsed:
+            parse_distance_matrix(text)
+        for order in (entries, dict(reversed(entries.items()))):
+            with pytest.raises(ValidationError) as built:
+                rational_space(list(space.points), order)
+            assert str(parsed.value) == str(built.value)
+        checked += 1
+    assert checked >= 40
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("b a\n0 1/2\n1/3 0\n", "asymmetric entries for pair ('a', 'b')"),
+        ("p10 p2\n0 3/2\n3/2 0\n", "rational distance for ('p2', 'p10') must lie in (0, 1]"),
+        ("a b\n0 0/5\n0/5 0\n", "rational distance for ('a', 'b') must lie in (0, 1]"),
+        ("a b\n0 -1/2\n-1/2 0\n", "rational distance for ('a', 'b') must lie in (0, 1]"),
+        ("a b\n0 1/2\ne-1 0\n", "matrix mixes exponent and rational entries"),
+        (f"a x{_LONG}\n0 e-1\ne-1 0\n", "id x1111111111111111111... has a decimal run too long to read"),
+    ],
+    ids=["asymmetric", "above-one", "zero", "negative", "mixed-modes", "id-digit-limit"],
+)
+def test_matrix_faults_are_parse_errors_with_pinned_messages(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_distance_matrix(text)
+    assert not isinstance(err.value, ValidationError)
+    assert str(err.value) == message
 
 
 def test_group_order_is_bounded_before_building():

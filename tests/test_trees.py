@@ -217,6 +217,10 @@ def test_subtree_at_frozen(two_branch_tree):
             two_branch_tree._position(stray)
         with pytest.raises(VertexNotFound):
             subtree_at(two_branch_tree, stray)
+        with pytest.raises(VertexNotFound):
+            two_branch_tree.parent_of(stray)
+        with pytest.raises(VertexNotFound):
+            two_branch_tree.children_of(stray)
 
 
 def test_max_geodesic_subtree_prunes_dead_branch(two_branch_tree):
@@ -357,6 +361,10 @@ def test_solenoid_vertices_are_found_and_named_unprinted():
             assert not tree.has_vertex(stray)
             with pytest.raises(VertexNotFound):
                 tree._position(stray)
+            with pytest.raises(VertexNotFound):
+                tree.parent_of(stray)
+            with pytest.raises(VertexNotFound):
+                tree.children_of(stray)
         assert tree.has_vertex((3, "-256"))
     assert ids == ["256", *(x for _, x in reversed(chain[1:-1]))]
     for n, ids in enumerate(tree.tower.levels, start=1):
