@@ -14,13 +14,17 @@ package does not load it.  Points form a Level or Window.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import repeat
+from operator import neg
 from typing import Mapping, Sequence
 
 from .errors import ElementNotInLevel, EmptyCore, InvalidParameter, UnsupportedMode, ValidationError
 from .towers import Level, Tower, Window, natural_key
-from .trees import RootedTree, Vertex, max_geodesic_subtree, tree_of_tower
+from .trees import ROOT, RootedTree, Vertex, max_geodesic_subtree, tree_of_tower
 
 GRID = "grid"
 RATIONAL = "rational"
@@ -49,9 +53,12 @@ class UltrametricSpace:
     (points[i], points[j]), None on the diagonal.  Construction checks
     types, symmetry, and range; the strong triangle inequality is a
     separate verdict so that deliberately broken inputs can be examined.
+    Spaces are immutable: the single-linkage pass that verify_ultrametric
+    and tree_of_ultrametric read is built on first use and kept in
+    _linkage, which equality and hash leave out.
     """
 
-    __slots__ = ("points", "mode", "rows")
+    __slots__ = ("points", "mode", "rows", "_linkage")
 
     def __init__(self, points, entries: Mapping[tuple[str, str], int | Fraction], mode: str):
         pts = Level(sorted(points, key=natural_key))
@@ -78,14 +85,14 @@ class UltrametricSpace:
             if rows[j][i] is None:  # until (y, x) brings its own
                 rows[j][i] = value
         _check_rows(pts, rows, mode)
-        self.points, self.mode, self.rows = pts, mode, rows
+        self.points, self.mode, self.rows, self._linkage = pts, mode, rows, None
 
     @classmethod
     def _trusted(cls, points: Level | Window, rows: list[list], mode: str) -> UltrametricSpace:
         """A space from points, a level of a tower or of a space, and their
         full rows, for builders whose values hold by construction."""
         space = cls.__new__(cls)
-        space.points, space.mode, space.rows = points, mode, rows
+        space.points, space.mode, space.rows, space._linkage = points, mode, rows, None
         return space
 
     def _entry(self, x: str, y: str):
@@ -191,56 +198,76 @@ class UltrametricVerdict:
         return self.valid
 
 
-def _single_linkage(space: UltrametricSpace):
-    """The single-linkage merge pass: pairs from closest to farthest
-    (descending exponent in grid mode, ascending distance in rational mode)
-    join clusters in a union-find over point positions.  Pairs of one value
-    come in position order, so the merges depend only on the space.
+def _single_linkage(space: UltrametricSpace) -> tuple[list[int], list]:
+    """The single-linkage dendrogram in Prim's order, built on first use and
+    kept in space._linkage.
 
-    Yields (v, a, b, A, B) each time the pair (a, b) at value v first joins
-    two clusters, A holding a and B holding b, before they merge.  A cluster
-    is a list of positions led by its least one, its representative, and A
-    has the lesser representative.  Pairs inside one cluster are skipped, so
-    malformed spaces still merge into connected components.
+    order starts at position 0, and each next point is the one closest to
+    the points before it (descending exponent in grid mode, ascending
+    distance in rational mode; the least position among ties); link[t - 1]
+    is the value joining order[t] to them.  The classes at any threshold
+    are then the runs of order cut at each link farther than it, so two
+    points join at the farthest link between their places, and a malformed
+    space gets connected components.  O(n^2) time, and no memory per pair.
     """
-    by_value = {}
-    for i, row in enumerate(space.rows):
-        for j in range(i + 1, len(row)):
-            by_value.setdefault(row[j], []).append((i, j))
-    cluster = [[i] for i in range(len(space.points))]
-    for v in sorted(by_value, reverse=space.mode == GRID):
-        for a, b in by_value[v]:
-            A, B = cluster[a], cluster[b]
-            if A is B:
-                continue
-            if B[0] < A[0]:
-                a, b, A, B = b, a, B, A
-            yield v, a, b, A, B
-            A += B
-            for y in B:
-                cluster[y] = A
+    if space._linkage is None:
+        rows = space.rows
+        rest = list(range(1, len(rows)))
+        near = rows[0][1:]  # the value from each point of rest to its closest point of order
+        # places in near, made once: enumerate would make an int per place past 256
+        places = list(range(len(rows)))
+        order, link = [0], []
+        grid = space.mode == GRID
+        closest = max if grid else min
+        while rest:
+            w = closest(near)
+            t = near.index(w)
+            order.append(rest.pop(t))
+            link.append(w)
+            del near[t]
+            row = rows[order[-1]]
+            if grid:
+                for t, k in zip(places, rest):
+                    if row[k] > near[t]:
+                        near[t] = row[k]
+            else:
+                for t, k in zip(places, rest):
+                    if row[k] < near[t]:
+                        near[t] = row[k]
+        space._linkage = order, link
+    return space._linkage
 
 
 def verify_ultrametric(space: UltrametricSpace) -> UltrametricVerdict:
-    """Strong-triangle check from the single-linkage dendrogram.
+    """Strong-triangle check against the single-linkage dendrogram.
 
-    A finite space is ultrametric iff each pair's distance is the height at
-    which single linkage first joins it (Carlsson and Memoli, JMLR 11,
-    2010): when clusters A and B merge at v, every pair of A x B must sit
-    at exactly v.  Each pair is compared once, so the check is O(n^2 log n).
-    The first pair (x, y) that does not yields a genuine violating triple,
-    because A and B were consistent before the merge.
+    A finite space is ultrametric iff each pair's value is the one at which
+    single linkage first joins it (Carlsson and Memoli, JMLR 11, 2010): in
+    Prim's order, the farthest link between the two points' places.  So
+    each point's row, read at the points before it in that order, must equal
+    the running farthest links, one list comparison per point: every pair
+    is compared once, in O(n^2) time with O(n) memory beyond the rows.
+
+    The first point y whose row differs, at the first point x before it,
+    yields a genuine violating triple (x, y, z), z being the first point
+    before y at y's own link: x and y are farther apart than their links
+    allow (a Prim step never passes over a closer point), while z sits at
+    least that close to both, by the rows already compared.
     """
-    rows = space.rows
-    for v, a, b, A, B in _single_linkage(space):
-        for x in A:
-            row = rows[x]
-            for y in B:
-                if row[y] != v:
-                    triple = (x, b, a) if row[b] != v else (x, y, b)
-                    return UltrametricVerdict(
-                        valid=False, violation=tuple(space.points[i] for i in triple)
-                    )
+    order, link = _single_linkage(space)
+    rows, grid = space.rows, space.mode == GRID
+    farthest: list = []  # farthest[p]: the farthest link between order[p] and order[q]
+    for q in range(1, len(order)):
+        w = link[q - 1]
+        # the links closer than w become w: a suffix, as farthest[p] gets no farther with p
+        cut = bisect_right(farthest, w) if grid else bisect_right(farthest, -w, key=neg)
+        farthest[cut:] = [w] * (len(farthest) - cut)
+        farthest.append(w)
+        got = list(map(rows[order[q]].__getitem__, order[:q]))
+        if got != farthest:
+            p = next(p for p, (a, b) in enumerate(zip(got, farthest)) if a != b)
+            triple = (order[p], order[q], order[got.index(w)])
+            return UltrametricVerdict(valid=False, violation=tuple(space.points[i] for i in triple))
     return UltrametricVerdict(valid=True)
 
 
@@ -285,32 +312,49 @@ def tree_of_ultrametric(
     whose pairwise agreement depths equal the original exponents exactly.
     The class of a point at height h is its single-linkage cluster once
     every pair >= h has merged, named by its least point; a malformed space
-    gets connected components.
+    gets connected components.  The classes are read off the pass that
+    verify_ultrametric keeps, which is run here if it has not been.
     """
     if space.mode != GRID:
         raise UnsupportedMode("rational spaces go through simplicialize instead")
     pts = space.points
-    height = max((v for _, _, v in space.pairs()), default=0) + 1
-    owner = list(range(len(pts)))  # position -> representative position
-    # parts[h - 1] is owner once every pair >= h has merged; heights at or
-    # below the last merge keep the final owner itself
-    parts = [owner] * height
-    h = height
-    for v, _, _, A, B in _single_linkage(space):
-        while h > v:
-            parts[h - 1] = owner[:]
-            h -= 1
-        for y in B:
-            owner[y] = A[0]
-    # a representative is the least position of its class, so each height
-    # lists its classes in point order, which is natural_key order
-    reps = [list(dict.fromkeys(part)) for part in parts]
-    up = []
-    for coarse, above, here in zip(parts, reps, reps[1:]):
-        where = {r: i for i, r in enumerate(above)}
-        up.append([where[coarse[r]] for r in here])
-    tree = tree_of_tower(Tower._ordered([[pts[r] for r in rs] for rs in reps], up))
-    return tree, {x: tree.chain((height, x)) for x in pts}
+    order, link = _single_linkage(space)
+    place = sorted(range(len(order)), key=order.__getitem__)  # each position's place in order
+    values = set(link)
+    parts: list[list[int]] = []  # parts[h - 1][i]: the least position in the class of i at height h
+    # levels and rows are copied from lists: tuples grown from map iterators,
+    # of no known length, left the heap 3 MB larger after 10,000 calls
+    levels, up = [], []
+    for h in range(1, max(link, default=0) + 2):
+        if h == 1 or h - 1 in values:  # the links at h - 1 cut from here up
+            part = _classes(order, link, h, place)
+            # each class first appears at its least point, so they come in point order
+            finer = list(dict.fromkeys(part))
+            if parts:
+                where = dict(zip(reps, range(len(reps))))
+                up.append(tuple([where[parts[-1][r]] for r in finer]))
+            reps, level = finer, Level([pts[r] for r in finer])
+        else:
+            up.append(tuple(range(len(reps))))
+        parts.append(part)
+        levels.append(level)
+    tree = tree_of_tower(Tower._ordered(levels, up))
+    columns = (zip(repeat(h), map(pts.__getitem__, part)) for h, part in enumerate(parts, 1))
+    return tree, dict(zip(pts, zip(repeat(ROOT), *columns)))
+
+
+def _classes(order: list[int], link: list, h: int, place: list[int]) -> list[int]:
+    """The least position in each point's class at height h: the runs of
+    order cut at every link below h."""
+    names, start, low = [], 0, order[0]  # names[t]: the least position in the run of order[t]
+    for t, w in enumerate(link, 1):
+        if w < h:
+            names += [low] * (t - start)
+            start, low = t, order[t]
+        elif order[t] < low:
+            low = order[t]
+    names += [low] * (len(order) - start)
+    return list(map(names.__getitem__, place))
 
 
 def tu_distance(space: UltrametricSpace, x: str, t, y: str, s):
@@ -335,6 +379,15 @@ def tu_distance(space: UltrametricSpace, x: str, t, y: str, s):
 # Certified integer log brackets
 
 
+@cache
+def _libmp():
+    """The mpmath.libmp calls of the certified logs, imported on the first."""
+    from mpmath.libmp import from_int, mpf_div, mpf_log, mpf_sign, mpf_sub
+    from mpmath.libmp import round_ceiling, round_floor
+
+    return from_int, mpf_div, mpf_log, mpf_sign, mpf_sub, round_ceiling, round_floor
+
+
 def _certified_sign_ln_minus(p: int, q: int, r: Fraction | int) -> int:
     """Sign of ln(p/q) - r, certified by outward rounding.
 
@@ -346,9 +399,7 @@ def _certified_sign_ln_minus(p: int, q: int, r: Fraction | int) -> int:
     Only sound when ln(p/q) != r; callers ensure that (a rational equal to
     a rational power of e forces p = q and r = 0, which they exclude).
     """
-    from mpmath.libmp import from_int, mpf_div, mpf_log, mpf_sign, mpf_sub
-    from mpmath.libmp import round_ceiling as up, round_floor as down
-
+    from_int, mpf_div, mpf_log, mpf_sign, mpf_sub, up, down = _libmp()
     top, bottom = from_int(p), from_int(q)
     a, b = from_int(r.numerator), from_int(r.denominator)
     prec = 80

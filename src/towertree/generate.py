@@ -89,6 +89,17 @@ class BiHolderTable:
         raise InvalidParameter(f"no grid cell ({c}, {l})")
 
 
+def _check_printable(name: str, value: int, shift: int) -> None:
+    """Refuse a value whose 2^(value + shift) would not print within
+    Python's int/str digit limit, before anything is built."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    most = (10**digits).bit_length() - 1 - shift  # the largest with 2^(most + shift) < 10^digits
+    if digits and value > most:
+        raise InvalidParameter(
+            f"{name} must be at most {most}, so that its powers of 2 print within {digits} digits"
+        )
+
+
 def _minimal_exponent(k: int) -> int:
     """Least integer strictly above k * ln(k * 2^(k+1)).
 
@@ -115,9 +126,12 @@ def gen_biholder(
 ) -> BiHolderTable:
     """Rows k = 2..k_max plus, per (C, l), the least k whose simplicial
     distance e^{-n_k} already beats the candidate Hoelder bound:
-    C (e^{-n_k})^l < 1/2^{k+1}."""
+    C (e^{-n_k})^l < 1/2^{k+1}.  Refuses a k_max whose last distance
+    1/2^(k_max + 1) would not print within Python's int/str digit limit,
+    before building any row."""
     if k_max < 2:
         raise InvalidParameter("k_max must be >= 2")
+    _check_printable("k_max", k_max, 1)
     c_grid = tuple(int(c) for c in c_grid)
     l_grid = tuple(Fraction(l) for l in l_grid)
     if any(c < 1 for c in c_grid):
@@ -172,10 +186,7 @@ def gen_example_nonretract(count: int = 10) -> NonRetractReport:
     digit limit, before building any."""
     if count < 1:
         raise InvalidParameter("count must be >= 1")
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    most = (10**digits).bit_length() - 1  # the largest count with 2^count < 10^digits
-    if digits and count > most:
-        raise InvalidParameter(f"count must be at most {most}: 2^count prints within {digits} digits")
+    _check_printable("count", count, 0)
     dists = tuple(Fraction(1, 1 << i) for i in range(1, count + 1))
     return NonRetractReport(distances=dists, infimum=Fraction(0), point_in_core=False)
 

@@ -57,18 +57,22 @@ def natural_key(s: str):
     comes before the ids it is a prefix of.  An id with a decimal run longer
     than int() reads raises ValidationError.
     """
-    try:
-        parts = ((0, int(s), ""),)
-    except ValueError:
+    # int() reads only an id whose first character after leading whitespace
+    # is a decimal digit or a sign, so no other id raises a ValueError here
+    if s.isdecimal() or (head := s.lstrip()[:1]) in ("+", "-") or head.isdecimal():
         try:
-            parts = tuple(
-                (0, int(part), "") if part.isdecimal() else (1, 0, part)
-                for part in _DIGIT_RUNS.split(s)
-                if part
-            )
-        except ValueError:  # a run past Python's int/str digit limit
-            raise ValidationError(f"id {s[:20]}... has a decimal run too long to read") from None
-    return parts + ((-1, len(s), s),)
+            return ((0, int(s), ""), (-1, len(s), s))
+        except ValueError:
+            pass
+    try:
+        parts = tuple(
+            (0, int(part), "") if part.isdecimal() else (1, 0, part)
+            for part in _DIGIT_RUNS.split(s)
+            if part
+        )
+    except ValueError:  # a run past Python's int/str digit limit
+        raise ValidationError(f"id {s[:20]}... has a decimal run too long to read") from None
+    return (*parts, (-1, len(s), s))
 
 
 @dataclass(frozen=True)

@@ -184,6 +184,19 @@ def test_gen_rejects_bad_parameters():
     assert code == 2
 
 
+def test_gen_biholder_refuses_a_k_max_past_the_digit_limit():
+    """The first k_max whose distance 1/2^(k_max + 1) would not print is
+    refused before any row is built: exit 2, one error line, no output."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no int/str digit limit")
+    most = (10 ** sys.get_int_max_str_digits()).bit_length() - 2  # 2^(most + 1) still prints
+    for fmt in ("text", "machine"):
+        code, out, err = run(["gen", "biholder", "--k-max", str(most + 1), "--format", fmt])
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert err.startswith(f"error: k_max must be at most {most},") and err.count("\n") == 1
+
+
 def test_analyze_rejects_booleans_and_oversized_generators(tmp_path):
     specs = [
         {"generator": "solenoid", "primes": [True], "window": 3, "depth": True},

@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -230,6 +232,68 @@ def test_tree_of_ultrametric_on_broken_spaces_is_connected_components():
             for (_, name), c in classes.items():
                 assert name == min(c, key=space.points.index)
     assert broken >= 10
+
+
+def _fresh(space):
+    """An equal space that has not run its single-linkage pass."""
+    return UltrametricSpace(space.points, {(x, y): v for x, y, v in space.pairs()}, space.mode)
+
+
+def _dendrogram(space):
+    tree, ends = tree_of_ultrametric(space)
+    return tree.tower.levels, tree.tower.up, list(ends.items())
+
+
+def test_tree_of_ultrametric_is_the_same_with_or_without_verify_first():
+    """verify_ultrametric keeps its single-linkage pass and tree_of_ultrametric
+    reads it; run cold, tree_of_ultrametric builds the same pass itself.
+    Both give one dendrogram, on valid and broken grid spaces and through
+    simplicialize, while verdicts match brute force with genuine triples."""
+    spaces = broken = 0
+    for seed in range(150):
+        grid = gen_random_grid_space(seed, max_points=14)
+        for space in (grid, perturbed(grid, seed)):
+            cold, warm = _fresh(space), _fresh(space)
+            assert cold._linkage is None and warm._linkage is None
+            verdict = verify_ultrametric(warm)
+            assert warm._linkage is not None
+            assert verdict.valid == brute_ultrametric_ok(space)
+            if not verdict.valid:
+                assert is_violation(space, *verdict.violation)
+                broken += 1
+            assert _dendrogram(cold) == _dendrogram(warm)
+            # the kept pass is left out of equality and hash
+            assert cold == warm == space and hash(cold) == hash(warm) == hash(space)
+            spaces += 1
+        rational = gen_random_rational_space(seed, max_points=10)
+        tree, corr = simplicialize(rational)
+        exponents = {(r.x, r.y): r.new_exponent for r in corr.rows}
+        warm = grid_space(corr.points, exponents)
+        assert verify_ultrametric(warm).valid
+        assert tree_of_ultrametric(warm)[0] == tree
+        assert tree_of_ultrametric(grid_space(corr.points, exponents))[0] == tree
+    assert spaces == 300 and broken >= 40
+
+
+def test_verify_the_wide_2000_point_end_space_within_the_bytes_of_its_rows():
+    """Verifying the 2,000 ends of 50 tops (1,999,000 pairs) allocates less
+    than the rows themselves take: the pass keeps nothing per pair."""
+    top = [f"b{i}" for i in range(50)]
+    ids = [f"e{i}" for i in range(2000)]
+    space = end_space_of(tree_of_tower(Tower([top, ids], [{x: top[i % 50] for i, x in enumerate(ids)}])))
+    rows_bytes = sys.getsizeof(space.rows) + sum(map(sys.getsizeof, space.rows))
+    tracemalloc.start()
+    try:
+        verdict = verify_ultrametric(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.valid
+    assert peak < rows_bytes, f"peak {peak} bytes against rows of {rows_bytes}"
+    # the kept pass gives the 50 classes of 40 ends below the tops
+    tree, ends = tree_of_ultrametric(space)
+    assert tree.sizes == (1, 50, 2000)
+    assert ends["e51"] == ((0, "root"), (1, "e1"), (2, "e51"))
 
 
 def _sorting_path(levels, bonds):

@@ -142,6 +142,31 @@ def test_nonretract_refused_past_the_digit_limit():
             gen_example_nonretract(14285)
 
 
+def test_biholder_refused_past_the_digit_limit():
+    """k_max stops where the last distance 1/2^(k_max + 1) still prints;
+    the boundary is read off the limit, and no table near it is built."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no int/str digit limit")
+    old = sys.get_int_max_str_digits()
+    try:
+        for digits in (640, old):
+            sys.set_int_max_str_digits(digits)
+            most = (10**digits).bit_length() - 2
+            str(Fraction(1, 1 << (most + 1)))  # the last distance at the boundary prints
+            with pytest.raises(ValueError):
+                str(Fraction(1, 1 << (most + 2)))
+            with pytest.raises(InvalidParameter, match=f"k_max must be at most {most},"):
+                gen_biholder(most + 1)
+        # the refusal comes before anything is built
+        with pytest.raises(InvalidParameter):
+            gen_biholder(10**12)
+    finally:
+        sys.set_int_max_str_digits(old)
+    if old == 4300:
+        with pytest.raises(InvalidParameter, match="at most 14283"):
+            gen_biholder(14284)
+
+
 def test_random_tower_refused_past_the_id_budget(monkeypatch):
     import towertree.generate as generate
 

@@ -23,6 +23,7 @@ from oracles import (
     brute_ml_chain,
     brute_solenoid,
     brute_stabilization,
+    frozen_natural_key,
     root_chain,
 )
 
@@ -79,6 +80,18 @@ from towertree.towers import MAX_GENERATOR_DEPTH, MAX_GENERATOR_IDS, _core_posit
 def test_natural_key_orders_numeric_suffixes():
     ids = ["p10", "p2", "p1", "q", "p02"]
     assert sorted(ids, key=natural_key) == ["p1", "p2", "p02", "p10", "q"]
+
+
+def test_natural_key_matches_the_frozen_key():
+    """natural_key calls int() only on ids that int() can read; the keys
+    are those of the frozen copy that tried int() on every id."""
+    edge = [" 3", "+1", "-0", "01", "1_000", "\u0663", "p\u0663", "", "-", "1 2", "\u00a07", " p", "_1", "\u00b2"]
+    rng = random.Random("natural-key")
+    alphabet = "0123456789+-_ \tpq.\u0663\u00a0\u00b2"
+    drawn = ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6))) for _ in range(3000)]
+    for s in edge + drawn + [str(i) for i in range(-50, 1000)]:
+        assert natural_key(s) == frozen_natural_key(s), s
+    assert int("\u0663") == 3 and natural_key("\u0663")[0] == (0, 3, "")
 
 
 def test_ids_that_read_the_same_order_the_same_in_any_input_order():
