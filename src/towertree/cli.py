@@ -9,41 +9,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import DepthExhausted, NotProper, TowerTreeError
+from .errors import TowerTreeError
 from .formats import _rational, emit_tower, parse_tower
 from .generate import (
     gen_biholder,
     gen_example_nonretract,
     gen_random_tower,
     gen_solenoid,
-    random_morphism,
-)
-from .groups import limit_threads
-from .maps import (
-    TreeMap,
-    XiSchedule,
-    check_nonexpansive,
-    compose_tree_maps,
-    extract_morphism,
-    homotopy_properness,
-    identity_tree_map,
-    induce_tree_map,
-    properness_witness,
+    run_roundtrip_corpus,
 )
 from .report import build_report, emit_report, render_text
-from .towers import (
-    EQUIVALENT,
-    NOT_EQUIVALENT,
-    Tower,
-    TowerMorphism,
-    compose_morphisms,
-    identity_morphism,
-    morphisms_equivalent,
-)
+from .trees import dot_of_tree, tree_of_tower
 
 EXIT_OK = 0
 EXIT_PROPERTY = 1
@@ -67,150 +46,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    from .trees import dot_of_tree, tree_of_tower
-
     sys.stdout.write(dot_of_tree(tree_of_tower(parse_tower(_read(args.file)))))
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# The functor-law corpus
-
-
-@dataclass
-class CorpusSummary:
-    counts: dict
-    failures: list
-    skips: dict
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def record(self, name: str, passed: bool, context: str = "") -> None:
-        bucket = self.counts.setdefault(name, [0, 0])
-        bucket[0 if passed else 1] += 1
-        if not passed:
-            self.failures.append(f"{name}: {context}")
-
-    def skip(self, name: str) -> None:
-        self.skips[name] = self.skips.get(name, 0) + 1
-
-
-def _mutated(fmap: TreeMap) -> TreeMap:
-    """Same map, schedule reported one radius too early (harness check)."""
-    sched = fmap.schedule
-    if sched is None or not sched.breakpoints or sched.breakpoints[0] < 2:
-        return fmap
-    broken = XiSchedule(
-        breakpoints=tuple(t - 1 for t in sched.breakpoints),
-        virtual_top=sched.virtual_top,
-        source_depth=sched.source_depth,
-    )
-    return TreeMap._built(fmap.source, fmap.target, fmap.rows, schedule=broken)
-
-
-def _check_instance(summary: CorpusSummary, tag: str, x: Tower, f: TowerMorphism,
-                    h: TowerMorphism | None, mutate: bool) -> None:
-    from .trees import tower_of_tree, tree_of_tower
-
-    summary.record("tower-roundtrip", tower_of_tree(tree_of_tower(x)) == x, tag)
-
-    induced = induce_tree_map(f)
-    if mutate:
-        induced = _mutated(induced)
-    summary.record("nonexpansive", check_nonexpansive(induced).valid, tag)
-
-    prop = properness_witness(induced)
-    sched = induced.schedule
-    certified = all(
-        prop.table[n - 1] <= sched.breakpoint_after(n) for n in range(1, prop.total_upto + 1)
-    )
-    if prop.failure_level is not None:
-        # a witness may only be missing past the reach of the truncated
-        # schedule: beyond its last segment, or past the source depth
-        beyond = prop.failure_level > len(sched.breakpoints) or (
-            sched.breakpoint_after(prop.failure_level) > sched.source_depth
-        )
-        certified = certified and beyond
-    summary.record("schedule-certified", certified, tag)
-
-    try:
-        extracted = extract_morphism(induced)
-    except NotProper:
-        # the schedule consumed the whole depth; nothing to extract here
-        summary.skip("extract-induce-identity")
-        summary.skip("induce-extract-homotopic")
-        extracted = None
-    if extracted is not None:
-        verdict = morphisms_equivalent(extracted, f)
-        summary.record("extract-induce-identity", verdict.verdict == EQUIVALENT, tag)
-        re_induced = induce_tree_map(extracted)
-        summary.record(
-            "induce-extract-homotopic", homotopy_properness(induced, re_induced).proper, tag
-        )
-
-    ident = identity_tree_map(induced.source)
-    summary.record(
-        "tree-identity-laws",
-        compose_tree_maps(induced, ident) == induced
-        and compose_tree_maps(identity_tree_map(induced.target), induced) == induced,
-        tag,
-    )
-
-    if h is not None:
-        try:
-            composed = compose_morphisms(h, f)
-        except DepthExhausted:
-            composed = None
-        if composed is not None:
-            lhs = induce_tree_map(composed)
-            rhs = compose_tree_maps(induce_tree_map(h), induce_tree_map(f))
-            summary.record("composition-homotopic", homotopy_properness(lhs, rhs).proper, tag)
-            try:
-                ext = morphisms_equivalent(extract_morphism(rhs), composed)
-                summary.record("composition-extracted", ext.verdict != NOT_EQUIVALENT, tag)
-            except NotProper:
-                summary.skip("composition-extracted")
-
-
-def _constant_tower(depth: int, size: int) -> Tower:
-    ids = [str(i) for i in range(size)]
-    return Tower([ids] * depth, [{x: x for x in ids}] * (depth - 1))
-
-
-def run_roundtrip_corpus(seed_count: int, inject_mutant: bool = False) -> CorpusSummary:
-    """Functor-law checks over fixed instances plus a seeded corpus."""
-    summary = CorpusSummary(counts={}, failures=[], skips={})
-    fixed = [
-        ("constant-6", _constant_tower(6, 3)),
-        ("constant-8", _constant_tower(8, 2)),
-        ("two-branch", Tower([["a"], ["b1", "b2"], ["c1"]], [{"b1": "a", "b2": "a"}, {"c1": "b1"}])),
-    ]
-    for tag, tower in fixed:
-        ident = identity_morphism(tower)
-        try:
-            _check_instance(summary, tag, tower, ident, ident, inject_mutant)
-        except TowerTreeError as e:
-            summary.record("no-exceptions", False, f"{tag}: {e}")
-    for seed in range(seed_count):
-        depth = 2 + seed % 7
-        size = 1 + seed % 5
-        bias = (seed % 11) / 10.0
-        x = gen_random_tower(seed, depth, size, bias)
-        y = gen_random_tower(seed + 10_000, depth, size, bias)
-        z = gen_random_tower(seed + 20_000, depth, size, bias)
-        f = random_morphism(seed, x, y)
-        h = random_morphism(seed + 10_000, y, z)
-        try:
-            _check_instance(summary, f"seed-{seed}", x, f, h, inject_mutant)
-        except TowerTreeError as e:
-            summary.record("no-exceptions", False, f"seed-{seed}: {e}")
-    return summary
-
-
 def cmd_roundtrip(args) -> int:
-    summary = run_roundtrip_corpus(args.seeds, inject_mutant=args.inject_mutant)
+    summary = run_roundtrip_corpus(args.seeds)
     for name in sorted(set(summary.counts) | set(summary.skips)):
         passed, failed = summary.counts.get(name, (0, 0))
         skipped = summary.skips.get(name, 0)
@@ -229,18 +70,18 @@ def cmd_roundtrip(args) -> int:
 
 
 def _gen_solenoid(args) -> int:
-    group, tower = gen_solenoid(args.primes, args.window, args.depth)
+    _, tower = gen_solenoid(args.primes, args.window, args.depth)
     report = build_report(tower)
-    threads = limit_threads(group)
-    # the core keeps only the 0 thread unless every multiplier is 1, and then
-    # it keeps whole windows of at least 3 ids: one branch is the 0 branch
+    # the limit threads are the ends of T-infinity, one per branch; the core
+    # keeps only the 0 thread unless every multiplier is 1, and then it keeps
+    # whole windows of at least 3 ids: one branch is the 0 branch
     count = report.t_infinity["branch_count"]
     zero_branch = count == 1
     if args.format == "machine":
         data = {
             "tower": json.loads(emit_tower(tower)),
             "report": json.loads(emit_report(report)),
-            "threads": len(threads),
+            "threads": count,
             "zero_branch": zero_branch,
         }
         print(json.dumps(data, indent=2, sort_keys=True))
@@ -251,7 +92,7 @@ def _gen_solenoid(args) -> int:
         sys.stdout.write(render_text(report))
         shape = "single zero branch" if zero_branch else f"{count} branch(es)"
         print(f"t-infinity shape: {shape}")
-        print(f"threads: {len(threads)}")
+        print(f"threads: {count}")
     return EXIT_INVARIANT if not report.cross_check["consistent"] else EXIT_OK
 
 
@@ -316,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_round = sub.add_parser("roundtrip", help="run the functor-law corpus")
     p_round.add_argument("--seeds", type=int, default=25)
-    p_round.add_argument("--inject-mutant", action="store_true", help=argparse.SUPPRESS)
     p_round.set_defaults(func=cmd_roundtrip)
 
     p_gen = sub.add_parser("gen", help="curated and random example generators")

@@ -1,4 +1,5 @@
-"""Example generators: the curated constructions plus seeded random corpora.
+"""Example generators: the curated constructions plus seeded random corpora,
+and the functor-law corpus that `towertree roundtrip` runs over them.
 
 Everything here is deterministic given its parameters; random instances
 hash the seed into independent streams so that a tower and the morphisms
@@ -15,17 +16,32 @@ from fractions import Fraction
 from typing import Sequence
 
 from .ends import UltrametricSpace, certified_ln_sign, grid_space, rational_space
-from .errors import InvalidParameter
+from .errors import DepthExhausted, InvalidParameter, NotProper, TowerTreeError
 from .groups import GroupTower, ScaleHom, TableGroup, TableHom, WindowedZ, _decimal_ids
+from .maps import (
+    check_nonexpansive,
+    compose_tree_maps,
+    extract_morphism,
+    homotopy_properness,
+    identity_tree_map,
+    induce_tree_map,
+    properness_witness,
+)
 from .towers import (
+    EQUIVALENT,
     MAX_GENERATOR_IDS,
+    NOT_EQUIVALENT,
     Tower,
     TowerMorphism,
     _pull_back,
     _reach,
+    compose_morphisms,
+    identity_morphism,
+    morphisms_equivalent,
     natural_key,
     windowed_solenoid_tower,
 )
+from .trees import tower_of_tree, tree_of_tower
 
 
 def gen_solenoid(primes: Sequence[int], window: int, depth: int) -> tuple[GroupTower, Tower]:
@@ -357,3 +373,130 @@ def gen_random_rational_space(seed: int, max_points: int = 16) -> UltrametricSpa
     top = Fraction(rng.randint(1, 16), 16)
     entries = _dendrogram(rng, points, top, lambda h: h * Fraction(rng.randint(1, 7), 8))
     return rational_space(points, entries)
+
+
+# ---------------------------------------------------------------------------
+# The functor-law corpus
+
+
+@dataclass
+class CorpusSummary:
+    counts: dict
+    failures: list
+    skips: dict
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    def record(self, name: str, passed: bool, context: str = "") -> None:
+        bucket = self.counts.setdefault(name, [0, 0])
+        bucket[0 if passed else 1] += 1
+        if not passed:
+            self.failures.append(f"{name}: {context}")
+
+    def skip(self, name: str) -> None:
+        self.skips[name] = self.skips.get(name, 0) + 1
+
+
+def _check_instance(summary: CorpusSummary, tag: str, x: Tower, f: TowerMorphism,
+                    h: TowerMorphism | None) -> None:
+    summary.record("tower-roundtrip", tower_of_tree(tree_of_tower(x)) == x, tag)
+
+    induced = induce_tree_map(f)
+    summary.record("nonexpansive", check_nonexpansive(induced).valid, tag)
+
+    prop = properness_witness(induced)
+    sched = induced.schedule
+    certified = all(
+        prop.table[n - 1] <= sched.breakpoint_after(n) for n in range(1, prop.total_upto + 1)
+    )
+    if prop.failure_level is not None:
+        # a witness may only be missing past the reach of the truncated
+        # schedule: beyond its last segment, or past the source depth
+        beyond = prop.failure_level > len(sched.breakpoints) or (
+            sched.breakpoint_after(prop.failure_level) > sched.source_depth
+        )
+        certified = certified and beyond
+    summary.record("schedule-certified", certified, tag)
+
+    try:
+        extracted = extract_morphism(induced)
+    except NotProper:
+        # the schedule consumed the whole depth; nothing to extract here
+        summary.skip("extract-induce-identity")
+        summary.skip("induce-extract-homotopic")
+        extracted = None
+    if extracted is not None:
+        verdict = morphisms_equivalent(extracted, f)
+        summary.record("extract-induce-identity", verdict.verdict == EQUIVALENT, tag)
+        re_induced = induce_tree_map(extracted)
+        summary.record(
+            "induce-extract-homotopic", homotopy_properness(induced, re_induced).proper, tag
+        )
+
+    ident = identity_tree_map(induced.source)
+    summary.record(
+        "tree-identity-laws",
+        compose_tree_maps(induced, ident) == induced
+        and compose_tree_maps(identity_tree_map(induced.target), induced) == induced,
+        tag,
+    )
+
+    if h is not None:
+        try:
+            composed = compose_morphisms(h, f)
+        except DepthExhausted:
+            composed = None
+        if composed is not None:
+            lhs = induce_tree_map(composed)
+            rhs = compose_tree_maps(induce_tree_map(h), induce_tree_map(f))
+            summary.record("composition-homotopic", homotopy_properness(lhs, rhs).proper, tag)
+            try:
+                ext = morphisms_equivalent(extract_morphism(rhs), composed)
+                summary.record("composition-extracted", ext.verdict != NOT_EQUIVALENT, tag)
+            except NotProper:
+                summary.skip("composition-extracted")
+
+
+# The corpus draws seed s for x, s + 10_000 for y and s + 20_000 for z, so
+# up to this count no tower of one role reuses another role's seed.
+MAX_ROUNDTRIP_SEEDS = 10_000
+
+
+def _constant_tower(depth: int, size: int) -> Tower:
+    ids = [str(i) for i in range(size)]
+    return Tower([ids] * depth, [{x: x for x in ids}] * (depth - 1))
+
+
+def run_roundtrip_corpus(seed_count: int) -> CorpusSummary:
+    """Functor-law checks over fixed instances plus a seeded corpus.
+    Refuses a seed count outside 0..MAX_ROUNDTRIP_SEEDS before any check."""
+    if not 0 <= seed_count <= MAX_ROUNDTRIP_SEEDS:
+        raise InvalidParameter(f"seed count must lie in 0..{MAX_ROUNDTRIP_SEEDS}")
+    summary = CorpusSummary(counts={}, failures=[], skips={})
+    fixed = [
+        ("constant-6", _constant_tower(6, 3)),
+        ("constant-8", _constant_tower(8, 2)),
+        ("two-branch", Tower([["a"], ["b1", "b2"], ["c1"]], [{"b1": "a", "b2": "a"}, {"c1": "b1"}])),
+    ]
+    for tag, tower in fixed:
+        ident = identity_morphism(tower)
+        try:
+            _check_instance(summary, tag, tower, ident, ident)
+        except TowerTreeError as e:
+            summary.record("no-exceptions", False, f"{tag}: {e}")
+    for seed in range(seed_count):
+        depth = 2 + seed % 7
+        size = 1 + seed % 5
+        bias = (seed % 11) / 10.0
+        x = gen_random_tower(seed, depth, size, bias)
+        y = gen_random_tower(seed + 10_000, depth, size, bias)
+        z = gen_random_tower(seed + 20_000, depth, size, bias)
+        f = random_morphism(seed, x, y)
+        h = random_morphism(seed + 10_000, y, z)
+        try:
+            _check_instance(summary, f"seed-{seed}", x, f, h)
+        except TowerTreeError as e:
+            summary.record("no-exceptions", False, f"seed-{seed}: {e}")
+    return summary

@@ -48,7 +48,7 @@ from towertree import (
     verify_ultrametric,
     windowed_solenoid_tower,
 )
-from towertree.cli import run_roundtrip_corpus
+from towertree.generate import run_roundtrip_corpus
 from towertree.towers import EQUIVALENT
 
 from conftest import constant_tower

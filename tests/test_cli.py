@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, formats, generator subcommands."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import towertree
-from towertree import emit_tower, parse_report, parse_tower
+from towertree import TreeMap, emit_tower, generate, parse_report, parse_tower
 from towertree.cli import EXIT_INVARIANT, EXIT_OK, EXIT_PARSE, EXIT_PROPERTY, main
 
 
@@ -110,8 +111,21 @@ def test_roundtrip_small_corpus_passes():
     assert out.strip().splitlines()[-1] == "all checks passed"
 
 
-def test_roundtrip_mutant_is_caught():
-    code, out, _ = run(["roundtrip", "--seeds", "5", "--inject-mutant"])
+def test_roundtrip_mutant_is_caught(monkeypatch):
+    """Every induced map reports its schedule one radius too early; the
+    corpus must flag the uncertified schedule."""
+    real = generate.induce_tree_map
+
+    def early(morphism):
+        fmap = real(morphism)
+        sched = fmap.schedule
+        if not sched.breakpoints or sched.breakpoints[0] < 2:
+            return fmap
+        broken = dataclasses.replace(sched, breakpoints=tuple(t - 1 for t in sched.breakpoints))
+        return TreeMap._built(fmap.source, fmap.target, fmap.rows, schedule=broken)
+
+    monkeypatch.setattr(generate, "induce_tree_map", early)
+    code, out, _ = run(["roundtrip", "--seeds", "5"])
     assert code == 1
     assert any(line.startswith("FAIL schedule-certified") for line in out.splitlines())
 
@@ -154,6 +168,40 @@ def test_gen_biholder_machine_rows():
     assert [1, "1/2", 2] in data["violations"]
     assert [100, "9/10", 3] in data["violations"]
     assert [1, "1/10", None] in data["violations"]
+
+
+def test_gen_biholder_text():
+    """Rows k = 2, 3: n is the least integer above k ln(k 2^(k+1)), so 6 for
+    2 ln 16 = 5.55 and 12 for 3 ln 48 = 11.61; a cell's first violation is the
+    least k with C e^(-l n) < 1/2^(k+1)."""
+    code, out, _ = run(["gen", "biholder", "--k-max", "3"])
+    assert code == 0
+    assert out.splitlines() == [
+        "k  d=1/2^(k+1)      n  certified e^-n < (d/k)^k",
+        "2  1/8             6    yes",
+        "3  1/16            12   yes",
+        "bound C=1 l=1/10: first violation none up to k=3",
+        "bound C=1 l=1/2: first violation k=2",
+        "bound C=1 l=9/10: first violation k=2",
+        "bound C=10 l=1/10: first violation none up to k=3",
+        "bound C=10 l=1/2: first violation k=3",
+        "bound C=10 l=9/10: first violation k=2",
+        "bound C=100 l=1/10: first violation none up to k=3",
+        "bound C=100 l=1/2: first violation none up to k=3",
+        "bound C=100 l=9/10: first violation k=3",
+    ]
+
+
+def test_gen_nonretract_text():
+    code, out, _ = run(["gen", "nonretract", "--count", "3"])
+    assert code == 0
+    assert out.splitlines() == [
+        "branch point 1 (fork radius 1/2): distance 1/2",
+        "branch point 2 (fork radius 3/4): distance 1/4",
+        "branch point 3 (fork radius 7/8): distance 1/8",
+        "infimum of distances: 0",
+        "point lies in t-infinity: no",
+    ]
 
 
 def test_gen_nonretract_machine():
@@ -257,6 +305,8 @@ def test_analyze_rejects_input_past_interpreter_limits(tmp_path, text, extra):
         ["gen", "nonretract", "--count", "15000"],
         ["gen", "nonretract", "--count", "15000", "--format", "machine"],
         ["gen", "random", "--seed", "1", "--depth", "1025", "--max-level-size", "1024"],
+        ["roundtrip", "--seeds", "-5"],
+        ["roundtrip", "--seeds", str(generate.MAX_ROUNDTRIP_SEEDS + 1)],
     ],
     ids=[
         "random-depth",
@@ -270,6 +320,8 @@ def test_analyze_rejects_input_past_interpreter_limits(tmp_path, text, extra):
         "nonretract-unprintable",
         "nonretract-unprintable-machine",
         "random-budget",
+        "roundtrip-negative-seeds",
+        "roundtrip-seed-budget",
     ],
 )
 def test_every_command_reports_errors_as_one_line(argv):

@@ -26,6 +26,10 @@ from oracles import (
 from towertree import (
     GRID,
     RATIONAL,
+    ElementNotInLevel,
+    EmptyCore,
+    InvalidParameter,
+    RootedTree,
     Tower,
     UltrametricSpace,
     UnsupportedMode,
@@ -89,6 +93,8 @@ def test_end_space_two_branch_is_single_point(two_branch_tree):
     assert sp.points == ("c1",)
     assert sp.mode == GRID
     assert sp.diameter_exponent() is None
+    with pytest.raises(EmptyCore):
+        end_space_of(RootedTree({}))  # the bare root has no complete branch
 
 
 def test_end_space_complete_binary_depth_3():
@@ -119,6 +125,20 @@ def test_ultrametric_space_validation():
         rational_space(["a", "b"], {("a", "b"): Fraction(3, 2)})
     with pytest.raises(ValidationError):
         rational_space(["a", "b"], {("a", "b"): Fraction(0)})
+    with pytest.raises(ValidationError, match="at least one point"):
+        grid_space([], {})
+    with pytest.raises(UnsupportedMode):
+        UltrametricSpace(["a"], {}, "real")
+    with pytest.raises(ValidationError, match="unknown point"):
+        grid_space(["a", "b"], {("a", "b"): 1, ("a", "c"): 1})
+    with pytest.raises(ValidationError, match="self-distance"):
+        grid_space(["a", "b"], {("a", "b"): 1, ("b", "b"): 2})
+    # a zero diagonal entry is accepted and reads back as the diagonal
+    sp = grid_space(["a", "b"], {("a", "b"): 1, ("a", "a"): 0})
+    assert sp.rows == [[None, 1], [1, None]]
+    # an int entry in rational mode is stored as a Fraction
+    rs = rational_space(["a", "b"], {("a", "b"): 1})
+    assert type(rs.rational("a", "b")) is Fraction and rs.rational("a", "b") == 1
 
 
 def test_verify_ultrametric_violation_frozen():
@@ -392,6 +412,21 @@ def test_tu_distance_cases():
     rs = rational_space(["a", "b"], {("a", "b"): Fraction(3, 10)})
     got = tu_distance(rs, "a", Fraction(2), "b", Fraction(2))
     assert abs(got - (4 - 2 * (-math.log(0.3)))) < 1e-12
+    with pytest.raises(InvalidParameter):
+        tu_distance(sp, "a", Fraction(-1), "b", Fraction(0))
+    # the display accessor reads either mode, and each exact one its own
+    assert sp.numeric("a", "b") == math.exp(-2)
+    assert rs.numeric("a", "b") == 0.3
+    assert sp.numeric("a", "a") == rs.numeric("b", "b") == 0.0
+    assert rs.rational("a", "a") == 0
+    with pytest.raises(ElementNotInLevel):
+        sp.numeric("a", "z")
+    with pytest.raises(UnsupportedMode):
+        rs.exponent("a", "b")
+    with pytest.raises(UnsupportedMode):
+        sp.rational("a", "b")
+    with pytest.raises(UnsupportedMode):
+        rs.diameter_exponent()
 
 
 def test_simplicialize_two_points_at_three_tenths():
@@ -431,12 +466,18 @@ def test_certified_neg_log_floor_values():
     for num, den in [(1, 2), (7, 9), (2, 113), (5, 161)]:
         d = Fraction(num, den)
         assert certified_neg_log_floor(d) == math.floor(-math.log(num / den))
+    for d in (Fraction(0), Fraction(-1, 2), Fraction(3, 2)):
+        with pytest.raises(InvalidParameter):
+            certified_neg_log_floor(d)
 
 
 def test_certified_ln_sign():
     assert certified_ln_sign(Fraction(8), Fraction(2)) == 1
     assert certified_ln_sign(Fraction(7), Fraction(2)) == -1
     assert certified_ln_sign(Fraction(1), Fraction(0)) == 0
+    for value in (Fraction(0), Fraction(-1, 2)):
+        with pytest.raises(InvalidParameter):
+            certified_ln_sign(value, Fraction(0))
 
 
 def test_certified_neg_log_floor_matches_a_60_digit_oracle():
