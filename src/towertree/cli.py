@@ -1,7 +1,9 @@
 """Command line surface.
 
 Exit codes: 0 ok, 1 property failure (roundtrip corpus), 2 parse or usage
-error, 3 internal invariant breach (cross-check inconsistency).
+error, 3 internal invariant breach (cross-check inconsistency).  Only the
+roundtrip and gen handlers import generate, and with it groups and ends, so
+that analyze and export-dot load neither.
 """
 
 from __future__ import annotations
@@ -14,13 +16,6 @@ from pathlib import Path
 
 from .errors import TowerTreeError
 from .formats import _rational, emit_tower, parse_tower
-from .generate import (
-    gen_biholder,
-    gen_example_nonretract,
-    gen_random_tower,
-    gen_solenoid,
-    run_roundtrip_corpus,
-)
 from .report import build_report, emit_report, render_text
 from .trees import dot_of_tree, tree_of_tower
 
@@ -51,6 +46,8 @@ def cmd_export_dot(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
+    from .generate import run_roundtrip_corpus
+
     summary = run_roundtrip_corpus(args.seeds)
     for name in sorted(set(summary.counts) | set(summary.skips)):
         passed, failed = summary.counts.get(name, (0, 0))
@@ -70,6 +67,8 @@ def cmd_roundtrip(args) -> int:
 
 
 def _gen_solenoid(args) -> int:
+    from .generate import gen_solenoid
+
     _, tower = gen_solenoid(args.primes, args.window, args.depth)
     report = build_report(tower)
     # the limit threads are the ends of T-infinity, one per branch; the core
@@ -97,6 +96,8 @@ def _gen_solenoid(args) -> int:
 
 
 def _gen_biholder(args) -> int:
+    from .generate import gen_biholder
+
     ls = tuple(_rational(s, "bad --l value") for s in args.l)
     table = gen_biholder(args.k_max, tuple(args.c), ls)
     if args.format == "machine":
@@ -119,6 +120,8 @@ def _gen_biholder(args) -> int:
 
 
 def _gen_nonretract(args) -> int:
+    from .generate import gen_example_nonretract
+
     rep = gen_example_nonretract(args.count)
     if args.format == "machine":
         data = {
@@ -136,6 +139,8 @@ def _gen_nonretract(args) -> int:
 
 
 def _gen_random(args) -> int:
+    from .generate import gen_random_tower
+
     tower = gen_random_tower(args.seed, args.depth, args.max_level_size, args.surjectivity_bias)
     sys.stdout.write(emit_tower(tower))
     return EXIT_OK

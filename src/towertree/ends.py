@@ -8,7 +8,8 @@ certified rather than trusted to floats: a float guess is confirmed by
 lower and upper bounds on a logarithm, each from mpmath.libmp calls
 rounded outward, at a precision doubled until the bounds decide.  mpmath
 is imported by the certified logs, on their first call, so importing the
-package does not load it.  Points form a Level or Window.
+package does not load it.  Points form a Level or Window.  A space reads
+and writes its text form, the distance matrix, here.
 """
 
 from __future__ import annotations
@@ -22,7 +23,16 @@ from itertools import repeat
 from operator import neg
 from typing import Mapping, Sequence
 
-from .errors import ElementNotInLevel, EmptyCore, InvalidParameter, UnsupportedMode, ValidationError
+from .errors import (
+    ElementNotInLevel,
+    EmptyCore,
+    InvalidParameter,
+    ParseError,
+    TowerTreeError,
+    UnsupportedMode,
+    ValidationError,
+)
+from .formats import _decimal, _rational, _require
 from .towers import Level, Tower, Window, natural_key
 from .trees import ROOT, RootedTree, Vertex, max_geodesic_subtree, tree_of_tower
 
@@ -187,6 +197,77 @@ def grid_space(points, exponents: Mapping[tuple[str, str], int]) -> UltrametricS
 
 def rational_space(points, dists: Mapping[tuple[str, str], Fraction]) -> UltrametricSpace:
     return UltrametricSpace(points, dists, RATIONAL)
+
+
+# ---------------------------------------------------------------------------
+# Distance matrices: a header of point ids, then one row per id, with exact
+# entries ("p/q" rationals, "e-k" exponents)
+
+
+def _emit_entry(value, mode: str) -> str:
+    if mode == GRID:
+        return f"e-{value}"
+    return str(Fraction(value))
+
+
+def emit_distance_matrix(space: UltrametricSpace) -> str:
+    for p in space.points:
+        if any(ch.isspace() for ch in p):
+            raise ParseError(f"point id {p!r} cannot carry whitespace in matrix form")
+    lines = [" ".join(space.points)] + [
+        " ".join("0" if v is None else _emit_entry(v, space.mode) for v in row) for row in space.rows
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _parse_entry(token: str, lineno: int) -> tuple[str, int | Fraction]:
+    if token.startswith("e-"):
+        return GRID, _decimal(token[2:], "bad exponent entry", token, line=lineno)
+    return RATIONAL, _rational(token, "bad distance entry", line=lineno)
+
+
+def parse_distance_matrix(text: str) -> UltrametricSpace:
+    """The space of a matrix text.  The header is sorted once, and each
+    entry is written into the row of its point's position, checked as
+    UltrametricSpace checks its rows."""
+    rows = [
+        (i, line.split()) for i, line in enumerate(text.splitlines(), start=1) if line.strip()
+    ]
+    _require(bool(rows), "matrix text is empty")
+    header_line, header = rows[0]
+    _require(len(set(header)) == len(header), "duplicate ids in matrix header")
+    body = rows[1:]
+    if len(body) != len(header):
+        raise ParseError(
+            f"expected {len(header)} rows after the header, found {len(body)}", line=header_line
+        )
+    try:
+        points = Level(sorted(header, key=natural_key))
+    except TowerTreeError as e:
+        raise ParseError(str(e)) from None
+    pos = [points.index(x) for x in header]
+    values: list[list] = [[None] * len(points) for _ in points]
+    read: dict[str, tuple[str, int | Fraction]] = {}  # each distinct token is parsed once
+    for (lineno, tokens), i in zip(body, pos):
+        if len(tokens) != len(points):
+            raise ParseError(f"row has {len(tokens)} entries, expected {len(points)}", line=lineno)
+        row = values[i]
+        for token, j in zip(tokens, pos):
+            if i == j:
+                if token != "0":
+                    raise ParseError(f"diagonal entry must be 0, found {token!r}", line=lineno)
+                continue
+            row[j] = (read.get(token) or read.setdefault(token, _parse_entry(token, lineno)))[1]
+    modes = {mode for mode, _ in read.values()}
+    if len(modes) > 1:
+        raise ParseError("matrix mixes exponent and rational entries")
+    # a singleton matrix has no off-diagonal entry to reveal its mode
+    mode = modes.pop() if modes else GRID
+    try:
+        _check_rows(points, values, mode)
+    except TowerTreeError as e:
+        raise ParseError(str(e)) from None
+    return UltrametricSpace._trusted(points, values, mode)
 
 
 @dataclass(frozen=True)

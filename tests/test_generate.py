@@ -29,6 +29,7 @@ from towertree import (
     underlying_tower,
     verify_ultrametric,
 )
+from towertree.generate import MAX_TABLE_ROWS
 
 
 def test_gen_solenoid_validates_parameters():
@@ -165,6 +166,22 @@ def test_biholder_refused_past_the_digit_limit():
     if old == 4300:
         with pytest.raises(InvalidParameter, match="at most 14283"):
             gen_biholder(14284)
+
+
+def test_tables_stop_at_the_output_budget():
+    """count and k_max stop at MAX_TABLE_ROWS: the largest of each is
+    built, and the next is refused before any row is."""
+    assert MAX_TABLE_ROWS == 4096
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 1234:  # 2^4097 has 1,234 digits
+        pytest.skip("the int/str digit limit binds first")
+    rep = gen_example_nonretract(4096)
+    assert rep.count == 4096 and rep.distances[-1] == Fraction(1, 2**4096)
+    table = gen_biholder(4096)
+    assert [r.k for r in table.rows] == list(range(2, 4097))
+    assert all(r.certified for r in table.rows)
+    for make, name in ((gen_example_nonretract, "count"), (gen_biholder, "k_max")):
+        with pytest.raises(InvalidParameter, match=f"^{name} must be at most 4096, the output budget$"):
+            make(4097)
 
 
 def test_random_tower_refused_past_the_id_budget(monkeypatch):

@@ -52,7 +52,7 @@ from towertree import (
     windowed_solenoid_tower,
 )
 from towertree import Tower, TowerMorphism
-from towertree.formats import _cyclic_order
+from towertree.groups import _cyclic_order
 
 
 def reduction_hom(src_order, dst_order):
