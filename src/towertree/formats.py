@@ -16,11 +16,14 @@ from .towers import Tower, TowerMorphism, windowed_solenoid_tower
 
 
 def __getattr__(name: str):
-    # the matrix parser moved to ends; perfbench traces it under this name
+    # The matrix parser moved to ends.  perfbench traces it under this name,
+    # and then reads the ends and groups layers out of sys.modules, which a
+    # run that never calls them has not loaded; resolving the name loads
+    # both (groups imports ends), so a traced run finds every layer.
     if name == "parse_distance_matrix":
-        from .ends import parse_distance_matrix
+        from . import ends, groups  # noqa: F401
 
-        return parse_distance_matrix
+        return ends.parse_distance_matrix
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -114,17 +114,16 @@ MAX_TABLE_ROWS = 4096
 
 
 def _check_table(name: str, value: int, shift: int) -> None:
-    """Refuse a value whose 2^(value + shift) would not print within
-    Python's int/str digit limit, or past MAX_TABLE_ROWS, before anything
-    is built."""
+    """Refuse a value past MAX_TABLE_ROWS, or whose 2^(value + shift) would
+    not print within Python's int/str digit limit, before anything is built;
+    the message names whichever bound is lower."""
+    most, why = MAX_TABLE_ROWS, "the output budget"
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    most = (10**digits).bit_length() - 1 - shift  # the largest with 2^(most + shift) < 10^digits
-    if digits and value > most:
-        raise InvalidParameter(
-            f"{name} must be at most {most}, so that its powers of 2 print within {digits} digits"
-        )
-    if value > MAX_TABLE_ROWS:
-        raise InvalidParameter(f"{name} must be at most {MAX_TABLE_ROWS}, the output budget")
+    printable = (10**digits).bit_length() - 1 - shift  # the largest with 2^(it + shift) < 10^digits
+    if digits and printable < most:
+        most, why = printable, f"so that its powers of 2 print within {digits} digits"
+    if value > most:
+        raise InvalidParameter(f"{name} must be at most {most}, {why}")
 
 
 def _minimal_exponent(k: int) -> int:

@@ -234,15 +234,25 @@ def test_gen_rejects_bad_parameters():
 
 def test_gen_biholder_refuses_a_k_max_past_the_digit_limit():
     """The first k_max whose distance 1/2^(k_max + 1) would not print is
-    refused before any row is built: exit 2, one error line, no output."""
+    refused before any row is built: exit 2, one error line, no output.
+    The line names the real maximum: at the default limit that is the
+    output budget, which is lower."""
     if not hasattr(sys, "get_int_max_str_digits"):
         pytest.skip("this Python has no int/str digit limit")
-    most = (10 ** sys.get_int_max_str_digits()).bit_length() - 2  # 2^(most + 1) still prints
-    for fmt in ("text", "machine"):
-        code, out, err = run(["gen", "biholder", "--k-max", str(most + 1), "--format", fmt])
-        assert code == EXIT_PARSE
-        assert out == ""
-        assert err.startswith(f"error: k_max must be at most {most},") and err.count("\n") == 1
+    old = sys.get_int_max_str_digits()
+    try:
+        for digits in (640, old):
+            sys.set_int_max_str_digits(digits)
+            most = (10**digits).bit_length() - 2  # 2^(most + 1) still prints
+            allowed = min(most, generate.MAX_TABLE_ROWS)
+            for fmt in ("text", "machine"):
+                code, out, err = run(["gen", "biholder", "--k-max", str(most + 1), "--format", fmt])
+                assert code == EXIT_PARSE
+                assert out == ""
+                assert err.startswith(f"error: k_max must be at most {allowed},")
+                assert err.count("\n") == 1
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_analyze_rejects_booleans_and_oversized_generators(tmp_path):
