@@ -14,11 +14,12 @@ reading: every point at radius >= m(n) has image radius >= n, checked on
 vertices and on edge meets.  The tables are computed on floor(radius), an
 int read off a point's base level, since a radius is only ever compared
 with an integer n and x >= n exactly when floor(x) >= n.  Each map measures
-its properness once and keeps the report.  Verdicts at truncation are
-closed-world and say so; a tree whose oracle finds some reach finite
-(fringe_unbounded) gets that failure instead of the window's optimism.  A
-retraction's rows are built on the first read of its map, since that
-failure reads none of them.
+its properness once and keeps the report; the homotopy table of two maps
+is the levelwise max of their kept tables and the table of the vertex
+tracks, one meet per vertex.  Verdicts at truncation are closed-world and
+say so; a tree whose oracle finds some reach finite (fringe_unbounded) gets
+that failure instead of the window's optimism.  A retraction's rows are
+built on the first read of its map, since that failure reads none of them.
 """
 
 from __future__ import annotations
@@ -115,8 +116,10 @@ class HomotopyReport:
     """Shortest-path homotopy properness between two maps.
 
     The table bounds the homotopy track: every point at radius >= m(n)
-    keeps its whole track at radius >= n.  The verdict only quantifies up
-    to horizon = min of the two maps' own properness horizons.
+    keeps its whole track at radius >= n.  It is the levelwise max of the
+    two maps' own properness tables and the table of the vertex tracks, and
+    it stops where the first of the three stops.  The verdict only
+    quantifies up to horizon = min of the two maps' own properness horizons.
     """
 
     table: tuple[int, ...]
@@ -314,16 +317,15 @@ def properness_witness(f: TreeMap) -> PropernessReport:
 
     One pass per source level: its vertices' image radii and the meet
     radii of the edges that reach it from the level above, both as floors.
-    Images are often shared (a retraction sends whole subtrees to one
-    point), so each distinct image is measured once.  An edge whose
-    endpoints are the same image object, or that maps onto one target edge
-    (_spans_edge), is skipped: its meet radius is the parent's image radius,
-    already counted one level up."""
+    An edge whose endpoints are the same image object, or that maps onto
+    one target edge (_spans_edge), is skipped: its meet radius is the
+    parent's image radius, already counted one level up."""
     if f._properness is not None:
         return f._properness
     src, tgt, rows = f.source, f.target, f.rows
     up = tgt.up
-    lows = [min([_floor(a) for a in set(row)]) for row in rows]
+    # _floor inlined: a call per vertex is a fifth of this line on a big row
+    lows = [min([a[0] - (a[2] != 1) for a in row]) for row in rows]
     for n, u in enumerate(src.up):
         moved = [
             _floor(_meet(up, a, b))
@@ -346,30 +348,29 @@ def properness_witness(f: TreeMap) -> PropernessReport:
 def homotopy_properness(f: TreeMap, g: TreeMap) -> HomotopyReport:
     """Shortest-path homotopy properness via the meet-radius criterion.
 
-    The track of x stays at radius >= meet(f(x), g(x)); on edge interiors
-    that meet is bounded below by the meets of the four endpoint images.
-    Meets are read as floors; the horizon uses the maps' kept reports.
+    The track of x stays at radius >= meet(f(x), g(x)).  Inside an edge pc
+    that meet is at least the least of the tracks of p and c and the edge
+    meets of f and g, which the maps' kept tables already hold, and the
+    floor of f(v) or g(v) is at least the track of v.  So the table is the
+    levelwise max of the two kept tables and the table of the vertex
+    tracks: one meet per vertex whose images differ, none per edge.
     """
     if f.source != g.source or f.target != g.target:
         raise SourceTargetMismatch("homotopy needs maps with shared source and target")
     up = f.target.up
-    tracks = [[_floor(_meet(up, a, b)) for a, b in zip(fh, gh)] for fh, gh in zip(f.rows, g.rows)]
-    lows = [min(track) for track in tracks]
-    for n, u in enumerate(f.source.up):
-        # the parent's own track is already in lows[n]
-        fa, ga, fh, gh, track = f.rows[n], g.rows[n], f.rows[n + 1], g.rows[n + 1], tracks[n + 1]
-        edges = [
-            min(track[i], _floor(_meet(up, fa[j], fh[i])), _floor(_meet(up, ga[j], gh[i])))
-            for i, j in enumerate(u)
-        ]
-        lows[n] = min(lows[n], *edges)
-    table, failure = _witness_table(lows, f.target.depth)
-    horizon = min(properness_witness(f).total_upto, properness_witness(g).total_upto)
+    lows = [
+        min([_floor(_meet(up, a, b)) for a, b in zip(fh, gh) if a != b], default=_FAR)
+        for fh, gh in zip(f.rows, g.rows)
+    ]
+    track, failure = _witness_table(lows, f.target.depth)
+    pf, pg = properness_witness(f), properness_witness(g)
+    table = tuple(map(max, track, pf.table, pg.table))
+    stops = [n for n in (failure, pf.failure_level, pg.failure_level) if n is not None]
     return HomotopyReport(
         table=table,
         total_upto=len(table),
-        failure_level=failure,
-        horizon=horizon,
+        failure_level=min(stops, default=None),
+        horizon=min(pf.total_upto, pg.total_upto),
     )
 
 
@@ -413,7 +414,9 @@ def xi_schedule(m: TowerMorphism) -> XiSchedule:
 def induce_tree_map(m: TowerMorphism) -> TreeMap:
     """The induced rooted map: radius t_1 and below collapses to the root,
     the segment [t_k, t_{k+1}] stretches linearly onto [k-1, k] along the
-    image branch."""
+    image branch.  Built on the first call and kept on m."""
+    if m._induced is not None:
+        return m._induced
     src_tree = tree_of_tower(m.source)
     tgt_tree = tree_of_tower(m.target)
     sched = xi_schedule(m)
@@ -439,7 +442,8 @@ def induce_tree_map(m: TowerMorphism) -> TreeMap:
             continue
         at_phi = [(j, i, offset) for i in m.rows[j - 1]]
         rows.append(_pull_back(m.source, at_phi, m.phi[j - 1], r))
-    return TreeMap._built(src_tree, tgt_tree, rows, schedule=sched)
+    m._induced = TreeMap._built(src_tree, tgt_tree, rows, schedule=sched)
+    return m._induced
 
 
 # ---------------------------------------------------------------------------

@@ -563,10 +563,12 @@ class TowerMorphism:
 
     Components are stored like bonds: rows[n-1][i] is the position in Y_n
     of f_n(X_{Phi(n)}[i]).  components[n-1] is the same component as an
-    id -> id dict, built on first use.
+    id -> id dict, built on first use.  The induced tree map xi(m) is kept
+    on the morphism by its first `induce_tree_map`; equality and hash
+    ignore it.
     """
 
-    __slots__ = ("source", "target", "phi", "rows", "witnesses", "_components")
+    __slots__ = ("source", "target", "phi", "rows", "witnesses", "_components", "_induced")
 
     def __init__(
         self,
@@ -631,7 +633,7 @@ class TowerMorphism:
         self.phi = tuple(phi[:keep])
         self.rows = tuple([tuple(row) for row in rows[:keep]])
         self.witnesses = tuple(witnesses[: keep - 1])
-        self._components = None
+        self._components = self._induced = None
 
     @property
     def components(self) -> tuple[dict[str, str], ...]:

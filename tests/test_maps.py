@@ -12,8 +12,11 @@ from oracles import (
     brute_geodesic_point,
     brute_homotopy,
     brute_induced_images,
+    brute_meet,
     brute_properness,
+    brute_radius,
     brute_violation,
+    brute_witness_table,
     int_offset_exactly_at_vertex,
     root_chain,
 )
@@ -309,6 +312,37 @@ def test_composition_law_up_to_homotopy():
     assert checked >= 10
 
 
+def _seed_maps(seed):
+    """One seed of the brute-oracle corpus: towers x and y, morphisms
+    mf: x -> y and mh: y -> z, their induced maps f and h, and hf = h after f."""
+    x = gen_random_tower(seed, depth=3 + seed % 5, max_level_size=4)
+    y = gen_random_tower(seed + 40, depth=3 + (seed + 2) % 5, max_level_size=4)
+    z = gen_random_tower(seed + 80, depth=3 + (seed + 4) % 5, max_level_size=4)
+    mf, mh = random_morphism(seed, x, y), random_morphism(seed + 1, y, z)
+    f, h = induce_tree_map(mf), induce_tree_map(mh)
+    return x, y, mf, mh, f, h, compose_tree_maps(h, f)
+
+
+def _homotopy_pairs(seed, x, y, mf, mh, f, h, hf):
+    """The pairs of one corpus seed that homotopy_properness is checked on
+    (f and h with themselves, f with the map of another morphism, f and hf
+    with their re-induced extractions, xi(h after f) with hf), and the
+    re-induced extractions."""
+    pairs = [(f, f), (h, h), (f, induce_tree_map(random_morphism(seed + 500, x, y)))]
+    backs = []
+    for g in (f, hf):
+        try:
+            backs.append(induce_tree_map(extract_morphism(g)))
+        except NotProper:
+            continue
+        pairs.append((g, backs[-1]))
+    try:
+        pairs.append((induce_tree_map(compose_morphisms(mh, mf)), hf))
+    except DepthExhausted:
+        pass
+    return pairs, backs
+
+
 def test_witness_tables_match_brute_meets():
     """Tables read on radius floors equal the Fraction-radius oracles on
     induced, composed, identity, simplicial, retraction and re-induced
@@ -320,12 +354,7 @@ def test_witness_tables_match_brute_meets():
         0,
     )
     for seed in range(250):
-        x = gen_random_tower(seed, depth=3 + seed % 5, max_level_size=4)
-        y = gen_random_tower(seed + 40, depth=3 + (seed + 2) % 5, max_level_size=4)
-        z = gen_random_tower(seed + 80, depth=3 + (seed + 4) % 5, max_level_size=4)
-        mf, mh = random_morphism(seed, x, y), random_morphism(seed + 1, y, z)
-        f, h = induce_tree_map(mf), induce_tree_map(mh)
-        hf = compose_tree_maps(h, f)
+        x, y, mf, mh, f, h, hf = _seed_maps(seed)
         level = levelize_morphism(mf).level
         maps = [f, h, hf, identity_tree_map(f.target), simplicial_of_level(level)]
         rng = random.Random(seed)
@@ -349,15 +378,9 @@ def test_witness_tables_match_brute_meets():
             counts["retractions"] += 1
         except EmptyCore:
             pass
-        pairs = [(f, f), (h, h), (f, induce_tree_map(random_morphism(seed + 500, x, y)))]
-        for g in (f, hf):
-            try:
-                back = induce_tree_map(extract_morphism(g))
-            except NotProper:
-                continue
-            maps.append(back)
-            pairs.append((g, back))
-            counts["extracted"] += 1
+        pairs, backs = _homotopy_pairs(seed, x, y, mf, mh, f, h, hf)
+        maps += backs
+        counts["extracted"] += len(backs)
         for g in maps:
             rep = properness_witness(g)
             assert (rep.table, rep.failure_level) == brute_properness(g)
@@ -366,10 +389,6 @@ def test_witness_tables_match_brute_meets():
             counts["maps"] += 1
             counts["interior"] += any(not p.is_vertex for p in g.vertex_images.values())
             counts["failures"] += rep.failure_level is not None
-        try:
-            pairs.append((induce_tree_map(compose_morphisms(mh, mf)), hf))
-        except DepthExhausted:
-            pass
         for a, b in pairs:
             hp = homotopy_properness(a, b)
             assert (hp.table, hp.failure_level) == brute_homotopy(a, b)
@@ -381,6 +400,82 @@ def test_witness_tables_match_brute_meets():
     assert counts["retractions"] >= 200 and counts["extracted"] >= 200, counts
     assert counts["composed"] >= 750 and counts["interpolated"] >= 2000, counts
     assert counts["violations"] >= 200, counts
+
+
+def test_homotopy_meets_once_per_vertex_whose_images_differ(monkeypatch):
+    """With both maps' properness tables kept, homotopy_properness climbs
+    at most one meet per source vertex whose two images differ, and none
+    per edge."""
+    calls = _count_meets(monkeypatch)
+    pairs = differ = 0
+    for seed in range(250):
+        for a, b in _homotopy_pairs(seed, *_seed_maps(seed))[0]:
+            properness_witness(a), properness_witness(b)  # the kept tables
+            calls.clear()
+            homotopy_properness(a, b)
+            moved = sum(p != q for fa, fb in zip(a.rows, b.rows) for p, q in zip(fa, fb))
+            assert len(calls) <= moved
+            pairs += 1
+            differ += moved > 0
+    assert pairs >= 1150 and differ >= 500, (pairs, differ)
+
+
+def test_homotopy_table_is_the_levelwise_max_of_three_tables():
+    """The homotopy table is the levelwise max of the table of the vertex
+    tracks meet(f v, g v), over the vertices whose images differ, and the
+    two maps' own properness tables; it stops where the first of the three
+    stops, and it equals brute_homotopy.  Each case is seen on pairs taken
+    both ways round: the track table stops strictly first; f's table stops
+    first, before the track's; g's does; and all three are total (the
+    retraction read back into its tree, against the identity).  f's and
+    g's stop together whenever one of them stops before the track: at a
+    deepest vertex that both maps send to one image."""
+    cases = dict.fromkeys(("track", "f", "g", "total"), 0)
+    for seed in range(100):
+        pairs = _homotopy_pairs(seed, *_seed_maps(seed))[0]
+        tree = pairs[0][0].source
+        try:
+            r = retraction_map(tree).map
+            pairs.append((TreeMap(tree, tree, r.vertex_images), identity_tree_map(tree)))
+        except EmptyCore:
+            pass
+        for a, b in pairs + [(b, a) for a, b in pairs]:
+            ai, bi, t = a.vertex_images, b.vertex_images, a.target
+            track = {v: brute_radius(brute_meet(t, ai[v], bi[v])) for v in ai if ai[v] != bi[v]}
+            tt, t_stop = brute_witness_table(a.source, t.depth, track, {})
+            pa, pb = properness_witness(a), properness_witness(b)
+            hp = homotopy_properness(a, b)
+            assert (hp.table, hp.failure_level) == brute_homotopy(a, b)
+            assert hp.table == tuple(map(max, tt, pa.table, pb.table))
+            stops = {"track": t_stop, "f": pa.failure_level, "g": pb.failure_level}
+            first = min((n for n in stops.values() if n is not None), default=None)
+            assert hp.failure_level == first
+            if first is None:
+                cases["total"] += 1
+            elif t_stop == first:
+                cases["track"] += pa.failure_level != first and pb.failure_level != first
+            else:
+                cases["f"] += pa.failure_level == first
+                cases["g"] += pb.failure_level == first
+    assert min(cases.values()) >= 20, cases
+
+
+def test_a_morphism_keeps_its_induced_map():
+    """xi(m) is built on the first induce_tree_map and kept on m; an equal
+    morphism built apart induces an equal map of its own, and the kept map
+    changes neither equality nor hash."""
+    for seed in range(20):
+        x = gen_random_tower(seed, depth=2 + seed % 6, max_level_size=4)
+        y = gen_random_tower(seed + 40, depth=2 + (seed + 2) % 6, max_level_size=4)
+        m = random_morphism(seed, x, y)
+        twin = TowerMorphism(x, y, m.phi, m.components)
+        assert twin is not m and twin == m and hash(twin) == hash(m)
+        f = induce_tree_map(m)
+        assert induce_tree_map(m) is f
+        assert m == twin and twin == m and hash(m) == hash(twin)
+        g = induce_tree_map(twin)
+        assert g is not f and g == f and g.schedule == f.schedule
+        assert induce_tree_map(twin) is g and m == twin and hash(m) == hash(twin)
 
 
 def test_induced_images_match_per_vertex_oracle():
