@@ -504,21 +504,25 @@ def certified_ln_sign(value: Fraction, threshold: Fraction) -> int:
     return _certified_sign_ln_minus(value.numerator, value.denominator, threshold)
 
 
+def _floor_log(p: int, q: int, scale: int = 1) -> int:
+    """The integer c with c < scale * ln(p/q) < c + 1, for integers p > q >= 1
+    and scale >= 1.  ln(p/q) is irrational there, so walking the float guess
+    with certified signs ends on c.  The thresholds c / scale stay ints when
+    scale is 1, so that the common case builds no Fraction per step."""
+    c = max(math.floor(scale * (math.log(p) - math.log(q))), 0)
+    while _certified_sign_ln_minus(p, q, c if scale == 1 else Fraction(c, scale)) < 0:
+        c -= 1  # scale * ln(p/q) < c: c too big
+    while _certified_sign_ln_minus(p, q, c + 1 if scale == 1 else Fraction(c + 1, scale)) > 0:
+        c += 1  # scale * ln(p/q) > c + 1: c too small
+    return c
+
+
 def certified_neg_log_floor(d: Fraction) -> int:
     """The unique k with e^{-(k+1)} < d <= e^{-k}, for rational d in (0, 1]."""
     d = Fraction(d)
     if not 0 < d <= 1:
         raise InvalidParameter("need a distance in (0, 1]")
-    if d == 1:
-        return 0
-    p, q = d.numerator, d.denominator
-    k = max(math.floor(math.log(q) - math.log(p)), 0)
-    # certify, walking if the float guess sat on the wrong side
-    while _certified_sign_ln_minus(p, q, -k) > 0:  # d > e^{-k}: k too big
-        k -= 1
-    while _certified_sign_ln_minus(p, q, -(k + 1)) < 0:  # d <= e^{-(k+1)}: k too small
-        k += 1
-    return k
+    return 0 if d == 1 else _floor_log(d.denominator, d.numerator)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ class ValidationError(TowerTreeError):
 
 
 class IndexOutOfRange(TowerTreeError):
-    """A level or radius index outside 1..depth (or 0..depth for spheres)."""
+    """A level, radius or arc length outside its range."""
 
 
 class ElementNotInLevel(TowerTreeError):
@@ -71,6 +71,7 @@ class ParseError(TowerTreeError):
 
     def __str__(self) -> str:
         base = super().__str__()
-        if self.line is not None:
-            return f"{base} (line {self.line}, column {self.column})"
-        return base
+        if self.line is None:
+            return base
+        column = "" if self.column is None else f", column {self.column}"
+        return f"{base} (line {self.line}{column})"

@@ -8,14 +8,13 @@ on it do not share state.
 
 from __future__ import annotations
 
-import math
 import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .ends import UltrametricSpace, certified_ln_sign, grid_space, rational_space
+from .ends import UltrametricSpace, _floor_log, certified_ln_sign, grid_space, rational_space
 from .errors import DepthExhausted, InvalidParameter, NotProper, TowerTreeError
 from .groups import GroupTower, ScaleHom, TableGroup, TableHom, WindowedZ, _decimal_ids
 from .maps import (
@@ -126,21 +125,6 @@ def _check_table(name: str, value: int, shift: int) -> None:
         raise InvalidParameter(f"{name} must be at most {most}, {why}")
 
 
-def _minimal_exponent(k: int) -> int:
-    """Least integer strictly above k * ln(k * 2^(k+1)).
-
-    The bound is irrational (a log of an integer >= 16), so the walk
-    around the float guess terminates with a certified floor.
-    """
-    m = k * (1 << (k + 1))
-    c = int(k * math.log(m))
-    while certified_ln_sign(Fraction(m), Fraction(c, k)) <= 0:  # c/k >= ln m: c too big
-        c -= 1
-    while certified_ln_sign(Fraction(m), Fraction(c + 1, k)) >= 0:  # c+1 still below k ln m
-        c += 1
-    return c + 1
-
-
 DEFAULT_C_GRID = (1, 10, 100)
 DEFAULT_L_GRID = (Fraction(1, 10), Fraction(1, 2), Fraction(9, 10))
 
@@ -166,9 +150,11 @@ def gen_biholder(
         raise InvalidParameter("l values must lie in (0, 1)")
     rows = []
     for k in range(2, k_max + 1):
-        n = _minimal_exponent(k)
-        # e^{-n} < (d/k)^k  <=>  n > k ln(k/d) = k ln(k 2^{k+1})
-        certified = certified_ln_sign(Fraction(k * (1 << (k + 1))), Fraction(n, k)) < 0
+        m = k * (1 << (k + 1))
+        # e^{-n} < (d/k)^k  <=>  n > k ln(k/d) = k ln m, and m >= 16 is an
+        # integer, so the least such n is one past the certified floor
+        n = _floor_log(m, 1, k) + 1
+        certified = certified_ln_sign(Fraction(m), Fraction(n, k)) < 0
         rows.append(BiHolderRow(k=k, distance=Fraction(1, 1 << (k + 1)), n=n, certified=certified))
     violations = []
     for c in c_grid:

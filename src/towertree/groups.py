@@ -41,6 +41,7 @@ from .towers import (
     Tower,
     TowerMorphism,
     Window,
+    _broken_square,
     _core_positions,
     _forever_positions,
     _pull_back,
@@ -359,11 +360,6 @@ class GroupTower:
         return f"GroupTower(depth={self.depth}, orders={sizes})"
 
 
-def underlying_tower(g: GroupTower) -> Tower:
-    """Forget the group structure (a scaling tower keeps its oracle)."""
-    return g.tower
-
-
 # ---------------------------------------------------------------------------
 # Text form: JSON levels ("cyclic:m", "windowZ:N" or an element table) and
 # bonds ("scale:k" or an element map)
@@ -394,14 +390,9 @@ def _emit_group(g: TableGroup | WindowedZ):
 
 
 def _cyclic_order(g: TableGroup) -> int | None:
-    """m when g is Z/m on the ids "0".."m-1", read off its op rows."""
+    """m when g is TableGroup.cyclic(m), Z/m on the ids "0".."m-1"; else None."""
     m = len(g.elements)
-    cycle = list(range(m)) * 2
-    if g.elements == tuple(map(str, range(m))) and all(
-        row == cycle[i : i + m] for i, row in enumerate(g.rows)
-    ):
-        return m
-    return None
+    return m if g == TableGroup.cyclic(m) else None
 
 
 def emit_group_tower(g: GroupTower) -> str:
@@ -634,12 +625,10 @@ class GroupLevelMorphism:
             _bond_row(source.level(n), target.level(n), f, n)
             for n, f in enumerate(components, start=1)
         ]
-        for n in range(1, len(rows)):
-            p, q = source.tower.up[n - 1], target.tower.up[n - 1]
-            down, across = [rows[n - 1][i] for i in p], [q[j] for j in rows[n]]
-            if down != across:
-                x = next(x for x, y, z in zip(source.tower.levels[n], down, across) if y != z)
-                raise NotLevelMorphism(f"square {n} does not commute at {x}")
+        broken = _broken_square(source.tower, target.tower, rows)
+        if broken:
+            n, i = broken
+            raise NotLevelMorphism(f"square {n} does not commute at {source.tower.levels[n][i]}")
         self._set(source, target, rows, components)
 
     @classmethod

@@ -88,8 +88,7 @@ class PropernessReport:
     """Minimal witness table m(n) for n = 1..total_upto.
 
     failure_level is the first target radius with no witness within the
-    source depth (closed-world), None when the table is total.  margins
-    measure how far below the source depth each witness sits.
+    source depth (closed-world), None when the table is total.
     """
 
     table: tuple[int, ...]
@@ -98,10 +97,6 @@ class PropernessReport:
     source_depth: int
     target_depth: int
     oracle_override: bool = False
-
-    @property
-    def margins(self) -> tuple[int, ...]:
-        return tuple(self.source_depth - m for m in self.table)
 
     @property
     def total(self) -> bool:
@@ -138,7 +133,7 @@ class HomotopyReport:
 class TreeMap:
     """A rooted map determined by vertex images and linear edges.
 
-    rows[n][i] is the image of the i-th vertex of source sphere n as a
+    rows[n][i] is the image of the i-th vertex of source level n as a
     target point (level, position, offset); vertex_images, the same images
     as TreePoints keyed by vertex in level order, and the map's properness
     report are built on first use."""
@@ -174,7 +169,7 @@ class TreeMap:
         rows: Sequence[Sequence[Point]],
         schedule: XiSchedule | None = None,
     ) -> TreeMap:
-        """A map whose rows were built root to root over the source spheres by
+        """A map whose rows were built root to root over the source levels by
         construction; a row that is already a tuple is kept, not copied."""
         f = cls.__new__(cls)
         f._set(source, target, rows, schedule)
@@ -193,9 +188,6 @@ class TreeMap:
             point = self.target._point
             self._vertex_images = dict(zip(levels, [point(a) for row in self.rows for a in row]))
         return self._vertex_images
-
-    def image_of_vertex(self, v: Vertex) -> TreePoint:
-        return self.vertex_images[v]
 
     def image_of_point(self, p: TreePoint) -> TreePoint:
         """Evaluate the map at any point; edges map linearly onto geodesics."""

@@ -757,12 +757,11 @@ def morphisms_equivalent(f: TowerMorphism, g: TowerMorphism) -> EquivalenceVerdi
 @dataclass(frozen=True)
 class Levelization:
     """A morphism rewritten as a strictly level-preserving one on a
-    reindexed source, with the comparison isomorphisms."""
+    reindexed source, with the comparison isomorphism into it; the target
+    is kept as it is."""
 
     source_reindexed: "Tower"
-    target_reindexed: "Tower"
     iso_in: "TowerMorphism"
-    iso_out: "TowerMorphism"
     level: "TowerMorphism"
 
 
@@ -793,22 +792,25 @@ def levelize_morphism(f: TowerMorphism) -> Levelization:
     iso_in = TowerMorphism._trusted(
         source, reindexed, indices, [range(source.sizes[n - 1]) for n in indices]
     )
-    iso_out = identity_morphism(target)
-    return Levelization(
-        source_reindexed=reindexed,
-        target_reindexed=target,
-        iso_in=iso_in,
-        iso_out=iso_out,
-        level=level,
-    )
+    return Levelization(source_reindexed=reindexed, iso_in=iso_in, level=level)
+
+
+def _broken_square(
+    source: Tower, target: Tower, rows: Sequence[Sequence[int]]
+) -> tuple[int, int] | None:
+    """The first (n, i) where the square of level rows n, n + 1 fails
+    strictly: rows[n-1] at the parent of position i of X_{n+1} is not the
+    parent of rows[n][i].  None when every square commutes."""
+    for n in range(1, len(rows)):
+        fn, q = rows[n - 1], target.up[n - 1]
+        down, across = [fn[j] for j in source.up[n - 1]], [q[k] for k in rows[n]]
+        if down != across:
+            return n, next(i for i, (y, z) in enumerate(zip(down, across)) if y != z)
+    return None
 
 
 def is_level_morphism(f: TowerMorphism) -> bool:
     """Phi == id on its range and all squares commute strictly."""
     if any(p != n for n, p in enumerate(f.phi, start=1)):
         return False
-    for n in range(1, f.defined_upto):
-        fn, fn1, q = f.rows[n - 1], f.rows[n], f.target.up[n - 1]
-        if any(fn[i] != q[j] for i, j in zip(f.source.up[n - 1], fn1)):
-            return False
-    return True
+    return _broken_square(f.source, f.target, f.rows) is None

@@ -30,7 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import IndexOutOfRange, ValidationError, VertexNotFound
 from .towers import Level, Tower, _core_positions, _some_reach_finite, _sub_tower, _through
@@ -259,24 +259,6 @@ def tower_of_tree(tree: RootedTree) -> Tower:
     return tower if tower.oracle is None else Tower._ordered(tower.levels, tower.up)
 
 
-def sphere(tree: RootedTree, n: int) -> tuple[Vertex, ...]:
-    if not 0 <= n <= tree.depth:
-        raise IndexOutOfRange(f"sphere index {n} not in 0..{tree.depth}")
-    return tree.levels[n]
-
-
-def subtree_at(tree: RootedTree, c: Vertex) -> frozenset[Vertex]:
-    """All descendants of c, including c itself."""
-    if not tree.has_vertex(c):
-        raise VertexNotFound(f"{c} is not a vertex of this tree")
-    out, stack, children = set(), [c], tree.children
-    while stack:
-        v = stack.pop()
-        out.add(v)
-        stack.extend(children[v])
-    return frozenset(out)
-
-
 def max_geodesic_subtree(tree: RootedTree) -> RootedTree:
     """The maximal subtree in which every vertex extends forever, built once
     and kept on the tree with its positions: the deepest level's forever
@@ -356,20 +338,13 @@ def _along(up: Sequence[Sequence[int]], a: Point, b: Point, m: Point, s) -> Poin
 
 def meet_point(tree: RootedTree, x: TreePoint, y: TreePoint) -> TreePoint:
     """Deepest common point of the root segments [root, x] and [root, y]."""
-    return geodesic_data(tree, x, y)[0]
-
-
-def geodesic_data(
-    tree: RootedTree, x: TreePoint, y: TreePoint
-) -> tuple[TreePoint, int | Fraction]:
-    """(meet, distance); distance = radius(x) + radius(y) - 2 radius(meet)."""
-    a, b = tree._locate(x), tree._locate(y)
-    m = _meet(tree.up, a, b)
-    return tree._point(m), _radius(a) + _radius(b) - 2 * _radius(m)
+    return tree._point(_meet(tree.up, tree._locate(x), tree._locate(y)))
 
 
 def distance(tree: RootedTree, x: TreePoint, y: TreePoint) -> int | Fraction:
-    return geodesic_data(tree, x, y)[1]
+    """radius(x) + radius(y) - 2 radius(meet)."""
+    a, b = tree._locate(x), tree._locate(y)
+    return _radius(a) + _radius(b) - 2 * _radius(_meet(tree.up, a, b))
 
 
 def ancestor_point_at(tree: RootedTree, x: TreePoint, r: Fraction) -> TreePoint:
@@ -395,13 +370,10 @@ def geodesic_point(tree: RootedTree, x: TreePoint, y: TreePoint, s: Fraction) ->
 # DOT export
 
 
-def dot_of_tree(tree: RootedTree, core: Iterable[Vertex] | None = None) -> str:
-    """Graphviz text; vertex labels "level:id", core vertices bold, pruned dashed.
-
-    Vertices of the maximal geodesically complete subtree are the core when
-    none is supplied explicitly.
-    """
-    core_set = set(core if core is not None else max_geodesic_subtree(tree).vertices)
+def dot_of_tree(tree: RootedTree) -> str:
+    """Graphviz text; vertex labels "level:id", vertices of the maximal
+    geodesically complete subtree bold, pruned ones dashed."""
+    core_set = set(max_geodesic_subtree(tree).vertices)
     lines = ["digraph tower_tree {", "  rankdir=TB;", '  node [shape=ellipse];']
     for v in tree.vertices:
         label = f"{v[0]}:{v[1]}"

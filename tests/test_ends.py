@@ -49,7 +49,6 @@ from towertree import (
     parse_distance_matrix,
     rational_space,
     simplicialize,
-    sphere,
     tree_of_tower,
     tree_of_ultrametric,
     tu_distance,
@@ -365,7 +364,7 @@ def test_dendrogram_two_points():
     sp = grid_space(["x", "y"], {("x", "y"): 2})
     tree, ends = tree_of_ultrametric(sp)
     # shared path of length 2, then a fork
-    assert [len(sphere(tree, n)) for n in range(0, tree.depth + 1)] == [1, 1, 1, 2]
+    assert [len(tree.levels[n]) for n in range(0, tree.depth + 1)] == [1, 1, 1, 2]
     assert set(ends) == {"x", "y"}
     assert end_space_of(tree) == sp
 
@@ -379,13 +378,13 @@ def test_dendrogram_caterpillar_two_pairs():
         },
     )
     tree, _ = tree_of_ultrametric(sp)
-    assert [len(sphere(tree, n)) for n in range(0, tree.depth + 1)] == [1, 1, 2, 2, 4]
+    assert [len(tree.levels[n]) for n in range(0, tree.depth + 1)] == [1, 1, 2, 2, 4]
     assert end_space_of(tree) == sp
 
 
 def test_dendrogram_one_point_is_path():
     tree, ends = tree_of_ultrametric(grid_space(["solo"], {}))
-    assert all(len(sphere(tree, n)) == 1 for n in range(tree.depth + 1))
+    assert all(len(tree.levels[n]) == 1 for n in range(tree.depth + 1))
     assert set(ends) == {"solo"}
 
 
@@ -436,7 +435,7 @@ def test_simplicialize_two_points_at_three_tenths():
     # e^-2 < 3/10 <= e^-1, so the fork happens at integer level 2
     assert row.new_exponent == 1
     assert row.certified
-    assert [len(sphere(tree, n)) for n in range(0, tree.depth + 1)][:3] == [1, 1, 2]
+    assert [len(tree.levels[n]) for n in range(0, tree.depth + 1)][:3] == [1, 1, 2]
     lo, hi = bilipschitz_bounds(corr)
     assert abs(lo - 0.3 / math.exp(-1)) < 1e-12
     assert math.exp(-1) < lo <= hi <= 1.0
@@ -454,7 +453,7 @@ def test_simplicialize_grid_input_is_isometric():
 def test_simplicialize_single_point():
     tree, corr = simplicialize(rational_space(["a"], {}))
     assert bilipschitz_bounds(corr) == (1.0, 1.0)
-    assert all(len(sphere(tree, n)) == 1 for n in range(tree.depth + 1))
+    assert all(len(tree.levels[n]) == 1 for n in range(tree.depth + 1))
 
 
 def test_certified_neg_log_floor_values():

@@ -67,6 +67,7 @@ def test_parse_tower_bad_json_has_position():
     with pytest.raises(ParseError) as err:
         parse_tower("{\n  \"depth\": 2,,\n}")
     assert err.value.line == 2
+    assert str(err.value).endswith(f"(line 2, column {err.value.column})")
 
 
 def test_parse_tower_semantic_errors():
@@ -254,6 +255,11 @@ def test_matrix_parse_errors_carry_line_numbers():
         parse_distance_matrix("a b\n0 1/2\ne-1 0\n")     # mixed modes
     with pytest.raises(ParseError):
         parse_distance_matrix("")
+    # a fault with no known column prints its line alone
+    with pytest.raises(ParseError) as err:
+        parse_distance_matrix("a b\n0 x\nx 0\n")
+    assert (err.value.line, err.value.column) == (2, None)
+    assert str(err.value) == "bad distance entry 'x' (line 2)"
 
 
 def test_group_tower_roundtrip_descriptors():

@@ -26,7 +26,6 @@ from towertree import (
     ml_verdict,
     random_morphism,
     tree_of_tower,
-    underlying_tower,
     verify_ultrametric,
 )
 from towertree.generate import MAX_TABLE_ROWS
@@ -45,7 +44,7 @@ def test_gen_solenoid_validates_parameters():
 
 def test_gen_solenoid_group_matches_set_tower():
     g, tower = gen_solenoid([2, 3], 100, 4)
-    assert underlying_tower(g) == tower
+    assert g.tower == tower
     assert ml_verdict(tower).verdict == FAILS
 
 
@@ -54,7 +53,7 @@ def test_gen_solenoid_hands_its_tower_to_the_group_tower():
     # even at depth 1, where no scale factor is observed
     for depth in (1, 2, 5):
         g, tower = gen_solenoid([2], 16, depth)
-        assert underlying_tower(g) is tower
+        assert g.tower is tower
         assert [t.entries for t in limit_threads(g)] == [("0",) * depth]
         assert GroupTower(g.levels, g.bonds) == g
 

@@ -48,7 +48,6 @@ from towertree import (
     thread_distance,
     thread_inverse,
     thread_product,
-    underlying_tower,
     windowed_solenoid_tower,
 )
 from towertree import Tower, TowerMorphism
@@ -190,11 +189,11 @@ def test_identity_bonds_all_threads_survive():
 
 def test_underlying_tower_recovers_generator():
     g, tower = gen_solenoid([2], 1024, 11)
-    assert underlying_tower(g) == tower
-    assert underlying_tower(g) == windowed_solenoid_tower([2], 1024, 11)
+    assert g.tower == tower
+    assert g.tower == windowed_solenoid_tower([2], 1024, 11)
     # a nonstandard window must not get the oracle attached
     odd = GroupTower([WindowedZ(1000), WindowedZ(499)], [ScaleHom(2)])
-    assert underlying_tower(odd).oracle is None
+    assert odd.tower.oracle is None
 
 
 def test_condition_m_reduction_violation():
@@ -268,7 +267,7 @@ def test_ml_projection_surjective_tower():
 
 def test_ml_projection_drop_tower():
     g = drop_tower()
-    assert ml_verdict(underlying_tower(g)).verdict == HOLDS
+    assert ml_verdict(g.tower).verdict == HOLDS
     assert ml_projection_check(g) == ((1, 2), (2, 2), (3, 3))
 
 
@@ -284,8 +283,8 @@ def test_core_iso_drop_tower():
     inc = as_tower_morphism(ci.inclusion)
     round_full = compose_morphisms(inc, ci.inverse)     # full -> core -> full
     round_core = compose_morphisms(ci.inverse, inc)     # core -> full -> core
-    core_t = underlying_tower(ci.core)
-    full_t = underlying_tower(drop_tower())
+    core_t = ci.core.tower
+    full_t = drop_tower().tower
     assert morphisms_equivalent(round_full, identity_morphism(full_t)).verdict == EQUIVALENT
     assert morphisms_equivalent(round_core, identity_morphism(core_t)).verdict == EQUIVALENT
 
@@ -298,7 +297,7 @@ def test_core_iso_surjective_tower_is_identity():
     ]
     inc = as_tower_morphism(ci.inclusion)
     both = compose_morphisms(ci.inverse, inc)
-    assert morphisms_equivalent(both, identity_morphism(underlying_tower(ci.core))).verdict == EQUIVALENT
+    assert morphisms_equivalent(both, identity_morphism(ci.core.tower)).verdict == EQUIVALENT
 
 
 def test_random_group_towers_coherent():
@@ -467,7 +466,7 @@ def unpatterned_scaling_tower():
 
 def test_scaling_tower_without_oracle_reads_its_truncated_threads():
     g = unpatterned_scaling_tower()
-    assert underlying_tower(g).oracle is None
+    assert g.tower.oracle is None
     threads = limit_threads(g)
     assert [t.entries for t in threads] == [(str(2 * z), str(z), str(z)) for z in range(-2, 3)]
     assert ml_projection_check(g) == ((1, 2), (2, 2), (3, 3))
@@ -475,8 +474,8 @@ def test_scaling_tower_without_oracle_reads_its_truncated_threads():
 
 def test_underlying_tower_is_built_once_and_matches_the_apply_walk():
     for g in _group_towers():
-        t = underlying_tower(g)
-        assert underlying_tower(g) is t
+        t = g.tower
+        assert g.tower is t
         ref = _apply_tower(g)
         assert (t.levels, tuple(map(tuple, t.up))) == (ref.levels, ref.up)
         # levels, up and the oracle apart: only a solenoid's oracle is kept

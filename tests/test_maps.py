@@ -82,9 +82,9 @@ def test_induced_identity_shifts_by_two():
     m = identity_morphism(constant_tower(6))
     f = induce_tree_map(m)
     for n in range(1, 7):
-        img = f.image_of_vertex((n, "x0"))
+        img = f.vertex_images[(n, "x0")]
         assert img.radius == max(n - 2, 0)
-    assert f.image_of_vertex((1, "x0")) == point_of(ROOT)
+    assert f.vertex_images[(1, "x0")] == point_of(ROOT)
 
 
 def test_schedule_breakpoints_strictly_increase():
@@ -225,8 +225,8 @@ def test_composing_with_an_identity_keeps_offsets_without_a_meet(monkeypatch):
 def test_shift_composed_with_shift_is_shift_by_four():
     s2 = shift_map(10, 2)
     s4 = compose_tree_maps(s2, s2)
-    assert s4.image_of_vertex((10, "x0")).radius == 6
-    assert s4.image_of_vertex((4, "x0")).radius == 0
+    assert s4.vertex_images[(10, "x0")].radius == 6
+    assert s4.vertex_images[(4, "x0")].radius == 0
     deep = TreePoint((6, "x0"), Fraction(1, 2))     # radius 11/2
     assert s4.image_of_point(deep).radius == Fraction(3, 2)
 
@@ -278,7 +278,7 @@ def test_simplicial_of_level_fold_preserves_radius():
     for v in f.source.vertices:
         if v == ROOT:
             continue
-        assert f.image_of_vertex(v).radius == v[0]
+        assert f.vertex_images[v].radius == v[0]
     assert check_nonexpansive(f).valid
     hp = homotopy_properness(f, induce_tree_map(fold))
     assert hp.failure_level is None or hp.failure_level > hp.horizon
@@ -605,7 +605,7 @@ def test_analysis_builds_no_by_vertex_views(monkeypatch):
 
 
 def test_tree_point_views_match_an_eager_build():
-    """vertex_images, image_of_vertex and image_of_point, built from rows on
+    """vertex_images and image_of_point, built from rows on
     first use, equal TreePoints built one by one through the validating
     constructor from the target's ids and the brute geodesic oracle, and
     the public constructor reads those points back to the same rows."""
@@ -639,7 +639,6 @@ def test_tree_point_views_match_an_eager_build():
                     eager[(n, x_id)] = TreePoint((j, tgt_ids[j - 1][p]) if j else ROOT, offset)
             assert list(g.vertex_images.items()) == list(eager.items())
             assert all(int_offset_exactly_at_vertex(p) for p in g.vertex_images.values())
-            assert all(g.image_of_vertex(v) == p for v, p in eager.items())
             for v in list(eager)[1:]:
                 a, b = eager[root_chain(g.source, v)[-2]], eager[v]
                 span = brute_distance(g.target, a, b)

@@ -185,7 +185,7 @@ def test_report_leaves_the_retraction_rows_unbuilt(monkeypatch):
         a = v
         while a not in core:
             a = tree.parent[a]
-        assert rmap.image_of_vertex(v) == point_of(a)
+        assert rmap.vertex_images[v] == point_of(a)
 
 
 def test_end_figures_agree_on_range_and_tuple_rows():

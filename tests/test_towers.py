@@ -69,7 +69,6 @@ from towertree import (
     surjective_core,
     tower_of_tree,
     tree_of_tower,
-    underlying_tower,
     windowed_solenoid_tower,
 )
 from towertree.groups import _thread_positions
@@ -501,8 +500,8 @@ def test_sizes_are_the_level_lengths():
         t = windowed_solenoid_tower(*spec)
         towers += [t, _truncate(t, 2), max_geodesic_subtree(tree_of_tower(t)).tower]
         if spec[1] >= 1:
-            towers.append(underlying_tower(gen_solenoid(*spec)[0]))
-    towers += [underlying_tower(gen_random_group_tower(seed, 4)) for seed in range(20)]
+            towers.append(gen_solenoid(*spec)[0].tower)
+    towers += [gen_random_group_tower(seed, 4).tower for seed in range(20)]
     for t in towers:
         assert t.sizes == tuple(map(len, t.levels)) and t.depth == len(t.sizes)
     assert sum(t.oracle is not None for t in towers) >= 14
@@ -637,7 +636,7 @@ def test_levelize_produces_equivalent_level_morphism(two_branch_tower):
     assert not is_level_morphism(m)
     lz = levelize_morphism(m)
     assert is_level_morphism(lz.level)
-    whole = compose_morphisms(lz.iso_out, compose_morphisms(lz.level, lz.iso_in))
+    whole = compose_morphisms(identity_morphism(t), compose_morphisms(lz.level, lz.iso_in))
     assert morphisms_equivalent(whole, m).verdict == EQUIVALENT
 
 

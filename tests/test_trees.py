@@ -24,7 +24,6 @@ from oracles import (
 
 from towertree import (
     ROOT,
-    IndexOutOfRange,
     RootedTree,
     Tower,
     TreePoint,
@@ -36,7 +35,6 @@ from towertree import (
     dot_of_tree,
     end_space_of,
     gen_random_tower,
-    geodesic_data,
     geodesic_point,
     identity_tree_map,
     is_geodesically_complete,
@@ -44,8 +42,6 @@ from towertree import (
     meet_point,
     point_of,
     retraction_map,
-    sphere,
-    subtree_at,
     surjective_core,
     tower_of_tree,
     tree_of_tower,
@@ -99,30 +95,24 @@ def test_tree_tower_tree_isomorphic_at_depth_8():
 
 
 def test_sphere_frozen(two_branch_tree):
-    assert sphere(two_branch_tree, 0) == (ROOT,)
-    assert sphere(two_branch_tree, 2) == ((2, "b1"), (2, "b2"))
-    assert sphere(two_branch_tree, 3) == ((3, "c1"),)
-    with pytest.raises(IndexOutOfRange):
-        sphere(two_branch_tree, 4)
+    assert two_branch_tree.levels[0] == (ROOT,)
+    assert two_branch_tree.levels[2] == ((2, "b1"), (2, "b2"))
+    assert two_branch_tree.levels[3] == ((3, "c1"),)
 
 
-def test_geodesic_data_meets(two_branch_tree):
+def test_meet_point_and_distance(two_branch_tree):
     t = two_branch_tree
     b1, b2, c1 = point_of((2, "b1")), point_of((2, "b2")), point_of((3, "c1"))
-    meet, d = geodesic_data(t, b1, b2)
-    assert meet == point_of((1, "a"))
-    assert d == 2
-    meet, d = geodesic_data(t, c1, b2)
-    assert meet == point_of((1, "a"))
-    assert d == 3
-    meet, d = geodesic_data(t, c1, c1)
-    assert meet == c1 and d == 0
+    assert meet_point(t, b1, b2) == point_of((1, "a"))
+    assert distance(t, b1, b2) == 2
+    assert meet_point(t, c1, b2) == point_of((1, "a"))
+    assert distance(t, c1, b2) == 3
+    assert meet_point(t, c1, c1) == c1 and distance(t, c1, c1) == 0
     # interior points half way down the sibling edges
     p = TreePoint((2, "b1"), Fraction(1, 2))
     q = TreePoint((2, "b2"), Fraction(1, 2))
-    meet, d = geodesic_data(t, p, q)
-    assert meet == point_of((1, "a"))
-    assert d == 1
+    assert meet_point(t, p, q) == point_of((1, "a"))
+    assert distance(t, p, q) == 1
 
 
 def test_vertex_distances_match_chain_walk():
@@ -205,18 +195,11 @@ def test_vertex_radii_are_ints_and_edge_points_fractions():
     assert type(ancestor_point_at(t, point_of(u), Fraction(2)).offset) is int
 
 
-def test_subtree_at_frozen(two_branch_tree):
-    assert subtree_at(two_branch_tree, (1, "a")) == {
-        (1, "a"), (2, "b1"), (2, "b2"), (3, "c1"),
-    }
-    assert subtree_at(two_branch_tree, ROOT) == set(two_branch_tree.vertices)
-    assert subtree_at(two_branch_tree, (3, "c1")) == {(3, "c1")}
+def test_stray_values_are_not_vertices(two_branch_tree):
     for stray in ((9, "zzz"), (1, ["a"]), (1,), None):
         assert not two_branch_tree.has_vertex(stray)
         with pytest.raises(VertexNotFound):
             two_branch_tree._position(stray)
-        with pytest.raises(VertexNotFound):
-            subtree_at(two_branch_tree, stray)
         with pytest.raises(VertexNotFound):
             two_branch_tree.parent_of(stray)
         with pytest.raises(VertexNotFound):
@@ -282,9 +265,9 @@ def test_branches_match_brute_chain_oracle(two_branch_tree):
 
 def test_retraction_two_branch(two_branch_tree):
     r = retraction_map(two_branch_tree)
-    assert r.map.image_of_vertex((2, "b2")) == point_of((1, "a"))
+    assert r.map.vertex_images[(2, "b2")] == point_of((1, "a"))
     for v in ((1, "a"), (2, "b1"), (3, "c1")):
-        assert r.map.image_of_vertex(v) == point_of(v)
+        assert r.map.vertex_images[v] == point_of(v)
     assert r.properness.table == (1, 3, 3)
     assert r.properness.total_upto == 3
     assert r.properness.failure_level is None
@@ -319,13 +302,12 @@ def test_point_helpers(two_branch_tree):
 
 
 def test_dot_export_two_branch(two_branch_tree):
-    core = max_geodesic_subtree(two_branch_tree)
-    dot = dot_of_tree(two_branch_tree, core=core.vertices)
+    dot = dot_of_tree(two_branch_tree)
     assert dot.count("->") == 4
     assert dot.count("style=bold") == 4
     assert dot.count("style=dashed") == 1
     assert '"2:b2" [style=dashed];' in dot
-    assert dot == dot_of_tree(two_branch_tree, core=core.vertices)
+    assert dot == dot_of_tree(two_branch_tree)
 
 
 def test_dot_export_one_point_tower():
