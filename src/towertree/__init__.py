@@ -33,7 +33,7 @@ _EXPORTS = {
     "ends": """GRID RATIONAL CorrespondenceRow EndCorrespondence UltrametricSpace
         UltrametricVerdict agreement bilipschitz_bounds certified_ln_sign certified_neg_log_floor
         emit_distance_matrix end_space_of grid_space parse_distance_matrix rational_space
-        simplicialize tree_of_ultrametric tu_distance verify_ultrametric""",
+        simplicialize tree_of_ultrametric verify_ultrametric""",
     "groups": """ConditionReport CoreIso GroupLevelMorphism GroupTower IsometryVerdict IsoVerdict
         ScaleHom TableGroup TableHom Thread WindowedZ as_tower_morphism check_condition_E
         check_condition_M check_translation_isometry core_iso_construction emit_group_tower

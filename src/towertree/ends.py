@@ -438,24 +438,6 @@ def _classes(order: list[int], link: list, h: int, place: list[int]) -> list[int
     return list(map(names.__getitem__, place))
 
 
-def tu_distance(space: UltrametricSpace, x: str, t, y: str, s):
-    """Distance in the quotient tree between [x, t] and [y, s].
-
-    Grid mode is exact (Fractions); rational mode goes through float
-    logarithms with tolerance 1e-12, which is what the mode can honestly
-    offer.
-    """
-    t, s = Fraction(t), Fraction(s)
-    if t < 0 or s < 0:
-        raise InvalidParameter("heights must be >= 0")
-    entry = space._entry(x, y)
-    if x == y:
-        return abs(t - s)
-    if space.mode == GRID:
-        return t + s - 2 * min(Fraction(entry), t, s)
-    return float(t) + float(s) - 2 * min(-math.log(entry), float(t), float(s))
-
-
 # ---------------------------------------------------------------------------
 # Certified integer log brackets
 

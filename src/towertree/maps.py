@@ -1,13 +1,15 @@
 """Rooted tree maps: the two functors between towers and trees.
 
 A TreeMap stores vertex images only, as rows of target points (level,
-position, offset); each edge maps linearly onto the geodesic between its
-endpoint images, so evaluation anywhere is exact.  That representation
-covers every map constructed here (induced maps, simplicial level maps,
-retractions) because their breakpoints always land on vertices.  Maps are
-built and measured level by level, one loop over the source tree's `up`
-rows with the root as level 0, and every meet climbs the target's `up`;
-TreePoints are an output view.
+position, k) on its grid of D steps per edge (trees.py); each edge maps
+linearly onto the geodesic between its endpoint images, so evaluation
+anywhere is exact in ints.  D is the least grid that holds every image: 1
+for identity, simplicial and retraction maps, the lcm of the segment
+lengths for an induced map, of the offsets' denominators for TreeMap(...),
+and D_g * D_f reduced for g after f, at most MAX_DEN.  Maps are built and
+measured level by level, one loop over the source tree's `up` rows with the
+root as level 0, and every meet climbs the target's `up`; TreePoints are an
+output view.
 
 Properness is witnessed by a table n -> m(n), minimal with the closed
 reading: every point at radius >= m(n) has image radius >= n, checked on
@@ -24,10 +26,11 @@ built on the first read of its map, since that failure reads none of them.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import chain
+from operator import itemgetter, sub
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -59,6 +62,10 @@ from .trees import (
 )
 
 _FAR = 1 << 62  # larger than any radius we can meet
+
+# TreeMap(...) and compose_tree_maps refuse a finer grid.  An induced map of
+# depth d needs at most Landau's g(d): 15 at d = 8, 232,792,560 at d = 100.
+MAX_DEN = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -134,11 +141,12 @@ class TreeMap:
     """A rooted map determined by vertex images and linear edges.
 
     rows[n][i] is the image of the i-th vertex of source level n as a
-    target point (level, position, offset); vertex_images, the same images
-    as TreePoints keyed by vertex in level order, and the map's properness
-    report are built on first use."""
+    target point (level, position, k) on the least grid of den steps per
+    edge that holds them all, so equal maps have equal rows; vertex_images,
+    the same images as TreePoints keyed by vertex in level order, and the
+    map's properness report are built on first use."""
 
-    __slots__ = ("source", "target", "rows", "schedule", "_vertex_images", "_properness")
+    __slots__ = ("source", "target", "rows", "den", "schedule", "_vertex_images", "_properness")
 
     def __init__(
         self,
@@ -151,15 +159,18 @@ class TreeMap:
             raise ValidationError("vertex images must cover the source vertex set exactly")
         if vertex_images[ROOT] != point_of(ROOT):
             raise ValidationError("a rooted map must send root to root")
+        den = 1
+        for d in {img.offset.denominator for img in vertex_images.values()}:
+            den = _budgeted(math.lcm(den, d))
         at = {}
         for v, img in vertex_images.items():
             try:
-                at[v] = target._locate(img)
+                at[v] = target._locate(img, den)
             except VertexNotFound:
                 msg = f"image of {v} is based at {img.base}, not a target vertex"
                 raise ValidationError(msg) from None
         rows = [[at[v] for v in level] for level in source.levels.values()]
-        self._set(source, target, rows, schedule)
+        self._set(source, target, rows, den, schedule)
 
     @classmethod
     def _built(
@@ -167,16 +178,17 @@ class TreeMap:
         source: RootedTree,
         target: RootedTree,
         rows: Sequence[Sequence[Point]],
+        den: int,
         schedule: XiSchedule | None = None,
     ) -> TreeMap:
-        """A map whose rows were built root to root over the source levels by
-        construction; a row that is already a tuple is kept, not copied."""
+        """A map whose rows, on their least grid den, were built root to root
+        over the source levels; a row that is already a tuple is kept."""
         f = cls.__new__(cls)
-        f._set(source, target, rows, schedule)
+        f._set(source, target, rows, den, schedule)
         return f
 
-    def _set(self, source, target, rows, schedule) -> None:
-        self.source, self.target, self.schedule = source, target, schedule
+    def _set(self, source, target, rows, den, schedule) -> None:
+        self.source, self.target, self.den, self.schedule = source, target, den, schedule
         self.rows = tuple([tuple(row) for row in rows])
         self._vertex_images = self._properness = None
 
@@ -184,21 +196,23 @@ class TreeMap:
     def vertex_images(self) -> dict[Vertex, TreePoint]:
         """Each source vertex's image, in level order."""
         if self._vertex_images is None:
-            levels = chain.from_iterable(self.source.levels.values())
-            point = self.target._point
-            self._vertex_images = dict(zip(levels, [point(a) for row in self.rows for a in row]))
+            point, den = self.target._point, self.den
+            images = [point(a, den) for row in self.rows for a in row]
+            self._vertex_images = dict(zip(chain.from_iterable(self.source.levels.values()), images))
         return self._vertex_images
 
     def image_of_point(self, p: TreePoint) -> TreePoint:
         """Evaluate the map at any point; edges map linearly onto geodesics."""
-        a = self.source._locate(p)
-        return self.target._point(_image(self.rows, self.source.up, self.target.up, a))
+        src, d = self.source, p.offset.denominator
+        a = _image(self.rows, self.den, src.up, self.target.up, src._locate(p, d), d)
+        return self.target._point(a, self.den * d)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TreeMap)
             and self.source == other.source
             and self.target == other.target
+            and self.den == other.den
             and self.rows == other.rows
         )
 
@@ -209,31 +223,38 @@ class TreeMap:
         return f"TreeMap({self.source!r} -> {self.target!r})"
 
 
-def _spans_edge(up, above: Point, here: Point) -> bool:
-    """here is a vertex and above is its parent vertex, one level up, so an
-    edge with these end images maps onto one target edge and meets at above:
-    one `up` lookup, no meet."""
-    n, p, offset = here
-    return offset == 1 and above[0] == n - 1 and above[2] == 1 and above[1] == up[n - 1][p]
+def _budgeted(den: int) -> int:
+    if den > MAX_DEN:
+        raise ValidationError(f"the images need {den} > MAX_DEN = {MAX_DEN} grid steps per edge")
+    return den
 
 
-def _image(rows, source_up, target_up, a: Point) -> Point:
-    """The image of the source point a under the map with these rows: a row
-    lookup at a vertex, the same offset on an edge mapped onto one target
-    edge, else one interpolation on the geodesic between the images of the
-    edge's two ends."""
-    j, p, offset = a
+def _just_above(up, a: Point, b: Point) -> bool:
+    """a lies on [root, b] at most one edge above b's edge: on the edge into
+    the parent of b's base, or on b's own edge no lower than b.  Then a is
+    the meet of a and b, found with at most one `up` lookup and no climb."""
+    n, p, k = b
+    if a[0] == n - 1:
+        return up[n - 1][p] == a[1]
+    return a[0] == n and a[1] == p and a[2] >= k
+
+
+def _image(rows, den: int, source_up, target_up, a: Point, d: int) -> Point:
+    """The image of the source point a, on a grid of d steps, under the map
+    with these rows on the grid of den steps, as a point on the grid of
+    den * d steps: a row lookup at a vertex, else one interpolation on the
+    geodesic between the images of the edge's two ends."""
+    j, p, k = a
     here = rows[j][p]
-    if offset == 1:
-        return here
-    above = rows[j - 1][source_up[j - 1][p]]
-    if above == here:
-        return here
-    if _spans_edge(target_up, above, here):
-        return (here[0], here[1], offset)
-    m = _meet(target_up, above, here)
-    span = _radius(above) + _radius(here) - 2 * _radius(m)
-    return _along(target_up, above, here, m, offset * span)
+    if k != 0:
+        above = rows[j - 1][source_up[j - 1][p]]
+        if above != here:
+            # a sits k/d up from the edge's lower end, so (d - k) / d of the span from above
+            m = above if _just_above(target_up, above, here) else _meet(target_up, above, here)
+            ra, rm = _radius(above, den), _radius(m, den)
+            span = ra + _radius(here, den) - 2 * rm
+            return _along(target_up, above, here, ra * d, rm * d, (d - k) * span, den * d)
+    return here if d == 1 or here[2] == 0 else (here[0], here[1], here[2] * d)
 
 
 @dataclass(frozen=True)
@@ -264,18 +285,24 @@ class Retraction:
 
 
 def identity_tree_map(tree: RootedTree) -> TreeMap:
-    rows = [[(n, i, 1) for i in range(size)] for n, size in enumerate(tree.sizes)]
-    return TreeMap._built(tree, tree, rows)
+    rows = [[(n, i, 0) for i in range(size)] for n, size in enumerate(tree.sizes)]
+    return TreeMap._built(tree, tree, rows, 1)
 
 
 def check_nonexpansive(f: TreeMap) -> NonexpansiveVerdict:
-    """Each unit edge must map onto a geodesic of length <= 1."""
-    src, up = f.source, f.target.up
+    """Each unit edge must map onto a geodesic of at most den grid steps.  No
+    meet is climbed for an edge whose end images are one point or whose
+    parent's image lies just above the child's (_just_above)."""
+    src, up, den = f.source, f.target.up, f.den
     for n, u in enumerate(src.up):
         above, here = f.rows[n], f.rows[n + 1]
         for i, j in enumerate(u):
             a, b = above[j], here[i]
-            if a is not b and _radius(a) + _radius(b) - 2 * _radius(_meet(up, a, b)) > 1:
+            if a is b:
+                continue
+            m = a if _just_above(up, a, b) else _meet(up, a, b)
+            # _radius inlined: the edge's image spans more than den steps
+            if (a[0] + b[0] - 2 * m[0]) * den - a[2] - b[2] + 2 * m[2] > den:
                 return NonexpansiveVerdict(
                     valid=False, violation=(src._vertex(n, j), src._vertex(n + 1, i))
                 )
@@ -309,20 +336,20 @@ def properness_witness(f: TreeMap) -> PropernessReport:
 
     One pass per source level: its vertices' image radii and the meet
     radii of the edges that reach it from the level above, both as floors.
-    An edge whose endpoints are the same image object, or that maps onto
-    one target edge (_spans_edge), is skipped: its meet radius is the
-    parent's image radius, already counted one level up."""
+    An edge whose endpoints are the same image object, or whose parent's
+    image lies just above the child's (_just_above), is skipped: its meet
+    is the parent's image, already counted one level up."""
     if f._properness is not None:
         return f._properness
     src, tgt, rows = f.source, f.target, f.rows
     up = tgt.up
     # _floor inlined: a call per vertex is a fifth of this line on a big row
-    lows = [min([a[0] - (a[2] != 1) for a in row]) for row in rows]
+    lows = [min([a[0] - (a[2] != 0) for a in row]) for row in rows]
     for n, u in enumerate(src.up):
         moved = [
             _floor(_meet(up, a, b))
             for a, b in zip(_through(rows[n], u), rows[n + 1])
-            if a is not b and not _spans_edge(up, a, b)
+            if a is not b and not _just_above(up, a, b)
         ]
         if moved:
             lows[n] = min(lows[n], min(moved))
@@ -345,13 +372,18 @@ def homotopy_properness(f: TreeMap, g: TreeMap) -> HomotopyReport:
     meets of f and g, which the maps' kept tables already hold, and the
     floor of f(v) or g(v) is at least the track of v.  So the table is the
     levelwise max of the two kept tables and the table of the vertex
-    tracks: one meet per vertex whose images differ, none per edge.
+    tracks: one meet per vertex whose images lie on different edges, none
+    per edge.  Two images on one edge meet at the shallower one, whose floor
+    its map's kept table holds, so each map's rows stay on their own grid.
     """
     if f.source != g.source or f.target != g.target:
         raise SourceTargetMismatch("homotopy needs maps with shared source and target")
     up = f.target.up
     lows = [
-        min([_floor(_meet(up, a, b)) for a, b in zip(fh, gh) if a != b], default=_FAR)
+        min(
+            [_floor(_meet(up, a, b)) for a, b in zip(fh, gh) if a[1] != b[1] or a[0] != b[0]],
+            default=_FAR,
+        )
         for fh, gh in zip(f.rows, g.rows)
     ]
     track, failure = _witness_table(lows, f.target.depth)
@@ -370,12 +402,22 @@ def compose_tree_maps(g: TreeMap, f: TreeMap) -> TreeMap:
     """g after f; edges re-linearized between the composed vertex images.
 
     Each image of f is a row lookup in g at a vertex and one interpolation
-    inside an edge."""
+    inside an edge, on the grid of g.den * f.den steps, reduced once by the
+    gcd of every image's k."""
     if f.target != g.source:
         raise SourceTargetMismatch("middle trees of the composition differ")
-    rows, source_up, target_up = g.rows, g.source.up, g.target.up
-    images = [[_image(rows, source_up, target_up, a) for a in here] for here in f.rows]
-    return TreeMap._built(f.source, g.target, images)
+    rows, den, source_up, target_up, d = g.rows, g.den, g.source.up, g.target.up, f.den
+    if d == 1:  # every image of f is a vertex
+        images = [[rows[j][p] for j, p, _ in here] for here in f.rows]
+    else:
+        images = [[_image(rows, den, source_up, target_up, a, d) for a in here] for here in f.rows]
+    den *= d
+    if den > 1:
+        step = math.gcd(den, *map(itemgetter(2), chain.from_iterable(images)))
+        if step > 1:
+            den //= step
+            images = [[(j, p, k // step) for j, p, k in here] for here in images]
+    return TreeMap._built(f.source, g.target, images, _budgeted(den))
 
 
 # ---------------------------------------------------------------------------
@@ -413,28 +455,23 @@ def induce_tree_map(m: TowerMorphism) -> TreeMap:
     tgt_tree = tree_of_tower(m.target)
     sched = xi_schedule(m)
     t = sched.breakpoints
-    seg_count = len(t)
+    ends = (*t, sched.virtual_top)
+    # a segment wider than 1 ends within the source depth, so its first level
+    # sits at offset 1 / width: the lcm of the widths is the least grid
+    den = math.lcm(*map(sub, ends[1:], t))
     rows = [(ROOT_AT,)]
     # the vertices of one level share r, so the segment k, the image level j
-    # and the offset are found once per level: rho = k - 1 + num / den
+    # and the steps up from it are found once per level
     for r in range(1, src_tree.depth + 1):
+        if r <= t[0]:
+            rows.append((ROOT_AT,) * m.source.sizes[r - 1])
+            continue
         k = bisect_right(t, r)
-        if k == 0:
-            rows.append((ROOT_AT,) * m.source.sizes[r - 1])
-            continue
-        hi = t[k] if k < seg_count else sched.virtual_top
-        num, den = r - t[k - 1], hi - t[k - 1]
-        if num == 0:
-            j, offset = k - 1, 1
-        else:
-            # num == den only at r == virtual_top, closing the last segment
-            j, offset = k, 1 if num == den else Fraction(num, den)
-        if j == 0:
-            rows.append((ROOT_AT,) * m.source.sizes[r - 1])
-            continue
-        at_phi = [(j, i, offset) for i in m.rows[j - 1]]
+        lo, hi = t[k - 1], ends[k]
+        j, steps = (k - 1, 0) if r == lo else (k, (hi - r) * den // (hi - lo))
+        at_phi = [(j, i, steps) for i in m.rows[j - 1]]
         rows.append(_pull_back(m.source, at_phi, m.phi[j - 1], r))
-    m._induced = TreeMap._built(src_tree, tgt_tree, rows, schedule=sched)
+    m._induced = TreeMap._built(src_tree, tgt_tree, rows, den, sched)
     return m._induced
 
 
@@ -469,8 +506,8 @@ def simplicial_of_level(m: TowerMorphism) -> TreeMap:
         )
     src_tree = tree_of_tower(m.source)
     tgt_tree = tree_of_tower(m.target)
-    rows = [[(n, i, 1) for i in row] for n, row in enumerate(m.rows, start=1)]
-    return TreeMap._built(src_tree, tgt_tree, [(ROOT_AT,), *rows])
+    rows = [[(n, i, 0) for i in row] for n, row in enumerate(m.rows, start=1)]
+    return TreeMap._built(src_tree, tgt_tree, [(ROOT_AT,), *rows], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -487,9 +524,9 @@ def _retraction_tree_map(tree: RootedTree) -> TreeMap:
     for n, (u, kept) in enumerate(zip(tree.up, tree._core[1]), start=1):
         here = _through(rows[-1], u)
         for k, i in enumerate(kept):
-            here[i] = (n, k, 1)
+            here[i] = (n, k, 0)
         rows.append(here)
-    return TreeMap._built(tree, core, rows)
+    return TreeMap._built(tree, core, rows, 1)
 
 
 def retraction_map(tree: RootedTree) -> Retraction:

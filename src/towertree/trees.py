@@ -11,11 +11,13 @@ position in level n of the parent of vertex i of level n + 1.  Level 0 is
 the one-point Level ("root",) with a row of zeros below it; the rest are
 the tower's own levels, sizes and rows.
 
-The geometry runs on positions: a point is (level, position, offset), the
-deeper end of its edge at that position of the level and the offset
-normalized as in TreePoint, and meets climb `up`; TreePoint and the
-by-vertex views find ids through the level's index, so finding a
-generator vertex prints no id.
+The geometry runs on positions and ints: a point is (level, position, k)
+on a grid of D steps per edge, k in [0, D) counting up from the base vertex
+(the deeper end of its edge) to radius level - k/D, so a vertex is k == 0
+whatever D is.  A tree map keeps one D for all its points (maps.py); the
+TreePoint functions take the least D that holds their arguments.  Meets
+climb `up`; TreePoint and the by-vertex views find ids through the level's
+index, so finding a generator vertex prints no id.
 
 The core is the deepest level's forever positions pushed down `up`: read
 closed-world that is every vertex extendable to the deepest level, over a
@@ -141,13 +143,14 @@ class RootedTree:
         """The vertex at position p of level n."""
         return (n, self.ids[n][p])
 
-    def _locate(self, x: TreePoint) -> Point:
-        """x as (level, position, offset)."""
-        return (x.base[0], self._position(x.base), x.offset)
+    def _locate(self, x: TreePoint, den: int) -> Point:
+        """x as (level, position, k) on a grid of den steps that holds it."""
+        return (x.base[0], self._position(x.base), den - _steps(x.offset, den))
 
-    def _point(self, a: Point) -> TreePoint:
-        """The TreePoint of (level, position, offset)."""
-        return TreePoint._at(self._vertex(a[0], a[1]), a[2])
+    def _point(self, a: Point, den: int) -> TreePoint:
+        """The TreePoint of (level, position, k) on the grid of den steps."""
+        k = a[2]
+        return TreePoint._at(self._vertex(a[0], a[1]), 1 if k == 0 else Fraction(den - k, den))
 
     def has_vertex(self, v: Vertex) -> bool:
         try:
@@ -236,9 +239,9 @@ def point_of(v: Vertex) -> TreePoint:
     return TreePoint._at(v, 1)
 
 
-Point = tuple[int, int, "int | Fraction"]  # see the module docstring
+Point = tuple[int, int, int]  # (level, position, k): see the module docstring
 
-ROOT_AT: Point = (0, 0, 1)
+ROOT_AT: Point = (0, 0, 0)
 
 
 def tree_of_tower(tower: Tower) -> RootedTree:
@@ -297,54 +300,67 @@ def _climb(up: Sequence[Sequence[int]], j: int, p: int, n: int) -> int:
     return p
 
 
-def _radius(a: Point) -> int | Fraction:
-    return a[0] - 1 + a[2]
+def _radius(a: Point, den: int) -> int:
+    """radius(a) in steps of 1/den."""
+    return a[0] * den - a[2]
 
 
 def _floor(a: Point) -> int:
     """floor(radius): the level of a vertex, one less inside an edge."""
-    return a[0] if a[2] == 1 else a[0] - 1
+    return a[0] if a[2] == 0 else a[0] - 1
 
 
 def _meet(up: Sequence[Sequence[int]], a: Point, b: Point) -> Point:
-    """The meet of [root, a] and [root, b]: the shallower of a and b when its
-    base lies on the other's root path, else the fork vertex.  Climbs from
-    the deeper base to the shallower level, then from both at once:
-    O(distance) parent steps."""
+    """The meet of [root, a] and [root, b], on one grid: the shallower of a
+    and b when its base lies on the other's root path, else the fork vertex.
+    Climbs from the deeper base to the shallower level, then from both at
+    once: O(distance) parent steps."""
     j = min(a[0], b[0])
     pa, pb = _climb(up, a[0], a[1], j), _climb(up, b[0], b[1], j)
     if pa == pb:
-        return a if (a[0], a[2]) <= (b[0], b[2]) else b
+        return a if a[0] < b[0] or a[0] == b[0] and a[2] >= b[2] else b
     while pa != pb:
         j -= 1
         pa, pb = up[j][pa], up[j][pb]
-    return (j, pa, 1)
+    return (j, pa, 0)
 
 
-def _point_at(up: Sequence[Sequence[int]], a: Point, r: int | Fraction) -> Point:
-    """The point at radius r on [root, a]; needs 0 <= r <= radius(a)."""
-    n = math.ceil(r)
-    offset = r - n + 1
-    return (n, _climb(up, a[0], a[1], n), 1 if offset == 1 else offset)
+def _point_at(up: Sequence[Sequence[int]], a: Point, r: int, den: int) -> Point:
+    """The point at radius r / den on [root, a]; needs 0 <= r <= _radius(a, den)."""
+    n = -(-r // den)
+    return (n, _climb(up, a[0], a[1], n), n * den - r)
 
 
-def _along(up: Sequence[Sequence[int]], a: Point, b: Point, m: Point, s) -> Point:
-    """The point at arc length s from a on the geodesic [a, b], whose meet is m."""
-    down = _radius(a) - _radius(m)
-    if s <= down:
-        return _point_at(up, a, _radius(a) - s)
-    return _point_at(up, b, _radius(m) + (s - down))
+def _along(up, a: Point, b: Point, ra: int, rm: int, s: int, den: int) -> Point:
+    """The point at arc length s from a on the geodesic [a, b], where ra and
+    rm are the radii of a and of the meet, all in steps of 1/den."""
+    if s <= ra - rm:
+        return _point_at(up, a, ra - s, den)
+    return _point_at(up, b, 2 * rm - ra + s, den)
+
+
+def _steps(value: int | Fraction, den: int) -> int:
+    """value * den, on a grid of den steps that holds value."""
+    return value.numerator * (den // value.denominator)
+
+
+def _on_grid(tree: RootedTree, x: TreePoint, y: TreePoint, *values: Fraction):
+    """The least grid that holds x, y and values, with x and y located on it."""
+    den = math.lcm(x.offset.denominator, y.offset.denominator, *[v.denominator for v in values])
+    return den, tree._locate(x, den), tree._locate(y, den)
 
 
 def meet_point(tree: RootedTree, x: TreePoint, y: TreePoint) -> TreePoint:
     """Deepest common point of the root segments [root, x] and [root, y]."""
-    return tree._point(_meet(tree.up, tree._locate(x), tree._locate(y)))
+    den, a, b = _on_grid(tree, x, y)
+    return tree._point(_meet(tree.up, a, b), den)
 
 
 def distance(tree: RootedTree, x: TreePoint, y: TreePoint) -> int | Fraction:
     """radius(x) + radius(y) - 2 radius(meet)."""
-    a, b = tree._locate(x), tree._locate(y)
-    return _radius(a) + _radius(b) - 2 * _radius(_meet(tree.up, a, b))
+    den, a, b = _on_grid(tree, x, y)
+    d = _radius(a, den) + _radius(b, den) - 2 * _radius(_meet(tree.up, a, b), den)
+    return d if den == 1 else Fraction(d, den)
 
 
 def ancestor_point_at(tree: RootedTree, x: TreePoint, r: Fraction) -> TreePoint:
@@ -352,18 +368,19 @@ def ancestor_point_at(tree: RootedTree, x: TreePoint, r: Fraction) -> TreePoint:
     r = Fraction(r)
     if not 0 <= r <= x.radius:
         raise IndexOutOfRange(f"radius {r} outside [0, {x.radius}]")
-    return tree._point(_point_at(tree.up, tree._locate(x), r))
+    den = math.lcm(x.offset.denominator, r.denominator)
+    return tree._point(_point_at(tree.up, tree._locate(x, den), _steps(r, den), den), den)
 
 
 def geodesic_point(tree: RootedTree, x: TreePoint, y: TreePoint, s: Fraction) -> TreePoint:
     """The point at arc length s from x along the geodesic [x, y]."""
     s = Fraction(s)
-    up, a, b = tree.up, tree._locate(x), tree._locate(y)
-    m = _meet(up, a, b)
-    dist = _radius(a) + _radius(b) - 2 * _radius(m)
-    if not 0 <= s <= dist:
-        raise IndexOutOfRange(f"arc length {s} outside [0, {dist}]")
-    return tree._point(_along(up, a, b, m, s))
+    den, a, b = _on_grid(tree, x, y, s)
+    ra, rm, steps = _radius(a, den), _radius(_meet(tree.up, a, b), den), _steps(s, den)
+    dist = ra + _radius(b, den) - 2 * rm
+    if not 0 <= steps <= dist:
+        raise IndexOutOfRange(f"arc length {s} outside [0, {Fraction(dist, den)}]")
+    return tree._point(_along(tree.up, a, b, ra, rm, steps, den), den)
 
 
 # ---------------------------------------------------------------------------

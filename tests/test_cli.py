@@ -122,7 +122,7 @@ def test_roundtrip_mutant_is_caught(monkeypatch):
         if not sched.breakpoints or sched.breakpoints[0] < 2:
             return fmap
         broken = dataclasses.replace(sched, breakpoints=tuple(t - 1 for t in sched.breakpoints))
-        return TreeMap._built(fmap.source, fmap.target, fmap.rows, schedule=broken)
+        return TreeMap._built(fmap.source, fmap.target, fmap.rows, fmap.den, broken)
 
     monkeypatch.setattr(generate, "induce_tree_map", early)
     code, out, _ = run(["roundtrip", "--seeds", "5"])

@@ -51,7 +51,6 @@ from towertree import (
     simplicialize,
     tree_of_tower,
     tree_of_ultrametric,
-    tu_distance,
     verify_ultrametric,
     windowed_solenoid_tower,
 )
@@ -401,18 +400,9 @@ def test_grid_roundtrip_seeded():
         assert end_space_of(tree) == sp
 
 
-def test_tu_distance_cases():
+def test_display_and_exact_accessors_read_each_mode():
     sp = grid_space(["a", "b"], {("a", "b"): 2})
-    assert tu_distance(sp, "a", Fraction(3), "a", Fraction(1)) == 2
-    assert tu_distance(sp, "a", Fraction(5), "b", Fraction(5)) == 6
-    assert tu_distance(sp, "a", Fraction(0), "b", Fraction(0)) == 0
-    assert tu_distance(sp, "a", Fraction(1), "b", Fraction(1)) == 0
-    # rational mode: float with a documented tolerance
     rs = rational_space(["a", "b"], {("a", "b"): Fraction(3, 10)})
-    got = tu_distance(rs, "a", Fraction(2), "b", Fraction(2))
-    assert abs(got - (4 - 2 * (-math.log(0.3)))) < 1e-12
-    with pytest.raises(InvalidParameter):
-        tu_distance(sp, "a", Fraction(-1), "b", Fraction(0))
     # the display accessor reads either mode, and each exact one its own
     assert sp.numeric("a", "b") == math.exp(-2)
     assert rs.numeric("a", "b") == 0.3

@@ -1,7 +1,9 @@
 """Schedules, induced maps, extraction, properness, and homotopy checks."""
 
 import random
+import time
 from fractions import Fraction
+from operator import ne
 
 import pytest
 
@@ -33,6 +35,7 @@ from towertree import (
     TowerMorphism,
     TreeMap,
     TreePoint,
+    ValidationError,
     XiSchedule,
     check_nonexpansive,
     compose_morphisms,
@@ -402,6 +405,121 @@ def test_witness_tables_match_brute_meets():
     assert counts["violations"] >= 200, counts
 
 
+def _wild_map(rng, source, target, dens):
+    """A map with every vertex below the root sent to a random point of
+    target, its offset's denominator drawn from dens."""
+    below = target.vertices[1:]
+
+    def offset():
+        d = rng.choice(dens)
+        return Fraction(rng.randint(1, d), d)
+
+    return TreeMap(source, target, {
+        v: point_of(ROOT) if v == ROOT else TreePoint(rng.choice(below), offset())
+        for v in source.vertices
+    })
+
+
+def test_integer_grid_matches_the_fraction_oracles():
+    """Every kind of map, on grids of many sizes, against the Fraction
+    oracles: induced maps and their composites, composites of composites,
+    identity, retraction and simplicial maps, and maps built from TreePoints
+    whose offsets mix denominators up to 7.  Vertex images, the
+    nonexpansive violation, the properness and homotopy tables and
+    image_of_point inside every source edge all match, and each map's grid
+    is the least that holds its images."""
+    counts = dict.fromkeys(("maps", "fine", "nested", "wild", "homotopies"), 0)
+    dens = set()
+    for seed in range(60):
+        rng = random.Random(seed)
+        x, y, mf, mh, f, h, hf = _seed_maps(seed)
+        z = h.target.tower
+        w = gen_random_tower(seed + 120, depth=3 + (seed + 1) % 5, max_level_size=4)
+        g = induce_tree_map(random_morphism(seed + 2, z, w))
+        wild = _wild_map(rng, f.source, f.target, (2, 3, 5, 7))
+        fold = _wild_map(rng, f.target, f.target, (2, 3, 4, 6))
+        maps = [f, h, g, wild, fold, identity_tree_map(f.target),
+                simplicial_of_level(levelize_morphism(mf).level)]
+        # all but the first and the fourth have a composite factor
+        for outer, inner in ((h, f), (g, hf), (compose_tree_maps(g, h), f), (fold, wild),
+                             (h, compose_tree_maps(fold, wild)), (g, compose_tree_maps(h, wild))):
+            maps.append(compose_tree_maps(outer, inner))
+            assert maps[-1].vertex_images == brute_composite_images(outer, inner)
+        counts["nested"] += 4
+        try:
+            maps.append(retraction_map(tree_of_tower(x)).map)
+        except EmptyCore:
+            pass
+        for m in maps:
+            images = m.vertex_images
+            assert all(map(int_offset_exactly_at_vertex, images.values()))
+            assert TreeMap(m.source, m.target, images).den == m.den
+            assert check_nonexpansive(m).violation == brute_violation(m)
+            rep = properness_witness(m)
+            assert (rep.table, rep.failure_level) == brute_properness(m)
+            for v in m.source.vertices[1:]:
+                a, b = images[root_chain(m.source, v)[-2]], images[v]
+                span = brute_distance(m.target, a, b)
+                for t in (Fraction(1, 3), Fraction(1, 2), Fraction(4, 5)):
+                    assert m.image_of_point(TreePoint(v, t)) == brute_geodesic_point(m.target, a, b, t * span)
+            dens.add(m.den)
+            counts["maps"] += 1
+            counts["fine"] += m.den > 1
+            counts["wild"] += m is wild or m is fold
+        other = _wild_map(rng, f.source, f.target, (3, 4))
+        pairs = [(wild, other), (f, wild), (hf, compose_tree_maps(h, wild))]
+        try:
+            pairs.append((induce_tree_map(compose_morphisms(mh, mf)), hf))
+        except DepthExhausted:
+            pass
+        for a, b in pairs + [(b, a) for a, b in pairs]:
+            hp = homotopy_properness(a, b)
+            assert (hp.table, hp.failure_level) == brute_homotopy(a, b)
+            counts["homotopies"] += 1
+    assert counts["maps"] >= 800 and counts["fine"] >= 300 and counts["nested"] >= 240, counts
+    assert counts["wild"] >= 120 and counts["homotopies"] >= 450, counts
+    assert len(dens) >= 30, sorted(dens)
+
+
+def test_a_grid_over_the_budget_is_refused_quickly():
+    """TreeMap(...) refuses images whose offsets' denominators, pairwise
+    coprime, need a grid of more than MAX_DEN steps, after a few lcm steps
+    however many images there are (20,000 here); compose_tree_maps refuses
+    a composite whose grid is still over the budget after its reduction,
+    and keeps one that reduces within it."""
+    ids = [f"e{i}" for i in range(20_000)]
+    star = tree_of_tower(Tower([["a"], ids], [dict.fromkeys(ids, "a")]))
+    sieve = bytearray([1]) * 250_000
+    for i in range(2, 500):
+        sieve[i * i :: i] = bytes(len(range(i * i, 250_000, i)))
+    primes = [p for p in range(3, 250_000) if sieve[p]]
+    images = {ROOT: point_of(ROOT), (1, "a"): point_of((1, "a"))}
+    images.update(((2, x), TreePoint((2, x), Fraction(1, p))) for x, p in zip(ids, primes))
+    t0 = time.perf_counter()
+    with pytest.raises(ValidationError, match="MAX_DEN"):
+        TreeMap(star, star, images)
+    # 0.02 s on a 2-vCPU VM, where the lcm of all 20,000 takes 1.5 s
+    assert time.perf_counter() - t0 < 0.5
+    line = tree_of_tower(constant_tower(3))
+
+    def bend(d1, d2):
+        """Level 1 to radius 1 / d1 if d1 else to itself, level 2 to radius 1 + 1 / d2."""
+        return TreeMap(line, line, {
+            ROOT: point_of(ROOT),
+            (1, "x0"): TreePoint((1, "x0"), Fraction(1, d1)) if d1 else point_of((1, "x0")),
+            (2, "x0"): TreePoint((2, "x0"), Fraction(1, d2)) if d2 else point_of((2, "x0")),
+            (3, "x0"): point_of((3, "x0")),
+        })
+
+    # grids 65,521 * 65,519 < 2**32 < 65,537 * 65,539 < 65,537**2
+    assert compose_tree_maps(bend(None, 65_519), bend(65_521, None)).den == 65_521 * 65_519
+    with pytest.raises(ValidationError, match="MAX_DEN"):
+        compose_tree_maps(bend(None, 65_539), bend(65_537, None))
+    twice = compose_tree_maps(bend(None, 65_537), bend(65_537, None))
+    assert twice.den == 65_537 and maps.MAX_DEN < 65_537**2
+    assert twice.vertex_images == brute_composite_images(bend(None, 65_537), bend(65_537, None))
+
+
 def test_homotopy_meets_once_per_vertex_whose_images_differ(monkeypatch):
     """With both maps' properness tables kept, homotopy_properness climbs
     at most one meet per source vertex whose two images differ, and none
@@ -413,7 +531,7 @@ def test_homotopy_meets_once_per_vertex_whose_images_differ(monkeypatch):
             properness_witness(a), properness_witness(b)  # the kept tables
             calls.clear()
             homotopy_properness(a, b)
-            moved = sum(p != q for fa, fb in zip(a.rows, b.rows) for p, q in zip(fa, fb))
+            moved = sum(map(ne, a.vertex_images.values(), b.vertex_images.values()))
             assert len(calls) <= moved
             pairs += 1
             differ += moved > 0
@@ -571,15 +689,19 @@ def test_analysis_builds_no_by_vertex_views(monkeypatch):
         # asked for, the views are built from the per-level data
         assert list(tree.parent) == list(tree.vertices[1:])
         ids = rmap.target.tower.levels
-        eager = [TreePoint((j, ids[j - 1][p]) if j else ROOT, o) for here in rmap.rows for j, p, o in here]
+        eager = [
+            TreePoint((j, ids[j - 1][p]) if j else ROOT, 1 - Fraction(k, rmap.den))
+            for here in rmap.rows
+            for j, p, k in here
+        ]
         assert list(rmap.vertex_images.values()) == eager
     counts = dict.fromkeys(("maps", "extracted", "violations"), 0)
     for seed in range(40):
         x, y, z = (gen_random_tower(seed + k, 3 + (seed + k) % 5, 4, 0.5) for k in (0, 40, 80))
         mf, mh = random_morphism(seed, x, y), random_morphism(seed + 1, y, z)
         f, h = induce_tree_map(mf), induce_tree_map(mh)
-        deep = (f.target.depth, 0, 1)  # every vertex below the root goes to one deepest vertex
-        squash = TreeMap._built(f.source, f.target, [f.rows[0], *([deep] * len(row) for row in f.rows[1:])])
+        deep = (f.target.depth, 0, 0)  # every vertex below the root goes to one deepest vertex
+        squash = TreeMap._built(f.source, f.target, [f.rows[0], *([deep] * len(row) for row in f.rows[1:])], 1)
         maps = [f, h, compose_tree_maps(h, f), compose_tree_maps(identity_tree_map(f.target), f), squash]
         try:
             maps.append(induce_tree_map(compose_morphisms(mh, mf)))
@@ -635,7 +757,8 @@ def test_tree_point_views_match_an_eager_build():
             src_ids, tgt_ids = (None, *g.source.tower.levels), g.target.tower.levels
             eager = {ROOT: TreePoint(ROOT, 1)}
             for n in range(1, g.source.depth + 1):
-                for x_id, (j, p, offset) in zip(src_ids[n], g.rows[n], strict=True):
+                for x_id, (j, p, k) in zip(src_ids[n], g.rows[n], strict=True):
+                    offset = 1 - Fraction(k, g.den)
                     eager[(n, x_id)] = TreePoint((j, tgt_ids[j - 1][p]) if j else ROOT, offset)
             assert list(g.vertex_images.items()) == list(eager.items())
             assert all(int_offset_exactly_at_vertex(p) for p in g.vertex_images.values())
