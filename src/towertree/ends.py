@@ -19,7 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import repeat
+from itertools import chain, repeat
 from operator import neg
 from typing import Mapping, Sequence
 
@@ -60,15 +60,20 @@ class UltrametricSpace:
     Grid mode stores integer exponents k (distance e^{-k}); rational mode
     stores Fractions in (0, 1].  points is a Level, sorted once, or the
     Window of a generator tower's end space; rows[i][j] is the value of
-    (points[i], points[j]), None on the diagonal.  Construction checks
-    types, symmetry, and range; the strong triangle inequality is a
-    separate verdict so that deliberately broken inputs can be examined.
-    Spaces are immutable: the single-linkage pass that verify_ultrametric
-    and tree_of_ultrametric read is built on first use and kept in
-    _linkage, which equality and hash leave out.
+    (points[i], points[j]), None on the diagonal.  A space is held one of
+    two ways.  grid_space, rational_space and parse_distance_matrix give
+    rows, checked for types, symmetry and range; the strong triangle
+    inequality is a separate verdict so that deliberately broken inputs can
+    be examined, and the single-linkage chain that verify_ultrametric and
+    tree_of_ultrametric read is built on first use.  end_space_of gives the
+    chain alone, and rows is then a view built from it on first read.
+
+    Spaces are immutable, and equal when their rows are: two spaces with
+    rows compare rows, and otherwise both must be valid, with one chain.
+    A valid space hashes by its chain, a malformed one by its rows.
     """
 
-    __slots__ = ("points", "mode", "rows", "_linkage")
+    __slots__ = ("points", "mode", "_rows", "_linkage", "_verdict")
 
     def __init__(self, points, entries: Mapping[tuple[str, str], int | Fraction], mode: str):
         pts = Level(sorted(points, key=natural_key))
@@ -95,22 +100,43 @@ class UltrametricSpace:
             if rows[j][i] is None:  # until (y, x) brings its own
                 rows[j][i] = value
         _check_rows(pts, rows, mode)
-        self.points, self.mode, self.rows, self._linkage = pts, mode, rows, None
+        self.points, self.mode, self._rows = pts, mode, rows
+        self._linkage = self._verdict = None
 
     @classmethod
-    def _trusted(cls, points: Level | Window, rows: list[list], mode: str) -> UltrametricSpace:
+    def _trusted(
+        cls, points: Level | Window, rows: list[list] | None, mode: str, linkage=None, verdict=None
+    ) -> UltrametricSpace:
         """A space from points, a level of a tower or of a space, and their
-        full rows, for builders whose values hold by construction."""
+        full rows or their chain, for builders whose values hold by
+        construction."""
         space = cls.__new__(cls)
-        space.points, space.mode, space.rows, space._linkage = points, mode, rows, None
+        space.points, space.mode, space._rows = points, mode, rows
+        space._linkage, space._verdict = linkage, verdict
         return space
+
+    @property
+    def rows(self) -> list[list]:
+        """rows[i][j] is the value of (points[i], points[j]), None on the
+        diagonal: as given, or built from the chain on first read."""
+        if self._rows is None:
+            self._rows = _rows_of_chain(*self._linkage, self.mode == GRID)
+        return self._rows
 
     def _entry(self, x: str, y: str):
         try:
-            return self.rows[self.points.index(x)][self.points.index(y)]
+            i, j = self.points.index(x), self.points.index(y)
         except ValueError:
             stray = y if x in self.points else x
             raise ElementNotInLevel(f"{stray!r} is not a point of this space") from None
+        if self._rows is not None:
+            return self._rows[i][j]
+        if i == j:
+            return None
+        # the farthest link between the two places in the chain
+        order, link = self._linkage
+        p, q = sorted((order.index(i), order.index(j)))
+        return (min if self.mode == GRID else max)(link[p:q])
 
     def exponent(self, x: str, y: str) -> int | None:
         """Agreement exponent; None on the diagonal.  Grid mode only."""
@@ -140,18 +166,31 @@ class UltrametricSpace:
         """Grid mode: the least exponent over pairs (diameter e^{-k})."""
         if self.mode != GRID:
             raise UnsupportedMode("diameter exponent is a grid-mode notion")
+        if self._rows is None:
+            return min(self._linkage[1], default=None)
         return min((v for _, _, v in self.pairs()), default=None)
 
     def __eq__(self, other) -> bool:
-        return (
+        if not (
             isinstance(other, UltrametricSpace)
             and self.points == other.points
             and self.mode == other.mode
-            and self.rows == other.rows
+        ):
+            return False
+        if self._rows is not None and other._rows is not None:
+            return self._rows == other._rows
+        # a valid space's rows and chain determine each other
+        return (
+            verify_ultrametric(self).valid
+            and verify_ultrametric(other).valid
+            and self._linkage == other._linkage
         )
 
     def __hash__(self):
-        return hash((self.points, self.mode, tuple(map(tuple, self.rows))))
+        if verify_ultrametric(self).valid:
+            order, link = self._linkage
+            return hash((self.points, self.mode, tuple(order), tuple(link)))
+        return hash((self.points, self.mode, tuple(map(tuple, self._rows))))
 
     def __repr__(self) -> str:
         return f"UltrametricSpace({len(self.points)} points, mode={self.mode})"
@@ -171,7 +210,8 @@ def _check_rows(points: Level, rows: list[list], mode: str) -> None:
     (points[i], points[j]), None on the diagonal and for a pair not given.
     The first pair in position order with a value out of range or two
     different values raises ValidationError, and so does any pair not given.
-    UltrametricSpace and parse_distance_matrix both check here."""
+    UltrametricSpace checks here, and parse_distance_matrix when its own
+    checks fail, for the first bad pair."""
     in_range, rule = _RANGE[mode]
     unset = False
     for i, row in enumerate(rows):
@@ -228,8 +268,10 @@ def _parse_entry(token: str, lineno: int) -> tuple[str, int | Fraction]:
 
 def parse_distance_matrix(text: str) -> UltrametricSpace:
     """The space of a matrix text.  The header is sorted once, and each
-    entry is written into the row of its point's position, checked as
-    UltrametricSpace checks its rows."""
+    entry is written into the row of its point's position.  The range is
+    checked once per distinct token and the symmetry by one comparison with
+    the transposed rows; when either fails, the rows are checked as
+    UltrametricSpace checks them, for the first bad pair."""
     rows = [
         (i, line.split()) for i, line in enumerate(text.splitlines(), start=1) if line.strip()
     ]
@@ -263,10 +305,12 @@ def parse_distance_matrix(text: str) -> UltrametricSpace:
         raise ParseError("matrix mixes exponent and rational entries")
     # a singleton matrix has no off-diagonal entry to reveal its mode
     mode = modes.pop() if modes else GRID
-    try:
-        _check_rows(points, values, mode)
-    except TowerTreeError as e:
-        raise ParseError(str(e)) from None
+    in_range = _RANGE[mode][0]
+    if not all(in_range(v) for _, v in read.values()) or values != list(map(list, zip(*values))):
+        try:
+            _check_rows(points, values, mode)
+        except TowerTreeError as e:
+            raise ParseError(str(e)) from None
     return UltrametricSpace._trusted(points, values, mode)
 
 
@@ -280,8 +324,9 @@ class UltrametricVerdict:
 
 
 def _single_linkage(space: UltrametricSpace) -> tuple[list[int], list]:
-    """The single-linkage dendrogram in Prim's order, built on first use and
-    kept in space._linkage.
+    """The single-linkage dendrogram in Prim's order: kept in space._linkage,
+    where end_space_of puts it and where a space with rows gets it on first
+    use.
 
     order starts at position 0, and each next point is the one closest to
     the points before it (descending exponent in grid mode, ascending
@@ -319,15 +364,53 @@ def _single_linkage(space: UltrametricSpace) -> tuple[list[int], list]:
     return space._linkage
 
 
+def _farthest(link: list, grid: bool):
+    """The running farthest links along a chain: for q = 1, 2, ..., the list
+    whose p-th entry is the farthest link between places p and q, p < q.
+    One list is updated in place and yielded at each step."""
+    farthest: list = []
+    for w in link:
+        # the links closer than w become w: a suffix, as farthest[p] gets no farther with p
+        cut = bisect_right(farthest, w) if grid else bisect_right(farthest, -w, key=neg)
+        farthest[cut:] = [w] * (len(farthest) - cut)
+        farthest.append(w)
+        yield farthest
+
+
+def _rows_of_chain(order: list[int], link: list, grid: bool) -> list[list]:
+    """The rows of a valid space from its chain: the running farthest links
+    walked forward give each place's values to the places before it, walked
+    backward those to the places after it, and each place's row is then
+    read in position order.  O(n^2) time, as the rows themselves take."""
+    place = sorted(range(len(order)), key=order.__getitem__)  # each position's place in order
+    after = [f[::-1] for f in _farthest(link[::-1], grid)][::-1] + [[]]
+    rows: list = [None] * len(order)
+    for i, before, later in zip(order, chain([[]], _farthest(link, grid)), after):
+        row = before + [None] + later
+        rows[i] = list(map(row.__getitem__, place))
+    return rows
+
+
+# the verdict of a space built from a tree's chain: meet levels in a rooted
+# tree are an ultrametric
+_OF_TREE = UltrametricVerdict(valid=True)
+
+
 def verify_ultrametric(space: UltrametricSpace) -> UltrametricVerdict:
     """Strong-triangle check against the single-linkage dendrogram.
 
-    A finite space is ultrametric iff each pair's value is the one at which
-    single linkage first joins it (Carlsson and Memoli, JMLR 11, 2010): in
-    Prim's order, the farthest link between the two points' places.  So
-    each point's row, read at the points before it in that order, must equal
-    the running farthest links, one list comparison per point: every pair
-    is compared once, in O(n^2) time with O(n) memory beyond the rows.
+    The end space of a tree is valid by construction, as meet levels in a
+    rooted tree are an ultrametric: its verdict reads no pair, and only
+    checks, in O(n), that its chain orders every position once with n - 1
+    links in range.
+
+    A space with rows is ultrametric iff each pair's value is the one at
+    which single linkage first joins it (Carlsson and Memoli, JMLR 11,
+    2010): in Prim's order, the farthest link between the two points'
+    places.  So each point's row, read at the points before it in that
+    order, must equal the running farthest links, one list comparison per
+    point: every pair is compared once, in O(n^2) time with O(n) memory
+    beyond the rows.  The verdict is kept next to the pass.
 
     The first point y whose row differs, at the first point x before it,
     yields a genuine violating triple (x, y, z), z being the first point
@@ -335,19 +418,26 @@ def verify_ultrametric(space: UltrametricSpace) -> UltrametricVerdict:
     allow (a Prim step never passes over a closer point), while z sits at
     least that close to both, by the rows already compared.
     """
+    if space._verdict is _OF_TREE:
+        order, link = space._linkage
+        n = len(space.points)
+        if set(order) != set(range(n)) or len(order) != n or len(link) != n - 1:
+            raise ValidationError("an end space's chain must order each point once, with n - 1 links")
+        if not all(map(_RANGE[GRID][0], link)):
+            raise ValidationError("the links of an end space must be exponents >= 0")
+    elif space._verdict is None:
+        space._verdict = _verdict_of_rows(space)
+    return space._verdict
+
+
+def _verdict_of_rows(space: UltrametricSpace) -> UltrametricVerdict:
     order, link = _single_linkage(space)
     rows, grid = space.rows, space.mode == GRID
-    farthest: list = []  # farthest[p]: the farthest link between order[p] and order[q]
-    for q in range(1, len(order)):
-        w = link[q - 1]
-        # the links closer than w become w: a suffix, as farthest[p] gets no farther with p
-        cut = bisect_right(farthest, w) if grid else bisect_right(farthest, -w, key=neg)
-        farthest[cut:] = [w] * (len(farthest) - cut)
-        farthest.append(w)
+    for q, farthest in enumerate(_farthest(link, grid), 1):
         got = list(map(rows[order[q]].__getitem__, order[:q]))
         if got != farthest:
             p = next(p for p, (a, b) in enumerate(zip(got, farthest)) if a != b)
-            triple = (order[p], order[q], order[got.index(w)])
+            triple = (order[p], order[q], order[got.index(link[q - 1])])
             return UltrametricVerdict(valid=False, violation=tuple(space.points[i] for i in triple))
     return UltrametricVerdict(valid=True)
 
@@ -359,24 +449,32 @@ def verify_ultrametric(space: UltrametricSpace) -> UltrametricVerdict:
 def end_space_of(tree: RootedTree) -> UltrametricSpace:
     """Ends of the maximal geodesically complete subtree, distances as
     agreement exponents; point ids are the core's deepest ids.  Ends at
-    e^{-k} meet at a core vertex of level k, so the ends below each vertex
-    are gathered up the parent positions and each pair is set where it meets."""
+    e^{-k} meet at a core vertex of level k, so the space is the core's own
+    dendrogram, held as its single-linkage chain and read off the core
+    bottom-up: the chain below a vertex of level k is its children's chains
+    in the order of their least ends, joined by links k.  This is the chain
+    _single_linkage reads off the rows, in O(n * depth) whole-list work and
+    O(n) memory; no pair is written."""
     core = max_geodesic_subtree(tree)
     if core.depth == 0:
         raise EmptyCore("the tree has no complete branch")
     count = core.sizes[-1]
-    rows: list[list] = [[None] * count for _ in range(count)]
-    below = [[i] for i in range(count)]  # the ends below each vertex of the current level
+    chains = [([i], []) for i in range(count)]  # the chain below each vertex of the current level
+    ranked: Sequence[int] = range(count)  # the vertices of the current level by least end
     for k in range(core.depth - 1, -1, -1):
-        above = [[] for _ in range(core.sizes[k])]
-        for ends, p in zip(below, core.up[k]):
-            for x in ends:
-                row = rows[x]
-                for y in above[p]:
-                    row[y] = rows[y][x] = k
-            above[p] += ends
-        below = above
-    return UltrametricSpace._trusted(core.ids[-1], rows, GRID)
+        above: list = [None] * core.sizes[k]
+        ranked_above = []
+        for i, p in zip(ranked, map(core.up[k].__getitem__, ranked)):
+            if above[p] is None:  # the child with the least end starts the chain
+                above[p] = chains[i]
+                ranked_above.append(p)
+            else:
+                order, link = above[p]
+                order += chains[i][0]
+                link.append(k)
+                link += chains[i][1]
+        chains, ranked = above, ranked_above
+    return UltrametricSpace._trusted(core.ids[-1], None, GRID, chains[0], _OF_TREE)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +491,8 @@ def tree_of_ultrametric(
     whose pairwise agreement depths equal the original exponents exactly.
     The class of a point at height h is its single-linkage cluster once
     every pair >= h has merged, named by its least point; a malformed space
-    gets connected components.  The classes are read off the pass that
+    gets connected components.  The classes are read off the space's
+    single-linkage chain: the one end_space_of builds, or the pass that
     verify_ultrametric keeps, which is run here if it has not been.
     """
     if space.mode != GRID:

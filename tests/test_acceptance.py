@@ -11,11 +11,13 @@ import time
 from fractions import Fraction
 
 from towertree import (
+    GRID,
     GroupLevelMorphism,
     GroupTower,
     ScaleHom,
     TableGroup,
     TableHom,
+    UltrametricSpace,
     WindowedZ,
     as_tower_morphism,
     bilipschitz_bounds,
@@ -220,6 +222,9 @@ def test_criterion_5_end_space_ultrametric_exact():
         verdict = verify_ultrametric(space)
         assert verdict.valid and verdict.violation is None
         assert brute_ultrametric_ok(space)
+        # the tree's space is valid by construction; a copy given by rows has every pair checked
+        copy = UltrametricSpace(space.points, {(x, y): v for x, y, v in space.pairs()}, GRID)
+        assert verify_ultrametric(copy) == verdict and copy == space
         diam = space.diameter_exponent()
         assert diam is None or (diam >= 0 and math.exp(-diam) <= 1.0)
 

@@ -54,7 +54,9 @@ from towertree import (
     verify_ultrametric,
     windowed_solenoid_tower,
 )
+from towertree.ends import _single_linkage
 from towertree.generate import DEFAULT_C_GRID, DEFAULT_L_GRID
+from towertree.towers import Window
 
 
 def test_agreement_two_branch(two_branch_tree):
@@ -294,11 +296,15 @@ def test_tree_of_ultrametric_is_the_same_with_or_without_verify_first():
 
 
 def test_verify_the_wide_2000_point_end_space_within_the_bytes_of_its_rows():
-    """Verifying the 2,000 ends of 50 tops (1,999,000 pairs) allocates less
-    than the rows themselves take: the pass keeps nothing per pair."""
+    """Verifying the rows of the 2,000 ends of 50 tops (1,999,000 pairs)
+    allocates less than the rows themselves take: the pass keeps nothing
+    per pair.  The end space itself is valid by construction, so the pass
+    runs on a space given its rows (shared, not copied: a copy through
+    UltrametricSpace's entry dict would peak at about 300 MB)."""
     top = [f"b{i}" for i in range(50)]
     ids = [f"e{i}" for i in range(2000)]
-    space = end_space_of(tree_of_tower(Tower([top, ids], [{x: top[i % 50] for i, x in enumerate(ids)}])))
+    of_tree = end_space_of(tree_of_tower(Tower([top, ids], [{x: top[i % 50] for i, x in enumerate(ids)}])))
+    space = UltrametricSpace._trusted(of_tree.points, of_tree.rows, GRID)
     rows_bytes = sys.getsizeof(space.rows) + sum(map(sys.getsizeof, space.rows))
     tracemalloc.start()
     try:
@@ -308,6 +314,7 @@ def test_verify_the_wide_2000_point_end_space_within_the_bytes_of_its_rows():
         tracemalloc.stop()
     assert verdict.valid
     assert peak < rows_bytes, f"peak {peak} bytes against rows of {rows_bytes}"
+    assert space._linkage == of_tree._linkage and space == of_tree
     # the kept pass gives the 50 classes of 40 ends below the tops
     tree, ends = tree_of_ultrametric(space)
     assert tree.sizes == (1, 50, 2000)
@@ -562,3 +569,102 @@ def test_end_space_of_solenoids_and_dendrograms_matches_root_chains():
         original = gen_random_grid_space(seed, max_points=2 + seed % 9)
         tree, _ = tree_of_ultrametric(original)
         assert _assert_end_space_matches_root_chains(tree) == original
+
+
+def _trees_with_ends():
+    """Seeded random towers, all-1 solenoids (whose cores keep their
+    Windows) and the dendrograms of random grid spaces."""
+    for seed in range(120):
+        yield tree_of_tower(gen_random_tower(seed, 2 + seed % 6, 1 + seed % 9, 1.0))
+    for primes, window, depth in (([1], 6, 4), ([1], 40, 6), ([1, 1], 3, 3), ([1, 1, 1], 17, 5)):
+        yield tree_of_tower(windowed_solenoid_tower(primes, window, depth))
+    for seed in range(40):
+        yield tree_of_ultrametric(gen_random_grid_space(seed, max_points=2 + seed % 30))[0]
+
+
+def test_end_space_chain_is_the_single_linkage_pass_on_its_rows():
+    """end_space_of reads the chain off the core and writes no row; Prim's
+    pass over the rows built from it gives the same chain back."""
+    windows = 0
+    for tree in _trees_with_ends():
+        space = end_space_of(tree)
+        assert space._rows is None
+        prim = _single_linkage(UltrametricSpace._trusted(space.points, space.rows, GRID))
+        assert prim == space._linkage
+        windows += isinstance(space.points, Window)
+    assert windows == 4
+
+
+def test_rows_view_exponent_and_diameter_match_root_chains():
+    """exponent and diameter_exponent read the chain without building rows;
+    the rows view, built on first read, agrees with them and the oracle."""
+    for tree in _trees_with_ends():
+        brute = brute_end_exponents(tree)
+        space = end_space_of(tree)
+        for (x, y), want in brute.items():
+            assert space.exponent(x, y) == space.exponent(y, x) == want
+        assert space.exponent(space.points[0], space.points[0]) is None
+        assert space.diameter_exponent() == min(brute.values(), default=None)
+        assert space._rows is None
+        where = {x: i for i, x in enumerate(space.points)}
+        for (x, y), want in brute.items():
+            assert space.rows[where[x]][where[y]] == space.rows[where[y]][where[x]] == want
+        assert all(space.rows[i][i] is None for i in range(len(space.points)))
+        assert space.diameter_exponent() == min(brute.values(), default=None)
+
+
+def test_equality_and_hash_agree_across_chain_rows_and_malformed_spaces():
+    """Spaces are equal when their rows are, however each is held: a chain
+    read off a tree, rows verified or not, or malformed rows."""
+    broken = 0
+    for seed in range(80):
+        given = gen_random_grid_space(seed, max_points=12)
+        tree, _ = tree_of_ultrametric(given)
+        of_tree = end_space_of(tree)
+        assert of_tree == given and given == of_tree and hash(of_tree) == hash(given)
+        cold = _fresh(given)  # rows not yet verified
+        assert cold._linkage is None
+        assert cold == of_tree and hash(cold) == hash(of_tree)
+        viewed = end_space_of(tree)
+        assert viewed.rows == given.rows
+        assert viewed == of_tree == given and hash(viewed) == hash(of_tree)
+        bad = perturbed(given, seed)
+        if verify_ultrametric(bad).valid:
+            assert (bad == of_tree) == (bad.rows == given.rows)
+            continue
+        broken += 1
+        assert bad != of_tree and of_tree != bad and bad != given
+        assert _fresh(bad) == bad and hash(_fresh(bad)) == hash(bad)
+    assert broken >= 20
+
+
+def test_end_space_of_the_wide_4000_ends_builds_no_row():
+    """The 4,000 ends of 50 tops (7,998,000 pairs): the chain and its
+    verdict take O(n) memory, and the verdict reads no pair."""
+    top = [f"b{i}" for i in range(50)]
+    ids = [f"e{i}" for i in range(4000)]
+    tree = tree_of_tower(Tower([top, ids], [{x: top[i % 50] for i, x in enumerate(ids)}]))
+    tracemalloc.start()
+    try:
+        space = end_space_of(tree)
+        verdict = verify_ultrametric(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.valid and space._rows is None
+    assert peak < 2_000_000, f"peak {peak} bytes"
+    assert space.diameter_exponent() == 0
+    assert space.exponent("e1", "e51") == 1 and space.exponent("e1", "e2") == 0
+    assert space._rows is None
+
+
+def test_verify_checks_the_chain_of_an_end_space():
+    space = end_space_of(tree_of_tower(Tower([["a", "b", "c"]], [])))
+    order, link = space._linkage
+    assert (order, link) == ([0, 1, 2], [0, 0])
+    link.append(0)
+    with pytest.raises(ValidationError, match="n - 1 links"):
+        verify_ultrametric(space)
+    link[:] = [0, -1]
+    with pytest.raises(ValidationError, match=">= 0"):
+        verify_ultrametric(space)

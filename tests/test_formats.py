@@ -416,13 +416,14 @@ def test_parser_and_constructor_report_the_same_first_fault():
     "text, message",
     [
         ("b a\n0 1/2\n1/3 0\n", "asymmetric entries for pair ('a', 'b')"),
+        ("b a\n0 e-1\ne-2 0\n", "asymmetric entries for pair ('a', 'b')"),
         ("p10 p2\n0 3/2\n3/2 0\n", "rational distance for ('p2', 'p10') must lie in (0, 1]"),
         ("a b\n0 0/5\n0/5 0\n", "rational distance for ('a', 'b') must lie in (0, 1]"),
         ("a b\n0 -1/2\n-1/2 0\n", "rational distance for ('a', 'b') must lie in (0, 1]"),
         ("a b\n0 1/2\ne-1 0\n", "matrix mixes exponent and rational entries"),
         (f"a x{_LONG}\n0 e-1\ne-1 0\n", "id x1111111111111111111... has a decimal run too long to read"),
     ],
-    ids=["asymmetric", "above-one", "zero", "negative", "mixed-modes", "id-digit-limit"],
+    ids=["asymmetric", "asymmetric-grid", "above-one", "zero", "negative", "mixed-modes", "id-digit-limit"],
 )
 def test_matrix_faults_are_parse_errors_with_pinned_messages(text, message):
     with pytest.raises(ParseError) as err:
