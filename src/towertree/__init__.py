@@ -24,8 +24,7 @@ _EXPORTS = {
         is_extendable is_level_morphism levelize_morphism ml_verdict morphisms_equivalent
         natural_key surjective_core windowed_solenoid_tower""",
     "trees": """ROOT RootedTree TreePoint Vertex ancestor_point_at branches distance dot_of_tree
-        geodesic_point is_geodesically_complete max_geodesic_subtree meet_point point_of
-        tower_of_tree tree_of_tower""",
+        geodesic_point max_geodesic_subtree meet_point point_of tower_of_tree tree_of_tower""",
     "maps": """HomotopyReport NonexpansiveVerdict PropernessReport Retraction TreeMap XiSchedule
         check_nonexpansive compose_tree_maps extract_morphism homotopy_properness
         identity_tree_map induce_tree_map properness_witness retraction_map simplicial_of_level
@@ -34,15 +33,15 @@ _EXPORTS = {
         UltrametricVerdict agreement bilipschitz_bounds certified_ln_sign certified_neg_log_floor
         emit_distance_matrix end_space_of grid_space parse_distance_matrix rational_space
         simplicialize tree_of_ultrametric verify_ultrametric""",
-    "groups": """ConditionReport CoreIso GroupLevelMorphism GroupTower IsometryVerdict IsoVerdict
-        ScaleHom TableGroup TableHom Thread WindowedZ as_tower_morphism check_condition_E
+    "groups": """ConditionReport CoreIso GroupLevelMorphism GroupTower IsometryVerdict ScaleHom
+        TableGroup TableHom Thread WindowedZ as_tower_morphism check_condition_E
         check_condition_M check_translation_isometry core_iso_construction emit_group_tower
-        identity_group_morphism is_group_tower_iso limit_threads ml_projection_check
-        parse_group_tower thread_distance thread_inverse thread_product""",
+        identity_group_morphism limit_threads ml_projection_check parse_group_tower
+        thread_distance""",
     "generate": """BiHolderRow BiHolderTable NonRetractReport gen_biholder gen_example_nonretract
         gen_random_grid_space gen_random_group_tower gen_random_rational_space gen_random_tower
         gen_solenoid random_morphism""",
-    "formats": "emit_morphism emit_tower parse_morphism parse_tower",
+    "formats": "emit_tower parse_tower",
     "report": "AnalysisReport build_report emit_report parse_report render_text",
 }
 # name -> module; a module is its own entry, as after an eager import

@@ -641,9 +641,10 @@ def simplicialize(space: UltrametricSpace) -> tuple[RootedTree, EndCorrespondenc
     dendrogram.  Each pair's exponent k is certified to satisfy
     e^{-(k+1)} < d <= e^{-k}, which pins the distortion into (1/e, 1].
     Each distinct distance is certified once, found by its numerator and
-    denominator, and the exponent rows are filled in the same pass."""
+    denominator.  The tree is built from the space's own single-linkage
+    chain with each link floored; the floor is monotone, so every threshold
+    keeps its classes, on malformed spaces too."""
     pts, grid = space.points, space.mode == GRID
-    exps = space.rows if grid else [[None] * len(pts) for _ in pts]
     floors: dict[tuple[int, int], int] = {}
     rows = []
     for i, (x, row) in enumerate(zip(pts, space.rows)):
@@ -656,9 +657,12 @@ def simplicialize(space: UltrametricSpace) -> tuple[RootedTree, EndCorrespondenc
             k = floors.get(key)
             if k is None:
                 k = floors[key] = certified_neg_log_floor(v)
-            exps[i][j] = exps[j][i] = k
             rows.append(CorrespondenceRow(x, pts[j], v, None, k, certified=True))
-    tree, _ = tree_of_ultrametric(UltrametricSpace._trusted(pts, exps, GRID))
+    if not grid:
+        order, link = _single_linkage(space)
+        chain = order, [floors[v.numerator, v.denominator] for v in link]
+        space = UltrametricSpace._trusted(pts, None, GRID, chain)
+    tree, _ = tree_of_ultrametric(space)
     return tree, EndCorrespondence(points=pts, rows=tuple(rows))
 
 

@@ -1,9 +1,9 @@
-"""Text formats for towers and morphisms, and the token helpers that every
-format shares.
+"""The text format for towers, and the token helpers that every format
+shares.
 
-Towers and morphisms travel as JSON.  Distance matrices and group towers
-have their text forms beside their types, in ends and groups, so that
-reading a tower loads neither.  Everything round-trips: parse(emit(x)) == x.
+Towers travel as JSON.  Distance matrices and group towers have their text
+forms beside their types, in ends and groups, so that reading a tower loads
+neither.  Everything round-trips: parse(emit(x)) == x.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 
 from .errors import ParseError, TowerTreeError
-from .towers import Tower, TowerMorphism, windowed_solenoid_tower
+from .towers import Tower, windowed_solenoid_tower
 
 
 def __getattr__(name: str):
@@ -139,39 +139,3 @@ def emit_tower(t: Tower) -> str:
         }
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
-
-# ---------------------------------------------------------------------------
-# Morphisms (towers supplied out of band; the file stores phi + components)
-
-
-def parse_morphism(text: str, source: Tower, target: Tower) -> TowerMorphism:
-    data = _load_json(text)
-    _require(isinstance(data, dict), "morphism file must hold a JSON object")
-    for key in ("phi", "components"):
-        _require(key in data, f"morphism object needs {key!r}")
-    phi, comps = data["phi"], data["components"]
-    _require(
-        isinstance(phi, list) and all(_is_int(n) for n in phi),
-        "phi must be a list of integers",
-    )
-    _require(
-        isinstance(comps, list) and all(isinstance(c, dict) for c in comps),
-        "components must be a list of objects",
-    )
-    _require(
-        all(isinstance(v, str) for c in comps for v in c.values()),
-        "component values must be strings",
-    )
-    _require(len(phi) == len(comps), "phi and components must have equal length")
-    try:
-        return TowerMorphism(source, target, phi, comps)
-    except TowerTreeError as e:
-        raise ParseError(str(e)) from None
-
-
-def emit_morphism(m: TowerMorphism) -> str:
-    data = {
-        "phi": [m.phi_at(n) for n in range(1, m.defined_upto + 1)],
-        "components": [dict(m.component(n)) for n in range(1, m.defined_upto + 1)],
-    }
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"

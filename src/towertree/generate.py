@@ -91,18 +91,6 @@ class BiHolderTable:
     # ((C, l, least violating k or None), ...) in grid order
     violations: tuple[tuple[int, Fraction, int | None], ...]
 
-    def row(self, k: int) -> BiHolderRow:
-        for r in self.rows:
-            if r.k == k:
-                return r
-        raise InvalidParameter(f"no row for k={k}")
-
-    def violation_at(self, c: int, l: Fraction) -> int | None:
-        for cc, ll, k in self.violations:
-            if cc == c and ll == l:
-                return k
-        raise InvalidParameter(f"no grid cell ({c}, {l})")
-
 
 # gen_biholder and gen_example_nonretract print one row per k or i, holding
 # a power of 2 of about k or i bits, so their output grows as the square of
@@ -186,10 +174,6 @@ class NonRetractReport:
     distances: tuple[Fraction, ...]
     infimum: Fraction
     point_in_core: bool
-
-    @property
-    def count(self) -> int:
-        return len(self.distances)
 
 
 def gen_example_nonretract(count: int = 10) -> NonRetractReport:

@@ -491,11 +491,6 @@ class Thread:
     entries: tuple[str, ...]
     tower: GroupTower = dataclass_field(compare=False, repr=False, default=None)
 
-    def at(self, n: int) -> str:
-        if not 1 <= n <= len(self.entries):
-            raise IndexOutOfRange(f"thread has no entry at level {n}")
-        return self.entries[n - 1]
-
 
 def _thread_positions(tower: Tower) -> list[tuple[int, ...]]:
     """The threads as position tuples, sorted as their ids are: a thread is
@@ -525,23 +520,6 @@ def thread_distance(a: Thread, b: Thread) -> int | None:
     ):
         raise DifferentTowers("threads belong to different towers")
     return agreement(a.entries, b.entries)
-
-
-def thread_product(g: GroupTower, a: Thread, b: Thread) -> Thread:
-    entries = tuple(grp.op(x, y) for grp, x, y in zip(g.levels, a.entries, b.entries))
-    return _full_thread(g, entries)
-
-
-def thread_inverse(g: GroupTower, a: Thread) -> Thread:
-    entries = tuple(grp.inv(x) for grp, x in zip(g.levels, a.entries))
-    return _full_thread(g, entries)
-
-
-def _full_thread(g: GroupTower, entries: tuple[str, ...]) -> Thread:
-    """A thread of g, once every level has an entry (zip stops at a short thread)."""
-    if len(entries) < g.depth:
-        raise IndexOutOfRange(f"thread has no entry at level {len(entries) + 1}")
-    return Thread(entries=entries, tower=g)
 
 
 @dataclass(frozen=True)
@@ -714,23 +692,6 @@ def check_condition_E(m: GroupLevelMorphism) -> ConditionReport:
             return ConditionReport(kind="E", witnesses=tuple(witnesses), violation=n)
         witnesses.append((n, found))
     return ConditionReport(kind="E", witnesses=tuple(witnesses))
-
-
-@dataclass(frozen=True)
-class IsoVerdict:
-    is_iso: bool
-    condition_m: ConditionReport
-    condition_e: ConditionReport
-
-    def __bool__(self) -> bool:
-        return self.is_iso
-
-
-def is_group_tower_iso(m: GroupLevelMorphism) -> IsoVerdict:
-    """Mono and epi together: (M) and (E)."""
-    cm = check_condition_M(m)
-    ce = check_condition_E(m)
-    return IsoVerdict(is_iso=cm.holds and ce.holds, condition_m=cm, condition_e=ce)
 
 
 # ---------------------------------------------------------------------------

@@ -275,12 +275,6 @@ def max_geodesic_subtree(tree: RootedTree) -> RootedTree:
     return tree._core[0]
 
 
-def is_geodesically_complete(tree: RootedTree) -> bool:
-    """Every vertex short of full depth has a child: each level above the
-    deepest is covered by the next level's row of up."""
-    return all(len(set(u)) == size for u, size in zip(tree.up, tree.sizes))
-
-
 def branches(tree: RootedTree) -> tuple[tuple[Vertex, ...], ...]:
     """All maximal root-based paths as root-to-leaf vertex tuples, ordered by
     leaf in vertex order; a branch is complete iff its leaf sits at full depth."""

@@ -17,8 +17,6 @@ from towertree import (
     limit_threads,
     natural_key,
     point_of,
-    thread_inverse,
-    thread_product,
 )
 
 _DIGIT_RUNS = re.compile(r"(\d+)")
@@ -524,11 +522,27 @@ def brute_prefix(xs, ys):
     return n
 
 
+def brute_geodesically_complete(tree):
+    """Every vertex short of full depth has a child, asked of tree.children."""
+    children = tree.children
+    return all(children[v] for v in tree.vertices if v[0] < tree.depth)
+
+
 def brute_branches(tree):
     """Root-to-leaf vertex tuples, leaves in vertex order: a leaf is no
     vertex's parent, and its path is walked up parent_of."""
     parents = {tree.parent_of(v) for v in tree.vertices if v != ROOT}
     return tuple(tuple(root_chain(tree, v)) for v in tree.vertices if v not in parents)
+
+
+def brute_thread_product(g, a, b):
+    """The entries of a·b, one level's op per entry."""
+    return tuple(grp.op(x, y) for grp, x, y in zip(g.levels, a.entries, b.entries))
+
+
+def brute_thread_inverse(g, a):
+    """The entries of a^-1, one level's inv per entry."""
+    return tuple(grp.inv(x) for grp, x in zip(g.levels, a.entries))
 
 
 def brute_isometry(g):
@@ -542,16 +556,15 @@ def brute_isometry(g):
     for a in threads:
         for b in threads:
             base = brute_prefix(a.entries, b.entries)
-            ia, ib = thread_inverse(g, a), thread_inverse(g, b)
-            if brute_prefix(ia.entries, ib.entries) != base:
+            if brute_prefix(brute_thread_inverse(g, a), brute_thread_inverse(g, b)) != base:
                 return False, (a.entries, a.entries, b.entries), checked
             for k in threads:
                 try:
-                    ka, kb = thread_product(g, k, a), thread_product(g, k, b)
+                    ka, kb = brute_thread_product(g, k, a), brute_thread_product(g, k, b)
                 except WindowOverflow:
                     continue
                 checked += 1
-                if brute_prefix(ka.entries, kb.entries) != base:
+                if brute_prefix(ka, kb) != base:
                     return False, (k.entries, a.entries, b.entries), checked
     return True, None, checked
 
@@ -645,7 +658,7 @@ def brute_projection(g):
     threads = limit_threads(g)
     table = []
     for n in range(1, g.depth + 1):
-        pi_n = {t.at(n) for t in threads}
+        pi_n = {t.entries[n - 1] for t in threads}
         for m in range(n, g.depth + 1):
             if {_bond_down(g, n, m, x) for x in g.level(m).elements} == pi_n:
                 table.append((n, m))

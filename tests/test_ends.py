@@ -453,6 +453,29 @@ def test_simplicialize_single_point():
     assert all(len(tree.levels[n]) == 1 for n in range(tree.depth + 1))
 
 
+def test_simplicialize_is_the_dendrogram_of_the_floored_pairs():
+    """simplicialize floors each link of a rational space's own chain and
+    takes a grid space's chain as it is; either way the tree is the
+    dendrogram of the pairs' floors, on valid and malformed spaces, and on
+    grid spaces that hold only a tree's chain."""
+    kinds = {}
+    for seed in range(200):
+        rational = gen_random_rational_space(seed, max_points=12)
+        grid = gen_random_grid_space(seed, max_points=12)
+        ends = end_space_of(tree_of_tower(gen_random_tower(seed, 2 + seed % 5, 4, 0.5)))
+        for space in (rational, perturbed(rational, seed), grid, perturbed(grid, seed), ends):
+            tree = simplicialize(space)[0]
+            if space.mode == GRID:
+                floors = {(x, y): k for x, y, k in space.pairs()}
+                assert tree == tree_of_ultrametric(_fresh(space))[0]
+            else:
+                floors = {(x, y): certified_neg_log_floor(d) for x, y, d in space.pairs()}
+            assert tree == tree_of_ultrametric(grid_space(space.points, floors))[0]
+            kind = (space.mode, brute_ultrametric_ok(space))
+            kinds[kind] = kinds.get(kind, 0) + 1
+    assert min(kinds.values()) >= 40 and len(kinds) == 4
+
+
 def test_certified_neg_log_floor_values():
     assert certified_neg_log_floor(Fraction(1)) == 0
     assert certified_neg_log_floor(Fraction(3, 10)) == 1

@@ -1,4 +1,4 @@
-"""Text formats: towers, morphisms, distance matrices, group towers."""
+"""Text formats: towers, distance matrices, group towers."""
 
 import copy
 import json
@@ -22,7 +22,6 @@ from towertree import (
     WindowedZ,
     emit_distance_matrix,
     emit_group_tower,
-    emit_morphism,
     emit_tower,
     gen_random_grid_space,
     gen_random_group_tower,
@@ -30,12 +29,9 @@ from towertree import (
     gen_random_tower,
     gen_solenoid,
     grid_space,
-    identity_morphism,
     parse_distance_matrix,
     parse_group_tower,
-    parse_morphism,
     parse_tower,
-    random_morphism,
     rational_space,
     windowed_solenoid_tower,
 )
@@ -81,27 +77,7 @@ def test_parse_tower_semantic_errors():
         parse_tower(json.dumps({"generator": "unknown", "primes": [2], "window": 4, "depth": 2}))
 
 
-def test_morphism_roundtrip(two_branch_tower):
-    t = two_branch_tower
-    from towertree import TowerMorphism
-    m = TowerMorphism(t, t, [1, 3], [{"a": "a"}, {"c1": "b1"}])
-    text = emit_morphism(m)
-    assert parse_morphism(text, t, t) == m
-    for seed in range(8):
-        src = gen_random_tower(seed, depth=3 + seed % 5, max_level_size=4)
-        tgt = gen_random_tower(seed + 55, depth=3 + (seed + 1) % 5, max_level_size=4)
-        mm = random_morphism(seed, src, tgt)
-        assert parse_morphism(emit_morphism(mm), src, tgt) == mm
-
-
-def test_parse_morphism_rejects_mismatched_tables(two_branch_tower):
-    t = two_branch_tower
-    text = json.dumps({"phi": [1], "components": [{"zzz": "a"}]})
-    with pytest.raises(ParseError):
-        parse_morphism(text, t, t)
-
-
-def test_parsers_reject_booleans_for_integers(two_branch_tower):
+def test_parsers_reject_booleans_for_integers():
     good = {"generator": "solenoid", "primes": [2], "window": 3, "depth": 2}
     assert parse_tower(json.dumps(good)).depth == 2
     for key, bad in (("primes", [True]), ("primes", [2, False]), ("window", True), ("depth", True)):
@@ -111,11 +87,6 @@ def test_parsers_reject_booleans_for_integers(two_branch_tower):
         parse_tower(json.dumps({**good, "primes": [True], "depth": True}))
     with pytest.raises(ParseError, match="integer"):
         parse_tower(json.dumps({"depth": True, "levels": [["a"]], "bonds": []}))
-    t = two_branch_tower
-    for phi in ([True, 3], [1, 3.0]):
-        text = json.dumps({"phi": phi, "components": [{"a": "a"}, {"c1": "b1"}]})
-        with pytest.raises(ParseError, match="integers"):
-            parse_morphism(text, t, t)
 
 
 def test_generator_size_is_bounded_before_building():
@@ -536,48 +507,6 @@ def test_parse_group_tower_fuzz_mutated_files(base, data):
     _group_parses_back_or_rejects(doc)
 
 
-# (source, target, morphism file) triples; the solenoid one is an identity
-# on a generator tower, whose components name windowed integers
-_MORPHISM_FUZZ_BASES = [
-    (x, y, json.loads(emit_morphism(random_morphism(seed, x, y))))
-    for seed, x, y in [
-        (1, gen_random_tower(1, 3, max_level_size=3), gen_random_tower(2, 3, max_level_size=3)),
-        (2, gen_random_tower(3, 4, max_level_size=3), gen_random_tower(4, 2, max_level_size=2)),
-    ]
-]
-_SOLENOID = windowed_solenoid_tower([2], 6, 3)
-_MORPHISM_FUZZ_BASES.append(
-    (_SOLENOID, _SOLENOID, json.loads(emit_morphism(identity_morphism(_SOLENOID))))
-)
-
-
-def _morphism_parses_back_or_rejects(doc, source, target) -> bool:
-    """parse_morphism either raises ParseError or returns m with parse(emit(m)) == m."""
-    try:
-        m = parse_morphism(json.dumps(doc), source, target)
-    except ParseError:
-        return False
-    assert parse_morphism(emit_morphism(m), source, target) == m
-    return True
-
-
-@settings(max_examples=100, deadline=None)
-@given(_JSON, st.sampled_from(_MORPHISM_FUZZ_BASES))
-def test_parse_morphism_fuzz_json_values(doc, base):
-    source, target, _ = base
-    _morphism_parses_back_or_rejects(doc, source, target)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.sampled_from(_MORPHISM_FUZZ_BASES), st.data())
-def test_parse_morphism_fuzz_mutated_files(base, data):
-    source, target, doc = base
-    doc = copy.deepcopy(doc)
-    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
-        doc = _mutate(doc, data)
-    _morphism_parses_back_or_rejects(doc, source, target)
-
-
 # entries of every kind the reader meets: exponents, rationals, decimals,
 # scientific notation, non-ASCII digits and numbers past the digit limit
 _MATRIX_TOKENS = st.sampled_from([
@@ -663,10 +592,7 @@ def test_parse_distance_matrix_fuzz_mutated_files(base, data):
     _matrix_parses_back_or_rejects(_matrix_text(lines))
 
 
-def test_fuzz_findings_end_in_parse_error(two_branch_tower):
-    t = two_branch_tower
-    with pytest.raises(ParseError, match="component values must be strings"):
-        parse_morphism(json.dumps({"phi": [1], "components": [{"a": []}]}), t, t)
+def test_fuzz_findings_end_in_parse_error():
     with pytest.raises(ParseError, match="too long"):  # a singleton id natural_key cannot read
         parse_distance_matrix(f"a{_LONG}\n0\n")
     # scientific notation: a huge exponent is refused before 10**exp is

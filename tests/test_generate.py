@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import float_least_violation, float_min_exponent
+from oracles import brute_geodesically_complete, float_least_violation, float_min_exponent
 
 from towertree import (
     FAILS,
@@ -21,7 +21,6 @@ from towertree import (
     gen_random_rational_space,
     gen_random_tower,
     gen_solenoid,
-    is_geodesically_complete,
     limit_threads,
     ml_verdict,
     random_morphism,
@@ -66,12 +65,12 @@ def test_gen_solenoid_mixed_primes_eventual_image():
 
 
 def test_biholder_row_two_frozen():
-    table = gen_biholder(4)
-    row = table.row(2)
+    by_k = {r.k: r for r in gen_biholder(4).rows}
+    row = by_k[2]
     assert row.distance == Fraction(1, 8)
     assert row.n == 6
     assert row.certified
-    assert table.row(3).n == 12
+    assert by_k[3].n == 12
 
 
 def test_biholder_distances_halve():
@@ -98,9 +97,9 @@ def test_biholder_violations_match_float_oracle():
 
 
 def test_biholder_violation_frozen_cells():
-    table = gen_biholder(16)
-    assert table.violation_at(1, Fraction(1, 2)) == 2
-    assert table.violation_at(100, Fraction(9, 10)) == 3
+    cells = {(c, l): k for c, l, k in gen_biholder(16).violations}
+    assert cells[1, Fraction(1, 2)] == 2
+    assert cells[100, Fraction(9, 10)] == 3
 
 
 def test_biholder_validates_parameters():
@@ -175,7 +174,7 @@ def test_tables_stop_at_the_output_budget():
     if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 1234:  # 2^4097 has 1,234 digits
         pytest.skip("the int/str digit limit binds first")
     rep = gen_example_nonretract(4096)
-    assert rep.count == 4096 and rep.distances[-1] == Fraction(1, 2**4096)
+    assert len(rep.distances) == 4096 and rep.distances[-1] == Fraction(1, 2**4096)
     table = gen_biholder(4096)
     assert [r.k for r in table.rows] == list(range(2, 4097))
     assert all(r.certified for r in table.rows)
@@ -213,7 +212,7 @@ def test_random_tower_determinism_and_degenerate():
 def test_random_tower_full_bias_is_complete():
     for seed in range(10):
         t = gen_random_tower(seed, depth=5, max_level_size=4, surjectivity_bias=1.0)
-        assert is_geodesically_complete(tree_of_tower(t))
+        assert brute_geodesically_complete(tree_of_tower(t))
 
 
 def test_random_morphism_always_coherent():

@@ -8,6 +8,7 @@ import pytest
 
 from oracles import brute_bond_rejection, brute_isometry, brute_table_rejection, brute_ultrametric_ok
 from oracles import brute_condition_E, brute_condition_M, brute_prefix, brute_projection
+from oracles import brute_thread_inverse, brute_thread_product
 from oracles import cyclic_spec, spec_core_iso, spec_isometry, spec_threads, table_spec, window_spec
 
 from towertree import (
@@ -38,7 +39,6 @@ from towertree import (
     gen_random_group_tower,
     gen_solenoid,
     identity_group_morphism,
-    is_group_tower_iso,
     limit_threads,
     ml_projection_check,
     ml_verdict,
@@ -46,8 +46,6 @@ from towertree import (
     natural_key,
     parse_group_tower,
     thread_distance,
-    thread_inverse,
-    thread_product,
     windowed_solenoid_tower,
 )
 from towertree import Tower, TowerMorphism
@@ -147,13 +145,6 @@ def test_thread_distance_rejects_different_towers():
         thread_distance(a, b)
 
 
-def test_thread_algebra():
-    g = z8_tower()
-    by_top = {t.entries[2]: t for t in limit_threads(g)}
-    assert thread_product(g, by_top["3"], by_top["7"]).entries == ("0", "2", "2")
-    assert thread_inverse(g, by_top["3"]).entries == ("1", "1", "5")
-
-
 def test_translation_isometry_z8_exhaustive():
     verdict = check_translation_isometry(z8_tower())
     assert verdict.valid
@@ -212,7 +203,6 @@ def test_condition_m_reduction_violation():
     e_rep = check_condition_E(red)
     assert e_rep.violation is None
     assert e_rep.witnesses == ((1, 1), (2, 2), (3, 3))
-    assert not is_group_tower_iso(red).is_iso
 
 
 def test_condition_e_zero_inclusion_violation():
@@ -239,10 +229,11 @@ def test_condition_m_zero_into_solenoid():
 
 
 def test_identity_morphism_is_iso():
-    verdict = is_group_tower_iso(identity_group_morphism(z8_tower()))
-    assert verdict.is_iso
-    assert verdict.condition_m.witnesses == ((1, 1), (2, 2), (3, 3))
-    assert verdict.condition_e.witnesses == ((1, 1), (2, 2), (3, 3))
+    ident = identity_group_morphism(z8_tower())
+    for check in (check_condition_M, check_condition_E):
+        verdict = check(ident)
+        assert verdict.holds
+        assert verdict.witnesses == ((1, 1), (2, 2), (3, 3))
 
 
 def test_level_morphism_rejects_nonsquare():
@@ -640,9 +631,9 @@ def test_isometry_matches_brute_oracle_on_altered_lower_tables():
         got = None if verdict.violation is None else tuple(t.entries for t in verdict.violation)
         assert (verdict.valid, got, verdict.checked) == (valid, violation, checked)
         threads = limit_threads(g)
-        made = [thread_inverse(g, a) for a in threads]
-        made += [thread_product(g, k, a) for k in threads for a in threads]
-        kinds["strays"] += not {t.entries for t in made} <= {t.entries for t in threads}
+        made = {brute_thread_inverse(g, a) for a in threads}
+        made |= {brute_thread_product(g, k, a) for k in threads for a in threads}
+        kinds["strays"] += not made <= {t.entries for t in threads}
         kinds["valid" if valid else "invalid"] += 1
     assert kinds["invalid"] >= 20 and kinds["valid"] >= 10
     assert kinds["lower"] >= 20 and kinds["strays"] >= 20
@@ -780,7 +771,7 @@ def test_core_of_a_windowed_level_is_its_projection():
     zero = TableHom({x: "0" for x in w.elements})
     ident = TableHom({x: x for x in w.elements})
     g = GroupTower([w, w, w], [zero, ident])
-    assert {t.at(1) for t in limit_threads(g)} == {"0"}
+    assert {t.entries[0] for t in limit_threads(g)} == {"0"}
     ci = core_iso_construction(g)
     assert ci.core.levels == (WindowedZ(0), w, w)
     assert ci.core.bonds[0] == TableHom({x: "0" for x in w.elements})

@@ -569,6 +569,23 @@ def test_morphism_rejects_incoherent_components():
         TowerMorphism(src, tgt, [1, 2, 3], [{"x0": "e2"}, {"x0": "e2"}, {"x0": "m"}])
 
 
+def test_morphism_rejects_malformed_data(two_branch_tower):
+    t = two_branch_tower
+    for phi, comps, message in (
+        ([1], [{"zzz": "a"}], "component 1 is not total on source level 1"),
+        ([1, 3], [{"a": "a"}, {}], "component 2 is not total on source level 3"),
+        ([1], [{"a": "b1"}], r"component 1 leaves target level 1: \['b1'\]"),
+        ([1, 2], [{"a": "a"}, {"b1": "b1", "b2": "zzz"}], "component 2 leaves target level 2"),
+        ([0], [{"a": "a"}], r"phi\(1\) = 0 outside 1..3"),
+        ([1, 4], [{"a": "a"}, {"c1": "b1"}], r"phi\(2\) = 4 outside 1..3"),
+        ([1, 3], [{"a": "a"}], "phi and components must have equal positive length"),
+        ([], [], "phi and components must have equal positive length"),
+        ([1] * 4, [{"a": "a"}] * 4, "more components than target levels"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            TowerMorphism(t, t, phi, comps)
+
+
 def test_morphism_trim_incoherent_truncates():
     src = constant_tower(3)
     tgt = Tower(

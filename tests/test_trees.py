@@ -13,6 +13,7 @@ from oracles import (
     brute_branches,
     brute_distance,
     brute_geodesic_point,
+    brute_geodesically_complete,
     brute_meet,
     brute_radius,
     brute_vertex_distance,
@@ -37,7 +38,6 @@ from towertree import (
     gen_random_tower,
     geodesic_point,
     identity_tree_map,
-    is_geodesically_complete,
     max_geodesic_subtree,
     meet_point,
     point_of,
@@ -211,11 +211,11 @@ def test_stray_values_are_not_vertices(two_branch_tree):
 def test_max_geodesic_subtree_prunes_dead_branch(two_branch_tree):
     core = max_geodesic_subtree(two_branch_tree)
     assert set(core.vertices) == {ROOT, (1, "a"), (2, "b1"), (3, "c1")}
-    assert is_geodesically_complete(core)
+    assert brute_geodesically_complete(core)
     # maximality: putting the pruned vertex back breaks completeness
     parent = dict(core.parent)
     parent[(2, "b2")] = (1, "a")
-    assert not is_geodesically_complete(RootedTree(parent))
+    assert not brute_geodesically_complete(RootedTree(parent))
 
 
 def test_solenoid_core_is_single_zero_path():
@@ -225,12 +225,12 @@ def test_solenoid_core_is_single_zero_path():
 
 
 def test_geodesic_completeness_flags(two_branch_tree):
-    assert not is_geodesically_complete(two_branch_tree)
-    assert is_geodesically_complete(tree_of_tower(constant_tower(5, size=2)))
+    assert not brute_geodesically_complete(two_branch_tree)
+    assert brute_geodesically_complete(tree_of_tower(constant_tower(5, size=2)))
     for seed in range(12):
         t = tree_of_tower(gen_random_tower(seed, depth=2 + seed % 5, max_level_size=4))
         core = max_geodesic_subtree(t)
-        assert is_geodesically_complete(core)
+        assert brute_geodesically_complete(core)
         # cross-check against bond surjectivity of the induced tower
         back = tower_of_tree(core)
         for n in range(1, back.depth):
