@@ -641,11 +641,13 @@ def simplicialize(space: UltrametricSpace) -> tuple[RootedTree, EndCorrespondenc
     dendrogram.  Each pair's exponent k is certified to satisfy
     e^{-(k+1)} < d <= e^{-k}, which pins the distortion into (1/e, 1].
     Each distinct distance is certified once, found by its numerator and
-    denominator.  The tree is built from the space's own single-linkage
-    chain with each link floored; the floor is monotone, so every threshold
-    keeps its classes, on malformed spaces too."""
+    denominator.  A rational space's floors are written into int rows as
+    they are certified, and the tree is their dendrogram; a grid space's
+    tree is its own.  The floor is monotone, so every threshold keeps its
+    classes, on malformed spaces too."""
     pts, grid = space.points, space.mode == GRID
-    floors: dict[tuple[int, int], int] = {}
+    known: dict[tuple[int, int], int] = {}
+    floors: list[list] = [] if grid else [[None] * len(pts) for _ in pts]
     rows = []
     for i, (x, row) in enumerate(zip(pts, space.rows)):
         for j in range(i + 1, len(row)):
@@ -654,14 +656,13 @@ def simplicialize(space: UltrametricSpace) -> tuple[RootedTree, EndCorrespondenc
                 rows.append(CorrespondenceRow(x, pts[j], Fraction(0), v, v, certified=True))
                 continue
             key = (v.numerator, v.denominator)
-            k = floors.get(key)
+            k = known.get(key)
             if k is None:
-                k = floors[key] = certified_neg_log_floor(v)
+                k = known[key] = certified_neg_log_floor(v)
+            floors[i][j] = floors[j][i] = k
             rows.append(CorrespondenceRow(x, pts[j], v, None, k, certified=True))
     if not grid:
-        order, link = _single_linkage(space)
-        chain = order, [floors[v.numerator, v.denominator] for v in link]
-        space = UltrametricSpace._trusted(pts, None, GRID, chain)
+        space = UltrametricSpace._trusted(pts, floors, GRID)
     tree, _ = tree_of_ultrametric(space)
     return tree, EndCorrespondence(points=pts, rows=tuple(rows))
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .ends import UltrametricSpace, _floor_log, certified_ln_sign, grid_space, rational_space
 from .errors import DepthExhausted, InvalidParameter, NotProper, TowerTreeError
-from .groups import GroupTower, ScaleHom, TableGroup, TableHom, WindowedZ, _decimal_ids
+from .groups import GroupTower, ScaleHom, TableGroup, TableHom, WindowedZ, _tower_of
 from .maps import (
     check_nonexpansive,
     compose_tree_maps,
@@ -208,28 +208,21 @@ def gen_random_tower(
     if depth * max_level_size > MAX_GENERATOR_IDS:
         raise InvalidParameter(f"depth x max_level_size may be at most {MAX_GENERATOR_IDS} ids")
     rng = random.Random(f"tower:{seed}")
+    # choice and shuffle draw by length alone, so drawing positions takes the
+    # same draws as drawing the ids "0".."size-1" at those positions
     sizes = [rng.randint(1, max_level_size)]
-    levels = [[str(i) for i in range(sizes[0])]]
-    bonds = []
-    for n in range(1, depth):
+    up = []
+    for _ in range(depth - 1):
         onto = rng.random() < surjectivity_bias
-        prev = levels[-1]
-        if onto:
-            size = rng.randint(len(prev), max_level_size)
-        else:
-            size = rng.randint(1, max_level_size)
-        ids = [str(i) for i in range(size)]
+        prev = range(sizes[-1])
+        size = rng.randint(len(prev) if onto else 1, max_level_size)
         parents = list(prev)
-        rng.shuffle(parents)
-        bond = {}
-        for i, x in enumerate(ids):
-            if onto and i < len(parents):
-                bond[x] = parents[i]
-            else:
-                bond[x] = rng.choice(prev)
-        levels.append(ids)
-        bonds.append(bond)
-    return Tower(levels, bonds)
+        rng.shuffle(parents)  # drawn even for a bond that need not be onto
+        row = parents if onto else []
+        up.append(row + [rng.choice(prev) for _ in range(size - len(row))])
+        sizes.append(size)
+    ids = [str(i) for i in range(max(sizes))]
+    return Tower._ordered([ids[:m] for m in sizes], up)
 
 
 def random_morphism(seed: int, source: Tower, target: Tower) -> TowerMorphism:
@@ -250,31 +243,21 @@ def random_morphism(seed: int, source: Tower, target: Tower) -> TowerMorphism:
         for _ in range(1, length):
             step = rng.randint(0, 1) if rng.random() < 0.7 else rng.randint(0, source.depth)
             phi.append(min(phi[-1] + step, source.depth))
-    level1 = target.level(1)
-    deep = [x for x, r in zip(level1, _reach(target)[0]) if r == target.depth]
-    f1 = {}
-    for x in source.level(phi[0]):
-        if rng.random() < 0.8:
-            f1[x] = rng.choice(deep)
-        else:
-            f1[x] = rng.choice(list(target.level(1)))
-    components = [f1]
+    reach = _reach(target)[0]
+    deep = [i for i, r in enumerate(reach) if r == target.depth]
+    rows = [
+        [rng.choice(deep) if rng.random() < 0.8 else rng.choice(range(len(reach)))
+         for _ in range(source.sizes[phi[0] - 1])]
+    ]
     for n in range(1, length):
-        prev = components[-1]
-        needs = _pull_back(source, [prev[x] for x in source.level(phi[n - 1])], phi[n - 1], phi[n])
-        q = target.bond(n)
-        comp = {}
-        for y, need in zip(source.level(phi[n]), needs):
-            candidates = [z for z in target.level(n + 1) if q[z] == need]
-            if not candidates:
-                comp = None
-                break
-            comp[y] = rng.choice(candidates)
-        if comp is None:
-            phi = phi[:n]
+        fibers = [[] for _ in range(target.sizes[n - 1])]  # of q_n, in position order
+        for j, i in enumerate(target.up[n - 1]):
+            fibers[i].append(j)
+        candidates = [fibers[i] for i in _pull_back(source, rows[-1], phi[n - 1], phi[n])]
+        if not all(candidates):
             break
-        components.append(comp)
-    return TowerMorphism(source, target, phi[: len(components)], components)
+        rows.append([rng.choice(c) for c in candidates])
+    return TowerMorphism._trusted(source, target, phi[: len(rows)], rows)
 
 
 def gen_random_group_tower(seed: int, depth: int, max_order: int = 16) -> GroupTower:
@@ -293,12 +276,15 @@ def gen_random_group_tower(seed: int, depth: int, max_order: int = 16) -> GroupT
         growable = [f for f in (1, 2, 3) if orders[-1] * f <= max_order]
         orders.append(orders[-1] * rng.choice(growable or [1]))
     levels = [TableGroup.cyclic(m) for m in orders]
-    bonds = []
-    for n in range(1, depth):
-        c = rng.randint(0, orders[n - 1] - 1)
-        ids = _decimal_ids(orders[n - 1])
-        bonds.append(TableHom({x: ids[c * i % len(ids)] for i, x in enumerate(levels[n].elements)}))
-    return GroupTower(levels, bonds)
+    up = []
+    for small, big in zip(orders, orders[1:]):
+        c = rng.randint(0, small - 1)
+        up.append([c * i % small for i in range(big)])
+    bonds = [
+        TableHom(dict(zip(src.elements, map(dst.elements.__getitem__, u))))
+        for dst, src, u in zip(levels, levels[1:], up)
+    ]
+    return GroupTower._trusted(levels, bonds, _tower_of(levels, bonds, up))
 
 
 def _split(rng: random.Random, ids: list[str]) -> list[list[str]]:

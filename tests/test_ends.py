@@ -454,8 +454,8 @@ def test_simplicialize_single_point():
 
 
 def test_simplicialize_is_the_dendrogram_of_the_floored_pairs():
-    """simplicialize floors each link of a rational space's own chain and
-    takes a grid space's chain as it is; either way the tree is the
+    """simplicialize floors each pair of a rational space and takes a grid
+    space's chain as it is; either way the tree is the
     dendrogram of the pairs' floors, on valid and malformed spaces, and on
     grid spaces that hold only a tree's chain."""
     kinds = {}

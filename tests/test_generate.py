@@ -12,6 +12,8 @@ from towertree import (
     FAILS,
     GroupTower,
     InvalidParameter,
+    Tower,
+    TowerMorphism,
     certified_ln_sign,
     compose_bonding,
     gen_biholder,
@@ -264,3 +266,50 @@ def test_random_spaces_are_frozen_data():
             for sp in (gen_random_grid_space(seed, **size), gen_random_rational_space(seed, **size)):
                 digest.update(repr((sp.points, sorted(((x, y), v) for x, y, v in sp.pairs()))).encode())
     assert digest.hexdigest() == "346d998e02a609d6c110ef42690c00a9dc4ea400ddc7336041bd106c9153838a"
+
+
+RANDOM_TOWER_SHAPES = ((1, 1, 0.7), (4, 3, 0.7), (6, 5, 0.0), (6, 5, 0.5), (6, 5, 1.0), (9, 8, 0.3))
+
+
+def test_random_towers_and_morphisms_are_frozen_data():
+    """The seeded towers and morphisms feed the benchmark and the roundtrip
+    corpus, so their draws are pinned like the spaces' draws."""
+    towers, morphisms = hashlib.sha256(), hashlib.sha256()
+    for seed in range(100):
+        for depth, size, bias in RANDOM_TOWER_SHAPES:
+            x = gen_random_tower(seed, depth, size, bias)
+            towers.update(repr(([list(v) for v in x.levels], [list(u) for u in x.up])).encode())
+            y = gen_random_tower(seed + 10_000, 2 + seed % 7, 1 + seed % 5, bias)
+            for m in (random_morphism(seed, x, y), random_morphism(seed, y, x)):
+                morphisms.update(repr((m.phi, m.rows, m.witnesses)).encode())
+    assert towers.hexdigest() == "7345a5cd5c4b9d2d6f546f84571f21316bccb0cfab5121f0804e03a05164c08f"
+    assert morphisms.hexdigest() == "d371189bf234afdd4a5fc3217b2ed81cbb8dfdeceee098502279b37d65f224e9"
+
+
+def test_random_group_towers_are_frozen_data():
+    digest = hashlib.sha256()
+    for seed in range(100):
+        for depth, order in ((1, 1), (3, 2), (4, 16), (5, 16), (6, 64)):
+            g = gen_random_group_tower(seed, depth, order)
+            orders = [len(v.elements) for v in g.levels]
+            bonds = [sorted(b.mapping.items()) for b in g.bonds]
+            digest.update(repr((orders, bonds, [list(u) for u in g.tower.up])).encode())
+    assert digest.hexdigest() == "8cd2537d58a68471d0f3255edec2f0c86fca7a364a57b97bd6e67751abc7a712"
+
+
+def test_seeded_generators_agree_with_the_validating_constructors():
+    """Each generator builds its rows itself; rebuilding its output from the
+    public form through the validating constructor gives the same data."""
+    for seed in range(500):
+        depth, size, bias = 1 + seed % 8, 1 + seed % 6, (seed % 11) / 10.0
+        x = gen_random_tower(seed, depth, size, bias)
+        y = gen_random_tower(seed + 10_000, 1 + (seed + 3) % 8, size, bias)
+        for t in (x, y):
+            again = Tower(t.levels, t.bonds)
+            assert again == t and again.up == t.up
+        m = random_morphism(seed, x, y)
+        again = TowerMorphism(x, y, m.phi, m.components)
+        assert (again.phi, again.rows, again.witnesses) == (m.phi, m.rows, m.witnesses)
+        g = gen_random_group_tower(seed, 1 + seed % 6, (4, 16, 64)[seed % 3])
+        again = GroupTower(list(g.levels), list(g.bonds))
+        assert again == g and again.tower == g.tower and again.tower.up == g.tower.up
